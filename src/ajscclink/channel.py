@@ -3,18 +3,39 @@
 Noise level is set by the channel signal-to-noise ratio (CSNR), the ratio
 of channel-gain-weighted signal power to complex noise variance in dB.
 Tap profiles normalize their mean power to one, so the noise variance is
-always P_sig / 10^(csnr_db / 10); csnr_db = inf disables noise.
+always P_sig / 10^(csnr_db / 10); csnr_db = inf disables noise.  P_sig is
+the mean |x|^2 of the blocks passed to one ``process`` call.
 
 Fading taps evolve as Rayleigh processes with the classic isotropic-
 scattering Doppler spectrum, realized by a randomized sum of sinusoids
 (Zheng-Xiao parameterization).  Fading is quasi-static per FFT block: each
 block is multiplied by the tap gains sampled at its start time, which is
 accurate while the Doppler spread stays far below the block rate.
+
+Random streams are keyed per block.  Block b (the absolute index,
+``start_block`` plus the row) draws its noise from
+``SeedSequence(seed, spawn_key=(1, b))`` and, on a flat Rayleigh channel,
+its coefficient h from ``spawn_key=(0, b)``.  The multipath oscillator
+banks are drawn once from ``spawn_key=(0,)`` and are functions of time.  So
+any block range can be computed on its own, in any order.
+
+All three streaming channels are one tapped delay line; AWGN and flat
+Rayleigh have a single tap at delay 0.  ``process`` measures the signal
+power of the whole call and allocates the output, then splits the block
+rows into one contiguous range per usable CPU and runs the ranges on a
+module-level thread pool (numpy's generator fills and ufunc loops release
+the GIL).  A row is computed the same way whichever range holds it, so the
+output is byte-identical for any worker count.  Across chunkings of one
+stream it is byte-identical when every chunk has the same mean power;
+otherwise each call's own P_sig moves the last bits of the noise scale
+(within 1e-12 on modulated blocks).
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +48,22 @@ _BUILTIN_PROFILE_FILES = {
     "jtc_indoor_a": "jtc_indoor_residential_a.csv",
     "jtc_outdoor_low_a": "jtc_outdoor_residential_low_a.csv",
 }
+# Spawn-key streams: (_FADE,) seeds the oscillator banks, (_FADE, b) and
+# (_NOISE, b) the flat-Rayleigh coefficient and the noise of block b.
+_FADE, _NOISE = 0, 1
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+# process() splits its rows into _WORKERS ranges; the pool starts its
+# threads on first use.
+_WORKERS = _usable_cpus()
+_POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="ajscclink-channel")
 
 
 @dataclass(frozen=True)
@@ -120,25 +157,19 @@ class ChannelSpec:
         return self
 
 
-def _csnr_noise_variance(csnr_db: float, signal_power: float) -> float:
+def _noise_scale(csnr_db: float, blocks: np.ndarray) -> float:
+    """Per-component noise deviation for the CSNR, from the blocks' mean |x|^2."""
     if np.isinf(csnr_db) and csnr_db > 0:
         return 0.0
-    return signal_power / 10.0 ** (csnr_db / 10.0)
+    power = np.abs(blocks)
+    np.square(power, out=power)  # the values of np.abs(blocks) ** 2, one temporary
+    variance = float(power.mean()) / 10.0 ** (csnr_db / 10.0)
+    return float(np.sqrt(variance / 2.0))
 
 
-def _complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    # Per-sample (re, im) draw order, so a stream split into chunks consumes
-    # the generator exactly like a one-shot call; the view is zero-copy.
-    g = rng.standard_normal((n, 2))
-    return g.view(np.complex128)[:, 0]
-
-
-def _add_noise(blocks: np.ndarray, variance: float, rng: np.random.Generator) -> np.ndarray:
-    if variance == 0.0:
-        return blocks
-    scale = np.sqrt(variance / 2.0)
-    noise = _complex_normals(rng, blocks.size).reshape(blocks.shape)
-    return blocks + scale * noise
+def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
+    """The generator of one stream for one absolute block index."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -147,43 +178,13 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def apply_awgn(blocks: np.ndarray, csnr_db: float, seed) -> np.ndarray:
-    """Add circularly symmetric complex Gaussian noise at the given CSNR.
-
-    Signal power is measured from the input; csnr_db = inf returns the
-    input unchanged.  seed may be an int or a Generator.
-    """
-    blocks = np.asarray(blocks, dtype=np.complex128)
-    if blocks.size == 0:
-        raise ConfigError("blocks must be non-empty")
-    p_sig = float(np.mean(np.abs(blocks) ** 2))
-    variance = _csnr_noise_variance(csnr_db, p_sig)
-    return _add_noise(blocks, variance, _as_rng(seed))
-
-
-def apply_flat_rayleigh(blocks: np.ndarray, csnr_db: float, seed, h_override=None) -> np.ndarray:
-    """Single-tap Rayleigh block fading plus AWGN.
-
-    One coefficient h ~ CN(0, 1) is drawn independently per block (there is
-    no Doppler to define coherence, so block fading is the memoryless
-    choice).  Noise variance uses the ensemble gain E|h|^2 = 1, not the
-    realized draws.  h_override is a test hook replacing the drawn
-    coefficients.
-    """
-    blocks = np.asarray(blocks, dtype=np.complex128)
+def _as_blocks(blocks, block_size: int | None = None) -> np.ndarray:
+    blocks = np.ascontiguousarray(blocks, dtype=np.complex128)
     if blocks.ndim != 2 or blocks.size == 0:
-        raise ConfigError("blocks must be a non-empty (n_blocks, n) array")
-    ss = np.random.SeedSequence(seed) if not isinstance(seed, np.random.SeedSequence) else seed
-    fade_rng, noise_rng = (np.random.default_rng(c) for c in ss.spawn(2))
-    if h_override is None:
-        h = _complex_normals(fade_rng, blocks.shape[0]) / np.sqrt(2.0)
-    else:
-        h = np.asarray(h_override, dtype=np.complex128)
-        if h.shape != (blocks.shape[0],):
-            raise ConfigError("h_override must supply one coefficient per block")
-    p_sig = float(np.mean(np.abs(blocks) ** 2))
-    faded = h[:, None] * blocks
-    return _add_noise(faded, _csnr_noise_variance(csnr_db, p_sig), noise_rng)
+        raise ConfigError(f"blocks must be a non-empty (n_blocks, n) array, got {blocks.shape}")
+    if block_size is not None and blocks.shape[1] != block_size:
+        raise ConfigError(f"blocks must be (n, {block_size}), got {blocks.shape}")
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -230,21 +231,117 @@ def jakes_gains(doppler_hz: float, times: np.ndarray, seed, n_oscillators: int =
     return make_jakes(doppler_hz, _as_rng(seed), n_oscillators).gains(times)
 
 
-class MultipathChannel:
+class _DelayLineChannel:
+    """Streaming core shared by every family: a delay line plus keyed noise.
+
+    The line has distinct delays in samples, the first 0, each with one
+    complex gain per block (``_gains``; None means a single unit tap).  A
+    carry buffer holds the last samples of the previous call, so a stream
+    split into consecutive chunks sees the same delayed samples as one call.
+    """
+
+    def __init__(self, spec: ChannelSpec, sample_rate: float, block_size: int):
+        self.spec = spec
+        self.block_size = block_size
+        self.delays = np.zeros(1, dtype=int)
+        self._carry = np.zeros(0, dtype=np.complex128)
+        self._next_block = 0
+
+    def _gains(self, start_block: int, n_blocks: int) -> np.ndarray | None:
+        return None
+
+    def process(self, blocks: np.ndarray, start_block: int | None = None) -> np.ndarray:
+        """Channel output for blocks start_block, start_block + 1, ...
+
+        start_block defaults to the block after the previous call's last one.
+        """
+        blocks = _as_blocks(blocks, self.block_size)
+        if start_block is None:
+            start_block = self._next_block
+        if start_block < 0:
+            raise ConfigError(f"start_block must be >= 0, got {start_block}")
+        self._next_block = start_block + blocks.shape[0]
+        return self._run(blocks, start_block, self._gains(start_block, blocks.shape[0]))
+
+    def _run(self, blocks: np.ndarray, start_block: int, gains) -> np.ndarray:
+        """Output for validated blocks; gains is (n_delays, n_blocks) or None."""
+        scale = _noise_scale(self.spec.csnr_db, blocks)
+        if scale == 0.0 and gains is None:
+            return blocks
+        n_blocks, n = blocks.shape
+        flat = blocks.reshape(-1)
+        c = self._carry.size
+        head = np.concatenate([self._carry, flat[:n]])  # the delayed samples of row 0
+        out = np.empty_like(blocks)
+        seed, delays = self.spec.seed, self.delays
+
+        # One row at a time, with the same operations whichever range holds
+        # it, so the bytes do not depend on the split; the row also stays in
+        # cache across its passes.
+        def rows(lo: int, hi: int, tmp: np.ndarray) -> None:
+            for r in range(lo, hi):
+                o = out[r]
+                if scale:
+                    rng = _block_rng(seed, _NOISE, start_block + r)
+                    rng.standard_normal(out=o.view(np.float64))
+                    o *= scale
+                for k, d in enumerate(delays):
+                    src = head[c - d : c - d + n] if r == 0 else flat[r * n - d : (r + 1) * n - d]
+                    if gains is None:
+                        o += src
+                    elif k == 0 and not scale:
+                        np.multiply(src, gains[k, r], out=o)
+                    else:
+                        np.multiply(src, gains[k, r], out=tmp)
+                        o += tmp
+
+        parts = min(_WORKERS, n_blocks)
+        bounds = [n_blocks * i // parts for i in range(parts + 1)]
+        scratch = np.empty((parts, n), dtype=np.complex128)
+        if parts == 1:
+            rows(0, n_blocks, scratch[0])
+        else:
+            list(_POOL.map(rows, bounds[:-1], bounds[1:], scratch))
+        if c:
+            self._carry = flat[-c:].copy()
+        return out
+
+
+class AwgnChannel(_DelayLineChannel):
+    """Streaming AWGN: the input plus keyed complex Gaussian noise."""
+
+
+class FlatRayleighChannel(_DelayLineChannel):
+    """Streaming single-tap Rayleigh block fading plus AWGN.
+
+    One coefficient h ~ CN(0, 1) per block, drawn from that block's fade
+    stream (there is no Doppler to define coherence, so block fading is the
+    memoryless choice).  Noise variance uses the ensemble gain E|h|^2 = 1,
+    not the realized draws.
+    """
+
+    def _gains(self, start_block: int, n_blocks: int) -> np.ndarray:
+        h = np.empty((1, n_blocks), dtype=np.complex128)
+        for r in range(n_blocks):
+            rng = _block_rng(self.spec.seed, _FADE, start_block + r)
+            rng.standard_normal(out=h[0, r : r + 1].view(np.float64))
+        return h / np.sqrt(2.0)
+
+
+class MultipathChannel(_DelayLineChannel):
     """Tapped-delay-line fading channel, streamable block by block.
 
     Tap delays are rounded to the nearest sample at the given rate; each
-    tap carries an independent Doppler fading process and the line keeps a
-    carry buffer so chunked processing matches one-shot processing.
+    tap carries an independent Doppler fading process, drawn once from the
+    seed's fade stream and sampled at block-start times.
     """
 
     def __init__(self, spec: ChannelSpec, sample_rate: float, block_size: int):
         spec = spec.resolved()
         if spec.tap_profile is None:
             raise ConfigError(f"channel family {spec.family!r} requires a tap profile")
-        self.spec = spec
+        super().__init__(spec, sample_rate, block_size)
         self.sample_rate = sample_rate
-        self.block_size = block_size
         self.block_period = block_size / sample_rate
 
         profile = spec.tap_profile
@@ -257,85 +354,61 @@ class MultipathChannel:
         self.delay_samples = np.rint(profile.delays * sample_rate).astype(int)
         self.tap_scales = np.sqrt(profile.powers)
 
-        ss = np.random.SeedSequence(spec.seed)
-        fade_seed, noise_seed = ss.spawn(2)
-        fade_rng = np.random.default_rng(fade_seed)
+        fade_rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(_FADE,)))
         self.taps = [
             make_jakes(spec.doppler_hz, fade_rng) for _ in range(self.delay_samples.size)
         ]
-        self.noise_rng = np.random.default_rng(noise_seed)
-        self._carry = np.zeros(int(self.delay_samples.max()), dtype=np.complex128)
+        # Taps whose delays round to the same sample add coherently, so their
+        # gains are summed once per block and the line has one entry per delay.
+        self.delays = np.unique(self.delay_samples)
+        self._groups = [np.flatnonzero(self.delay_samples == d) for d in self.delays]
+        self._carry = np.zeros(int(self.delays[-1]), dtype=np.complex128)
 
     def tap_gain_series(self, block_indices: np.ndarray) -> np.ndarray:
         """(n_taps, n_blocks) fading gains at block-start times, unscaled."""
         times = np.asarray(block_indices, dtype=np.float64) * self.block_period
         return np.stack([tap.gains(times) for tap in self.taps])
 
-    def process(self, blocks: np.ndarray, start_block: int = 0) -> np.ndarray:
-        blocks = np.asarray(blocks, dtype=np.complex128)
-        if blocks.ndim != 2 or blocks.shape[1] != self.block_size:
-            raise ConfigError(f"blocks must be (n, {self.block_size}), got {blocks.shape}")
-        n_blocks, n = blocks.shape
+    def _gains(self, start_block: int, n_blocks: int) -> np.ndarray:
         gains = self.tap_gain_series(np.arange(start_block, start_block + n_blocks))
+        return np.stack(
+            [(self.tap_scales[idx, None] * gains[idx]).sum(axis=0) for idx in self._groups]
+        )
 
-        flat = blocks.ravel()
-        extended = np.concatenate([self._carry, flat])
-        out = np.zeros((n_blocks, n), dtype=np.complex128)
-        carry_len = self._carry.size
-        # Taps whose delays round to the same sample add coherently, so sum
-        # their gains once per block and touch the sample stream only once
-        # per distinct delay.
-        for d in np.unique(self.delay_samples):
-            idx = np.flatnonzero(self.delay_samples == d)
-            gain = (self.tap_scales[idx, None] * gains[idx]).sum(axis=0)
-            delayed = extended[carry_len - d : carry_len - d + flat.size].reshape(n_blocks, n)
-            out += gain[:, None] * delayed
-        if carry_len:
-            self._carry = flat[-carry_len:].copy()
 
-        p_sig = float(np.mean(np.abs(blocks) ** 2))
-        variance = _csnr_noise_variance(self.spec.csnr_db, p_sig)
-        return _add_noise(out, variance, self.noise_rng)
+def apply_awgn(blocks: np.ndarray, csnr_db: float, seed: int) -> np.ndarray:
+    """Add circularly symmetric complex Gaussian noise at the given CSNR.
+
+    Signal power is measured from the input; csnr_db = inf returns the
+    input unchanged.
+    """
+    blocks = _as_blocks(blocks)
+    spec = ChannelSpec("awgn", csnr_db, seed=seed)
+    return AwgnChannel(spec, 1.0, blocks.shape[1]).process(blocks)
+
+
+def apply_flat_rayleigh(
+    blocks: np.ndarray, csnr_db: float, seed: int, h_override=None
+) -> np.ndarray:
+    """One-shot flat Rayleigh block fading plus AWGN (see FlatRayleighChannel).
+
+    h_override is a test hook replacing the drawn coefficients.
+    """
+    blocks = _as_blocks(blocks)
+    spec = ChannelSpec("flat_rayleigh", csnr_db, seed=seed)
+    channel = FlatRayleighChannel(spec, 1.0, blocks.shape[1])
+    if h_override is None:
+        return channel.process(blocks)
+    h = np.asarray(h_override, dtype=np.complex128)
+    if h.shape != (blocks.shape[0],):
+        raise ConfigError("h_override must supply one coefficient per block")
+    return channel._run(blocks, 0, h[None, :])
 
 
 def apply_multipath(blocks: np.ndarray, spec: ChannelSpec, sample_rate: float) -> np.ndarray:
     """One-shot tapped-delay-line fading of a whole block stream."""
-    blocks = np.asarray(blocks, dtype=np.complex128)
-    if blocks.ndim != 2 or blocks.size == 0:
-        raise ConfigError("blocks must be a non-empty (n_blocks, n) array")
+    blocks = _as_blocks(blocks)
     return MultipathChannel(spec, sample_rate, blocks.shape[1]).process(blocks)
-
-
-class AwgnChannel:
-    """Streaming AWGN: chunked processing draws one continuous noise stream."""
-
-    def __init__(self, spec: ChannelSpec, sample_rate: float, block_size: int):
-        self.spec = spec
-        self.rng = np.random.default_rng(spec.seed)
-
-    def process(self, blocks: np.ndarray, start_block: int = 0) -> np.ndarray:
-        return apply_awgn(blocks, self.spec.csnr_db, self.rng)
-
-
-class FlatRayleighChannel:
-    """Streaming single-tap Rayleigh block fading.
-
-    Fading and noise use separate generators spawned from the seed so the
-    chunking pattern does not change the realization.
-    """
-
-    def __init__(self, spec: ChannelSpec, sample_rate: float, block_size: int):
-        self.spec = spec
-        fade_seed, noise_seed = np.random.SeedSequence(spec.seed).spawn(2)
-        self.fade_rng = np.random.default_rng(fade_seed)
-        self.noise_rng = np.random.default_rng(noise_seed)
-
-    def process(self, blocks: np.ndarray, start_block: int = 0) -> np.ndarray:
-        blocks = np.asarray(blocks, dtype=np.complex128)
-        h = _complex_normals(self.fade_rng, blocks.shape[0]) / np.sqrt(2.0)
-        p_sig = float(np.mean(np.abs(blocks) ** 2))
-        faded = h[:, None] * blocks
-        return _add_noise(faded, _csnr_noise_variance(self.spec.csnr_db, p_sig), self.noise_rng)
 
 
 def make_channel(spec: ChannelSpec, sample_rate: float, block_size: int):

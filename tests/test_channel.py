@@ -1,9 +1,12 @@
 """Channel tests: noise calibration, fading statistics, tap profiles."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy import special, stats
 
+from ajscclink import channel
 from ajscclink.channel import (
     ChannelSpec,
     FlatRayleighChannel,
@@ -19,7 +22,7 @@ from ajscclink.channel import (
     make_jakes,
 )
 from ajscclink.errors import ConfigError
-from ajscclink.modem import fast_profile
+from ajscclink.modem import fast_profile, modulate
 
 
 def unit_blocks(n_blocks, n, seed=0):
@@ -280,3 +283,75 @@ class TestStreamingWrappers:
         assert isinstance(
             make_channel(ChannelSpec("jtc_indoor_a"), 8.192e6, 8192), MultipathChannel
         )
+
+
+class TestKeyedStreams:
+    FAMILIES = ("awgn", "flat_rayleigh", "jtc_outdoor_low_a")
+
+    @staticmethod
+    def chunked(spec, x, sizes):
+        ch = make_channel(spec, 8.192e6, x.shape[1])
+        bounds = np.cumsum([0, *sizes])
+        return np.vstack([ch.process(x[lo:hi], lo) for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_chunk_and_worker_invariance_on_unit_power(self, family, monkeypatch):
+        # Every chunk of np.ones blocks has mean power exactly 1, so the
+        # noise scale is the same for any chunking and the bytes must match.
+        x = np.ones((30, 512), dtype=complex)
+        spec = ChannelSpec(family, csnr_db=0.0, seed=21)
+        outs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(channel, "_WORKERS", workers)
+            for sizes in ([1] * 30, [7, 7, 7, 7, 2], [30]):
+                outs.append(self.chunked(spec, x, sizes))
+        for out in outs[1:]:
+            assert out.tobytes() == outs[0].tobytes()
+
+    def test_more_ranges_than_cores_under_fast_switching(self, monkeypatch):
+        # Workers write disjoint row ranges of one output array; split into
+        # many more ranges than pool threads, with the interpreter switching
+        # threads every few microseconds, the bytes must still match.
+        x = unit_blocks(64, 512, seed=2)
+        spec = ChannelSpec("jtc_outdoor_low_a", csnr_db=3.0, seed=6)
+        monkeypatch.setattr(channel, "_WORKERS", 1)
+        want = self.chunked(spec, x, [64])
+        monkeypatch.setattr(channel, "_WORKERS", 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = self.chunked(spec, x, [64])
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_modulated_chunking_within_bound(self, family):
+        # Each call measures its own mean |x|^2, so on modulated blocks the
+        # chunking moves the last bits of the noise scale, and no more.
+        cfg = fast_profile()
+        encoded = np.random.default_rng(3).uniform(0.0, 2.0, 60)
+        x = modulate(encoded, 2.0, cfg)
+        spec = ChannelSpec(family, csnr_db=0.0, seed=8)
+        whole = self.chunked(spec, x, [60])
+        split = self.chunked(spec, x, [7, 7, 19, 27])
+        assert np.abs(split - whole).max() <= 1e-12
+
+    def test_adjacent_block_noise_uncorrelated(self):
+        # Adjacent blocks draw from streams keyed on neighbouring indices;
+        # their circular cross-correlation, pooled over 999 block pairs, must
+        # stay at the 1e-3 level of independent noise at every lag.
+        x = np.ones((1000, 1024), dtype=complex)
+        noise = apply_awgn(x, 0.0, 5) - x
+        spectra = np.fft.fft(noise, axis=1)
+        xcorr = np.fft.ifft((np.conj(spectra[:-1]) * spectra[1:]).sum(axis=0))
+        assert np.abs(xcorr).max() / np.sum(np.abs(noise[:-1]) ** 2) < 0.01
+
+    def test_start_block_continues_the_stream(self):
+        x = unit_blocks(12, 64)
+        spec = ChannelSpec("flat_rayleigh", csnr_db=3.0, seed=4)
+        ch = make_channel(spec, 1e6, 64)
+        tail = ch.process(x[5:], start_block=5)
+        np.testing.assert_array_equal(tail, apply_flat_rayleigh(x, 3.0, 4)[5:])
+        with pytest.raises(ConfigError):
+            ch.process(x, start_block=-1)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ajscclink import channel
 from ajscclink.cli import main
 from ajscclink.errors import ConfigError, StageError
 from ajscclink.harness import (
@@ -73,6 +74,18 @@ class TestRunLink:
         b = report_to_dict(run_link(config))
         a.pop("wall_time_s"), b.pop("wall_time_s")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    @pytest.mark.parametrize("family", channel.FAMILIES)
+    def test_report_independent_of_channel_workers(self, family, monkeypatch):
+        config = RunConfig(levels=10, duration=0.25, seed=42, channel_family=family,
+                           csnr_db=5.0, analysis=quiet_analysis())
+        payloads = []
+        for workers in (1, 2):
+            monkeypatch.setattr(channel, "_WORKERS", workers)
+            report = report_to_dict(run_link(config))
+            report.pop("wall_time_s")
+            payloads.append(json.dumps(report, sort_keys=True))
+        assert payloads[0] == payloads[1]
 
     def test_missing_trace_file_is_config_error(self):
         config = RunConfig(levels=8, duration=2.0, gsr_path="/nonexistent/trace.csv")
