@@ -22,25 +22,24 @@ any block range can be computed on its own, in any order.
 All three streaming channels are one tapped delay line; AWGN and flat
 Rayleigh have a single tap at delay 0.  ``process`` measures the signal
 power of the whole call and allocates the output, then splits the block
-rows into one contiguous range per usable CPU and runs the ranges on a
-module-level thread pool (numpy's generator fills and ufunc loops release
-the GIL).  A row is computed the same way whichever range holds it, so the
-output is byte-identical for any worker count.  Across chunkings of one
-stream it is byte-identical when every chunk has the same mean power;
-otherwise each call's own P_sig moves the last bits of the noise scale
-(within 1e-12 on modulated blocks).
+rows into one contiguous range per usable CPU and runs the ranges on the
+package's thread pool (``pool.split_rows``; numpy's generator fills and
+ufunc loops release the GIL).  A row is computed the same way whichever
+range holds it, so the output is byte-identical for any worker count.
+Across chunkings of one stream it is byte-identical when every chunk has
+the same mean power; otherwise each call's own P_sig moves the last bits of
+the noise scale (within 1e-12 on modulated blocks).
 """
 
 from __future__ import annotations
 
 import importlib.resources
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
+from .pool import split_rows
 
 FAMILIES = ("awgn", "flat_rayleigh", "jtc_indoor_a", "jtc_outdoor_low_a")
 _DEFAULT_DOPPLER = {"jtc_indoor_a": 5.0, "jtc_outdoor_low_a": 20.0}
@@ -51,19 +50,6 @@ _BUILTIN_PROFILE_FILES = {
 # Spawn-key streams: (_FADE,) seeds the oscillator banks, (_FADE, b) and
 # (_NOISE, b) the flat-Rayleigh coefficient and the noise of block b.
 _FADE, _NOISE = 0, 1
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-# process() splits its rows into _WORKERS ranges; the pool starts its
-# threads on first use.
-_WORKERS = _usable_cpus()
-_POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="ajscclink-channel")
 
 
 @dataclass(frozen=True)
@@ -295,13 +281,7 @@ class _DelayLineChannel:
                         np.multiply(src, gains[k, r], out=tmp)
                         o += tmp
 
-        parts = min(_WORKERS, n_blocks)
-        bounds = [n_blocks * i // parts for i in range(parts + 1)]
-        scratch = np.empty((parts, n), dtype=np.complex128)
-        if parts == 1:
-            rows(0, n_blocks, scratch[0])
-        else:
-            list(_POOL.map(rows, bounds[:-1], bounds[1:], scratch))
+        split_rows(rows, n_blocks, ((n,), np.complex128))
         if c:
             self._carry = flat[-c:].copy()
         return out

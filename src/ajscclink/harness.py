@@ -11,6 +11,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 import pathlib
 import time
 from dataclasses import dataclass, field
@@ -77,6 +79,10 @@ class AnalysisSettings:
     despike_width: int = 3
 
 
+def _is_finite(x) -> bool:
+    return isinstance(x, numbers.Real) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     levels: int = 30
@@ -104,6 +110,19 @@ class RunConfig:
             raise ConfigError(f"profile must be 'fast' or 'slow', got {self.profile!r}")
         if self.duration <= 0:
             raise ConfigError("duration must be > 0")
+        if not (_is_finite(self.csnr_db) or self.csnr_db == math.inf):
+            raise ConfigError(f"csnr_db must be finite or inf, got {self.csnr_db!r}")
+        if self.doppler_hz is not None and not _is_finite(self.doppler_hz):
+            raise ConfigError(f"doppler_hz must be finite or None, got {self.doppler_hz!r}")
+        for name in ("x1_input_range", "x2_input_range"):
+            r = getattr(self, name)
+            if r is not None and not (
+                isinstance(r, (tuple, list))
+                and len(r) == 2
+                and all(_is_finite(v) for v in r)
+                and r[0] < r[1]
+            ):
+                raise ConfigError(f"{name} must be a (lo, hi) pair with lo < hi, got {r!r}")
 
     def ajscc_params(self) -> AjsccParams:
         return AjsccParams(
@@ -341,25 +360,33 @@ def config_to_dict(config: RunConfig) -> dict:
     return d
 
 
+_NESTED_SPECS = {
+    "cytometry": CytometrySynthSpec,
+    "gsr": GsrSynthSpec,
+    "analysis": AnalysisSettings,
+}
+
+
 def config_from_dict(d: dict) -> RunConfig:
     d = dict(d)
-    if "csnr_db" in d:
-        d["csnr_db"] = _float_in(d["csnr_db"])
-    if isinstance(d.get("cytometry"), dict):
-        d["cytometry"] = CytometrySynthSpec(**d["cytometry"])
-    if isinstance(d.get("gsr"), dict):
-        d["gsr"] = GsrSynthSpec(**d["gsr"])
-    if isinstance(d.get("analysis"), dict):
-        d["analysis"] = AnalysisSettings(**d["analysis"])
-    for key in ("x1_input_range", "x2_input_range"):
-        if isinstance(d.get(key), list):
-            d[key] = tuple(d[key])
     unknown = set(d) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
+        if "csnr_db" in d:
+            d["csnr_db"] = _float_in(d["csnr_db"])
+        for key, spec in _NESTED_SPECS.items():
+            if key in d and not isinstance(d[key], spec):
+                if not isinstance(d[key], dict):
+                    raise ConfigError(f"{key} must be an object, got {d[key]!r}")
+                d[key] = spec(**d[key])
+        for key in ("x1_input_range", "x2_input_range"):
+            if isinstance(d.get(key), list):
+                d[key] = tuple(d[key])
         return RunConfig(**d)
-    except TypeError as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -397,7 +424,7 @@ def report_to_dict(report: RunReport) -> dict:
 
 def write_report_json(report: RunReport, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
+        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

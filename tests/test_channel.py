@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from ajscclink import channel
+from ajscclink import pool
 from ajscclink.channel import (
     ChannelSpec,
     FlatRayleighChannel,
@@ -302,7 +302,7 @@ class TestKeyedStreams:
         spec = ChannelSpec(family, csnr_db=0.0, seed=21)
         outs = []
         for workers in (1, 2):
-            monkeypatch.setattr(channel, "_WORKERS", workers)
+            monkeypatch.setattr(pool, "_WORKERS", workers)
             for sizes in ([1] * 30, [7, 7, 7, 7, 2], [30]):
                 outs.append(self.chunked(spec, x, sizes))
         for out in outs[1:]:
@@ -314,9 +314,9 @@ class TestKeyedStreams:
         # threads every few microseconds, the bytes must still match.
         x = unit_blocks(64, 512, seed=2)
         spec = ChannelSpec("jtc_outdoor_low_a", csnr_db=3.0, seed=6)
-        monkeypatch.setattr(channel, "_WORKERS", 1)
+        monkeypatch.setattr(pool, "_WORKERS", 1)
         want = self.chunked(spec, x, [64])
-        monkeypatch.setattr(channel, "_WORKERS", 16)
+        monkeypatch.setattr(pool, "_WORKERS", 16)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

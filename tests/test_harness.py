@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from ajscclink import channel
+from ajscclink import channel, harness, pool
 from ajscclink.cli import main
-from ajscclink.errors import ConfigError, StageError
+from ajscclink.errors import ConfigError, DemodError, StageError
 from ajscclink.harness import (
     AnalysisSettings,
     RunConfig,
@@ -22,6 +22,7 @@ from ajscclink.harness import (
     write_report_json,
     write_sweep_csv,
 )
+from ajscclink.modem import modulate
 from ajscclink.sources import SourceTrace, write_trace_csv
 
 
@@ -77,15 +78,31 @@ class TestRunLink:
 
     @pytest.mark.parametrize("family", channel.FAMILIES)
     def test_report_independent_of_channel_workers(self, family, monkeypatch):
-        config = RunConfig(levels=10, duration=0.25, seed=42, channel_family=family,
-                           csnr_db=5.0, analysis=quiet_analysis())
-        payloads = []
-        for workers in (1, 2):
-            monkeypatch.setattr(channel, "_WORKERS", workers)
-            report = report_to_dict(run_link(config))
-            report.pop("wall_time_s")
-            payloads.append(json.dumps(report, sort_keys=True))
-        assert payloads[0] == payloads[1]
+        # The worker count splits both the channel's and the receiver's rows.
+        for interpolate in (True, False):
+            config = RunConfig(levels=10, duration=0.25, seed=42, channel_family=family,
+                               csnr_db=5.0, analysis=quiet_analysis(), interpolate=interpolate)
+            payloads = []
+            for workers in (1, 2):
+                monkeypatch.setattr(pool, "_WORKERS", workers)
+                report = report_to_dict(run_link(config))
+                report.pop("wall_time_s")
+                payloads.append(json.dumps(report, sort_keys=True))
+            assert payloads[0] == payloads[1]
+
+    def test_zero_block_in_second_worker_range_is_transmit_error(self, monkeypatch):
+        def modulate_with_zero_block(*args, **kwargs):
+            blocks = modulate(*args, **kwargs)
+            blocks[3 * len(blocks) // 4] = 0.0
+            return blocks
+
+        monkeypatch.setattr(pool, "_WORKERS", 2)
+        monkeypatch.setattr(harness, "modulate", modulate_with_zero_block)
+        config = RunConfig(levels=10, duration=0.25, seed=42, analysis=quiet_analysis())
+        with pytest.raises(StageError) as excinfo:
+            run_link(config)
+        assert excinfo.value.stage == "transmit"
+        assert isinstance(excinfo.value.__cause__, DemodError)
 
     def test_missing_trace_file_is_config_error(self):
         config = RunConfig(levels=8, duration=2.0, gsr_path="/nonexistent/trace.csv")
@@ -265,3 +282,25 @@ class TestCli:
 
     def test_bad_level_range_is_config_error(self, tmp_path):
         assert main(["sweep", "--levels", "10:5", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"csnr_db": "nan"},
+            {"csnr_db": "-inf"},
+            {"csnr_db": "loud"},
+            {"doppler_hz": "inf"},
+            {"cytometry": {"bogus": 1}},
+            {"gsr": {"conductance_max": "high"}},
+            {"analysis": 3},
+            {"x1_input_range": [1.0]},
+            {"x2_input_range": [2.0, 1.0]},
+            {"x1_input_range": 5.0},
+        ],
+    )
+    def test_bad_config_file_is_config_error(self, fields, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"levels": 8, "duration": 2.0, **fields}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not (out / "run_report.json").exists()

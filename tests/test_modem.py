@@ -1,15 +1,18 @@
 """Modem tests: voltage/frequency maps, block synthesis, FFT peak recovery."""
 
+import sys
+
 import numpy as np
 import pytest
+import scipy.fft
 
+from ajscclink import pool
 from ajscclink.errors import ConfigError, DemodError
 from ajscclink.modem import (
     ModemConfig,
     block_start_phases,
     demodulate,
     demodulate_stream,
-    dump_blocks,
     fast_profile,
     frequency_to_voltage,
     modulate,
@@ -41,7 +44,6 @@ class TestProfiles:
             dict(f_min=2e3, f_max=1e3, sample_rate=1e4, fft_size=64),
             dict(f_min=0.0, f_max=4.95e3, sample_rate=1e4, fft_size=64),
             dict(f_min=0.0, f_max=1e3, sample_rate=1e4, fft_size=1),
-            dict(f_min=0.0, f_max=1e3, sample_rate=1e4, fft_size=64, window_policy="hann"),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -172,13 +174,80 @@ class TestDemodulate:
         assert slow_profile().block_period == pytest.approx(10e-3)
 
 
-class TestBlockDump:
-    def test_interleaved_little_endian_floats(self, tmp_path):
-        cfg = ModemConfig(f_min=0.0, f_max=1e3, sample_rate=1e4, fft_size=8)
-        blocks = modulate([0.25, 0.75], FULL_SCALE, cfg)
-        path = tmp_path / "blocks.bin"
-        dump_blocks(blocks, path)
-        raw = np.fromfile(path, dtype="<f8")
-        assert raw.size == 2 * blocks.size
-        np.testing.assert_array_equal(raw[0::2].reshape(blocks.shape), blocks.real)
-        np.testing.assert_array_equal(raw[1::2].reshape(blocks.shape), blocks.imag)
+def whole_array_peak_frequencies(blocks, cfg, interpolate):
+    """Reference receiver: one zero-padded FFT of every row at once."""
+    n_fft = 2 * cfg.fft_size if interpolate else cfg.fft_size
+    spectrum = scipy.fft.fft(blocks, n=n_fft, axis=1)
+    k_lo = int(np.ceil(cfg.f_min * n_fft / cfg.sample_rate))
+    k_hi = int(np.floor(cfg.f_max * n_fft / cfg.sample_rate))
+    lo = max(k_lo - 1, 0)
+    hi = min(k_hi + 1, n_fft - 1)
+    seg = spectrum[:, lo : hi + 1]
+    power = seg.real**2 + seg.imag**2
+    band = power[:, k_lo - lo : k_hi - lo + 1]
+    peak_val = band.max(axis=1)
+    k = band.argmax(axis=1) + k_lo
+    if not interpolate:
+        return k * cfg.sample_rate / n_fft
+    rows = np.arange(power.shape[0])
+    interior = (k >= max(k_lo, 1)) & (k <= min(k_hi, n_fft - 2))
+    k_seg = np.clip(k - lo, 1, power.shape[1] - 2)
+    floor = peak_val * 1e-24
+    alpha = np.log(np.maximum(power[rows, k_seg - 1], floor))
+    beta = np.log(np.maximum(power[rows, k_seg], floor))
+    gamma = np.log(np.maximum(power[rows, k_seg + 1], floor))
+    denom = alpha - 2 * beta + gamma
+    delta = np.where(denom < 0, 0.5 * (alpha - gamma) / np.where(denom == 0, 1.0, denom), 0.0)
+    delta = np.clip(np.where(interior, delta, 0.0), -0.5, 0.5)
+    return (k + delta) * cfg.sample_rate / n_fft
+
+
+def noisy_blocks(cfg, n_rows, seed=0):
+    """Modulated blocks plus complex noise at 0 dB CSNR."""
+    rng = np.random.default_rng(seed)
+    blocks = modulate(rng.uniform(0, FULL_SCALE, n_rows), FULL_SCALE, cfg)
+    noise = rng.standard_normal((n_rows, 2 * cfg.fft_size)).view(np.complex128)
+    return blocks + noise / np.sqrt(2)
+
+
+class TestRowSplit:
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    @pytest.mark.parametrize("n_rows", [1, 7, 31, 300, 512])
+    def test_matches_whole_array_receiver(self, profile, n_rows, monkeypatch):
+        # Tiles of each worker's rows, transformed in place, must give the
+        # bytes of one padded FFT over all rows, for any worker count.
+        cfg = profile()
+        blocks = noisy_blocks(cfg, n_rows, seed=n_rows)
+        for interpolate in (True, False):
+            want = whole_array_peak_frequencies(blocks, cfg, interpolate)
+            want = np.asarray(frequency_to_voltage(want, FULL_SCALE, cfg))
+            for workers in (1, 2):
+                monkeypatch.setattr(pool, "_WORKERS", workers)
+                got = demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=interpolate)
+                assert got.tobytes() == want.tobytes()
+
+    def test_more_ranges_than_cores_under_fast_switching(self, monkeypatch):
+        # Workers write disjoint row ranges of one result array; split into
+        # many more ranges than pool threads, with the interpreter switching
+        # threads every few microseconds, the bytes must still match.
+        cfg = slow_profile()
+        blocks = noisy_blocks(cfg, 300, seed=4)
+        want = whole_array_peak_frequencies(blocks, cfg, True)
+        want = np.asarray(frequency_to_voltage(want, FULL_SCALE, cfg))
+        monkeypatch.setattr(pool, "_WORKERS", 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = demodulate_stream(blocks, FULL_SCALE, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("interpolate", [True, False])
+    def test_zero_block_in_second_worker_range_raises(self, interpolate, monkeypatch):
+        cfg = slow_profile()
+        blocks = noisy_blocks(cfg, 300)
+        blocks[250] = 0.0  # rows 150..299 are the second range
+        monkeypatch.setattr(pool, "_WORKERS", 2)
+        with pytest.raises(DemodError):
+            demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=interpolate)
