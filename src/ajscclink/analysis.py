@@ -45,7 +45,7 @@ def threshold_filter(trace: SourceTrace, threshold: float) -> SourceTrace:
     if not np.isfinite(threshold):
         raise ValueError("threshold must be finite")
     values = np.where(trace.samples < threshold, 0.0, trace.samples)
-    return SourceTrace(trace.sample_period, values, unit_label=trace.unit_label)
+    return SourceTrace(trace.sample_period, values)
 
 
 def median_filter(trace: SourceTrace, order: int) -> SourceTrace:
@@ -59,7 +59,7 @@ def median_filter(trace: SourceTrace, order: int) -> SourceTrace:
     if trace.samples.size <= order:
         raise ValueError(f"trace length {trace.samples.size} must exceed order {order}")
     values = ndimage.median_filter(trace.samples, size=order + 1, mode="reflect")
-    return SourceTrace(trace.sample_period, values, unit_label=trace.unit_label)
+    return SourceTrace(trace.sample_period, values)
 
 
 def detect_peaks(

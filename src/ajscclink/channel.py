@@ -50,6 +50,7 @@ _BUILTIN_PROFILE_FILES = {
 # Spawn-key streams: (_FADE,) seeds the oscillator banks, (_FADE, b) and
 # (_NOISE, b) the flat-Rayleigh coefficient and the noise of block b.
 _FADE, _NOISE = 0, 1
+_N_OSCILLATORS = 64  # sinusoids per fading tap
 
 
 @dataclass(frozen=True)
@@ -158,12 +159,6 @@ def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _as_blocks(blocks, block_size: int | None = None) -> np.ndarray:
     blocks = np.ascontiguousarray(blocks, dtype=np.complex128)
     if blocks.ndim != 2 or blocks.size == 0:
@@ -195,26 +190,22 @@ class _SumOfSinusoids:
         return out
 
 
-def make_jakes(doppler_hz: float, rng, n_oscillators: int = 64) -> _SumOfSinusoids:
-    """Draw one tap's oscillator bank (unit mean power, J0 autocorrelation)."""
-    if n_oscillators < 32:
-        raise ConfigError("need at least 32 oscillators per tap")
-    rng = _as_rng(rng)
-    m = np.arange(1, n_oscillators + 1)
+def make_jakes(doppler_hz: float, seed) -> _SumOfSinusoids:
+    """Draw one tap's oscillator bank (unit mean power, J0 autocorrelation).
+
+    seed is anything ``np.random.default_rng`` accepts, a Generator included.
+    """
+    rng = np.random.default_rng(seed)
+    m = np.arange(1, _N_OSCILLATORS + 1)
     theta = rng.uniform(-np.pi, np.pi)
-    alpha = (2 * np.pi * m - np.pi + theta) / (4 * n_oscillators)
+    alpha = (2 * np.pi * m - np.pi + theta) / (4 * _N_OSCILLATORS)
     wd = 2 * np.pi * doppler_hz
     return _SumOfSinusoids(
         w_i=wd * np.cos(alpha),
         w_q=wd * np.sin(alpha),
-        phi=rng.uniform(-np.pi, np.pi, n_oscillators),
-        psi=rng.uniform(-np.pi, np.pi, n_oscillators),
+        phi=rng.uniform(-np.pi, np.pi, _N_OSCILLATORS),
+        psi=rng.uniform(-np.pi, np.pi, _N_OSCILLATORS),
     )
-
-
-def jakes_gains(doppler_hz: float, times: np.ndarray, seed, n_oscillators: int = 64) -> np.ndarray:
-    """Complex Rayleigh-fading gains at the given times for one tap."""
-    return make_jakes(doppler_hz, _as_rng(seed), n_oscillators).gains(times)
 
 
 class _DelayLineChannel:

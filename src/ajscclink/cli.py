@@ -37,22 +37,18 @@ _CHANNEL_NAMES = {
 
 def _parse_levels(text: str) -> list[int]:
     """Accept 'start:stop:step' (inclusive stop) or a comma list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (2, 3):
-            raise ConfigError(f"bad level range {text!r}; expected start:stop[:step]")
-        start, stop = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
-        if step <= 0 or stop < start:
-            raise ConfigError(f"bad level range {text!r}")
-        return list(range(start, stop + 1, step))
-    return [int(v) for v in text.split(",") if v]
-
-
-def _parse_csnr(text: str) -> float:
-    if text.strip().lower() == "inf":
-        return float("inf")
-    return float(text)
+    try:
+        if ":" not in text:
+            return [int(v) for v in text.split(",") if v]
+        parts = [int(v) for v in text.split(":")]
+    except ValueError:
+        raise ConfigError(f"bad level list {text!r}; expected integers") from None
+    if len(parts) not in (2, 3):
+        raise ConfigError(f"bad level range {text!r}; expected start:stop[:step]")
+    start, stop, step = (parts + [1])[:3]
+    if step <= 0 or stop < start:
+        raise ConfigError(f"bad level range {text!r}")
+    return list(range(start, stop + 1, step))
 
 
 def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
@@ -61,7 +57,7 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--duration", type=float, help="source duration in seconds")
     parser.add_argument("--profile", choices=("fast", "slow"))
     parser.add_argument("--channel", choices=sorted(_CHANNEL_NAMES))
-    parser.add_argument("--csnr-db", type=_parse_csnr, help="CSNR in dB, or 'inf'")
+    parser.add_argument("--csnr-db", type=float, help="CSNR in dB, or 'inf'")
     parser.add_argument("--doppler-hz", type=float)
     parser.add_argument("--no-interp", action="store_true", help="raw FFT-bin frequency readout")
     parser.add_argument("--out", default=".", help="output directory")

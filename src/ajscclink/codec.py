@@ -12,6 +12,8 @@ out.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +40,12 @@ class AjsccParams:
     def __post_init__(self):
         if not (isinstance(self.levels, (int, np.integer)) and self.levels >= 2):
             raise ConfigError(f"levels must be an integer >= 2, got {self.levels!r}")
-        if not (self.x1_max > 0 and self.x2_max > 0):
-            raise ConfigError("x1_max and x2_max must be > 0")
         if self.level_height is None:
             object.__setattr__(self, "level_height", 1.0 / self.levels)
-        if not self.level_height > 0:
-            raise ConfigError(f"level_height must be > 0, got {self.level_height}")
+        for name in ("x1_max", "x2_max", "level_height"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {v!r}")
 
     @property
     def level_spacing(self) -> float:

@@ -8,6 +8,7 @@ master seed, the level count, and the channel family.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -57,6 +58,10 @@ SOURCE_SAMPLE_PERIOD = 1e-3
 _CHUNK_SAMPLES = 4 << 20  # ~64 MB of complex128 per modulated chunk
 
 
+def _is_finite(x) -> bool:
+    return isinstance(x, numbers.Real) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class AnalysisSettings:
     """Receiver-side cleanup and peak-detection knobs.
@@ -78,9 +83,16 @@ class AnalysisSettings:
     median_order: int = 200
     despike_width: int = 3
 
-
-def _is_finite(x) -> bool:
-    return isinstance(x, numbers.Real) and math.isfinite(x)
+    def __post_init__(self):
+        for name in ("peak_min_height", "peak_min_separation", "threshold"):
+            v = getattr(self, name)
+            if v is not None and not _is_finite(v):
+                raise ConfigError(f"analysis.{name} must be finite or None, got {v!r}")
+        m, w = self.median_order, self.despike_width
+        if not (isinstance(m, numbers.Integral) and (m == 0 or (m >= 2 and m % 2 == 0))):
+            raise ConfigError(f"analysis.median_order must be 0 or an even integer >= 2, got {m!r}")
+        if not (isinstance(w, numbers.Integral) and w >= 1 and w % 2 == 1):
+            raise ConfigError(f"analysis.despike_width must be an odd integer >= 1, got {w!r}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +135,14 @@ class RunConfig:
                 and r[0] < r[1]
             ):
                 raise ConfigError(f"{name} must be a (lo, hi) pair with lo < hi, got {r!r}")
+        self.ajscc_params()
+        min_sep = self.analysis.peak_min_separation
+        block_period = self.modem_config().block_period
+        if min_sep is not None and min_sep < block_period:
+            raise ConfigError(
+                f"analysis.peak_min_separation must be >= one block period "
+                f"({block_period!r} s), got {min_sep!r}"
+            )
 
     def ajscc_params(self) -> AjsccParams:
         return AjsccParams(
@@ -162,15 +182,15 @@ def _load_or_generate_sources(config: RunConfig, seeds) -> tuple[SourceTrace, So
         else:
             cyt = gen_cytometry(config.cytometry, config.duration, SOURCE_SAMPLE_PERIOD, cyt_seed)
         if config.gsr_path is not None:
-            gsr = read_trace_csv(config.gsr_path, unit_label="1/Mohm")
+            gsr = read_trace_csv(config.gsr_path)
         else:
             gsr = gen_gsr(config.gsr, config.duration, SOURCE_SAMPLE_PERIOD, gsr_seed)
     except FileNotFoundError as exc:
         raise ConfigError(f"referenced trace file not found: {exc.filename}") from exc
     n = min(cyt.samples.size, gsr.samples.size)
     if cyt.samples.size != gsr.samples.size:
-        cyt = SourceTrace(cyt.sample_period, cyt.samples[:n], cyt.unit_label)
-        gsr = SourceTrace(gsr.sample_period, gsr.samples[:n], gsr.unit_label)
+        cyt = SourceTrace(cyt.sample_period, cyt.samples[:n])
+        gsr = SourceTrace(gsr.sample_period, gsr.samples[:n])
     return cyt, gsr
 
 
@@ -220,6 +240,18 @@ def _transmit(
     return out
 
 
+@contextlib.contextmanager
+def _stage(name: str):
+    """Run one pipeline stage: a ConfigError passes through, and any other
+    exception becomes StageError(name) chained from it."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
+
+
 def run_link(config: RunConfig) -> RunReport:
     """Execute one full link simulation and collect metrics."""
     t_start = time.perf_counter()
@@ -229,19 +261,13 @@ def run_link(config: RunConfig) -> RunReport:
         int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(3)
     )
 
-    try:
+    with _stage("generate"):
         cyt, gsr = _load_or_generate_sources(config, (cyt_seed, gsr_seed))
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise StageError("generate", str(exc)) from exc
 
     (x1_lo, x1_hi), (x2_lo, x2_hi) = _input_ranges(config)
-    try:
+    with _stage("rescale"):
         x1_ref = rescale(cyt, x1_lo, x1_hi, 0.0, params.x1_max)
         x2_ref = rescale(gsr, x2_lo, x2_hi, 0.0, params.x2_max)
-    except Exception as exc:
-        raise StageError("rescale", str(exc)) from exc
 
     # One encoded sample per FFT block: sample-and-hold the sources at the
     # block rate (factor 1 for the fast profile, 10 for the slow one).
@@ -252,36 +278,25 @@ def run_link(config: RunConfig) -> RunReport:
     x1_in = x1_ref.samples[: n_blocks * ratio : ratio]
     x2_in = x2_ref.samples[: n_blocks * ratio : ratio]
 
-    try:
+    with _stage("encode"):
         encoded = np.atleast_1d(encode(x1_in, x2_in, params))
-    except Exception as exc:
-        raise StageError("encode", str(exc)) from exc
 
-    try:
+    with _stage("channel-setup"):
+        path = config.tap_profile_path
         spec = ChannelSpec(
             family=config.channel_family,
             csnr_db=config.csnr_db,
             doppler_hz=config.doppler_hz,
-            tap_profile=None,
+            tap_profile=None if path is None else load_profile(path),
             seed=channel_seed,
         )
-        if config.tap_profile_path is not None:
-            spec = dataclasses.replace(spec, tap_profile=load_profile(config.tap_profile_path))
-        channel = make_channel(spec.resolved(), cfg.sample_rate, cfg.fft_size)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise StageError("channel-setup", str(exc)) from exc
+        channel = make_channel(spec, cfg.sample_rate, cfg.fft_size)
 
-    try:
+    with _stage("transmit"):
         decoded_v = _transmit(encoded, params.full_scale, cfg, channel, config.interpolate)
-    except Exception as exc:
-        raise StageError("transmit", str(exc)) from exc
 
-    try:
+    with _stage("decode"):
         x1_hat, x2_hat = decode(decoded_v, params)
-    except Exception as exc:
-        raise StageError("decode", str(exc)) from exc
 
     block_period = cfg.block_period
     x1_ref_t = SourceTrace(block_period, x1_in)
@@ -290,7 +305,7 @@ def run_link(config: RunConfig) -> RunReport:
     x2_est_t = SourceTrace(block_period, x2_hat)
 
     min_height, min_sep, threshold, median_order, despike = _resolved_analysis(config)
-    try:
+    with _stage("filter"):
         x1_ref_f = _despike(x1_ref_t, despike)
         x1_est_f = _despike(x1_est_t, despike)
         x1_ref_p = threshold_filter(x1_ref_f, threshold)
@@ -300,10 +315,8 @@ def run_link(config: RunConfig) -> RunReport:
             x2_est_f = median_filter(x2_est_t, median_order)
         else:
             x2_ref_f, x2_est_f = x2_ref_t, x2_est_t
-    except Exception as exc:
-        raise StageError("filter", str(exc)) from exc
 
-    try:
+    with _stage("metrics"):
         pair = MsePair(mse_x1=mse(x1_ref_f, x1_est_f), mse_x2=mse(x2_ref_f, x2_est_f))
         src_peaks = detect_peaks(x1_ref_p, min_height, min_sep)
         rx_peaks = detect_peaks(x1_est_p, min_height, min_sep)
@@ -312,8 +325,6 @@ def run_link(config: RunConfig) -> RunReport:
             ks = ks_two_sample(
                 [p.peak_value for p in src_peaks], [p.peak_value for p in rx_peaks]
             )
-    except Exception as exc:
-        raise StageError("metrics", str(exc)) from exc
 
     return RunReport(
         config=config,
@@ -330,8 +341,6 @@ def sweep_levels(config: RunConfig, l_values) -> list[RunReport]:
     """Run one link per level count, with independent derived seeds."""
     reports = []
     for levels in l_values:
-        if levels < 2:
-            raise ConfigError(f"levels must be >= 2, got {levels}")
         run_seed = derive_seed(config.seed, int(levels), config.channel_family)
         cfg = dataclasses.replace(config, levels=int(levels), seed=run_seed)
         reports.append(run_link(cfg))

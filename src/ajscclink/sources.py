@@ -1,9 +1,8 @@
 """Source-signal synthesis and conditioning.
 
 Provides the two test signals fed to the encoder (an impedance-cytometry
-pulse train and a skin-conductance drift trace), a behavioral lock-in
-front-end that recovers pulse envelopes from a carrier-excited sensor
-signal, and linear rescaling into encoder input ranges.
+pulse train and a skin-conductance drift trace), linear rescaling into
+encoder input ranges, and trace CSV I/O for recorded sources.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ class SourceTrace:
 
     sample_period: float
     samples: np.ndarray
-    unit_label: str = "V"
 
     def __post_init__(self):
         if not self.sample_period > 0:
@@ -36,14 +34,6 @@ class SourceTrace:
         if not np.all(np.isfinite(samples)):
             raise ConfigError("samples must all be finite")
         object.__setattr__(self, "samples", samples)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) * self.sample_period
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size * self.sample_period
 
 
 @dataclass(frozen=True)
@@ -107,21 +97,6 @@ class GsrSynthSpec:
             raise ConfigError("drift_bandwidth and event_rate must be >= 0")
         if self.event_rise <= 0 or self.event_decay <= self.event_rise:
             raise ConfigError("need 0 < event_rise < event_decay")
-
-
-@dataclass(frozen=True)
-class FrontEndSpec:
-    """Behavioral lock-in detector: excitation frequency, low-pass, gain."""
-
-    excitation_frequency: float = 500e3
-    lowpass_cutoff: float = 10e3
-    gain: float = 1.0
-
-    def __post_init__(self):
-        if not self.excitation_frequency > 0:
-            raise ConfigError("excitation_frequency must be > 0")
-        if not 0 < self.lowpass_cutoff < self.excitation_frequency:
-            raise ConfigError("lowpass_cutoff must be in (0, excitation_frequency)")
 
 
 def cytometry_schedule(
@@ -228,47 +203,7 @@ def gen_gsr(
                 z[mask] += a * shape / peak
 
     conductance = spec.conductance_max / (1.0 + np.exp(-z))
-    return SourceTrace(sample_period, conductance, unit_label="1/Mohm")
-
-
-def lockin_frontend(
-    resistance_pulse_trace: SourceTrace,
-    spec: FrontEndSpec,
-    output_sample_period: float | None = None,
-) -> SourceTrace:
-    """Behavioral lock-in detection of a resistance-pulse envelope.
-
-    The input envelope is placed on a cosine carrier at the excitation
-    frequency, mixed with a synchronous cosine, and low-pass filtered
-    (zero-phase), which recovers gain * envelope / 2.  The output may be
-    decimated onto a coarser grid via output_sample_period.
-    """
-    fs = 1.0 / resistance_pulse_trace.sample_period
-    f0 = spec.excitation_frequency
-    if fs < 4 * f0:
-        raise ValueError(f"trace sample rate {fs:.3g} Hz is below 4*f0 = {4 * f0:.3g} Hz")
-
-    t = resistance_pulse_trace.times
-    carrier = np.cos(2 * np.pi * f0 * t)
-    mixed = resistance_pulse_trace.samples * carrier * carrier
-    sos = sp_signal.butter(4, spec.lowpass_cutoff / (0.5 * fs), btype="low", output="sos")
-    out = spec.gain * sp_signal.sosfiltfilt(sos, mixed)
-
-    period = resistance_pulse_trace.sample_period
-    if output_sample_period is not None:
-        factor = int(round(output_sample_period / period))
-        if factor < 1 or abs(factor * period - output_sample_period) > 1e-9 * output_sample_period:
-            raise ConfigError("output_sample_period must be an integer multiple of the input period")
-        out = out[::factor]
-        period = output_sample_period
-    return SourceTrace(period, out, unit_label=resistance_pulse_trace.unit_label)
-
-
-def lowpass_response(spec: FrontEndSpec, sample_rate: float, freqs: np.ndarray) -> np.ndarray:
-    """Magnitude response of the front-end's zero-phase low-pass at freqs."""
-    sos = sp_signal.butter(4, spec.lowpass_cutoff / (0.5 * sample_rate), btype="low", output="sos")
-    _, h = sp_signal.sosfreqz(sos, worN=np.asarray(freqs, dtype=float), fs=sample_rate)
-    return np.abs(h) ** 2  # applied forward and backward
+    return SourceTrace(sample_period, conductance)
 
 
 def rescale(
@@ -281,7 +216,7 @@ def rescale(
         raise ConfigError(f"degenerate output range [{out_lo}, {out_hi}]")
     clamped = np.clip(trace.samples, in_lo, in_hi)
     scaled = out_lo + (clamped - in_lo) * (out_hi - out_lo) / (in_hi - in_lo)
-    return SourceTrace(trace.sample_period, scaled, unit_label=trace.unit_label)
+    return SourceTrace(trace.sample_period, scaled)
 
 
 def write_trace_csv(trace: SourceTrace, path) -> None:
@@ -292,7 +227,7 @@ def write_trace_csv(trace: SourceTrace, path) -> None:
             fh.write(f"{float(i * trace.sample_period)!r},{float(v)!r}\n")
 
 
-def read_trace_csv(path, unit_label: str = "V") -> SourceTrace:
+def read_trace_csv(path) -> SourceTrace:
     """Read a trace written by write_trace_csv; infers the sample period."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] < 2:
@@ -302,4 +237,4 @@ def read_trace_csv(path, unit_label: str = "V") -> SourceTrace:
     period = float(periods[0])
     if not np.allclose(periods, period, rtol=1e-6, atol=1e-12):
         raise ConfigError(f"{path}: time base is not uniform")
-    return SourceTrace(period, values, unit_label=unit_label)
+    return SourceTrace(period, values)

@@ -15,7 +15,7 @@ import pytest
 from scipy import special, stats
 
 from ajscclink.analysis import detect_peaks, median_filter, threshold_filter
-from ajscclink.channel import apply_awgn, apply_flat_rayleigh, jakes_gains
+from ajscclink.channel import apply_awgn, apply_flat_rayleigh, make_jakes
 from ajscclink.codec import AjsccParams, decode, encode, encode_design1
 from ajscclink.harness import (
     AnalysisSettings,
@@ -204,7 +204,7 @@ def test_c7_channel_statistics():
     for doppler in (5.0, 20.0):
         acs = []
         for seed in range(6):
-            g = jakes_gains(doppler, np.arange(100_000) * dt, seed)
+            g = make_jakes(doppler, seed).gains(np.arange(100_000) * dt)
             ac = [np.vdot(g[: g.size - lag], g[lag:]).real / (g.size - lag) for lag in lags]
             acs.append(np.asarray(ac) / ac[0])
         dev = float(np.abs(np.mean(acs, axis=0) - special.j0(2 * np.pi * doppler * lags * dt)).max())

@@ -16,7 +16,6 @@ from ajscclink.channel import (
     apply_flat_rayleigh,
     apply_multipath,
     builtin_profile,
-    jakes_gains,
     load_profile,
     make_channel,
     make_jakes,
@@ -103,7 +102,7 @@ class TestJakes:
         lags = np.arange(51)
         acs = []
         for seed in range(6):
-            g = jakes_gains(doppler, np.arange(100_000) * dt, seed)
+            g = make_jakes(doppler, seed).gains(np.arange(100_000) * dt)
             ac = [np.vdot(g[: g.size - lag], g[lag:]).real / (g.size - lag) for lag in lags]
             acs.append(np.asarray(ac) / ac[0])
         mean_ac = np.mean(acs, axis=0)
@@ -112,18 +111,14 @@ class TestJakes:
 
     def test_magnitude_rayleigh_at_fixed_time(self):
         t = np.array([0.321])
-        vals = np.array([jakes_gains(7.0, t, seed)[0] for seed in range(20_000)])
+        vals = np.array([make_jakes(7.0, seed).gains(t)[0] for seed in range(20_000)])
         assert np.mean(np.abs(vals) ** 2) == pytest.approx(1.0, abs=0.02)
         result = stats.kstest(np.abs(vals), stats.rayleigh(scale=1 / np.sqrt(2)).cdf)
         assert result.pvalue > 0.01
 
     def test_zero_doppler_is_time_constant(self):
-        g = jakes_gains(0.0, np.linspace(0, 10, 1000), seed=3)
+        g = make_jakes(0.0, 3).gains(np.linspace(0, 10, 1000))
         assert np.abs(g - g[0]).max() < 1e-12
-
-    def test_minimum_oscillators_enforced(self):
-        with pytest.raises(ConfigError):
-            make_jakes(5.0, np.random.default_rng(0), n_oscillators=8)
 
 
 class TestTapProfile:

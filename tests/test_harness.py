@@ -116,6 +116,24 @@ class TestRunLink:
         with pytest.raises(StageError, match="generate"):
             run_link(config)
 
+    @pytest.mark.parametrize("error_type", [ConfigError, RuntimeError])
+    def test_stage_passes_config_errors_and_wraps_the_rest(self, error_type, monkeypatch):
+        error = error_type("decoder failed")
+
+        def failing_decode(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(harness, "decode", failing_decode)
+        config = RunConfig(levels=8, duration=0.25, seed=1, analysis=quiet_analysis())
+        with pytest.raises(Exception) as excinfo:
+            run_link(config)
+        if error_type is ConfigError:
+            assert excinfo.value is error
+        else:
+            assert isinstance(excinfo.value, StageError)
+            assert excinfo.value.stage == "decode"
+            assert excinfo.value.__cause__ is error
+
     def test_duration_below_one_block_rejected(self):
         config = RunConfig(levels=8, duration=0.005, profile="slow",
                            analysis=quiet_analysis())
@@ -281,7 +299,9 @@ class TestCli:
         assert main(["simulate", "--out", str(tmp_path)]) == 3
 
     def test_bad_level_range_is_config_error(self, tmp_path):
-        assert main(["sweep", "--levels", "10:5", "--out", str(tmp_path)]) == 2
+        for levels in ("10:5", "a:b", "5,x", "5:x:1"):
+            assert main(["sweep", "--levels", levels, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize(
         "fields",
@@ -296,6 +316,17 @@ class TestCli:
             {"x1_input_range": [1.0]},
             {"x2_input_range": [2.0, 1.0]},
             {"x1_input_range": 5.0},
+            {"analysis": {"median_order": "x"}},
+            {"analysis": {"median_order": 3}},
+            {"analysis": {"despike_width": 2}},
+            {"analysis": {"peak_min_separation": 0}},
+            {"analysis": {"peak_min_separation": 5e-3}, "profile": "slow"},
+            {"analysis": {"threshold": "x"}},
+            {"analysis": {"peak_min_height": float("nan")}},
+            {"x1_max": "big"},
+            # json.dumps writes Infinity, which loads as the same float as 1e400.
+            {"x1_max": float("inf")},
+            {"level_height": float("inf")},
         ],
     )
     def test_bad_config_file_is_config_error(self, fields, tmp_path):

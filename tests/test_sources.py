@@ -1,4 +1,4 @@
-"""Source synthesis, lock-in front-end, rescaling, and trace CSV I/O."""
+"""Source synthesis, rescaling, and trace CSV I/O."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,11 @@ from ajscclink.analysis import detect_peaks
 from ajscclink.errors import ConfigError
 from ajscclink.sources import (
     CytometrySynthSpec,
-    FrontEndSpec,
     GsrSynthSpec,
     SourceTrace,
     cytometry_schedule,
     gen_cytometry,
     gen_gsr,
-    lockin_frontend,
-    lowpass_response,
     read_trace_csv,
     rescale,
     write_trace_csv,
@@ -30,11 +27,6 @@ class TestSourceTrace:
             SourceTrace(1e-3, np.array([]))
         with pytest.raises(ConfigError):
             SourceTrace(1e-3, np.array([1.0, np.nan]))
-
-    def test_times_and_duration(self):
-        tr = SourceTrace(0.5, np.arange(4.0))
-        np.testing.assert_allclose(tr.times, [0.0, 0.5, 1.0, 1.5])
-        assert tr.duration == 2.0
 
 
 class TestCytometry:
@@ -114,63 +106,6 @@ class TestGsr:
             GsrSynthSpec(conductance_max=0.0)
         with pytest.raises(ConfigError):
             gen_gsr(GsrSynthSpec(drift_bandwidth=400.0), 1.0, 1e-3, 0)
-
-
-class TestLockin:
-    fs = 2.5e6
-    spec = FrontEndSpec(excitation_frequency=500e3, lowpass_cutoff=20e3, gain=2.0)
-
-    def _trace(self, values):
-        return SourceTrace(1.0 / self.fs, values)
-
-    def test_zero_in_zero_out(self):
-        out = lockin_frontend(self._trace(np.zeros(4096)), self.spec)
-        assert np.abs(out.samples).max() == 0.0
-
-    def test_rectangular_pulse_plateau_is_half_gain(self):
-        n = int(0.02 * self.fs)
-        env = np.zeros(n)
-        env[n // 4 : 3 * n // 4] = 0.8
-        out = lockin_frontend(self._trace(env), self.spec)
-        plateau = out.samples[int(0.45 * n) : int(0.55 * n)].mean()
-        assert plateau == pytest.approx(self.spec.gain * 0.8 / 2, rel=0.02)
-
-    def test_sine_envelope_follows_filter_response(self):
-        n = int(0.02 * self.fs)
-        t = np.arange(n) / self.fs
-        fe = 2e3
-        out = lockin_frontend(self._trace(1.0 + 0.5 * np.sin(2 * np.pi * fe * t)), self.spec)
-        demod = out.samples - out.samples.mean()
-        amp = 2 * np.abs(np.mean(demod * np.exp(-2j * np.pi * fe * t)))
-        want = self.spec.gain * (0.5 / 2) * lowpass_response(self.spec, self.fs, np.array([fe]))[0]
-        assert amp == pytest.approx(want, rel=0.01)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(0)
-        p1 = rng.standard_normal(8192)
-        p2 = rng.standard_normal(8192)
-        a, b = 1.7, -0.4
-        lhs = lockin_frontend(self._trace(a * p1 + b * p2), self.spec).samples
-        rhs = (
-            a * lockin_frontend(self._trace(p1), self.spec).samples
-            + b * lockin_frontend(self._trace(p2), self.spec).samples
-        )
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
-
-    def test_sample_rate_precondition(self):
-        slow = SourceTrace(1e-3, np.ones(100))
-        with pytest.raises(ValueError):
-            lockin_frontend(slow, self.spec)
-
-    def test_decimation_to_source_grid(self):
-        n = int(0.02 * self.fs)
-        out = lockin_frontend(self._trace(np.ones(n)), self.spec, output_sample_period=1e-3)
-        assert out.sample_period == 1e-3
-        assert out.samples.size == int(np.ceil(n / (self.fs * 1e-3)))
-
-    def test_cutoff_must_sit_below_excitation(self):
-        with pytest.raises(ConfigError):
-            FrontEndSpec(excitation_frequency=100e3, lowpass_cutoff=200e3)
 
 
 class TestRescale:
