@@ -85,7 +85,11 @@ class TapProfile:
 def load_profile(path) -> TapProfile:
     """Parse a tap-profile CSV: lines of delay_seconds,power_db; # comments."""
     delays, powers_db = [], []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"tap profile file not found: {path}") from exc
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

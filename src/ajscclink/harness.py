@@ -32,7 +32,7 @@ from .analysis import (
     threshold_filter,
     write_cdf_csv,
 )
-from .channel import ChannelSpec, load_profile, make_channel
+from .channel import FAMILIES, ChannelSpec, load_profile, make_channel
 from .codec import AjsccParams, decode, encode, staircase
 from .errors import ConfigError, StageError
 from .modem import (
@@ -120,8 +120,16 @@ class RunConfig:
     def __post_init__(self):
         if self.profile not in ("fast", "slow"):
             raise ConfigError(f"profile must be 'fast' or 'slow', got {self.profile!r}")
-        if self.duration <= 0:
-            raise ConfigError("duration must be > 0")
+        if self.channel_family not in FAMILIES:
+            raise ConfigError(
+                f"channel_family must be one of {FAMILIES}, got {self.channel_family!r}"
+            )
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not isinstance(self.interpolate, bool):
+            raise ConfigError(f"interpolate must be true or false, got {self.interpolate!r}")
+        if not (_is_finite(self.duration) and self.duration > 0):
+            raise ConfigError(f"duration must be finite and > 0, got {self.duration!r}")
         if not (_is_finite(self.csnr_db) or self.csnr_db == math.inf):
             raise ConfigError(f"csnr_db must be finite or inf, got {self.csnr_db!r}")
         if self.doppler_hz is not None and not _is_finite(self.doppler_hz):
@@ -136,11 +144,12 @@ class RunConfig:
             ):
                 raise ConfigError(f"{name} must be a (lo, hi) pair with lo < hi, got {r!r}")
         self.ajscc_params()
-        min_sep = self.analysis.peak_min_separation
+        min_sep = self.peak_min_separation()
         block_period = self.modem_config().block_period
-        if min_sep is not None and min_sep < block_period:
+        if min_sep < block_period:
             raise ConfigError(
-                f"analysis.peak_min_separation must be >= one block period "
+                f"the peak separation (analysis.peak_min_separation, by default "
+                f"2 * cytometry.pulse_width) must be >= one block period "
                 f"({block_period!r} s), got {min_sep!r}"
             )
 
@@ -154,6 +163,11 @@ class RunConfig:
 
     def modem_config(self) -> ModemConfig:
         return fast_profile() if self.profile == "fast" else slow_profile()
+
+    def peak_min_separation(self) -> float:
+        """analysis.peak_min_separation, or 2 * cytometry.pulse_width if None."""
+        sep = self.analysis.peak_min_separation
+        return sep if sep is not None else 2.0 * self.cytometry.pulse_width
 
 
 @dataclass(frozen=True)
@@ -208,11 +222,7 @@ def _input_ranges(config: RunConfig) -> tuple[tuple[float, float], tuple[float, 
 def _resolved_analysis(config: RunConfig) -> tuple[float, float, float, int, int]:
     a = config.analysis
     min_height = a.peak_min_height if a.peak_min_height is not None else 0.3 * config.x1_max
-    min_sep = (
-        a.peak_min_separation
-        if a.peak_min_separation is not None
-        else 2.0 * config.cytometry.pulse_width
-    )
+    min_sep = config.peak_min_separation()
     threshold = a.threshold if a.threshold is not None else 0.1 * config.x1_max
     return min_height, min_sep, threshold, a.median_order, a.despike_width
 
@@ -232,9 +242,15 @@ def _transmit(
     phases = block_start_phases(freqs, cfg)
     chunk = max(1, _CHUNK_SAMPLES // cfg.fft_size)
     out = np.empty(freqs.size)
+    # Every chunk is modulated into this one buffer: a fresh array per chunk
+    # pays its page faults each time, and the previous chunk's blocks would
+    # still be alive while it is filled.
+    buf = np.empty((min(chunk, freqs.size), cfg.fft_size), dtype=np.complex128)
     for lo in range(0, freqs.size, chunk):
         hi = min(lo + chunk, freqs.size)
-        blocks = modulate(encoded[lo:hi], full_scale, cfg, start_phase=phases[lo])
+        blocks = modulate(
+            encoded[lo:hi], full_scale, cfg, start_phase=phases[lo], out=buf[: hi - lo]
+        )
         blocks = channel.process(blocks, start_block=lo)
         out[lo:hi] = demodulate_stream(blocks, full_scale, cfg, interpolate=interpolate)
     return out
@@ -275,6 +291,14 @@ def run_link(config: RunConfig) -> RunReport:
     n_blocks = x1_ref.samples.size // ratio
     if n_blocks == 0:
         raise ConfigError("duration too short for one FFT block")
+    a = config.analysis
+    window = max(a.median_order, a.despike_width - 1)  # 0 for a disabled filter
+    if n_blocks <= window:
+        raise ConfigError(
+            f"duration too short for the median filters: {n_blocks} blocks must exceed "
+            f"{window} (analysis.median_order {a.median_order}, "
+            f"despike_width {a.despike_width})"
+        )
     x1_in = x1_ref.samples[: n_blocks * ratio : ratio]
     x2_in = x2_ref.samples[: n_blocks * ratio : ratio]
 

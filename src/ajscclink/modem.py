@@ -8,15 +8,21 @@ log magnitude (evaluated on a 2x zero-padded grid, which keeps the fit's
 bias under a tenth of a bin for a rectangular window), and maps the
 frequency back to a voltage.
 
-The receiver splits a chunk's rows into one contiguous range per usable
-CPU on the pool the channel also uses (``pool.split_rows``).  Each worker
-walks its range in tiles of about 2 MB of padded spectrum: it copies the
-rows into the left part of its own buffer, zeroes the padding, transforms
-the tile in place with ``scipy.fft`` and searches the band of that tile
-only.  Every buffer is allocated in the calling thread.  A row's spectrum
-and peak do not depend on its tile or range, so the output is
-byte-identical for any worker count and equal to one padded FFT of the
-whole chunk.
+The modulator and the receiver both split a chunk's rows into one
+contiguous range per usable CPU, on the pool the channel also uses
+(``pool.split_rows``).  The modulator builds each row on its own, with the
+same operations whichever range holds it, and can write into a
+caller-owned buffer (``out=``), so a stream of chunks reuses one array.
+The blocks are byte-identical for any worker count and equal to one 2-D
+running product over the whole chunk.
+
+In the receiver, each worker walks its range in tiles of about 2 MB of
+padded spectrum: it copies the rows into the left part of its own buffer,
+zeroes the padding, transforms the tile in place with ``scipy.fft`` and
+searches the band of that tile only.  Every buffer is allocated in the
+calling thread.  A row's spectrum and peak do not depend on its tile or
+range, so the output is byte-identical for any worker count and equal to
+one padded FFT of the whole chunk.
 """
 
 from __future__ import annotations
@@ -98,15 +104,26 @@ def block_start_phases(freqs: np.ndarray, cfg: ModemConfig, start_phase: float =
     return np.mod(phases, 2 * np.pi)
 
 
-def modulate(encoded, full_scale: float, cfg: ModemConfig, start_phase: float = 0.0) -> np.ndarray:
+def modulate(
+    encoded, full_scale: float, cfg: ModemConfig, start_phase: float = 0.0, out=None
+) -> np.ndarray:
     """Frequency-modulate a sequence of encoded voltages.
 
     Returns an (n_blocks, fft_size) complex array; row b is the block for
     encoded[b] with |sample| = 1 and phase carried over block boundaries.
+    The blocks are written into out, a complex128 array of that shape, when
+    it is given, and out is returned.
     """
     encoded = np.atleast_1d(np.asarray(encoded, dtype=np.float64))
     if encoded.size == 0:
         raise ConfigError("encoded sequence must be non-empty")
+    n_rows, n = encoded.size, cfg.fft_size
+    if out is None:
+        out = np.empty((n_rows, n), dtype=np.complex128)
+    elif out.shape != (n_rows, n) or out.dtype != np.complex128:
+        raise ConfigError(
+            f"out must be a ({n_rows}, {n}) complex128 array, got {out.shape} {out.dtype}"
+        )
     freqs = np.atleast_1d(voltage_to_frequency(encoded, full_scale, cfg))
     phases0 = block_start_phases(freqs, cfg, start_phase)
     # Each block is a geometric progression first[b] * step[b]**n; the
@@ -114,15 +131,20 @@ def modulate(encoded, full_scale: float, cfg: ModemConfig, start_phase: float = 
     # |sample| within ~1e-12 of one.
     step = np.exp(2j * np.pi * freqs / cfg.sample_rate)
     first = np.exp(1j * phases0)
-    blocks = np.empty((freqs.size, cfg.fft_size), dtype=np.complex128)
-    blocks[:, 0] = first
-    np.multiply.accumulate(
-        np.broadcast_to(step[:, None], (freqs.size, cfg.fft_size - 1)),
-        axis=1,
-        out=blocks[:, 1:],
-    )
-    blocks[:, 1:] *= first[:, None]
-    return blocks
+
+    # One 1-D accumulate per row: numpy holds the GIL through a 2-D
+    # accumulate over a broadcast step, so ranges of rows in that form do
+    # not overlap on the pool, while the 1-D calls release it.  A row takes
+    # the same operations whichever range holds it.
+    def rows(r0: int, r1: int) -> None:
+        for r in range(r0, r1):
+            b = out[r]
+            b[0] = first[r]
+            np.multiply.accumulate(np.broadcast_to(step[r], (n - 1,)), out=b[1:])
+            b[1:] *= first[r]
+
+    split_rows(rows, n_rows)
+    return out
 
 
 # Padded spectrum per receiver FFT tile (8 rows at n_fft = 16384).  On a

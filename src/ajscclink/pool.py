@@ -1,9 +1,9 @@
-"""The row split shared by the channel and the receiver.
+"""The row split shared by the modulator, the channel and the receiver.
 
-Both work on a chunk of blocks, one block per row, and compute each row on
-its own.  ``split_rows`` cuts the rows into one contiguous range per usable
-CPU and runs the ranges on one module-level thread pool; numpy's generator
-fills, ufunc loops and ``scipy.fft`` release the GIL.  Each range gets its
+Each works on a chunk of blocks, one block per row, and computes each row
+on its own.  ``split_rows`` cuts the rows into one contiguous range per
+usable CPU and runs the ranges on one module-level thread pool; numpy's
+generator fills, ufunc loops and ``scipy.fft`` release the GIL.  Each range gets its
 own slice of a scratch array allocated here, in the calling thread: buffers
 allocated inside the pool threads would grow per-thread malloc arenas and
 the process's peak memory with them.

@@ -7,6 +7,9 @@ encoder input ranges, and trace CSV I/O for recorded sources.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,13 @@ class SourceTrace:
         object.__setattr__(self, "samples", samples)
 
 
+def _require_finite_fields(spec) -> None:
+    for f in dataclasses.fields(spec):
+        v = getattr(spec, f.name)
+        if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+            raise ConfigError(f"{f.name} must be a finite number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class CytometrySynthSpec:
     """Synthetic bead-pulse train: Poisson arrivals of Gaussian pulses.
@@ -58,6 +68,7 @@ class CytometrySynthSpec:
     noise_sd: float = 0.03
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if not self.pulse_width > 0:
             raise ConfigError(f"pulse_width must be > 0, got {self.pulse_width}")
         if self.pulse_rate < 0:
@@ -91,6 +102,7 @@ class GsrSynthSpec:
     event_decay: float = 3.0
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if not self.conductance_max > 0:
             raise ConfigError(f"conductance_max must be > 0, got {self.conductance_max}")
         if self.drift_bandwidth < 0 or self.event_rate < 0:

@@ -1,11 +1,15 @@
 """Harness tests: run orchestration, config round trips, CLI surface."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ajscclink import channel, harness, pool
+from ajscclink.channel import ChannelSpec, make_channel
 from ajscclink.cli import main
 from ajscclink.errors import ConfigError, DemodError, StageError
 from ajscclink.harness import (
@@ -22,7 +26,13 @@ from ajscclink.harness import (
     write_report_json,
     write_sweep_csv,
 )
-from ajscclink.modem import modulate
+from ajscclink.modem import (
+    block_start_phases,
+    demodulate_stream,
+    fast_profile,
+    modulate,
+    voltage_to_frequency,
+)
 from ajscclink.sources import SourceTrace, write_trace_csv
 
 
@@ -103,6 +113,30 @@ class TestRunLink:
             run_link(config)
         assert excinfo.value.stage == "transmit"
         assert isinstance(excinfo.value.__cause__, DemodError)
+
+    @pytest.mark.parametrize("family", ["awgn", "jtc_outdoor_low_a"])
+    def test_reused_chunk_buffer_matches_fresh_chunks(self, family, monkeypatch):
+        # Chunks of 5 blocks over 23 blocks: four full chunks and a short
+        # last one, all modulated into one buffer.  The result must equal a
+        # loop that modulates every chunk into a fresh array.
+        cfg = fast_profile()
+        chunk, n_blocks, full_scale = 5, 23, 2.0
+        monkeypatch.setattr(harness, "_CHUNK_SAMPLES", chunk * cfg.fft_size)
+        encoded = np.random.default_rng(3).uniform(0, full_scale, n_blocks)
+        doppler = 20.0 if family.startswith("jtc") else None
+        spec = ChannelSpec(family, csnr_db=0.0, doppler_hz=doppler, seed=11)
+
+        fresh = make_channel(spec, cfg.sample_rate, cfg.fft_size)
+        phases = block_start_phases(voltage_to_frequency(encoded, full_scale, cfg), cfg)
+        want = []
+        for lo in range(0, n_blocks, chunk):
+            blocks = modulate(encoded[lo : lo + chunk], full_scale, cfg, start_phase=phases[lo])
+            blocks = fresh.process(blocks, start_block=lo)
+            want.append(demodulate_stream(blocks, full_scale, cfg))
+
+        reused = make_channel(spec, cfg.sample_rate, cfg.fft_size)
+        got = harness._transmit(encoded, full_scale, cfg, reused, True)
+        assert got.tobytes() == np.concatenate(want).tobytes()
 
     def test_missing_trace_file_is_config_error(self):
         config = RunConfig(levels=8, duration=2.0, gsr_path="/nonexistent/trace.csv")
@@ -217,6 +251,87 @@ class TestConfigSerialization:
         assert rebuilt == report.config
 
 
+# Values of the wrong type or out of every range, mixed into each field.
+_JUNK = st.sampled_from([None, "x", [], {}, True, math.nan, math.inf, -math.inf, -1, 0])
+
+
+def _or_junk(valid):
+    # Junk one time in ten, so that a good share of the dicts is accepted.
+    return st.integers(0, 9).flatmap(lambda i: _JUNK if i == 0 else valid)
+
+
+def _nested(names, values):
+    fields = {name: _or_junk(values) for name in names}
+    return _or_junk(st.fixed_dictionaries({}, optional={**fields, "bogus": st.just(1)}))
+
+
+# Config dicts as a --config file holds them.  The duration is always given
+# and short, so that an accepted config runs in about a second at most.
+_CONFIG_DICTS = st.fixed_dictionaries(
+    {"duration": _or_junk(st.floats(0.0, 0.3))},
+    optional={
+        "levels": _or_junk(st.integers(-1, 200)),
+        "seed": _or_junk(st.integers(-1, 2**70)),
+        "profile": _or_junk(st.sampled_from(["fast", "slow", "medium"])),
+        "channel_family": _or_junk(st.sampled_from([*channel.FAMILIES, "bogus"])),
+        "csnr_db": _or_junk(
+            st.one_of(st.floats(-20.0, 40.0), st.sampled_from(["inf", "-inf", "nan", "loud"]))
+        ),
+        "doppler_hz": _or_junk(st.floats(-100.0, 100.0)),
+        "tap_profile_path": st.sampled_from([None, "/nonexistent/taps.csv"]),
+        "x1_max": _or_junk(st.floats(0.0, 10.0)),
+        "x2_max": _or_junk(st.floats(0.0, 10.0)),
+        "level_height": _or_junk(st.floats(0.0, 1.0)),
+        "cytometry": _nested(
+            ["pulse_rate", "pulse_width", "peak_amplitude_mean", "peak_amplitude_sd",
+             "baseline", "noise_sd"],
+            st.floats(-0.1, 20.0),
+        ),
+        "gsr": _nested(
+            ["conductance_max", "drift_bandwidth", "event_rate", "drift_scale",
+             "event_amplitude", "event_rise", "event_decay"],
+            st.floats(-0.1, 20.0),
+        ),
+        "cytometry_path": st.sampled_from([None, "/nonexistent/cytometry.csv"]),
+        "gsr_path": st.sampled_from([None, "/nonexistent/gsr.csv"]),
+        "x1_input_range": _or_junk(st.lists(st.floats(-5.0, 5.0), max_size=3)),
+        "x2_input_range": _or_junk(st.lists(st.floats(-5.0, 5.0), max_size=3)),
+        "analysis": _or_junk(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "median_order": _or_junk(st.integers(-2, 300)),
+                    "despike_width": _or_junk(st.integers(-1, 9)),
+                    "peak_min_separation": _or_junk(st.floats(0.0, 0.1)),
+                    "peak_min_height": _or_junk(st.floats(-1.0, 3.0)),
+                    "threshold": _or_junk(st.floats(-1.0, 3.0)),
+                },
+            )
+        ),
+        "interpolate": _or_junk(st.booleans()),
+    },
+)
+
+
+class TestConfigBoundary:
+    @settings(max_examples=200, deadline=None)
+    @given(_CONFIG_DICTS)
+    def test_accepted_config_round_trips_and_runs(self, d):
+        # A config dict is either a ConfigError or a config that survives
+        # its own JSON form, and whose run ends in a report or a ConfigError.
+        try:
+            config = config_from_dict(d)
+        except ConfigError:
+            return
+        text = json.dumps(config_to_dict(config), allow_nan=False)
+        assert config_from_dict(json.loads(text)) == config
+        assert math.isfinite(config.duration)
+        try:
+            run_link(config)
+        except ConfigError:
+            pass
+
+
 class TestReproduce:
     def test_fig4_staircase_file(self, tmp_path):
         (path,) = reproduce("fig4", tmp_path)
@@ -327,6 +442,17 @@ class TestCli:
             # json.dumps writes Infinity, which loads as the same float as 1e400.
             {"x1_max": float("inf")},
             {"level_height": float("inf")},
+            # 200 slow blocks against the default median_order 200.
+            {"duration": 2.0, "profile": "slow"},
+            # The default peak separation, 2 * pulse_width, under one 10 ms block.
+            {"profile": "slow", "duration": 3.0, "cytometry": {"pulse_width": 0.004}},
+            {"seed": -1},
+            {"seed": "x"},
+            {"duration": float("inf")},
+            {"tap_profile_path": "/nonexistent/taps.csv"},
+            {"cytometry": {"pulse_rate": float("nan")}},
+            {"gsr": {"drift_scale": float("inf")}},
+            {"interpolate": "false"},
         ],
     )
     def test_bad_config_file_is_config_error(self, fields, tmp_path):

@@ -174,6 +174,53 @@ class TestDemodulate:
         assert slow_profile().block_period == pytest.approx(10e-3)
 
 
+def whole_array_modulate(encoded, cfg, start_phase):
+    """Reference modulator: one 2-D running product over every row at once."""
+    freqs = voltage_to_frequency(np.asarray(encoded, dtype=np.float64), FULL_SCALE, cfg)
+    phases0 = block_start_phases(freqs, cfg, start_phase)
+    step = np.exp(2j * np.pi * freqs / cfg.sample_rate)
+    first = np.exp(1j * phases0)
+    blocks = np.empty((freqs.size, cfg.fft_size), dtype=np.complex128)
+    blocks[:, 0] = first
+    np.multiply.accumulate(
+        np.broadcast_to(step[:, None], (freqs.size, cfg.fft_size - 1)),
+        axis=1,
+        out=blocks[:, 1:],
+    )
+    blocks[:, 1:] *= first[:, None]
+    return blocks
+
+
+class TestModulateRowSplit:
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    @pytest.mark.parametrize("n_rows", [1, 7, 300, 512])
+    def test_matches_whole_array_modulator(self, profile, n_rows, monkeypatch):
+        # Rows built one at a time on the pool must give the bytes of the
+        # 2-D running product, for any worker count, with or without out=.
+        cfg = profile()
+        encoded = np.random.default_rng(n_rows).uniform(0, FULL_SCALE, n_rows)
+        out = np.full((n_rows, cfg.fft_size), np.nan, dtype=np.complex128)
+        for start_phase in (0.0, 2.5):
+            want = whole_array_modulate(encoded, cfg, start_phase).tobytes()
+            for workers in (1, 2):
+                monkeypatch.setattr(pool, "_WORKERS", workers)
+                got = modulate(encoded, FULL_SCALE, cfg, start_phase=start_phase)
+                assert got.tobytes() == want
+                got = modulate(encoded, FULL_SCALE, cfg, start_phase=start_phase, out=out)
+                assert got is out
+                assert out.tobytes() == want
+                out[:] = np.nan
+
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [((3, 64), np.complex128), ((4, 63), np.complex128), ((4, 64), np.complex64)],
+    )
+    def test_out_of_wrong_shape_or_dtype_rejected(self, shape, dtype):
+        cfg = ModemConfig(f_min=0.0, f_max=1e3, sample_rate=1e4, fft_size=64)
+        with pytest.raises(ConfigError):
+            modulate(np.zeros(4), FULL_SCALE, cfg, out=np.empty(shape, dtype=dtype))
+
+
 def whole_array_peak_frequencies(blocks, cfg, interpolate):
     """Reference receiver: one zero-padded FFT of every row at once."""
     n_fft = 2 * cfg.fft_size if interpolate else cfg.fft_size
