@@ -2,9 +2,10 @@
 
 Noise level is set by the channel signal-to-noise ratio (CSNR), the ratio
 of channel-gain-weighted signal power to complex noise variance in dB.
-Tap profiles normalize their mean power to one, so the noise variance is
-always P_sig / 10^(csnr_db / 10); csnr_db = inf disables noise.  P_sig is
-the mean |x|^2 of the blocks passed to one ``process`` call.
+The CSNR is taken at the nominal signal power P_sig = 1: the modulator's
+tone has |x| = 1, and tap profiles and flat Rayleigh have unit mean gain.
+So the noise variance is 1 / 10^(csnr_db / 10), fixed once per channel and
+never measured from the blocks; csnr_db = inf disables noise.
 
 Fading taps evolve as Rayleigh processes with the classic isotropic-
 scattering Doppler spectrum, realized by a randomized sum of sinusoids
@@ -20,15 +21,16 @@ banks are drawn once from ``spawn_key=(0,)`` and are functions of time.  So
 any block range can be computed on its own, in any order.
 
 All three streaming channels are one tapped delay line; AWGN and flat
-Rayleigh have a single tap at delay 0.  ``process`` measures the signal
-power of the whole call and allocates the output, then splits the block
-rows into one contiguous range per usable CPU and runs the ranges on the
+Rayleigh have a single tap at delay 0.  ``process`` splits the block rows
+into one contiguous range per usable CPU and runs the ranges on the
 package's thread pool (``pool.split_rows``; numpy's generator fills and
-ufunc loops release the GIL).  A row is computed the same way whichever
-range holds it, so the output is byte-identical for any worker count.
-Across chunkings of one stream it is byte-identical when every chunk has
-the same mean power; otherwise each call's own P_sig moves the last bits of
-the noise scale (within 1e-12 on modulated blocks).
+ufunc loops release the GIL).  It can write its output over its input
+(``out=``): the samples that each row's delays reach back into, the end of
+the row before it, are copied out before any row is written, and each
+worker copies that tail and its row into its own scratch line before it
+overwrites the row.  A row is computed the same way whichever range and
+chunk hold it, so the output is byte-identical for any worker count and
+any chunking of one stream.
 """
 
 from __future__ import annotations
@@ -89,6 +91,8 @@ def load_profile(path) -> TapProfile:
         fh = open(path)
     except FileNotFoundError as exc:
         raise ConfigError(f"tap profile file not found: {path}") from exc
+    except (IsADirectoryError, PermissionError) as exc:
+        raise ConfigError(f"cannot read tap profile file {path}: {exc.strerror}") from exc
     with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -146,16 +150,6 @@ class ChannelSpec:
                 self.family, self.csnr_db, self.doppler_hz, builtin_profile(self.family), self.seed
             )
         return self
-
-
-def _noise_scale(csnr_db: float, blocks: np.ndarray) -> float:
-    """Per-component noise deviation for the CSNR, from the blocks' mean |x|^2."""
-    if np.isinf(csnr_db) and csnr_db > 0:
-        return 0.0
-    power = np.abs(blocks)
-    np.square(power, out=power)  # the values of np.abs(blocks) ** 2, one temporary
-    variance = float(power.mean()) / 10.0 ** (csnr_db / 10.0)
-    return float(np.sqrt(variance / 2.0))
 
 
 def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -227,47 +221,73 @@ class _DelayLineChannel:
         self.delays = np.zeros(1, dtype=int)
         self._carry = np.zeros(0, dtype=np.complex128)
         self._next_block = 0
+        # Per-component noise deviation at the nominal signal power 1.
+        csnr = spec.csnr_db
+        self._scale = 0.0 if csnr == np.inf else float(np.sqrt(1.0 / 10.0 ** (csnr / 10.0) / 2.0))
 
     def _gains(self, start_block: int, n_blocks: int) -> np.ndarray | None:
         return None
 
-    def process(self, blocks: np.ndarray, start_block: int | None = None) -> np.ndarray:
+    def process(self, blocks: np.ndarray, start_block: int | None = None, out=None) -> np.ndarray:
         """Channel output for blocks start_block, start_block + 1, ...
 
         start_block defaults to the block after the previous call's last one.
+        The output is written into out, a C-contiguous complex128 array of
+        the blocks' shape, when it is given, and out is returned; out may be
+        the input array itself.
         """
         blocks = _as_blocks(blocks, self.block_size)
+        if out is not None and (
+            out.shape != blocks.shape or out.dtype != np.complex128 or not out.flags.c_contiguous
+        ):
+            raise ConfigError(
+                f"out must be a C-contiguous {blocks.shape} complex128 array, "
+                f"got {out.shape} {out.dtype}"
+            )
         if start_block is None:
             start_block = self._next_block
         if start_block < 0:
             raise ConfigError(f"start_block must be >= 0, got {start_block}")
         self._next_block = start_block + blocks.shape[0]
-        return self._run(blocks, start_block, self._gains(start_block, blocks.shape[0]))
+        return self._run(blocks, start_block, self._gains(start_block, blocks.shape[0]), out)
 
-    def _run(self, blocks: np.ndarray, start_block: int, gains) -> np.ndarray:
+    def _run(self, blocks: np.ndarray, start_block: int, gains, out=None) -> np.ndarray:
         """Output for validated blocks; gains is (n_delays, n_blocks) or None."""
-        scale = _noise_scale(self.spec.csnr_db, blocks)
+        scale = self._scale
         if scale == 0.0 and gains is None:
-            return blocks
+            if out is None or out is blocks:
+                return blocks
+            out[...] = blocks
+            return out
+        if out is None:
+            out = np.empty_like(blocks)
         n_blocks, n = blocks.shape
-        flat = blocks.reshape(-1)
         c = self._carry.size
-        head = np.concatenate([self._carry, flat[:n]])  # the delayed samples of row 0
-        out = np.empty_like(blocks)
+        # The c input samples before each row, which its delays reach back
+        # into: the carry for row 0, the end of row r - 1 for row r.  Both
+        # they and the next carry are copied before any row of out, which
+        # may be blocks itself, is written.
+        tails = np.empty((n_blocks, c), dtype=np.complex128)
+        tails[0] = self._carry
+        tails[1:] = blocks[:-1, n - c :]
+        self._carry = blocks[-1, n - c :].copy()
         seed, delays = self.spec.seed, self.delays
 
         # One row at a time, with the same operations whichever range holds
         # it, so the bytes do not depend on the split; the row also stays in
-        # cache across its passes.
-        def rows(lo: int, hi: int, tmp: np.ndarray) -> None:
+        # cache across its passes.  line holds the row's tail and the row,
+        # so the row can be overwritten while its delayed copies are read.
+        def rows(lo: int, hi: int, line: np.ndarray, tmp: np.ndarray) -> None:
             for r in range(lo, hi):
+                line[:c] = tails[r]
+                line[c:] = blocks[r]
                 o = out[r]
                 if scale:
                     rng = _block_rng(seed, _NOISE, start_block + r)
                     rng.standard_normal(out=o.view(np.float64))
                     o *= scale
                 for k, d in enumerate(delays):
-                    src = head[c - d : c - d + n] if r == 0 else flat[r * n - d : (r + 1) * n - d]
+                    src = line[c - d : c - d + n]
                     if gains is None:
                         o += src
                     elif k == 0 and not scale:
@@ -276,9 +296,7 @@ class _DelayLineChannel:
                         np.multiply(src, gains[k, r], out=tmp)
                         o += tmp
 
-        split_rows(rows, n_blocks, ((n,), np.complex128))
-        if c:
-            self._carry = flat[-c:].copy()
+        split_rows(rows, n_blocks, ((n + c,), np.complex128), ((n,), np.complex128))
         return out
 
 
@@ -297,9 +315,14 @@ class FlatRayleighChannel(_DelayLineChannel):
 
     def _gains(self, start_block: int, n_blocks: int) -> np.ndarray:
         h = np.empty((1, n_blocks), dtype=np.complex128)
-        for r in range(n_blocks):
-            rng = _block_rng(self.spec.seed, _FADE, start_block + r)
-            rng.standard_normal(out=h[0, r : r + 1].view(np.float64))
+        seed = self.spec.seed
+
+        def rows(lo: int, hi: int) -> None:
+            for r in range(lo, hi):
+                rng = _block_rng(seed, _FADE, start_block + r)
+                rng.standard_normal(out=h[0, r : r + 1].view(np.float64))
+
+        split_rows(rows, n_blocks)
         return h / np.sqrt(2.0)
 
 
@@ -354,8 +377,8 @@ class MultipathChannel(_DelayLineChannel):
 def apply_awgn(blocks: np.ndarray, csnr_db: float, seed: int) -> np.ndarray:
     """Add circularly symmetric complex Gaussian noise at the given CSNR.
 
-    Signal power is measured from the input; csnr_db = inf returns the
-    input unchanged.
+    The noise variance assumes unit signal power; csnr_db = inf returns
+    the input unchanged.
     """
     blocks = _as_blocks(blocks)
     spec = ChannelSpec("awgn", csnr_db, seed=seed)

@@ -201,6 +201,8 @@ def _load_or_generate_sources(config: RunConfig, seeds) -> tuple[SourceTrace, So
             gsr = gen_gsr(config.gsr, config.duration, SOURCE_SAMPLE_PERIOD, gsr_seed)
     except FileNotFoundError as exc:
         raise ConfigError(f"referenced trace file not found: {exc.filename}") from exc
+    except (IsADirectoryError, PermissionError) as exc:
+        raise ConfigError(f"cannot read trace file {exc.filename}: {exc.strerror}") from exc
     n = min(cyt.samples.size, gsr.samples.size)
     if cyt.samples.size != gsr.samples.size:
         cyt = SourceTrace(cyt.sample_period, cyt.samples[:n])
@@ -242,16 +244,18 @@ def _transmit(
     phases = block_start_phases(freqs, cfg)
     chunk = max(1, _CHUNK_SAMPLES // cfg.fft_size)
     out = np.empty(freqs.size)
-    # Every chunk is modulated into this one buffer: a fresh array per chunk
-    # pays its page faults each time, and the previous chunk's blocks would
-    # still be alive while it is filled.
+    # Every chunk is modulated into this one buffer, and the channel writes
+    # over it in place: a fresh array per chunk pays its page faults each
+    # time, and the previous chunk's blocks would still be alive while it is
+    # filled.  Each chunk takes its slice of the stream's block phases, so
+    # the blocks do not depend on the chunk size.
     buf = np.empty((min(chunk, freqs.size), cfg.fft_size), dtype=np.complex128)
     for lo in range(0, freqs.size, chunk):
         hi = min(lo + chunk, freqs.size)
         blocks = modulate(
-            encoded[lo:hi], full_scale, cfg, start_phase=phases[lo], out=buf[: hi - lo]
+            encoded[lo:hi], full_scale, cfg, start_phase=phases[lo:hi], out=buf[: hi - lo]
         )
-        blocks = channel.process(blocks, start_block=lo)
+        blocks = channel.process(blocks, start_block=lo, out=blocks)
         out[lo:hi] = demodulate_stream(blocks, full_scale, cfg, interpolate=interpolate)
     return out
 

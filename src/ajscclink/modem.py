@@ -105,14 +105,17 @@ def block_start_phases(freqs: np.ndarray, cfg: ModemConfig, start_phase: float =
 
 
 def modulate(
-    encoded, full_scale: float, cfg: ModemConfig, start_phase: float = 0.0, out=None
+    encoded, full_scale: float, cfg: ModemConfig, start_phase=0.0, out=None
 ) -> np.ndarray:
     """Frequency-modulate a sequence of encoded voltages.
 
     Returns an (n_blocks, fft_size) complex array; row b is the block for
     encoded[b] with |sample| = 1 and phase carried over block boundaries.
-    The blocks are written into out, a complex128 array of that shape, when
-    it is given, and out is returned.
+    start_phase is the carrier phase at the start of the first block, or an
+    array of each block's start phase: a chunk of a longer stream passes its
+    slice of ``block_start_phases`` over the whole stream, so its blocks do
+    not depend on where the chunks start.  The blocks are written into out,
+    a complex128 array of that shape, when it is given, and out is returned.
     """
     encoded = np.atleast_1d(np.asarray(encoded, dtype=np.float64))
     if encoded.size == 0:
@@ -125,7 +128,12 @@ def modulate(
             f"out must be a ({n_rows}, {n}) complex128 array, got {out.shape} {out.dtype}"
         )
     freqs = np.atleast_1d(voltage_to_frequency(encoded, full_scale, cfg))
-    phases0 = block_start_phases(freqs, cfg, start_phase)
+    if np.ndim(start_phase):
+        phases0 = np.asarray(start_phase, dtype=np.float64)
+        if phases0.shape != (n_rows,):
+            raise ConfigError(f"start_phase must be a scalar or ({n_rows},), got {phases0.shape}")
+    else:
+        phases0 = block_start_phases(freqs, cfg, start_phase)
     # Each block is a geometric progression first[b] * step[b]**n; the
     # running product is ~4x faster than exp over the full grid and keeps
     # |sample| within ~1e-12 of one.

@@ -291,8 +291,6 @@ class TestKeyedStreams:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_chunk_and_worker_invariance_on_unit_power(self, family, monkeypatch):
-        # Every chunk of np.ones blocks has mean power exactly 1, so the
-        # noise scale is the same for any chunking and the bytes must match.
         x = np.ones((30, 512), dtype=complex)
         spec = ChannelSpec(family, csnr_db=0.0, seed=21)
         outs = []
@@ -322,15 +320,55 @@ class TestKeyedStreams:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_modulated_chunking_within_bound(self, family):
-        # Each call measures its own mean |x|^2, so on modulated blocks the
-        # chunking moves the last bits of the noise scale, and no more.
+        # The noise scale comes from the nominal signal power, not from each
+        # call's blocks, so on modulated blocks the chunking moves no bit.
         cfg = fast_profile()
         encoded = np.random.default_rng(3).uniform(0.0, 2.0, 60)
         x = modulate(encoded, 2.0, cfg)
         spec = ChannelSpec(family, csnr_db=0.0, seed=8)
         whole = self.chunked(spec, x, [60])
         split = self.chunked(spec, x, [7, 7, 19, 27])
-        assert np.abs(split - whole).max() <= 1e-12
+        assert split.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_in_place_matches_fresh_output(self, family, monkeypatch):
+        # Each chunk is written over its own input, split into more ranges
+        # than cores under fast thread switching.  A row's delays reach back
+        # into the row before it, so that tail and the carry must be read
+        # before any row is overwritten.
+        cfg = fast_profile()
+        x = modulate(np.random.default_rng(4).uniform(0.0, 2.0, 60), 2.0, cfg)
+        spec = ChannelSpec(family, csnr_db=3.0, seed=12)
+        monkeypatch.setattr(pool, "_WORKERS", 1)
+        want = make_channel(spec, cfg.sample_rate, cfg.fft_size).process(x).tobytes()
+        bounds = np.cumsum([0, 7, 7, 19, 27])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 16):
+                monkeypatch.setattr(pool, "_WORKERS", workers)
+                ch = make_channel(spec, cfg.sample_rate, cfg.fft_size)
+                got = x.copy()
+                for lo, hi in zip(bounds[:-1], bounds[1:]):
+                    chunk = got[lo:hi]
+                    assert ch.process(chunk, lo, out=chunk) is chunk
+                assert got.tobytes() == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((3, 64), dtype=np.complex128),
+            np.empty((4, 63), dtype=np.complex128),
+            np.empty((4, 64), dtype=np.complex64),
+            np.empty((64, 4), dtype=np.complex128).T,
+        ],
+    )
+    def test_bad_out_rejected(self, out):
+        ch = make_channel(ChannelSpec("awgn", csnr_db=0.0), 1e6, 64)
+        with pytest.raises(ConfigError):
+            ch.process(unit_blocks(4, 64), out=out)
 
     def test_adjacent_block_noise_uncorrelated(self):
         # Adjacent blocks draw from streams keyed on neighbouring indices;

@@ -130,13 +130,31 @@ class TestRunLink:
         phases = block_start_phases(voltage_to_frequency(encoded, full_scale, cfg), cfg)
         want = []
         for lo in range(0, n_blocks, chunk):
-            blocks = modulate(encoded[lo : lo + chunk], full_scale, cfg, start_phase=phases[lo])
+            blocks = modulate(
+                encoded[lo : lo + chunk], full_scale, cfg, start_phase=phases[lo : lo + chunk]
+            )
             blocks = fresh.process(blocks, start_block=lo)
             want.append(demodulate_stream(blocks, full_scale, cfg))
 
         reused = make_channel(spec, cfg.sample_rate, cfg.fft_size)
         got = harness._transmit(encoded, full_scale, cfg, reused, True)
         assert got.tobytes() == np.concatenate(want).tobytes()
+
+    @pytest.mark.parametrize("family", ["flat_rayleigh", "jtc_outdoor_low_a"])
+    def test_report_independent_of_chunk_size(self, family, monkeypatch):
+        # Chunks of 1, 7 and 512 blocks over 600: the modulator takes the
+        # stream's block phases and the channel its nominal signal power, so
+        # no chunk boundary moves a bit of the payload.
+        config = RunConfig(levels=30, duration=0.6, seed=7, channel_family=family, csnr_db=3.0)
+        fft_size = config.modem_config().fft_size
+        payloads = []
+        for chunk in (1, 7, 512):
+            monkeypatch.setattr(harness, "_CHUNK_SAMPLES", chunk * fft_size)
+            report = report_to_dict(run_link(config))
+            report.pop("wall_time_s")
+            payloads.append(json.dumps(report, sort_keys=True))
+        assert payloads[1] == payloads[0]
+        assert payloads[2] == payloads[0]
 
     def test_missing_trace_file_is_config_error(self):
         config = RunConfig(levels=8, duration=2.0, gsr_path="/nonexistent/trace.csv")
@@ -453,6 +471,10 @@ class TestCli:
             {"cytometry": {"pulse_rate": float("nan")}},
             {"gsr": {"drift_scale": float("inf")}},
             {"interpolate": "false"},
+            # Paths that name a directory.
+            {"tap_profile_path": "."},
+            {"gsr_path": "."},
+            {"cytometry_path": "."},
         ],
     )
     def test_bad_config_file_is_config_error(self, fields, tmp_path):

@@ -124,6 +124,22 @@ class TestModulate:
         with pytest.raises(ConfigError):
             modulate([], FULL_SCALE, fast_profile())
 
+    def test_chunks_from_stream_phases_match_one_call(self):
+        # Each chunk takes its slice of the whole stream's block phases, so
+        # the chunks are the bytes of one call over the stream.
+        cfg = fast_profile()
+        encoded = np.random.default_rng(5).uniform(0, FULL_SCALE, 60)
+        phases = block_start_phases(voltage_to_frequency(encoded, FULL_SCALE, cfg), cfg)
+        whole = modulate(encoded, FULL_SCALE, cfg)
+        bounds = np.cumsum([0, 7, 7, 19, 27])
+        chunks = [
+            modulate(encoded[lo:hi], FULL_SCALE, cfg, start_phase=phases[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        assert np.vstack(chunks).tobytes() == whole.tobytes()
+        with pytest.raises(ConfigError):
+            modulate(encoded[:7], FULL_SCALE, cfg, start_phase=phases[:6])
+
 
 class TestDemodulate:
     def test_bin_aligned_loopback_exact(self):
