@@ -4,6 +4,10 @@ Threshold and median filters mirror the receiver-side cleanup of the
 decoded traces; peak extraction, MSE, empirical CDFs, and the two-sample
 Kolmogorov-Smirnov test support the evaluation methodology (distribution
 comparison of pulse peaks at source and receiver).
+
+Peak extraction is a numpy port of ``scipy.signal.find_peaks`` with
+``height`` and ``distance``, giving the same indices and heights without
+the cost of importing ``scipy.signal``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-from scipy import signal as sp_signal
 
 from .sources import SourceTrace
 
@@ -62,21 +65,56 @@ def median_filter(trace: SourceTrace, order: int) -> SourceTrace:
     return SourceTrace(trace.sample_period, values)
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the strict local maxima of x, as scipy's find_peaks finds them.
+
+    A flat top counts once, at its midpoint rounded down, when both of its
+    neighbours are lower; the first and the last sample are never maxima.
+    """
+    starts = np.flatnonzero(x[1:] != x[:-1]) + 1
+    if starts.size < 2:
+        return np.empty(0, dtype=np.intp)
+    ends = np.append(starts[1:], x.size) - 1
+    level = x[starts]
+    before = np.append(x[0], level[:-1])
+    top = (level[:-1] > before[:-1]) & (level[:-1] > level[1:])
+    return (starts[:-1][top] + ends[:-1][top]) // 2
+
+
 def detect_peaks(
     trace: SourceTrace, min_height: float, min_separation: float
 ) -> list[PulseEvent]:
     """Local maxima at or above min_height, thinned to min_separation.
 
     Thinning is greedy by height: of any two maxima closer than
-    min_separation, the smaller one is dropped.
+    min_separation, the smaller one is dropped.  The maxima are visited
+    from the highest down in ``np.argsort`` order, so ties break as in
+    ``scipy.signal.find_peaks(x, height=min_height, distance=...)``.
     """
     if min_separation < trace.sample_period:
         raise ValueError("min_separation must be >= the trace sample period")
     distance = max(1, int(round(min_separation / trace.sample_period)))
-    idx, props = sp_signal.find_peaks(trace.samples, height=min_height, distance=distance)
+    x = trace.samples
+    peaks = _local_maxima(x)
+    peaks = peaks[x[peaks] >= min_height]
+    heights = x[peaks]
+    positions = peaks.tolist()
+    keep = [True] * len(positions)
+    for j in np.argsort(heights)[::-1].tolist():
+        if not keep[j]:
+            continue
+        k = j - 1
+        while k >= 0 and positions[j] - positions[k] < distance:
+            keep[k] = False
+            k -= 1
+        k = j + 1
+        while k < len(positions) and positions[k] - positions[j] < distance:
+            keep[k] = False
+            k += 1
     return [
         PulseEvent(time=float(i * trace.sample_period), peak_value=float(v))
-        for i, v in zip(idx, props["peak_heights"])
+        for i, v, kept in zip(peaks, heights, keep)
+        if kept
     ]
 
 

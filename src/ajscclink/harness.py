@@ -291,7 +291,18 @@ def run_link(config: RunConfig) -> RunReport:
 
     # One encoded sample per FFT block: sample-and-hold the sources at the
     # block rate (factor 1 for the fast profile, 10 for the slow one).
-    ratio = int(round(cfg.block_period / x1_ref.sample_period))
+    period = x1_ref.sample_period
+    if not math.isclose(x2_ref.sample_period, period, rel_tol=1e-6):
+        raise ConfigError(
+            f"the cytometry and GSR traces must share one sample period, got "
+            f"{period!r} s and {x2_ref.sample_period!r} s"
+        )
+    ratio = int(round(cfg.block_period / period))
+    if ratio < 1 or not math.isclose(ratio * period, cfg.block_period, rel_tol=1e-6):
+        raise ConfigError(
+            f"the source sample period {period!r} s must divide the "
+            f"{config.profile} block period {cfg.block_period!r} s a whole number of times"
+        )
     n_blocks = x1_ref.samples.size // ratio
     if n_blocks == 0:
         raise ConfigError("duration too short for one FFT block")

@@ -3,6 +3,12 @@
 Provides the two test signals fed to the encoder (an impedance-cytometry
 pulse train and a skin-conductance drift trace), linear rescaling into
 encoder input ranges, and trace CSV I/O for recorded sources.
+
+The GSR drift is white noise through a 4th-order Butterworth low-pass.  The
+filter design and the second-order-section recursion are numpy ports of
+``scipy.signal.butter(4, wn, output="sos")`` and ``scipy.signal.sosfilt``
+that follow scipy's operation order, so their output is bit-identical to
+scipy's; importing ``scipy.signal`` would cost about a second per process.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .errors import ConfigError
 
@@ -170,6 +175,48 @@ def gen_cytometry(
     return SourceTrace(sample_period, values)
 
 
+def _butter_lowpass_sos(order: int, wn: float) -> np.ndarray:
+    """Second-order sections of a digital Butterworth low-pass, order even.
+
+    wn is the cutoff over the Nyquist frequency, 0 < wn < 1.  The steps are
+    scipy's: analog prototype poles, pre-warped lp2lp, bilinear transform
+    at fs = 2, and the sections ordered from the pole pair farthest from the
+    unit circle to the nearest, with the overall gain on the first section.
+    """
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    prototype = -np.exp(1j * np.pi * m / (2 * order))
+    warped = float(4.0 * np.tan(np.pi * np.float64(wn) / 2.0))
+    analog = warped * prototype
+    poles = (4.0 + analog) / (4.0 - analog)
+    gain = warped**order * np.real(1.0 / np.prod(4.0 - analog))
+    upper = poles[poles.imag > 0]
+    upper = upper[np.argsort(np.abs(1 - np.abs(upper)), kind="stable")[::-1]]
+    sos = np.zeros((upper.size, 6))
+    sos[:, :3] = (1.0, 2.0, 1.0)  # each section's double zero at z = -1
+    for s, q in enumerate(upper):
+        sos[s, 3:] = np.poly([q, q.conjugate()]).real
+    sos[0, :3] *= gain
+    return sos
+
+
+def _sosfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Filter x through the sections from zero state (transposed direct form II).
+
+    Each sample's arithmetic is scipy's ``sosfilt`` kernel, operation for
+    operation; running one section over the whole signal before the next
+    gives the same values.
+    """
+    y = x.tolist()
+    for b0, b1, b2, _, a1, a2 in sos.tolist():
+        z0 = z1 = 0.0
+        for i, xi in enumerate(y):
+            yi = b0 * xi + z0
+            z0 = b1 * xi - a1 * yi + z1
+            z1 = b2 * xi - a2 * yi
+            y[i] = yi
+    return np.array(y)
+
+
 def _drift_process(n: int, sample_period: float, bandwidth: float, rng) -> np.ndarray:
     """Unit-variance low-pass noise; zeros when bandwidth is 0."""
     if bandwidth == 0 or n < 16:
@@ -178,8 +225,8 @@ def _drift_process(n: int, sample_period: float, bandwidth: float, rng) -> np.nd
     if bandwidth >= 0.25 / sample_period:
         raise ConfigError("drift_bandwidth too high for the sample grid")
     white = rng.standard_normal(n + n // 2)
-    sos = sp_signal.butter(4, bandwidth / nyq, btype="low", output="sos")
-    filtered = sp_signal.sosfilt(sos, white)[-n:]  # leading tail discarded as warm-up
+    sos = _butter_lowpass_sos(4, bandwidth / nyq)
+    filtered = _sosfilt(sos, white)[-n:]  # leading tail discarded as warm-up
     std = filtered.std()
     if std == 0:
         return np.zeros(n)
@@ -241,9 +288,14 @@ def write_trace_csv(trace: SourceTrace, path) -> None:
 
 def read_trace_csv(path) -> SourceTrace:
     """Read a trace written by write_trace_csv; infers the sample period."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not a numeric t_seconds,value trace: {exc}") from exc
     if data.shape[0] < 2:
         raise ConfigError(f"{path}: need at least two samples to infer the period")
+    if data.shape[1] != 2:
+        raise ConfigError(f"{path}: need two columns t_seconds,value, got {data.shape[1]}")
     t, values = data[:, 0], data[:, 1]
     periods = np.diff(t)
     period = float(periods[0])

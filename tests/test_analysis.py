@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sp_signal
 
 from ajscclink.analysis import (
     detect_peaks,
@@ -124,6 +125,59 @@ class TestDetectPeaks:
     def test_min_separation_precondition(self):
         with pytest.raises(ValueError):
             detect_peaks(trace(np.ones(10), period=1e-2), 0.5, 1e-3)
+
+
+def assert_matches_find_peaks(values, min_height, distance):
+    # find_peaks is the reference: same indices, same height bytes.
+    values = np.asarray(values, dtype=float)
+    idx, props = sp_signal.find_peaks(values, height=min_height, distance=distance)
+    events = detect_peaks(trace(values, period=1.0), min_height, float(distance))
+    assert [round(e.time) for e in events] == idx.tolist()
+    got = np.array([e.peak_value for e in events], dtype=float)
+    assert got.tobytes() == props["peak_heights"].tobytes()
+    return idx.tolist()
+
+
+class TestDetectPeaksMatchesFindPeaks:
+    @pytest.mark.parametrize(
+        "values, min_height, distance, expected",
+        [
+            # A flat top at its left-biased midpoint; a top touching an edge is no peak.
+            ([0, 2, 2, 2, 2, 0, 1, 1, 1, 0], 0.5, 1, [2, 7]),
+            ([3, 3, 1, 2, 2], 0.5, 1, []),
+            # Maxima next to the edges; the edge samples themselves never count.
+            ([0, 5, 0, 1, 0, 5, 0], 0.5, 1, [1, 3, 5]),
+            ([5, 0, 1, 0, 5], 0.5, 1, [2]),
+            # Tied heights closer than the distance: the last in argsort order
+            # is kept first; at the distance every tie stays.
+            ([0, 4, 0, 4, 0, 4, 0, 4, 0], 0.5, 3, [3, 7]),
+            ([0, 4, 0, 4, 0, 4, 0, 4, 0], 0.5, 2, [1, 3, 5, 7]),
+            # Every maximum below the height, and no maximum at all.
+            ([0, 1, 0, 2, 0], 2.5, 1, []),
+            ([1, 2, 3, 4, 5], 0.0, 1, []),
+            ([0, 1, 0, 2, 0], 2.0, 1, [3]),
+        ],
+    )
+    def test_edge_cases(self, values, min_height, distance, expected):
+        assert assert_matches_find_peaks(values, min_height, distance) == expected
+
+    def test_random_traces_with_plateaus_and_ties(self):
+        rng = np.random.default_rng(11)
+        for case in range(600):
+            n = int(rng.integers(1, 120))
+            if case % 3 == 2:
+                values = rng.standard_normal(n)
+            else:
+                values = rng.integers(0, 5, n).astype(float)
+                if case % 3 == 1:
+                    values = np.repeat(values, rng.integers(1, 4, n))
+            min_height = float(rng.uniform(-1.0, 4.0))
+            assert_matches_find_peaks(values, min_height, int(rng.integers(1, 10)))
+
+    def test_decoded_pulse_train(self):
+        spec = CytometrySynthSpec(pulse_rate=8.0, pulse_width=0.02)
+        values = np.round(gen_cytometry(spec, 10.0, 1e-3, seed=4).samples, 2)
+        assert len(assert_matches_find_peaks(values, 0.6, 40)) > 40
 
 
 class TestMse:

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -161,10 +165,14 @@ class TestRunLink:
         with pytest.raises(ConfigError):
             run_link(config)
 
-    def test_stage_error_carries_stage_name(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("t_seconds,value\n0.0,1.0\n0.5,nope\n")
-        config = RunConfig(levels=8, duration=2.0, gsr_path=str(bad))
+    def test_stage_error_carries_stage_name(self, monkeypatch):
+        # A malformed trace file is a ConfigError (TestCli), so the failure
+        # comes from the generator itself.
+        def failing_gen_gsr(*args, **kwargs):
+            raise RuntimeError("generator failed")
+
+        monkeypatch.setattr(harness, "gen_gsr", failing_gen_gsr)
+        config = RunConfig(levels=8, duration=2.0)
         with pytest.raises(StageError, match="generate"):
             run_link(config)
 
@@ -475,11 +483,61 @@ class TestCli:
             {"tap_profile_path": "."},
             {"gsr_path": "."},
             {"cytometry_path": "."},
+            # Malformed trace files, written by the test into its directory.
+            {"gsr_path": "one_column.csv"},
+            {"gsr_path": "non_numeric.csv"},
         ],
     )
-    def test_bad_config_file_is_config_error(self, fields, tmp_path):
+    def test_bad_config_file_is_config_error(self, fields, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "one_column.csv").write_text("t_seconds\n0.0\n0.001\n0.002\n")
+        (tmp_path / "non_numeric.csv").write_text("t_seconds,value\n0.0,a\n0.001,1.0\n")
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"levels": 8, "duration": 2.0, **fields}))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert not (out / "run_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "profile, periods",
+        [
+            # A 10 ms cytometry trace next to the synthetic 1 ms GSR.
+            ("fast", {"cytometry_path": 1e-2}),
+            # A 0.5 ms GSR trace next to the synthetic 1 ms cytometry.
+            ("fast", {"gsr_path": 5e-4}),
+            # Equal periods, but longer than the 1 ms fast block.
+            ("fast", {"cytometry_path": 1e-2, "gsr_path": 1e-2}),
+            # Equal periods that do not divide the 10 ms slow block.
+            ("slow", {"cytometry_path": 4e-3, "gsr_path": 4e-3}),
+        ],
+    )
+    def test_source_periods_must_match_and_divide_the_block(
+        self, profile, periods, tmp_path, capsys
+    ):
+        fields = {"levels": 8, "duration": 2.0, "profile": profile, "analysis": {"median_order": 0}}
+        for key, period in periods.items():
+            n = int(round(4.0 / period))
+            pulses = 0.1 + (np.arange(n) % 50 == 25)
+            fields[key] = str(tmp_path / f"{key}.csv")
+            write_trace_csv(SourceTrace(period, pulses), fields[key])
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(fields))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "sample period" in capsys.readouterr().err
+        assert not (out / "run_report.json").exists()
+
+    def test_import_leaves_scipy_signal_and_stats_out(self):
+        code = (
+            "import sys, ajscclink.harness, ajscclink.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(pathlib.Path(harness.__file__).parents[1])},
+        )
+        assert proc.stdout.strip() == "[]"

@@ -12,6 +12,8 @@ from ajscclink.sources import (
     SourceTrace,
     cytometry_schedule,
     gen_cytometry,
+    _butter_lowpass_sos,
+    _sosfilt,
     gen_gsr,
     read_trace_csv,
     rescale,
@@ -106,6 +108,23 @@ class TestGsr:
             GsrSynthSpec(conductance_max=0.0)
         with pytest.raises(ConfigError):
             gen_gsr(GsrSynthSpec(drift_bandwidth=400.0), 1.0, 1e-3, 0)
+
+
+class TestDriftFilter:
+    # scipy.signal is the reference: the numpy ports must give its bytes.
+    @pytest.mark.parametrize(
+        "wn",
+        [0.3 / 500, *np.logspace(-7, -0.302, 40), *np.linspace(0.01, 0.49, 25), 0.9],
+    )
+    def test_sos_matches_scipy_butter(self, wn):
+        expected = sp_signal.butter(4, wn, btype="low", output="sos")
+        assert _butter_lowpass_sos(4, wn).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("wn", [0.3 / 500, 0.02, 0.3])
+    def test_filter_matches_scipy_sosfilt(self, wn):
+        sos = sp_signal.butter(4, wn, output="sos")
+        x = np.random.default_rng(5).standard_normal(3000)
+        assert _sosfilt(sos, x).tobytes() == sp_signal.sosfilt(sos, x).tobytes()
 
 
 class TestRescale:
