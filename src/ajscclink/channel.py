@@ -20,6 +20,15 @@ its coefficient h from ``spawn_key=(0, b)``.  The multipath oscillator
 banks are drawn once from ``spawn_key=(0,)`` and are functions of time.  So
 any block range can be computed on its own, in any order.
 
+A run with the raw FFT-bin receiver at finite CSNR draws no time-domain
+noise: its channel runs at csnr_db = inf, and the receiver adds block b's
+noise straight to the in-band bins it reads, from ``band_noise`` and stream
+``spawn_key=(2, b)``.  The N-point DFT of N iid CN(0, 2s^2) samples is N iid
+CN(0, 2Ns^2) bins, so this is exact in distribution and draws 2 normals per
+in-band bin instead of 2 per sample.  The interpolating receiver reads a
+2N-point padded spectrum whose noise bins are correlated, so its runs keep
+the time-domain stream (1, b).
+
 All three streaming channels are one tapped delay line; AWGN and flat
 Rayleigh have a single tap at delay 0.  ``process`` splits the block rows
 into one contiguous range per usable CPU and runs the ranges on the
@@ -50,8 +59,9 @@ _BUILTIN_PROFILE_FILES = {
     "jtc_outdoor_low_a": "jtc_outdoor_residential_low_a.csv",
 }
 # Spawn-key streams: (_FADE,) seeds the oscillator banks, (_FADE, b) and
-# (_NOISE, b) the flat-Rayleigh coefficient and the noise of block b.
-_FADE, _NOISE = 0, 1
+# (_NOISE, b) the flat-Rayleigh coefficient and the noise of block b, and
+# (_BAND, b) block b's in-band noise for the raw receiver.
+_FADE, _NOISE, _BAND = 0, 1, 2
 _N_OSCILLATORS = 64  # sinusoids per fading tap
 
 
@@ -91,7 +101,7 @@ def load_profile(path) -> TapProfile:
         fh = open(path)
     except FileNotFoundError as exc:
         raise ConfigError(f"tap profile file not found: {path}") from exc
-    except (IsADirectoryError, PermissionError) as exc:
+    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         raise ConfigError(f"cannot read tap profile file {path}: {exc.strerror}") from exc
     with fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -155,6 +165,36 @@ class ChannelSpec:
 def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     """The generator of one stream for one absolute block index."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
+
+
+def noise_deviation(csnr_db: float) -> float:
+    """Per-component deviation of the complex noise at the nominal P_sig = 1.
+
+    The noise variance is 1 / 10^(csnr_db / 10), split evenly over the real
+    and imaginary parts; csnr_db = inf gives 0.
+    """
+    if csnr_db == np.inf:
+        return 0.0
+    return float(np.sqrt(1.0 / 10.0 ** (csnr_db / 10.0) / 2.0))
+
+
+def band_noise(spec: ChannelSpec, block_size: int, start_block: int):
+    """The raw receiver's in-band noise for blocks start_block, start_block + 1, ...
+
+    Returns ``fill(row, out)``, which writes the noise of block
+    start_block + row into out, a complex128 array with one element per
+    in-band bin: ``standard_normal`` of stream (2, b), interleaved re/im,
+    times sqrt(block_size) * ``noise_deviation(spec.csnr_db)``, the
+    deviation of one DFT bin of the time-domain noise.
+    """
+    scale = float(np.sqrt(block_size)) * noise_deviation(spec.csnr_db)
+    seed = spec.seed
+
+    def fill(row: int, out: np.ndarray) -> None:
+        _block_rng(seed, _BAND, start_block + row).standard_normal(out=out.view(np.float64))
+        out *= scale
+
+    return fill
 
 
 def _as_blocks(blocks, block_size: int | None = None) -> np.ndarray:
@@ -221,9 +261,7 @@ class _DelayLineChannel:
         self.delays = np.zeros(1, dtype=int)
         self._carry = np.zeros(0, dtype=np.complex128)
         self._next_block = 0
-        # Per-component noise deviation at the nominal signal power 1.
-        csnr = spec.csnr_db
-        self._scale = 0.0 if csnr == np.inf else float(np.sqrt(1.0 / 10.0 ** (csnr / 10.0) / 2.0))
+        self._scale = noise_deviation(spec.csnr_db)
 
     def _gains(self, start_block: int, n_blocks: int) -> np.ndarray | None:
         return None

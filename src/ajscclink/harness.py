@@ -32,7 +32,7 @@ from .analysis import (
     threshold_filter,
     write_cdf_csv,
 )
-from .channel import FAMILIES, ChannelSpec, load_profile, make_channel
+from .channel import FAMILIES, ChannelSpec, band_noise, load_profile, make_channel
 from .codec import AjsccParams, decode, encode, staircase
 from .errors import ConfigError, StageError
 from .modem import (
@@ -188,21 +188,27 @@ def derive_seed(master_seed: int, levels: int, family: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _read_trace(path) -> SourceTrace:
+    # The configured path names the file: np.loadtxt's FileNotFoundError
+    # carries no filename.
+    try:
+        return read_trace_csv(path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"referenced trace file not found: {path}") from exc
+    except (IsADirectoryError, PermissionError) as exc:
+        raise ConfigError(f"cannot read trace file {path}: {exc.strerror}") from exc
+
+
 def _load_or_generate_sources(config: RunConfig, seeds) -> tuple[SourceTrace, SourceTrace]:
     cyt_seed, gsr_seed = seeds
-    try:
-        if config.cytometry_path is not None:
-            cyt = read_trace_csv(config.cytometry_path)
-        else:
-            cyt = gen_cytometry(config.cytometry, config.duration, SOURCE_SAMPLE_PERIOD, cyt_seed)
-        if config.gsr_path is not None:
-            gsr = read_trace_csv(config.gsr_path)
-        else:
-            gsr = gen_gsr(config.gsr, config.duration, SOURCE_SAMPLE_PERIOD, gsr_seed)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"referenced trace file not found: {exc.filename}") from exc
-    except (IsADirectoryError, PermissionError) as exc:
-        raise ConfigError(f"cannot read trace file {exc.filename}: {exc.strerror}") from exc
+    if config.cytometry_path is not None:
+        cyt = _read_trace(config.cytometry_path)
+    else:
+        cyt = gen_cytometry(config.cytometry, config.duration, SOURCE_SAMPLE_PERIOD, cyt_seed)
+    if config.gsr_path is not None:
+        gsr = _read_trace(config.gsr_path)
+    else:
+        gsr = gen_gsr(config.gsr, config.duration, SOURCE_SAMPLE_PERIOD, gsr_seed)
     n = min(cyt.samples.size, gsr.samples.size)
     if cyt.samples.size != gsr.samples.size:
         cyt = SourceTrace(cyt.sample_period, cyt.samples[:n])
@@ -236,9 +242,19 @@ def _despike(trace: SourceTrace, despike_width: int) -> SourceTrace:
 
 
 def _transmit(
-    encoded: np.ndarray, full_scale: float, cfg: ModemConfig, channel, interpolate: bool
+    encoded: np.ndarray,
+    full_scale: float,
+    cfg: ModemConfig,
+    channel,
+    interpolate: bool,
+    noise_spec: ChannelSpec | None = None,
 ) -> np.ndarray:
-    """Modulate, fade, and demodulate a whole encoded stream in chunks."""
+    """Modulate, fade, and demodulate a whole encoded stream in chunks.
+
+    noise_spec, for the raw receiver only, is the spec whose CSNR and seed
+    set the noise that the receiver adds to its in-band bins
+    (``channel.band_noise``); the channel then adds none itself.
+    """
     encoded = np.atleast_1d(encoded)
     freqs = np.atleast_1d(voltage_to_frequency(encoded, full_scale, cfg))
     phases = block_start_phases(freqs, cfg)
@@ -256,7 +272,10 @@ def _transmit(
             encoded[lo:hi], full_scale, cfg, start_phase=phases[lo:hi], out=buf[: hi - lo]
         )
         blocks = channel.process(blocks, start_block=lo, out=blocks)
-        out[lo:hi] = demodulate_stream(blocks, full_scale, cfg, interpolate=interpolate)
+        noise = None if noise_spec is None else band_noise(noise_spec, cfg.fft_size, lo)
+        out[lo:hi] = demodulate_stream(
+            blocks, full_scale, cfg, interpolate=interpolate, band_noise=noise
+        )
     return out
 
 
@@ -329,10 +348,17 @@ def run_link(config: RunConfig) -> RunReport:
             tap_profile=None if path is None else load_profile(path),
             seed=channel_seed,
         )
+        # The raw receiver reads only the in-band bins of each block's DFT,
+        # so it draws the noise there: the channel applies only the fading.
+        noise_spec = None
+        if not config.interpolate and spec.csnr_db != math.inf:
+            noise_spec, spec = spec, dataclasses.replace(spec, csnr_db=math.inf)
         channel = make_channel(spec, cfg.sample_rate, cfg.fft_size)
 
     with _stage("transmit"):
-        decoded_v = _transmit(encoded, params.full_scale, cfg, channel, config.interpolate)
+        decoded_v = _transmit(
+            encoded, params.full_scale, cfg, channel, config.interpolate, noise_spec
+        )
 
     with _stage("decode"):
         x1_hat, x2_hat = decode(decoded_v, params)

@@ -23,6 +23,13 @@ searches the band of that tile only.  Every buffer is allocated in the
 calling thread.  A row's spectrum and peak do not depend on its tile or
 range, so the output is byte-identical for any worker count and equal to
 one padded FFT of the whole chunk.
+
+The raw receiver can take the channel noise in the frequency domain
+(``band_noise``, see ``channel.band_noise``): after a tile's transform, each
+row's noise is drawn into a per-worker scratch of one element per in-band
+bin k_lo..k_hi and added to those bins before the peak search.  The noise
+of a row is keyed on its absolute block, so this too is byte-identical for
+any worker count and chunking.
 """
 
 from __future__ import annotations
@@ -169,35 +176,50 @@ def _band_edges(cfg: ModemConfig, n_fft: int) -> tuple[int, int, int, int]:
     return k_lo, k_hi, max(k_lo - 1, 0), min(k_hi + 1, n_fft - 1)
 
 
-def _peak_frequencies(blocks: np.ndarray, cfg: ModemConfig, interpolate: bool) -> np.ndarray:
+def _peak_frequencies(
+    blocks: np.ndarray, cfg: ModemConfig, interpolate: bool, band_noise=None
+) -> np.ndarray:
     """Per-row in-band FFT peak frequency (Hz).
 
     The rows are split over the worker pool; each worker zero-pads a tile of
-    its rows into its own buffer and transforms it in place.
+    its rows into its own buffer and transforms it in place.  band_noise, if
+    given, is ``fill(row, out)`` (see ``demodulate_stream``).
     """
     n_rows, n = blocks.shape
     n_fft = 2 * n if interpolate else n
-    _, _, lo, hi = _band_edges(cfg, n_fft)
+    k_lo, k_hi, lo, hi = _band_edges(cfg, n_fft)
     tile = max(1, min(_TILE_BYTES // (16 * n_fft), n_rows))
     freqs = np.empty(n_rows)
 
     # Squared magnitude, computed only around the search band: cheaper than
     # abs over the full spectrum, and the parabola vertex on log-power
     # equals the vertex on log-magnitude (the logs differ by 2x).
-    def rows(r0: int, r1: int, buf: np.ndarray, power: np.ndarray, imag2: np.ndarray) -> None:
+    def rows(
+        r0: int, r1: int, buf: np.ndarray, power: np.ndarray, imag2: np.ndarray, noise: np.ndarray
+    ) -> None:
         for t in range(r0, r1, tile):
             m = min(tile, r1 - t)
             buf[:m, :n] = blocks[t : t + m]
             buf[:m, n:] = 0.0
             seg = scipy.fft.fft(buf[:m], axis=1, workers=1, overwrite_x=True)[:, lo : hi + 1]
+            if band_noise is not None:
+                for i, bins in enumerate(seg[:, k_lo - lo : k_hi - lo + 1], start=t):
+                    band_noise(i, noise)
+                    bins += noise
             np.square(seg.real, out=power[:m])
             np.square(seg.imag, out=imag2[:m])
             power[:m] += imag2[:m]
             freqs[t : t + m] = _tile_frequencies(power[:m], cfg, n_fft, interpolate)
 
     band = (tile, hi - lo + 1)
+    noise = (k_hi - k_lo + 1 if band_noise is not None else 0,)
     split_rows(
-        rows, n_rows, ((tile, n_fft), np.complex128), (band, np.float64), (band, np.float64)
+        rows,
+        n_rows,
+        ((tile, n_fft), np.complex128),
+        (band, np.float64),
+        (band, np.float64),
+        (noise, np.complex128),
     )
     return freqs
 
@@ -239,11 +261,25 @@ def demodulate(block: np.ndarray, full_scale: float, cfg: ModemConfig, interpola
 
 
 def demodulate_stream(
-    blocks: np.ndarray, full_scale: float, cfg: ModemConfig, interpolate: bool = True
+    blocks: np.ndarray,
+    full_scale: float,
+    cfg: ModemConfig,
+    interpolate: bool = True,
+    *,
+    band_noise=None,
 ) -> np.ndarray:
-    """Vectorized demodulate over an (n_blocks, fft_size) array."""
+    """Vectorized demodulate over an (n_blocks, fft_size) array.
+
+    band_noise is the channel noise of the raw receiver's in-band bins,
+    which ``run_link`` passes for raw runs at finite CSNR: ``fill(row,
+    out)`` writes the noise of the chunk's row into out, one complex128
+    element per bin k_lo..k_hi, and the receiver adds it to the row's
+    spectrum.  The interpolating receiver does not take it.
+    """
+    if band_noise is not None and interpolate:
+        raise ConfigError("band noise is for the raw receiver; interpolate must be false")
     blocks = np.asarray(blocks, dtype=np.complex128)
     if blocks.ndim != 2 or blocks.shape[1] != cfg.fft_size:
         raise ConfigError(f"blocks must be (n, {cfg.fft_size}), got {blocks.shape}")
-    f = _peak_frequencies(blocks, cfg, interpolate)
+    f = _peak_frequencies(blocks, cfg, interpolate, band_noise)
     return np.asarray(frequency_to_voltage(f, full_scale, cfg))

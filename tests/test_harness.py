@@ -1,5 +1,6 @@
 """Harness tests: run orchestration, config round trips, CLI surface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ajscclink import channel, harness, pool
+from ajscclink.analysis import ks_two_sample
 from ajscclink.channel import ChannelSpec, make_channel
 from ajscclink.cli import main
 from ajscclink.errors import ConfigError, DemodError, StageError
@@ -35,6 +37,7 @@ from ajscclink.modem import (
     demodulate_stream,
     fast_profile,
     modulate,
+    slow_profile,
     voltage_to_frequency,
 )
 from ajscclink.sources import SourceTrace, write_trace_csv
@@ -144,12 +147,25 @@ class TestRunLink:
         got = harness._transmit(encoded, full_scale, cfg, reused, True)
         assert got.tobytes() == np.concatenate(want).tobytes()
 
-    @pytest.mark.parametrize("family", ["flat_rayleigh", "jtc_outdoor_low_a"])
-    def test_report_independent_of_chunk_size(self, family, monkeypatch):
+    @pytest.mark.parametrize(
+        "family, interpolate, csnr_db",
+        [
+            pytest.param("flat_rayleigh", True, 3.0, id="flat_rayleigh"),
+            pytest.param("jtc_outdoor_low_a", True, 3.0, id="jtc_outdoor_low_a"),
+            # The raw receiver reads whole bins, so at 3 dB the noise moves
+            # no decoded value; at -25 dB it moves some.
+            pytest.param("awgn", False, -25.0, id="awgn-raw"),
+            pytest.param("flat_rayleigh", False, -25.0, id="flat_rayleigh-raw"),
+            pytest.param("jtc_outdoor_low_a", False, -25.0, id="jtc_outdoor_low_a-raw"),
+        ],
+    )
+    def test_report_independent_of_chunk_size(self, family, interpolate, csnr_db, monkeypatch):
         # Chunks of 1, 7 and 512 blocks over 600: the modulator takes the
         # stream's block phases and the channel its nominal signal power, so
-        # no chunk boundary moves a bit of the payload.
-        config = RunConfig(levels=30, duration=0.6, seed=7, channel_family=family, csnr_db=3.0)
+        # no chunk boundary moves a bit of the payload.  The raw receiver's
+        # band noise is keyed on the absolute block, not the chunk row.
+        config = RunConfig(levels=30, duration=0.6, seed=7, channel_family=family,
+                           csnr_db=csnr_db, interpolate=interpolate)
         fft_size = config.modem_config().fft_size
         payloads = []
         for chunk in (1, 7, 512):
@@ -159,6 +175,28 @@ class TestRunLink:
             payloads.append(json.dumps(report, sort_keys=True))
         assert payloads[1] == payloads[0]
         assert payloads[2] == payloads[0]
+        noiseless = run_link(dataclasses.replace(config, csnr_db=math.inf))
+        assert json.loads(payloads[0])["mse_sum"] != noiseless.mse.total
+
+    @pytest.mark.parametrize("profile", ["fast", "slow"])
+    def test_band_noise_errors_match_time_domain_chain(self, profile):
+        # In the threshold region, where a third to four fifths of the blocks
+        # decode to a wrong bin, the raw receiver's band noise must give the
+        # decoded-error distribution of the time-domain reference: the
+        # channel's own noise through process and a raw demodulate_stream.
+        # A noise level 1 dB off fails the fast case at p < 0.01.
+        cfg = fast_profile() if profile == "fast" else slow_profile()
+        encoded = np.random.default_rng(1).uniform(0.0, 1.0, 1024)
+        for csnr_db in (-28.0, -30.0):
+            spec = ChannelSpec("awgn", csnr_db=csnr_db, seed=5)
+            noisy = make_channel(spec, cfg.sample_rate, cfg.fft_size)
+            blocks = noisy.process(modulate(encoded, 1.0, cfg))
+            reference = demodulate_stream(blocks, 1.0, cfg, interpolate=False) - encoded
+            quiet_spec = ChannelSpec("awgn", csnr_db=math.inf, seed=5)
+            quiet = make_channel(quiet_spec, cfg.sample_rate, cfg.fft_size)
+            band = harness._transmit(encoded, 1.0, cfg, quiet, False, spec) - encoded
+            assert 0.2 < np.mean(np.abs(band) > 1e-3) < 0.9
+            assert ks_two_sample(reference, band).p_value > 0.01
 
     def test_missing_trace_file_is_config_error(self):
         config = RunConfig(levels=8, duration=2.0, gsr_path="/nonexistent/trace.csv")
@@ -486,6 +524,8 @@ class TestCli:
             # Malformed trace files, written by the test into its directory.
             {"gsr_path": "one_column.csv"},
             {"gsr_path": "non_numeric.csv"},
+            # A file as a directory component of the path.
+            {"tap_profile_path": "one_column.csv/x.csv"},
         ],
     )
     def test_bad_config_file_is_config_error(self, fields, tmp_path, monkeypatch):
@@ -497,6 +537,14 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert not (out / "run_report.json").exists()
+
+    @pytest.mark.parametrize("key", ["cytometry_path", "gsr_path"])
+    def test_missing_trace_message_names_the_path(self, key, tmp_path, capsys):
+        missing = tmp_path / "absent" / "trace.csv"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"levels": 8, "duration": 2.0, key: str(missing)}))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"not found: {missing}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "profile, periods",

@@ -7,6 +7,7 @@ import pytest
 import scipy.fft
 
 from ajscclink import pool
+from ajscclink.channel import ChannelSpec, band_noise
 from ajscclink.errors import ConfigError, DemodError
 from ajscclink.modem import (
     ModemConfig,
@@ -237,12 +238,17 @@ class TestModulateRowSplit:
             modulate(np.zeros(4), FULL_SCALE, cfg, out=np.empty(shape, dtype=dtype))
 
 
-def whole_array_peak_frequencies(blocks, cfg, interpolate):
-    """Reference receiver: one zero-padded FFT of every row at once."""
+def whole_array_peak_frequencies(blocks, cfg, interpolate, band=None):
+    """Reference receiver: one zero-padded FFT of every row at once.
+
+    band, if given, is added to the in-band bins k_lo..k_hi of each row.
+    """
     n_fft = 2 * cfg.fft_size if interpolate else cfg.fft_size
     spectrum = scipy.fft.fft(blocks, n=n_fft, axis=1)
     k_lo = int(np.ceil(cfg.f_min * n_fft / cfg.sample_rate))
     k_hi = int(np.floor(cfg.f_max * n_fft / cfg.sample_rate))
+    if band is not None:
+        spectrum[:, k_lo : k_hi + 1] += band
     lo = max(k_lo - 1, 0)
     hi = min(k_hi + 1, n_fft - 1)
     seg = spectrum[:, lo : hi + 1]
@@ -305,6 +311,33 @@ class TestRowSplit:
         finally:
             sys.setswitchinterval(interval)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("profile, n_bins", [(fast_profile, 3501), (slow_profile, 2001)])
+    def test_band_noise_matches_whole_array_receiver(self, profile, n_bins, monkeypatch):
+        # Noise added row by row inside each worker's tiles must give the
+        # bytes of one FFT of all rows plus each row's noise on bins
+        # k_lo..k_hi, also with more ranges than cores.
+        cfg = profile()
+        n_rows = 31
+        blocks = modulate(np.random.default_rng(6).uniform(0, FULL_SCALE, n_rows), FULL_SCALE, cfg)
+        fill = band_noise(ChannelSpec("awgn", csnr_db=-25.0, seed=9), cfg.fft_size, 40)
+        band = np.empty((n_rows, n_bins), dtype=np.complex128)
+        for r in range(n_rows):
+            fill(r, band[r])
+        want = whole_array_peak_frequencies(blocks, cfg, False, band)
+        want = np.asarray(frequency_to_voltage(want, FULL_SCALE, cfg))
+        assert np.count_nonzero(want != demodulate_stream(blocks, FULL_SCALE, cfg, False)) > 0
+        for workers in (1, 2, 16):
+            monkeypatch.setattr(pool, "_WORKERS", workers)
+            got = demodulate_stream(blocks, FULL_SCALE, cfg, False, band_noise=fill)
+            assert got.tobytes() == want.tobytes()
+
+    def test_band_noise_needs_the_raw_receiver(self):
+        cfg = slow_profile()
+        fill = band_noise(ChannelSpec("awgn", csnr_db=0.0), cfg.fft_size, 0)
+        blocks = modulate([0.5], FULL_SCALE, cfg)
+        with pytest.raises(ConfigError, match="raw receiver"):
+            demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=True, band_noise=fill)
 
     @pytest.mark.parametrize("interpolate", [True, False])
     def test_zero_block_in_second_worker_range_raises(self, interpolate, monkeypatch):
