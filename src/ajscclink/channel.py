@@ -18,7 +18,10 @@ Random streams are keyed per block.  Block b (the absolute index,
 ``SeedSequence(seed, spawn_key=(1, b))`` and, on a flat Rayleigh channel,
 its coefficient h from ``spawn_key=(0, b)``.  The multipath oscillator
 banks are drawn once from ``spawn_key=(0,)`` and are functions of time.  So
-any block range can be computed on its own, in any order.
+any block range can be computed on its own, in any order.  ``KeyedBlocks``
+derives a chunk's per-block generator states at once, with the bytes of one
+SeedSequence per block, and each row range re-seats a generator of its own
+block by block.
 
 A run with the raw FFT-bin receiver at finite CSNR draws no time-domain
 noise: its channel runs at csnr_db = inf, and the receiver adds block b's
@@ -33,13 +36,14 @@ All three streaming channels are one tapped delay line; AWGN and flat
 Rayleigh have a single tap at delay 0.  ``process`` splits the block rows
 into one contiguous range per usable CPU and runs the ranges on the
 package's thread pool (``pool.split_rows``; numpy's generator fills and
-ufunc loops release the GIL).  It can write its output over its input
-(``out=``): the samples that each row's delays reach back into, the end of
-the row before it, are copied out before any row is written, and each
-worker copies that tail and its row into its own scratch line before it
-overwrites the row.  A row is computed the same way whichever range and
-chunk hold it, so the output is byte-identical for any worker count and
-any chunking of one stream.
+ufunc loops release the GIL, seating a generator holds it).  Flat-Rayleigh
+h, two normals per block, is drawn serially.  ``process`` can write its
+output over its input (``out=``): the samples that each row's delays reach
+back into, the end of the row before it, are copied out before any row is
+written, and each worker copies that tail and its row into its own scratch
+line before it overwrites the row.  A row is computed the same way
+whichever range and chunk hold it, so the output is byte-identical for any
+worker count and any chunking of one stream.
 """
 
 from __future__ import annotations
@@ -162,9 +166,89 @@ class ChannelSpec:
         return self
 
 
-def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
-    """The generator of one stream for one absolute block index."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and the
+# 128-bit PCG64 multiplier, for KeyedBlocks.
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _xorshift16(v: np.ndarray) -> np.ndarray:
+    return v ^ (v >> np.uint32(16))
+
+
+class KeyedBlocks:
+    """The generators of stream ``spawn_key=(stream, b)`` of one seed, for the
+    blocks b = start_block + row, 0 <= row < n_blocks of a chunk.
+
+    Block b's generator is that of
+    ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, b)))``,
+    state and draws, for an int seed >= 0.  Building that SeedSequence costs
+    about 25 us per block with the GIL held; here the blocks of a chunk share
+    it.  Their entropy words differ only in the last one, b, so the pool of
+    ``SeedSequence(seed, spawn_key=(stream,))`` is mixed once and b is mixed
+    into it as a uint32 vector, with SeedSequence's hash constants.  Each
+    block's 4 uint64 seed words (``generate_state(4, np.uint64)``) are kept,
+    and ``cursor`` turns them into a PCG64 (state, inc) as the PCG64
+    constructor does.  A block at b >= 2^32 has a second key word and takes
+    its words from its own SeedSequence.
+    """
+
+    def __init__(self, seed: int, stream: int, start_block: int, n_blocks: int):
+        prefix = np.random.SeedSequence(seed, spawn_key=(stream,))
+        # The hashmix calls before b's: 4 to fill the pool, 12 to mix it and 4
+        # per entropy word after the first 4.  The entropy is the seed's
+        # uint32 words, zero-padded to 4 because there is a spawn key, then
+        # the stream.
+        seed_words = max(1, (int(prefix.entropy).bit_length() + 31) // 32)
+        calls = 16 + 4 * (max(seed_words, 4) + 1 - 4)
+        hash_a = _INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32
+        n_fast = max(0, min(n_blocks, (1 << 32) - start_block))
+        b = np.arange(start_block, start_block + n_fast, dtype=np.uint64).astype(np.uint32)
+        pool = []
+        for word in prefix.pool:
+            v = b ^ np.uint32(hash_a)
+            hash_a = hash_a * _MULT_A & _MASK32
+            v = _xorshift16(v * np.uint32(hash_a))
+            mixed = np.uint32(_MIX_L * int(word) & _MASK32) - np.uint32(_MIX_R) * v
+            pool.append(_xorshift16(mixed))
+        state = np.empty((n_blocks, 8), dtype=np.uint32)
+        hash_b = _INIT_B
+        for i in range(8):
+            v = pool[i % 4] ^ np.uint32(hash_b)
+            hash_b = hash_b * _MULT_B & _MASK32
+            state[:n_fast, i] = _xorshift16(v * np.uint32(hash_b))
+        self._words = state.astype("<u4").view("<u8").astype(np.uint64)
+        for row in range(n_fast, n_blocks):
+            key = (stream, start_block + row)
+            self._words[row] = np.random.SeedSequence(seed, spawn_key=key).generate_state(
+                4, np.uint64
+            )
+
+    def cursor(self):
+        """A new generator for one row range, as ``seat(row)``, which sets it
+        to block start_block + row's state and returns it.
+
+        A cursor is never shared between threads: each range makes its own.
+        """
+        rng = np.random.Generator(np.random.PCG64(0))
+        bit_generator = rng.bit_generator
+        words = self._words
+
+        def seat(row: int) -> np.random.Generator:
+            s_hi, s_lo, i_hi, i_lo = words[row].tolist()
+            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            return rng
+
+        return seat
 
 
 def noise_deviation(csnr_db: float) -> float:
@@ -178,23 +262,29 @@ def noise_deviation(csnr_db: float) -> float:
     return float(np.sqrt(1.0 / 10.0 ** (csnr_db / 10.0) / 2.0))
 
 
-def band_noise(spec: ChannelSpec, block_size: int, start_block: int):
-    """The raw receiver's in-band noise for blocks start_block, start_block + 1, ...
+def band_noise(spec: ChannelSpec, block_size: int, start_block: int, n_blocks: int):
+    """The raw receiver's in-band noise for blocks start_block .. start_block + n_blocks - 1.
 
-    Returns ``fill(row, out)``, which writes the noise of block
-    start_block + row into out, a complex128 array with one element per
-    in-band bin: ``standard_normal`` of stream (2, b), interleaved re/im,
-    times sqrt(block_size) * ``noise_deviation(spec.csnr_db)``, the
-    deviation of one DFT bin of the time-domain noise.
+    Returns ``new_fill()``, which each row range calls once for a
+    ``fill(row, out)`` of its own (a generator of its own inside).  fill
+    writes the noise of block start_block + row into out, a complex128 array
+    with one element per in-band bin: ``standard_normal`` of stream (2, b),
+    interleaved re/im, times sqrt(block_size) * ``noise_deviation(spec.csnr_db)``,
+    the deviation of one DFT bin of the time-domain noise.
     """
     scale = float(np.sqrt(block_size)) * noise_deviation(spec.csnr_db)
-    seed = spec.seed
+    keyed = KeyedBlocks(spec.seed, _BAND, start_block, n_blocks)
 
-    def fill(row: int, out: np.ndarray) -> None:
-        _block_rng(seed, _BAND, start_block + row).standard_normal(out=out.view(np.float64))
-        out *= scale
+    def new_fill():
+        seat = keyed.cursor()
 
-    return fill
+        def fill(row: int, out: np.ndarray) -> None:
+            seat(row).standard_normal(out=out.view(np.float64))
+            out *= scale
+
+        return fill
+
+    return new_fill
 
 
 def _as_blocks(blocks, block_size: int | None = None) -> np.ndarray:
@@ -309,20 +399,21 @@ class _DelayLineChannel:
         tails[0] = self._carry
         tails[1:] = blocks[:-1, n - c :]
         self._carry = blocks[-1, n - c :].copy()
-        seed, delays = self.spec.seed, self.delays
+        delays = self.delays
+        keyed = KeyedBlocks(self.spec.seed, _NOISE, start_block, n_blocks) if scale else None
 
         # One row at a time, with the same operations whichever range holds
         # it, so the bytes do not depend on the split; the row also stays in
         # cache across its passes.  line holds the row's tail and the row,
         # so the row can be overwritten while its delayed copies are read.
         def rows(lo: int, hi: int, line: np.ndarray, tmp: np.ndarray) -> None:
+            seat = keyed.cursor() if scale else None
             for r in range(lo, hi):
                 line[:c] = tails[r]
                 line[c:] = blocks[r]
                 o = out[r]
                 if scale:
-                    rng = _block_rng(seed, _NOISE, start_block + r)
-                    rng.standard_normal(out=o.view(np.float64))
+                    seat(r).standard_normal(out=o.view(np.float64))
                     o *= scale
                 for k, d in enumerate(delays):
                     src = line[c - d : c - d + n]
@@ -352,15 +443,12 @@ class FlatRayleighChannel(_DelayLineChannel):
     """
 
     def _gains(self, start_block: int, n_blocks: int) -> np.ndarray:
+        # Serial: two normals per block, so seating each generator, which
+        # holds the GIL, is all the work, and a second worker gains nothing.
         h = np.empty((1, n_blocks), dtype=np.complex128)
-        seed = self.spec.seed
-
-        def rows(lo: int, hi: int) -> None:
-            for r in range(lo, hi):
-                rng = _block_rng(seed, _FADE, start_block + r)
-                rng.standard_normal(out=h[0, r : r + 1].view(np.float64))
-
-        split_rows(rows, n_blocks)
+        seat = KeyedBlocks(self.spec.seed, _FADE, start_block, n_blocks).cursor()
+        for r in range(n_blocks):
+            seat(r).standard_normal(out=h[0, r : r + 1].view(np.float64))
         return h / np.sqrt(2.0)
 
 

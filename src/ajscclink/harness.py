@@ -272,7 +272,7 @@ def _transmit(
             encoded[lo:hi], full_scale, cfg, start_phase=phases[lo:hi], out=buf[: hi - lo]
         )
         blocks = channel.process(blocks, start_block=lo, out=blocks)
-        noise = None if noise_spec is None else band_noise(noise_spec, cfg.fft_size, lo)
+        noise = None if noise_spec is None else band_noise(noise_spec, cfg.fft_size, lo, hi - lo)
         out[lo:hi] = demodulate_stream(
             blocks, full_scale, cfg, interpolate=interpolate, band_noise=noise
         )

@@ -27,9 +27,9 @@ one padded FFT of the whole chunk.
 The raw receiver can take the channel noise in the frequency domain
 (``band_noise``, see ``channel.band_noise``): after a tile's transform, each
 row's noise is drawn into a per-worker scratch of one element per in-band
-bin k_lo..k_hi and added to those bins before the peak search.  The noise
-of a row is keyed on its absolute block, so this too is byte-identical for
-any worker count and chunking.
+bin k_lo..k_hi and added to those bins before the peak search.  Each worker
+draws with a generator of its own, seated on each row's absolute block, so
+this too is byte-identical for any worker count and chunking.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def _peak_frequencies(
 
     The rows are split over the worker pool; each worker zero-pads a tile of
     its rows into its own buffer and transforms it in place.  band_noise, if
-    given, is ``fill(row, out)`` (see ``demodulate_stream``).
+    given, is ``new_fill`` (see ``demodulate_stream``), called once per range.
     """
     n_rows, n = blocks.shape
     n_fft = 2 * n if interpolate else n
@@ -197,14 +197,15 @@ def _peak_frequencies(
     def rows(
         r0: int, r1: int, buf: np.ndarray, power: np.ndarray, imag2: np.ndarray, noise: np.ndarray
     ) -> None:
+        fill = band_noise() if band_noise is not None else None
         for t in range(r0, r1, tile):
             m = min(tile, r1 - t)
             buf[:m, :n] = blocks[t : t + m]
             buf[:m, n:] = 0.0
             seg = scipy.fft.fft(buf[:m], axis=1, workers=1, overwrite_x=True)[:, lo : hi + 1]
-            if band_noise is not None:
+            if fill is not None:
                 for i, bins in enumerate(seg[:, k_lo - lo : k_hi - lo + 1], start=t):
-                    band_noise(i, noise)
+                    fill(i, noise)
                     bins += noise
             np.square(seg.real, out=power[:m])
             np.square(seg.imag, out=imag2[:m])
@@ -271,10 +272,11 @@ def demodulate_stream(
     """Vectorized demodulate over an (n_blocks, fft_size) array.
 
     band_noise is the channel noise of the raw receiver's in-band bins,
-    which ``run_link`` passes for raw runs at finite CSNR: ``fill(row,
-    out)`` writes the noise of the chunk's row into out, one complex128
-    element per bin k_lo..k_hi, and the receiver adds it to the row's
-    spectrum.  The interpolating receiver does not take it.
+    which ``run_link`` passes for raw runs at finite CSNR: ``new_fill()``
+    (see ``channel.band_noise``), called once per row range, gives that
+    range's ``fill(row, out)``, which writes the noise of the chunk's row
+    into out, one complex128 element per bin k_lo..k_hi; the receiver adds
+    it to the row's spectrum.  The interpolating receiver does not take it.
     """
     if band_noise is not None and interpolate:
         raise ConfigError("band noise is for the raw receiver; interpolate must be false")

@@ -3,10 +3,13 @@
 Each works on a chunk of blocks, one block per row, and computes each row
 on its own.  ``split_rows`` cuts the rows into one contiguous range per
 usable CPU and runs the ranges on one module-level thread pool; numpy's
-generator fills, ufunc loops and ``scipy.fft`` release the GIL.  Each range gets its
-own slice of a scratch array allocated here, in the calling thread: buffers
-allocated inside the pool threads would grow per-thread malloc arenas and
-the process's peak memory with them.
+generator fills, ufunc loops and ``scipy.fft`` release the GIL, while Python
+work such as seating a keyed generator (``channel.KeyedBlocks``) holds it.
+Each range gets its own slice of a scratch array allocated here, in the
+calling thread: buffers allocated inside the pool threads would grow
+per-thread malloc arenas and the process's peak memory with them.  Objects
+with state, such as a generator, are made per range inside fn and never
+shared between ranges.
 """
 
 from __future__ import annotations

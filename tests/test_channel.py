@@ -10,6 +10,7 @@ from ajscclink import pool
 from ajscclink.channel import (
     ChannelSpec,
     FlatRayleighChannel,
+    KeyedBlocks,
     MultipathChannel,
     TapProfile,
     apply_awgn,
@@ -399,7 +400,7 @@ class TestBandNoise:
         # bins the estimate's standard error is 0.12%; the tolerance is 1%.
         n, n_bins, n_blocks = 8192, 3501, 200
         spec = ChannelSpec("awgn", csnr_db=csnr_db, seed=3)
-        fill = band_noise(spec, n, start_block=0)
+        fill = band_noise(spec, n, 0, n_blocks)()
         bins = np.empty((n_blocks, n_bins), dtype=np.complex128)
         for r in range(n_blocks):
             fill(r, bins[r])
@@ -415,8 +416,71 @@ class TestBandNoise:
     def test_keyed_on_the_absolute_block(self):
         spec = ChannelSpec("awgn", csnr_db=0.0, seed=3)
         a, b = np.empty(100, dtype=np.complex128), np.empty(100, dtype=np.complex128)
-        band_noise(spec, 64, start_block=10)(5, a)
-        band_noise(spec, 64, start_block=0)(15, b)
+        band_noise(spec, 64, 10, 6)()(5, a)
+        band_noise(spec, 64, 0, 17)()(15, b)
         assert a.tobytes() == b.tobytes()
-        band_noise(spec, 64, start_block=0)(16, b)
+        band_noise(spec, 64, 0, 17)()(16, b)
         assert a.tobytes() != b.tobytes()
+
+
+def reference_rng(seed, stream, block):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
+
+
+class TestKeyedBlocks:
+    # KeyedBlocks re-implements SeedSequence's mixing and PCG64's seeding for
+    # a chunk of blocks; the reference is one SeedSequence per block.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3])
+    def test_matches_seed_sequence(self, seed):
+        # Blocks 0, 1, 2^32 - 1 and 2^32; the last has a second spawn-key
+        # word and takes the SeedSequence fallback.
+        for stream in (0, 1, 2):
+            for start in (0, 2**32 - 1):
+                seat = KeyedBlocks(seed, stream, start, 2).cursor()
+                for row in (0, 1):
+                    want = reference_rng(seed, stream, start + row)
+                    got = seat(row)
+                    assert got.bit_generator.state == want.bit_generator.state
+                    got_normals = got.standard_normal(64)
+                    assert got_normals.tobytes() == want.standard_normal(64).tobytes()
+
+    def test_ranges_under_fast_switching(self, monkeypatch):
+        # Sixteen row ranges on the pool, the interpreter switching threads
+        # every few microseconds: each range's generator must be its own, so
+        # every block draws the bytes of its own SeedSequence, on all three
+        # streams.  The band rows are longer than a block, as the receiver's
+        # are, so that a shared generator is caught there too.
+        n_blocks, n, n_bins, seed = 64, 256, 4096, 13
+        monkeypatch.setattr(pool, "_WORKERS", 16)
+        spec = ChannelSpec("awgn", csnr_db=0.0, seed=seed)
+        zeros = np.zeros((n_blocks, n), dtype=np.complex128)
+        scale = np.sqrt(0.5)
+        noise_want = np.empty((n_blocks, n), dtype=np.complex128)
+        fade_want = np.empty(n_blocks, dtype=np.complex128)
+        band_want = np.empty((n_blocks, n_bins), dtype=np.complex128)
+        for r in range(n_blocks):
+            noise_want[r] = reference_rng(seed, 1, 7 + r).standard_normal(2 * n).view(complex)
+            fade_want[r] = reference_rng(seed, 0, 7 + r).standard_normal(2).view(complex)[0]
+            band_want[r] = reference_rng(seed, 2, 7 + r).standard_normal(2 * n_bins).view(complex)
+        noise_want *= scale
+        band_want *= np.sqrt(n) * scale
+        band_got = np.empty_like(band_want)
+        new_fill = band_noise(spec, n, 7, n_blocks)
+
+        def band_rows(lo, hi):
+            fill = new_fill()
+            for r in range(lo, hi):
+                fill(r, band_got[r])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            noise_got = make_channel(spec, 1.0, n).process(zeros, start_block=7)
+            flat = ChannelSpec("flat_rayleigh", seed=seed)
+            fade_got = make_channel(flat, 1.0, 1).process(np.ones((n_blocks, 1)), 7)[:, 0]
+            pool.split_rows(band_rows, n_blocks)
+        finally:
+            sys.setswitchinterval(interval)
+        assert noise_got.tobytes() == noise_want.tobytes()
+        assert fade_got.tobytes() == (fade_want / np.sqrt(2.0)).tobytes()
+        assert band_got.tobytes() == band_want.tobytes()

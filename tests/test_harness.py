@@ -96,9 +96,13 @@ class TestRunLink:
     @pytest.mark.parametrize("family", channel.FAMILIES)
     def test_report_independent_of_channel_workers(self, family, monkeypatch):
         # The worker count splits both the channel's and the receiver's rows.
-        for interpolate in (True, False):
+        # The raw receiver reads whole bins, so at 5 dB the noise moves no
+        # decoded value; at -25 dB it does, and its band noise, drawn by one
+        # generator per worker range, must not depend on the split.
+        for interpolate, csnr_db in ((True, 5.0), (False, -25.0)):
             config = RunConfig(levels=10, duration=0.25, seed=42, channel_family=family,
-                               csnr_db=5.0, analysis=quiet_analysis(), interpolate=interpolate)
+                               csnr_db=csnr_db, analysis=quiet_analysis(),
+                               interpolate=interpolate)
             payloads = []
             for workers in (1, 2):
                 monkeypatch.setattr(pool, "_WORKERS", workers)
@@ -106,6 +110,9 @@ class TestRunLink:
                 report.pop("wall_time_s")
                 payloads.append(json.dumps(report, sort_keys=True))
             assert payloads[0] == payloads[1]
+            if not interpolate:
+                noiseless = run_link(dataclasses.replace(config, csnr_db=math.inf))
+                assert json.loads(payloads[0])["mse_sum"] != noiseless.mse.total
 
     def test_zero_block_in_second_worker_range_is_transmit_error(self, monkeypatch):
         def modulate_with_zero_block(*args, **kwargs):

@@ -320,8 +320,9 @@ class TestRowSplit:
         cfg = profile()
         n_rows = 31
         blocks = modulate(np.random.default_rng(6).uniform(0, FULL_SCALE, n_rows), FULL_SCALE, cfg)
-        fill = band_noise(ChannelSpec("awgn", csnr_db=-25.0, seed=9), cfg.fft_size, 40)
+        new_fill = band_noise(ChannelSpec("awgn", csnr_db=-25.0, seed=9), cfg.fft_size, 40, n_rows)
         band = np.empty((n_rows, n_bins), dtype=np.complex128)
+        fill = new_fill()
         for r in range(n_rows):
             fill(r, band[r])
         want = whole_array_peak_frequencies(blocks, cfg, False, band)
@@ -329,15 +330,15 @@ class TestRowSplit:
         assert np.count_nonzero(want != demodulate_stream(blocks, FULL_SCALE, cfg, False)) > 0
         for workers in (1, 2, 16):
             monkeypatch.setattr(pool, "_WORKERS", workers)
-            got = demodulate_stream(blocks, FULL_SCALE, cfg, False, band_noise=fill)
+            got = demodulate_stream(blocks, FULL_SCALE, cfg, False, band_noise=new_fill)
             assert got.tobytes() == want.tobytes()
 
     def test_band_noise_needs_the_raw_receiver(self):
         cfg = slow_profile()
-        fill = band_noise(ChannelSpec("awgn", csnr_db=0.0), cfg.fft_size, 0)
+        new_fill = band_noise(ChannelSpec("awgn", csnr_db=0.0), cfg.fft_size, 0, 1)
         blocks = modulate([0.5], FULL_SCALE, cfg)
         with pytest.raises(ConfigError, match="raw receiver"):
-            demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=True, band_noise=fill)
+            demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=True, band_noise=new_fill)
 
     @pytest.mark.parametrize("interpolate", [True, False])
     def test_zero_block_in_second_worker_range_raises(self, interpolate, monkeypatch):
