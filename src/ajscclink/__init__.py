@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .codec import AjsccParams, decode, encode, encode_design1, staircase
 from .errors import ConfigError, DemodError, StageError
-from .modem import ModemConfig, demodulate, fast_profile, modulate, slow_profile
+from .modem import ModemConfig, demodulate_stream, fast_profile, modulate, slow_profile
 from .sources import SourceTrace
 
 __all__ = [
@@ -15,7 +15,7 @@ __all__ = [
     "SourceTrace",
     "StageError",
     "decode",
-    "demodulate",
+    "demodulate_stream",
     "encode",
     "encode_design1",
     "fast_profile",

@@ -18,10 +18,13 @@ Random streams are keyed per block.  Block b (the absolute index,
 ``SeedSequence(seed, spawn_key=(1, b))`` and, on a flat Rayleigh channel,
 its coefficient h from ``spawn_key=(0, b)``.  The multipath oscillator
 banks are drawn once from ``spawn_key=(0,)`` and are functions of time.  So
-any block range can be computed on its own, in any order.  ``KeyedBlocks``
-derives a chunk's per-block generator states at once, with the bytes of one
-SeedSequence per block, and each row range re-seats a generator of its own
-block by block.
+on a memoryless line (AWGN, flat Rayleigh, and multipath whose delays all
+round to sample 0) any block range can be computed on its own, in any order.
+A line with delays carries the end of one call into the next, so it takes
+its blocks in stream order, and any other ``start_block`` is a ConfigError.
+``KeyedBlocks`` derives a chunk's per-block generator states at once, with
+the bytes of one SeedSequence per block, and each row range re-seats a
+generator of its own block by block.
 
 A run with the raw FFT-bin receiver at finite CSNR draws no time-domain
 noise: its channel runs at csnr_db = inf, and the receiver adds block b's
@@ -32,18 +35,18 @@ in-band bin instead of 2 per sample.  The interpolating receiver reads a
 2N-point padded spectrum whose noise bins are correlated, so its runs keep
 the time-domain stream (1, b).
 
-All three streaming channels are one tapped delay line; AWGN and flat
-Rayleigh have a single tap at delay 0.  ``process`` splits the block rows
-into one contiguous range per usable CPU and runs the ranges on the
-package's thread pool (``pool.split_rows``; numpy's generator fills and
-ufunc loops release the GIL, seating a generator holds it).  Flat-Rayleigh
-h, two normals per block, is drawn serially.  ``process`` can write its
-output over its input (``out=``): the samples that each row's delays reach
-back into, the end of the row before it, are copied out before any row is
-written, and each worker copies that tail and its row into its own scratch
-line before it overwrites the row.  A row is computed the same way
-whichever range and chunk hold it, so the output is byte-identical for any
-worker count and any chunking of one stream.
+All three channels are one tapped delay line; AWGN and flat Rayleigh have a
+single tap at delay 0.  ``process`` splits the block rows into one
+contiguous range per usable CPU and runs the ranges on the package's thread
+pool (``pool.split_rows``; numpy's generator fills and ufunc loops release
+the GIL, seating a generator holds it).  Flat-Rayleigh h, two normals per
+block, is drawn serially.  ``process`` can write its output over its input
+(``out=``): the samples that each row's delays reach back into, the end of
+the row before it, are copied out before any row is written, and each worker
+copies that tail and its row into its own scratch line before it overwrites
+the row.  A row is computed the same way whichever range and chunk hold it,
+so the output is byte-identical for any worker count and any chunking of one
+stream.
 """
 
 from __future__ import annotations
@@ -82,6 +85,8 @@ class TapProfile:
         powers = np.asarray(self.powers, dtype=np.float64)
         if delays.size == 0 or delays.size != powers.size:
             raise ConfigError("profile needs matching, non-empty delay and power lists")
+        if not np.all(np.isfinite(delays)):
+            raise ConfigError("tap delays must be finite")
         if delays[0] != 0.0:
             raise ConfigError("first tap delay must be 0")
         if np.any(np.diff(delays) <= 0):
@@ -287,15 +292,6 @@ def band_noise(spec: ChannelSpec, block_size: int, start_block: int, n_blocks: i
     return new_fill
 
 
-def _as_blocks(blocks, block_size: int | None = None) -> np.ndarray:
-    blocks = np.ascontiguousarray(blocks, dtype=np.complex128)
-    if blocks.ndim != 2 or blocks.size == 0:
-        raise ConfigError(f"blocks must be a non-empty (n_blocks, n) array, got {blocks.shape}")
-    if block_size is not None and blocks.shape[1] != block_size:
-        raise ConfigError(f"blocks must be (n, {block_size}), got {blocks.shape}")
-    return blocks
-
-
 @dataclass(frozen=True)
 class _SumOfSinusoids:
     """Frozen oscillator bank for one tap's fading process."""
@@ -342,7 +338,8 @@ class _DelayLineChannel:
     The line has distinct delays in samples, the first 0, each with one
     complex gain per block (``_gains``; None means a single unit tap).  A
     carry buffer holds the last samples of the previous call, so a stream
-    split into consecutive chunks sees the same delayed samples as one call.
+    split into consecutive chunks sees the same delayed samples as one call;
+    a line with a carry therefore takes its chunks in stream order only.
     """
 
     def __init__(self, spec: ChannelSpec, sample_rate: float, block_size: int):
@@ -359,12 +356,16 @@ class _DelayLineChannel:
     def process(self, blocks: np.ndarray, start_block: int | None = None, out=None) -> np.ndarray:
         """Channel output for blocks start_block, start_block + 1, ...
 
-        start_block defaults to the block after the previous call's last one.
-        The output is written into out, a C-contiguous complex128 array of
-        the blocks' shape, when it is given, and out is returned; out may be
-        the input array itself.
+        start_block defaults to the block after the previous call's last one;
+        a line with delays takes no other.  The output is written into out,
+        a C-contiguous complex128 array of the blocks' shape, when it is
+        given, and out is returned; out may be the input array itself.
         """
-        blocks = _as_blocks(blocks, self.block_size)
+        blocks = np.ascontiguousarray(blocks, dtype=np.complex128)
+        if blocks.ndim != 2 or blocks.size == 0 or blocks.shape[1] != self.block_size:
+            raise ConfigError(
+                f"blocks must be a non-empty (n, {self.block_size}) array, got {blocks.shape}"
+            )
         if out is not None and (
             out.shape != blocks.shape or out.dtype != np.complex128 or not out.flags.c_contiguous
         ):
@@ -376,11 +377,14 @@ class _DelayLineChannel:
             start_block = self._next_block
         if start_block < 0:
             raise ConfigError(f"start_block must be >= 0, got {start_block}")
-        self._next_block = start_block + blocks.shape[0]
-        return self._run(blocks, start_block, self._gains(start_block, blocks.shape[0]), out)
-
-    def _run(self, blocks: np.ndarray, start_block: int, gains, out=None) -> np.ndarray:
-        """Output for validated blocks; gains is (n_delays, n_blocks) or None."""
+        if self._carry.size and start_block != self._next_block:
+            raise ConfigError(
+                f"a channel with tap delays takes its blocks in stream order: "
+                f"start_block must be {self._next_block}, got {start_block}"
+            )
+        n_blocks, n = blocks.shape
+        self._next_block = start_block + n_blocks
+        gains = self._gains(start_block, n_blocks)
         scale = self._scale
         if scale == 0.0 and gains is None:
             if out is None or out is blocks:
@@ -389,7 +393,6 @@ class _DelayLineChannel:
             return out
         if out is None:
             out = np.empty_like(blocks)
-        n_blocks, n = blocks.shape
         c = self._carry.size
         # The c input samples before each row, which its delays reach back
         # into: the carry for row 0, the end of row r - 1 for row r.  Both
@@ -498,41 +501,6 @@ class MultipathChannel(_DelayLineChannel):
         return np.stack(
             [(self.tap_scales[idx, None] * gains[idx]).sum(axis=0) for idx in self._groups]
         )
-
-
-def apply_awgn(blocks: np.ndarray, csnr_db: float, seed: int) -> np.ndarray:
-    """Add circularly symmetric complex Gaussian noise at the given CSNR.
-
-    The noise variance assumes unit signal power; csnr_db = inf returns
-    the input unchanged.
-    """
-    blocks = _as_blocks(blocks)
-    spec = ChannelSpec("awgn", csnr_db, seed=seed)
-    return AwgnChannel(spec, 1.0, blocks.shape[1]).process(blocks)
-
-
-def apply_flat_rayleigh(
-    blocks: np.ndarray, csnr_db: float, seed: int, h_override=None
-) -> np.ndarray:
-    """One-shot flat Rayleigh block fading plus AWGN (see FlatRayleighChannel).
-
-    h_override is a test hook replacing the drawn coefficients.
-    """
-    blocks = _as_blocks(blocks)
-    spec = ChannelSpec("flat_rayleigh", csnr_db, seed=seed)
-    channel = FlatRayleighChannel(spec, 1.0, blocks.shape[1])
-    if h_override is None:
-        return channel.process(blocks)
-    h = np.asarray(h_override, dtype=np.complex128)
-    if h.shape != (blocks.shape[0],):
-        raise ConfigError("h_override must supply one coefficient per block")
-    return channel._run(blocks, 0, h[None, :])
-
-
-def apply_multipath(blocks: np.ndarray, spec: ChannelSpec, sample_rate: float) -> np.ndarray:
-    """One-shot tapped-delay-line fading of a whole block stream."""
-    blocks = _as_blocks(blocks)
-    return MultipathChannel(spec, sample_rate, blocks.shape[1]).process(blocks)
 
 
 def make_channel(spec: ChannelSpec, sample_rate: float, block_size: int):

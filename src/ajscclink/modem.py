@@ -252,15 +252,6 @@ def _tile_frequencies(
     return (k + delta) * cfg.sample_rate / n_fft
 
 
-def demodulate(block: np.ndarray, full_scale: float, cfg: ModemConfig, interpolate: bool = True) -> float:
-    """Recover the encoded voltage from one received block."""
-    block = np.asarray(block, dtype=np.complex128)
-    if block.shape != (cfg.fft_size,):
-        raise ConfigError(f"block must have length fft_size={cfg.fft_size}, got {block.shape}")
-    f = _peak_frequencies(block[None, :], cfg, interpolate)[0]
-    return float(frequency_to_voltage(f, full_scale, cfg))
-
-
 def demodulate_stream(
     blocks: np.ndarray,
     full_scale: float,

@@ -15,7 +15,7 @@ import pytest
 from scipy import special, stats
 
 from ajscclink.analysis import detect_peaks, median_filter, threshold_filter
-from ajscclink.channel import apply_awgn, apply_flat_rayleigh, make_jakes
+from ajscclink.channel import ChannelSpec, make_channel, make_jakes
 from ajscclink.codec import AjsccParams, decode, encode, encode_design1
 from ajscclink.harness import (
     AnalysisSettings,
@@ -186,13 +186,14 @@ def test_c7_channel_statistics():
     # AWGN noise variance at 0 dB over 10^6 unit-power samples.
     rng = np.random.default_rng(7)
     x = np.exp(1j * rng.uniform(0, 2 * np.pi, (1000, 1024)))
-    noise = apply_awgn(x, 0.0, 77) - x
+    noise = make_channel(ChannelSpec("awgn", 0.0, seed=77), 1.0, 1024).process(x) - x
     var = float(np.mean(np.abs(noise) ** 2))
     ok_awgn = abs(var - 1.0) <= 0.02
 
     # Flat-fading envelope against the analytic Rayleigh CDF.
     ones = np.ones((100_000, 2), dtype=complex)
-    h = apply_flat_rayleigh(ones, float("inf"), 17)[:, 0]
+    flat = ChannelSpec("flat_rayleigh", float("inf"), seed=17)
+    h = make_channel(flat, 1.0, 2).process(ones)[:, 0]
     p_ray = stats.kstest(np.abs(h), stats.rayleigh(scale=1 / np.sqrt(2)).cdf).pvalue
     ok_ray = p_ray > 0.01
 

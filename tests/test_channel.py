@@ -13,9 +13,6 @@ from ajscclink.channel import (
     KeyedBlocks,
     MultipathChannel,
     TapProfile,
-    apply_awgn,
-    apply_flat_rayleigh,
-    apply_multipath,
     band_noise,
     builtin_profile,
     load_profile,
@@ -31,26 +28,32 @@ def unit_blocks(n_blocks, n, seed=0):
     return np.exp(1j * rng.uniform(0, 2 * np.pi, (n_blocks, n)))
 
 
+def channel_out(spec, x, sample_rate=1.0):
+    """One process call of a fresh channel over the whole block stream x."""
+    return make_channel(spec, sample_rate, x.shape[1]).process(x)
+
+
 class TestAwgn:
     def test_infinite_csnr_passthrough(self):
         x = unit_blocks(4, 64)
-        y = apply_awgn(x, float("inf"), 3)
+        y = channel_out(ChannelSpec("awgn", float("inf"), seed=3), x)
         np.testing.assert_array_equal(y, x)
 
     def test_zero_db_noise_variance(self):
         x = unit_blocks(1000, 1024)  # ~1e6 samples at unit power
-        y = apply_awgn(x, 0.0, 7)
+        y = channel_out(ChannelSpec("awgn", 0.0, seed=7), x)
         noise = y - x
         assert np.mean(np.abs(noise) ** 2) == pytest.approx(1.0, abs=0.02)
 
     def test_seed_determinism(self):
         x = unit_blocks(10, 128)
-        np.testing.assert_array_equal(apply_awgn(x, 5.0, 11), apply_awgn(x, 5.0, 11))
-        assert not np.array_equal(apply_awgn(x, 5.0, 11), apply_awgn(x, 5.0, 12))
+        y = channel_out(ChannelSpec("awgn", 5.0, seed=11), x)
+        np.testing.assert_array_equal(y, channel_out(ChannelSpec("awgn", 5.0, seed=11), x))
+        assert not np.array_equal(y, channel_out(ChannelSpec("awgn", 5.0, seed=12), x))
 
     def test_noise_is_white(self):
         x = np.ones((1000, 1024), dtype=complex)
-        noise = (apply_awgn(x, 0.0, 5) - x).ravel()
+        noise = (channel_out(ChannelSpec("awgn", 0.0, seed=5), x) - x).ravel()
         n = noise.size
         for lag in (1, 2, 5):
             r = np.abs(np.vdot(noise[:-lag], noise[lag:])) / n
@@ -58,20 +61,13 @@ class TestAwgn:
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            apply_awgn(np.empty((0, 8)), 0.0, 1)
+            channel_out(ChannelSpec("awgn", 0.0, seed=1), np.empty((0, 8)))
 
 
 class TestFlatRayleigh:
-    def test_unity_override_reduces_to_pure_noise(self):
-        x = unit_blocks(200, 64)
-        y = apply_flat_rayleigh(x, float("inf"), 3, h_override=np.ones(200))
-        np.testing.assert_array_equal(y, x)
-        y = apply_flat_rayleigh(x, 0.0, 3, h_override=np.ones(200))
-        assert np.mean(np.abs(y - x) ** 2) == pytest.approx(1.0, abs=0.05)
-
     def test_magnitude_is_rayleigh(self):
         x = np.ones((100_000, 2), dtype=complex)
-        y = apply_flat_rayleigh(x, float("inf"), 17)
+        y = channel_out(ChannelSpec("flat_rayleigh", float("inf"), seed=17), x)
         h = y[:, 0]
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.01)
         result = stats.kstest(np.abs(h), stats.rayleigh(scale=1 / np.sqrt(2)).cdf)
@@ -79,22 +75,21 @@ class TestFlatRayleigh:
 
     def test_block_fading_is_constant_within_block(self):
         x = unit_blocks(50, 256)
-        y = apply_flat_rayleigh(x, float("inf"), 2)
+        y = channel_out(ChannelSpec("flat_rayleigh", float("inf"), seed=2), x)
         ratio = y / x
         assert np.abs(ratio - ratio[:, :1]).max() < 1e-12
         assert np.unique(np.round(ratio[:, 0], 12)).size == 50
 
     def test_energy_accounting(self):
         x = unit_blocks(2000, 512, seed=1)  # ~1e6 samples
-        y = apply_flat_rayleigh(x, 0.0, 23)
+        y = channel_out(ChannelSpec("flat_rayleigh", 0.0, seed=23), x)
         # E[|h|^2] * P_sig + sigma^2 with both terms at 1.
         assert np.mean(np.abs(y) ** 2) == pytest.approx(2.0, rel=0.02)
 
     def test_seed_determinism(self):
         x = unit_blocks(16, 64)
-        np.testing.assert_array_equal(
-            apply_flat_rayleigh(x, 3.0, 5), apply_flat_rayleigh(x, 3.0, 5)
-        )
+        spec = ChannelSpec("flat_rayleigh", 3.0, seed=5)
+        np.testing.assert_array_equal(channel_out(spec, x), channel_out(spec, x))
 
 
 class TestJakes:
@@ -146,6 +141,14 @@ class TestTapProfile:
         with pytest.raises(ConfigError):
             load_profile(path)
 
+    def test_nan_delay_rejected(self, tmp_path):
+        # NaN compares False against everything, so the order check alone
+        # lets it through.
+        path = tmp_path / "p.csv"
+        path.write_text("0,0\nnan,-3\n")
+        with pytest.raises(ConfigError):
+            load_profile(path)
+
     def test_first_delay_must_be_zero(self):
         with pytest.raises(ConfigError):
             TapProfile.from_db([10e-9, 20e-9], [0.0, -3.0])
@@ -186,15 +189,14 @@ class TestChannelSpec:
 
 class TestMultipath:
     def test_missing_profile_is_config_error(self):
-        x = unit_blocks(4, 512)
         with pytest.raises(ConfigError):
-            apply_multipath(x, ChannelSpec("awgn"), 8.192e6)
+            MultipathChannel(ChannelSpec("awgn"), 8.192e6, 512)
 
     def test_single_tap_no_doppler_reduces_to_flat_coefficient(self):
         single = TapProfile(np.array([0.0]), np.array([1.0]), "single")
         spec = ChannelSpec("jtc_indoor_a", tap_profile=single, doppler_hz=0.0, seed=11)
         x = unit_blocks(50, 256)
-        y = apply_multipath(x, spec, 8.192e6)
+        y = channel_out(spec, x, 8.192e6)
         h = y / x
         assert np.abs(h - h[0, 0]).max() < 1e-12
         # Across seeds the constant coefficient is Rayleigh with unit power.
@@ -202,7 +204,7 @@ class TestMultipath:
         one = np.ones((1, 256), dtype=complex)
         for seed in range(4000):
             spec_i = ChannelSpec("jtc_indoor_a", tap_profile=single, doppler_hz=0.0, seed=seed)
-            hs.append(apply_multipath(one, spec_i, 8.192e6)[0, 0])
+            hs.append(channel_out(spec_i, one, 8.192e6)[0, 0])
         hs = np.asarray(hs)
         assert np.mean(np.abs(hs) ** 2) == pytest.approx(1.0, abs=0.05)
         result = stats.kstest(np.abs(hs), stats.rayleigh(scale=1 / np.sqrt(2)).cdf)
@@ -242,8 +244,8 @@ class TestMultipath:
     def test_seed_determinism_and_chunking(self):
         x = unit_blocks(60, 512, seed=4)
         spec = ChannelSpec("jtc_outdoor_low_a", csnr_db=10.0, seed=9)
-        whole = apply_multipath(x, spec, 8.192e6)
-        np.testing.assert_array_equal(whole, apply_multipath(x, spec, 8.192e6))
+        whole = channel_out(spec, x, 8.192e6)
+        np.testing.assert_array_equal(whole, channel_out(spec, x, 8.192e6))
         ch = MultipathChannel(spec, 8.192e6, 512)
         chunked = np.vstack([ch.process(x[:25], 0), ch.process(x[25:], 25)])
         np.testing.assert_array_equal(whole, chunked)
@@ -253,7 +255,7 @@ class TestMultipath:
         outs = []
         for seed in range(12):
             spec = ChannelSpec("jtc_outdoor_low_a", csnr_db=0.0, seed=seed)
-            y = apply_multipath(x, spec, 512e3)
+            y = channel_out(spec, x, 512e3)
             outs.append(np.mean(np.abs(y) ** 2))
         assert np.mean(outs) == pytest.approx(2.0, rel=0.05)
 
@@ -262,17 +264,10 @@ class TestStreamingWrappers:
     def test_flat_chunked_matches_one_shot(self):
         x = unit_blocks(40, 128, seed=6)
         spec = ChannelSpec("flat_rayleigh", csnr_db=5.0, seed=3)
-        whole = apply_flat_rayleigh(x, 5.0, 3)
+        whole = channel_out(spec, x)
+        # No start_block: each call continues from the previous one's end.
         ch = FlatRayleighChannel(spec, 1e6, 128)
         chunked = np.vstack([ch.process(x[:13]), ch.process(x[13:31]), ch.process(x[31:])])
-        np.testing.assert_array_equal(whole, chunked)
-
-    def test_awgn_chunked_matches_one_shot(self):
-        x = unit_blocks(40, 128, seed=6)
-        spec = ChannelSpec("awgn", csnr_db=0.0, seed=13)
-        whole = apply_awgn(x, 0.0, 13)
-        ch = make_channel(spec, 1e6, 128)
-        chunked = np.vstack([ch.process(x[:9]), ch.process(x[9:])])
         np.testing.assert_array_equal(whole, chunked)
 
     def test_make_channel_dispatch(self):
@@ -377,7 +372,7 @@ class TestKeyedStreams:
         # their circular cross-correlation, pooled over 999 block pairs, must
         # stay at the 1e-3 level of independent noise at every lag.
         x = np.ones((1000, 1024), dtype=complex)
-        noise = apply_awgn(x, 0.0, 5) - x
+        noise = channel_out(ChannelSpec("awgn", 0.0, seed=5), x) - x
         spectra = np.fft.fft(noise, axis=1)
         xcorr = np.fft.ifft((np.conj(spectra[:-1]) * spectra[1:]).sum(axis=0))
         assert np.abs(xcorr).max() / np.sum(np.abs(noise[:-1]) ** 2) < 0.01
@@ -387,9 +382,36 @@ class TestKeyedStreams:
         spec = ChannelSpec("flat_rayleigh", csnr_db=3.0, seed=4)
         ch = make_channel(spec, 1e6, 64)
         tail = ch.process(x[5:], start_block=5)
-        np.testing.assert_array_equal(tail, apply_flat_rayleigh(x, 3.0, 4)[5:])
+        np.testing.assert_array_equal(tail, channel_out(spec, x)[5:])
         with pytest.raises(ConfigError):
             ch.process(x, start_block=-1)
+
+    def test_delay_line_takes_blocks_in_stream_order(self):
+        # At the fast rate the outdoor taps sit at 0, 2 and 4 samples, so a
+        # block reads the end of the block before it, which the carry holds
+        # only for the stream's next block.  At the slow rate every delay
+        # rounds to 0 and the line is memoryless, as AWGN and flat Rayleigh
+        # are: there any block range can be computed on its own.
+        x = unit_blocks(12, 512, seed=3)
+        spec = ChannelSpec("jtc_outdoor_low_a", csnr_db=3.0, seed=4)
+        whole = channel_out(spec, x, 8.192e6)
+        ch = make_channel(spec, 8.192e6, 512)
+        with pytest.raises(ConfigError):
+            ch.process(x[5:], start_block=5)
+        head = ch.process(x[:3], start_block=0)
+        with pytest.raises(ConfigError):
+            ch.process(x[7:], start_block=7)
+        tail = ch.process(x[3:])
+        np.testing.assert_array_equal(np.vstack([head, tail]), whole)
+        memoryless = [
+            (spec, 512e3),
+            (ChannelSpec("awgn", 3.0, seed=4), 1.0),
+            (ChannelSpec("flat_rayleigh", 3.0, seed=4), 1.0),
+        ]
+        for spec, rate in memoryless:
+            whole = channel_out(spec, x, rate)
+            tail = make_channel(spec, rate, 512).process(x[5:], start_block=5)
+            np.testing.assert_array_equal(tail, whole[5:])
 
 
 class TestBandNoise:

@@ -533,12 +533,15 @@ class TestCli:
             {"gsr_path": "non_numeric.csv"},
             # A file as a directory component of the path.
             {"tap_profile_path": "one_column.csv/x.csv"},
+            # A NaN tap delay, which the delay-order check alone lets through.
+            {"channel_family": "jtc_outdoor_low_a", "tap_profile_path": "nan_delay.csv"},
         ],
     )
     def test_bad_config_file_is_config_error(self, fields, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "one_column.csv").write_text("t_seconds\n0.0\n0.001\n0.002\n")
         (tmp_path / "non_numeric.csv").write_text("t_seconds,value\n0.0,a\n0.001,1.0\n")
+        (tmp_path / "nan_delay.csv").write_text("0,0\nnan,-3\n")
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"levels": 8, "duration": 2.0, **fields}))
         out = tmp_path / "out"

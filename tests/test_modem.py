@@ -12,7 +12,6 @@ from ajscclink.errors import ConfigError, DemodError
 from ajscclink.modem import (
     ModemConfig,
     block_start_phases,
-    demodulate,
     demodulate_stream,
     fast_profile,
     frequency_to_voltage,
@@ -22,6 +21,11 @@ from ajscclink.modem import (
 )
 
 FULL_SCALE = 1.0
+
+
+def demodulate_one(block, cfg, interpolate=True):
+    """The receiver's value for one block, through the stream receiver."""
+    return float(demodulate_stream(block[None], FULL_SCALE, cfg, interpolate)[0])
 
 
 class TestProfiles:
@@ -146,7 +150,7 @@ class TestDemodulate:
     def test_bin_aligned_loopback_exact(self):
         cfg = fast_profile()
         v = frequency_to_voltage(2000 * cfg.bin_width, FULL_SCALE, cfg)
-        got = demodulate(modulate([v], FULL_SCALE, cfg)[0], FULL_SCALE, cfg)
+        got = demodulate_one(modulate([v], FULL_SCALE, cfg)[0], cfg)
         assert abs(got - v) <= 1e-9
 
     def test_off_bin_error_within_tenth_of_a_bin(self):
@@ -157,14 +161,14 @@ class TestDemodulate:
         worst = 0.0
         for offset in np.linspace(-0.5, 0.499, 29):
             v = frequency_to_voltage((1500 + offset) * cfg.bin_width, FULL_SCALE, cfg)
-            got = demodulate(modulate([v], FULL_SCALE, cfg)[0], FULL_SCALE, cfg)
+            got = demodulate_one(modulate([v], FULL_SCALE, cfg)[0], cfg)
             worst = max(worst, abs(got - v))
         assert worst <= 0.1 * bin_volts
 
     def test_raw_bin_mode_quantizes_to_grid(self):
         cfg = fast_profile()
         v = frequency_to_voltage((1500 + 0.3) * cfg.bin_width, FULL_SCALE, cfg)
-        got = demodulate(modulate([v], FULL_SCALE, cfg)[0], FULL_SCALE, cfg, interpolate=False)
+        got = demodulate_one(modulate([v], FULL_SCALE, cfg)[0], cfg, interpolate=False)
         want = frequency_to_voltage(1500 * cfg.bin_width, FULL_SCALE, cfg)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -179,12 +183,12 @@ class TestDemodulate:
     def test_all_zero_block_raises(self):
         cfg = slow_profile()
         with pytest.raises(DemodError):
-            demodulate(np.zeros(cfg.fft_size, dtype=complex), FULL_SCALE, cfg)
+            demodulate_one(np.zeros(cfg.fft_size, dtype=complex), cfg)
 
     def test_wrong_block_length_rejected(self):
         cfg = fast_profile()
         with pytest.raises(ConfigError):
-            demodulate(np.ones(16, dtype=complex), FULL_SCALE, cfg)
+            demodulate_one(np.ones(16, dtype=complex), cfg)
 
     def test_emission_periods(self):
         assert fast_profile().block_period == pytest.approx(1e-3)
