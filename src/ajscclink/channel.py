@@ -28,12 +28,13 @@ generator of its own block by block.
 
 A run with the raw FFT-bin receiver at finite CSNR draws no time-domain
 noise: its channel runs at csnr_db = inf, and the receiver adds block b's
-noise straight to the in-band bins it reads, from ``band_noise`` and stream
-``spawn_key=(2, b)``.  The N-point DFT of N iid CN(0, 2s^2) samples is N iid
-CN(0, 2Ns^2) bins, so this is exact in distribution and draws 2 normals per
-in-band bin instead of 2 per sample.  The interpolating receiver reads a
-2N-point padded spectrum whose noise bins are correlated, so its runs keep
-the time-domain stream (1, b).
+noise straight to the in-band bins it reads (``BandNoise``).  The N-point
+DFT of N iid CN(0, 2s^2) samples is N iid CN(0, 2Ns^2) bins, so this is
+exact in distribution.  The 9 bins around the noiseless peak draw from
+stream ``spawn_key=(2, b)``, and the rest of the band, only where a union
+bound says it could move the peak (see ``modem``), from ``spawn_key=(3, b)``.
+The interpolating receiver reads a 2N-point padded spectrum whose noise
+bins are correlated, so its runs keep the time-domain stream (1, b).
 
 All three channels are one tapped delay line; AWGN and flat Rayleigh have a
 single tap at delay 0.  ``process`` splits the block rows into one
@@ -67,8 +68,9 @@ _BUILTIN_PROFILE_FILES = {
 }
 # Spawn-key streams: (_FADE,) seeds the oscillator banks, (_FADE, b) and
 # (_NOISE, b) the flat-Rayleigh coefficient and the noise of block b, and
-# (_BAND, b) block b's in-band noise for the raw receiver.
-_FADE, _NOISE, _BAND = 0, 1, 2
+# (_WINDOW, b) and (_REST, b) the raw receiver's in-band noise of block b:
+# its window around the peak and the rest of the band.
+_FADE, _NOISE, _WINDOW, _REST = 0, 1, 2, 3
 _N_OSCILLATORS = 64  # sinusoids per fading tap
 
 
@@ -267,29 +269,29 @@ def noise_deviation(csnr_db: float) -> float:
     return float(np.sqrt(1.0 / 10.0 ** (csnr_db / 10.0) / 2.0))
 
 
-def band_noise(spec: ChannelSpec, block_size: int, start_block: int, n_blocks: int):
+class BandNoise:
     """The raw receiver's in-band noise for blocks start_block .. start_block + n_blocks - 1.
 
-    Returns ``new_fill()``, which each row range calls once for a
-    ``fill(row, out)`` of its own (a generator of its own inside).  fill
-    writes the noise of block start_block + row into out, a complex128 array
-    with one element per in-band bin: ``standard_normal`` of stream (2, b),
-    interleaved re/im, times sqrt(block_size) * ``noise_deviation(spec.csnr_db)``,
-    the deviation of one DFT bin of the time-domain noise.
+    ``deviation`` is the per-component deviation of a DFT bin of the noise,
+    sqrt(block_size) * ``noise_deviation(spec.csnr_db)``.  ``cursor()`` gives
+    a row range its own ``(window, rest)`` draws: ``draw(row, out)`` writes
+    ``standard_normal`` of stream (2, b) or (3, b), b = start_block + row,
+    interleaved re/im, times deviation into out, one complex128 per bin.
     """
-    scale = float(np.sqrt(block_size)) * noise_deviation(spec.csnr_db)
-    keyed = KeyedBlocks(spec.seed, _BAND, start_block, n_blocks)
 
-    def new_fill():
-        seat = keyed.cursor()
+    def __init__(self, spec: ChannelSpec, block_size: int, start_block: int, n_blocks: int):
+        self.deviation = float(np.sqrt(block_size)) * noise_deviation(spec.csnr_db)
+        self._keyed = [KeyedBlocks(spec.seed, s, start_block, n_blocks) for s in (_WINDOW, _REST)]
 
-        def fill(row: int, out: np.ndarray) -> None:
+    def cursor(self):
+        return tuple(self._draw(keyed.cursor()) for keyed in self._keyed)
+
+    def _draw(self, seat):
+        def draw(row: int, out: np.ndarray) -> None:
             seat(row).standard_normal(out=out.view(np.float64))
-            out *= scale
+            out *= self.deviation
 
-        return fill
-
-    return new_fill
+        return draw
 
 
 @dataclass(frozen=True)

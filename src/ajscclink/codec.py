@@ -137,6 +137,8 @@ def staircase(p: AjsccParams, x1_fixed: float, n_points: int) -> np.ndarray:
     """
     if n_points < 2 * p.levels:
         raise ConfigError(f"n_points must be >= 2 * levels = {2 * p.levels}")
+    if not np.isfinite(x1_fixed):
+        raise ConfigError(f"x1 must be finite, got {x1_fixed!r}")
     x2 = np.linspace(0.0, p.x2_max, n_points)
     enc = encode(np.full(n_points, float(x1_fixed)), x2, p)
     return np.column_stack([x2, enc])

@@ -32,7 +32,7 @@ from .analysis import (
     threshold_filter,
     write_cdf_csv,
 )
-from .channel import FAMILIES, ChannelSpec, band_noise, load_profile, make_channel
+from .channel import FAMILIES, BandNoise, ChannelSpec, load_profile, make_channel
 from .codec import AjsccParams, decode, encode, staircase
 from .errors import ConfigError, StageError
 from .modem import (
@@ -253,7 +253,7 @@ def _transmit(
 
     noise_spec, for the raw receiver only, is the spec whose CSNR and seed
     set the noise that the receiver adds to its in-band bins
-    (``channel.band_noise``); the channel then adds none itself.
+    (``channel.BandNoise``); the channel then adds none itself.
     """
     encoded = np.atleast_1d(encoded)
     freqs = np.atleast_1d(voltage_to_frequency(encoded, full_scale, cfg))
@@ -272,7 +272,7 @@ def _transmit(
             encoded[lo:hi], full_scale, cfg, start_phase=phases[lo:hi], out=buf[: hi - lo]
         )
         blocks = channel.process(blocks, start_block=lo, out=blocks)
-        noise = None if noise_spec is None else band_noise(noise_spec, cfg.fft_size, lo, hi - lo)
+        noise = None if noise_spec is None else BandNoise(noise_spec, cfg.fft_size, lo, hi - lo)
         out[lo:hi] = demodulate_stream(
             blocks, full_scale, cfg, interpolate=interpolate, band_noise=noise
         )
@@ -442,6 +442,8 @@ _NESTED_SPECS = {
 
 
 def config_from_dict(d: dict) -> RunConfig:
+    if not isinstance(d, dict):
+        raise ConfigError(f"a config must be a JSON object, got {type(d).__name__}")
     d = dict(d)
     unknown = set(d) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:

@@ -25,11 +25,18 @@ range, so the output is byte-identical for any worker count and equal to
 one padded FFT of the whole chunk.
 
 The raw receiver can take the channel noise in the frequency domain
-(``band_noise``, see ``channel.band_noise``): after a tile's transform, each
-row's noise is drawn into a per-worker scratch of one element per in-band
-bin k_lo..k_hi and added to those bins before the peak search.  Each worker
-draws with a generator of its own, seated on each row's absolute block, so
-this too is byte-identical for any worker count and chunking.
+(``band_noise``, a ``channel.BandNoise``).  Each row adds noise to the
+2W + 1 = 9 in-band bins around its noiseless peak, from stream (2, b) of
+its absolute block b.  With A the largest noisy magnitude there, X_out the
+largest noiseless one of the M other in-band bins and s the per-component
+deviation of a bin, the union bound M * exp(-max(A - X_out, 0)^2 / (2 s^2))
+caps the chance that any of those M beats A once noisy.  Where it exceeds
+eps = 1e-12, the row also draws the M bins from stream (3, b) and searches
+the whole band.  The bins are iid, so this is exact, and it differs from a
+full-band draw with probability at most eps per block.  The generators are
+per worker and seated per block, so the bytes do not depend on the worker
+count or chunking.  The noiseless bins still come from the FFT; their
+closed form waits on ROADMAP item 2.
 """
 
 from __future__ import annotations
@@ -162,6 +169,11 @@ def modulate(
     return out
 
 
+# The band noise's window is 2 * _HALF_WINDOW + 1 bins; the band is completed
+# where the union bound exceeds _EPSILON (module docstring).
+_HALF_WINDOW = 4
+_EPSILON = 1e-12
+
 # Padded spectrum per receiver FFT tile (8 rows at n_fft = 16384).  On a
 # 2-vCPU Xeon VM, 2 MB was the fastest of 1, 2, 4 and 8 MB for every profile
 # and receiver, and 8 MB tiles raised the peak memory of slow-profile sweeps
@@ -183,46 +195,70 @@ def _peak_frequencies(
 
     The rows are split over the worker pool; each worker zero-pads a tile of
     its rows into its own buffer and transforms it in place.  band_noise, if
-    given, is ``new_fill`` (see ``demodulate_stream``), called once per range.
+    given, is a ``channel.BandNoise`` (see the module docstring).
     """
     n_rows, n = blocks.shape
     n_fft = 2 * n if interpolate else n
     k_lo, k_hi, lo, hi = _band_edges(cfg, n_fft)
     tile = max(1, min(_TILE_BYTES // (16 * n_fft), n_rows))
     freqs = np.empty(n_rows)
+    inband = slice(k_lo - lo, k_hi - lo + 1)
+    # The band noise's scratch: each row's window draws, and one completion.
+    width = min(2 * _HALF_WINDOW + 1, k_hi - k_lo + 1)
+    noise_rows, n_rest = (tile, k_hi - k_lo + 1 - width) if band_noise is not None else (0, 0)
 
     # Squared magnitude, computed only around the search band: cheaper than
     # abs over the full spectrum, and the parabola vertex on log-power
     # equals the vertex on log-magnitude (the logs differ by 2x).
-    def rows(
-        r0: int, r1: int, buf: np.ndarray, power: np.ndarray, imag2: np.ndarray, noise: np.ndarray
-    ) -> None:
-        fill = band_noise() if band_noise is not None else None
+    def rows(r0: int, r1: int, buf, power, imag2, window, rest) -> None:
+        draws = None if band_noise is None else (band_noise.deviation, *band_noise.cursor())
         for t in range(r0, r1, tile):
             m = min(tile, r1 - t)
             buf[:m, :n] = blocks[t : t + m]
             buf[:m, n:] = 0.0
             seg = scipy.fft.fft(buf[:m], axis=1, workers=1, overwrite_x=True)[:, lo : hi + 1]
-            if fill is not None:
-                for i, bins in enumerate(seg[:, k_lo - lo : k_hi - lo + 1], start=t):
-                    fill(i, noise)
-                    bins += noise
             np.square(seg.real, out=power[:m])
             np.square(seg.imag, out=imag2[:m])
             power[:m] += imag2[:m]
+            if draws is not None:
+                _add_band_noise(seg[:, inband], power[:m, inband], t, draws, window[:m], rest)
             freqs[t : t + m] = _tile_frequencies(power[:m], cfg, n_fft, interpolate)
 
-    band = (tile, hi - lo + 1)
-    noise = (k_hi - k_lo + 1 if band_noise is not None else 0,)
-    split_rows(
-        rows,
-        n_rows,
-        ((tile, n_fft), np.complex128),
-        (band, np.float64),
-        (band, np.float64),
-        (noise, np.complex128),
-    )
+    band = ((tile, hi - lo + 1), np.float64)
+    noise = ((noise_rows, width), np.complex128), ((n_rest,), np.complex128)
+    split_rows(rows, n_rows, ((tile, n_fft), np.complex128), band, band, *noise)
     return freqs
+
+
+def _add_band_noise(band, power, first_row: int, draws, window, rest) -> None:
+    """Add the noise to a tile's in-band bins, band, where it can move the peak,
+    and update their squared magnitudes, power (module docstring).  draws is
+    (deviation, window draw, rest draw); window and rest are scratch.
+    """
+    m, n_bins = band.shape
+    width = window.shape[1]
+    deviation, window_draw, rest_draw = draws
+    for r in range(m):
+        window_draw(first_row + r, window[r])
+    rows = np.arange(m)[:, None]
+    start = np.clip(power.argmax(axis=1) - _HALF_WINDOW, 0, n_bins - width)
+    cols = start[:, None] + np.arange(width)
+    power[rows, cols] = 0.0
+    out_peak = np.sqrt(power.max(axis=1))
+    noisy = band[rows, cols] + window
+    band[rows, cols] = noisy
+    noisy_power = np.square(noisy.real) + np.square(noisy.imag)
+    power[rows, cols] = noisy_power
+    margin = np.maximum(np.sqrt(noisy_power.max(axis=1)) - out_peak, 0.0)
+    # A margin past ~1e154 deviations overflows its square; the bound is 0.
+    with np.errstate(over="ignore"):
+        bound = (n_bins - width) * np.exp(-0.5 * np.square(margin / deviation))
+    for r in np.flatnonzero(bound > _EPSILON):
+        s = start[r]
+        rest_draw(first_row + r, rest)
+        band[r, :s] += rest[:s]
+        band[r, s + width :] += rest[s:]
+        power[r] = np.square(band[r].real) + np.square(band[r].imag)
 
 
 def _tile_frequencies(
@@ -262,12 +298,9 @@ def demodulate_stream(
 ) -> np.ndarray:
     """Vectorized demodulate over an (n_blocks, fft_size) array.
 
-    band_noise is the channel noise of the raw receiver's in-band bins,
-    which ``run_link`` passes for raw runs at finite CSNR: ``new_fill()``
-    (see ``channel.band_noise``), called once per row range, gives that
-    range's ``fill(row, out)``, which writes the noise of the chunk's row
-    into out, one complex128 element per bin k_lo..k_hi; the receiver adds
-    it to the row's spectrum.  The interpolating receiver does not take it.
+    band_noise, a ``channel.BandNoise`` that ``run_link`` passes for raw runs
+    at finite CSNR, is the noise of the in-band bins, drawn where it can move
+    the peak (module docstring).  The interpolating receiver does not take it.
     """
     if band_noise is not None and interpolate:
         raise ConfigError("band noise is for the raw receiver; interpolate must be false")

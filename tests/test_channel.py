@@ -8,12 +8,12 @@ from scipy import special, stats
 
 from ajscclink import pool
 from ajscclink.channel import (
+    BandNoise,
     ChannelSpec,
     FlatRayleighChannel,
     KeyedBlocks,
     MultipathChannel,
     TapProfile,
-    band_noise,
     builtin_profile,
     load_profile,
     make_channel,
@@ -418,31 +418,42 @@ class TestBandNoise:
     @pytest.mark.parametrize("csnr_db", [0.0, 10.0])
     def test_per_bin_variance(self, csnr_db):
         # One DFT bin of N noise samples of variance 10^(-CSNR/10) has
-        # variance N * 10^(-CSNR/10), split evenly over re and im.  Over 700,200
-        # bins the estimate's standard error is 0.12%; the tolerance is 1%.
-        n, n_bins, n_blocks = 8192, 3501, 200
-        spec = ChannelSpec("awgn", csnr_db=csnr_db, seed=3)
-        fill = band_noise(spec, n, 0, n_blocks)()
-        bins = np.empty((n_blocks, n_bins), dtype=np.complex128)
-        for r in range(n_blocks):
-            fill(r, bins[r])
+        # variance N * 10^(-CSNR/10), split evenly over re and im.  Both the
+        # window draws (9 bins over 20,000 blocks, 180,000 bins) and the
+        # completion draws (3,492 bins over 200 blocks, 698,400 bins) must
+        # have it; the estimates' standard errors are at most 0.24%, and the
+        # tolerance is 1.5%.
+        n = 8192
         want = n * 10.0 ** (-csnr_db / 10.0)
-        assert np.mean(bins.real**2) == pytest.approx(want / 2, rel=0.01)
-        assert np.mean(bins.imag**2) == pytest.approx(want / 2, rel=0.01)
-        assert abs(np.mean(bins)) < 0.01 * np.sqrt(want)
+        noise = BandNoise(ChannelSpec("awgn", csnr_db=csnr_db, seed=3), n, 0, 20_000)
+        assert noise.deviation**2 == pytest.approx(want / 2, rel=1e-12)
+        window, rest = noise.cursor()
+        for draw, n_blocks, n_bins in ((window, 20_000, 9), (rest, 200, 3492)):
+            bins = np.empty((n_blocks, n_bins), dtype=np.complex128)
+            for r in range(n_blocks):
+                draw(r, bins[r])
+            assert np.mean(bins.real**2) == pytest.approx(want / 2, rel=0.015)
+            assert np.mean(bins.imag**2) == pytest.approx(want / 2, rel=0.015)
+            assert abs(np.mean(bins)) < 0.015 * np.sqrt(want)
         # The reference: the DFT of the channel's time-domain noise.
+        spec = ChannelSpec("awgn", csnr_db=csnr_db, seed=3)
         noise = make_channel(spec, 1.0, n).process(np.zeros((64, n), dtype=np.complex128))
         spectra = np.fft.fft(noise, axis=1)
         assert np.mean(np.abs(spectra) ** 2) == pytest.approx(want, rel=0.01)
 
     def test_keyed_on_the_absolute_block(self):
+        # Each part, the window (0) and the completion (1), takes its own
+        # stream of the absolute block.
         spec = ChannelSpec("awgn", csnr_db=0.0, seed=3)
         a, b = np.empty(100, dtype=np.complex128), np.empty(100, dtype=np.complex128)
-        band_noise(spec, 64, 10, 6)()(5, a)
-        band_noise(spec, 64, 0, 17)()(15, b)
-        assert a.tobytes() == b.tobytes()
-        band_noise(spec, 64, 0, 17)()(16, b)
-        assert a.tobytes() != b.tobytes()
+        for part in (0, 1):
+            BandNoise(spec, 64, 10, 6).cursor()[part](5, a)
+            BandNoise(spec, 64, 0, 17).cursor()[part](15, b)
+            assert a.tobytes() == b.tobytes()
+            BandNoise(spec, 64, 0, 17).cursor()[part](16, b)
+            assert a.tobytes() != b.tobytes()
+            BandNoise(spec, 64, 0, 17).cursor()[1 - part](15, b)
+            assert a.tobytes() != b.tobytes()
 
 
 def reference_rng(seed, stream, block):
@@ -456,7 +467,7 @@ class TestKeyedBlocks:
     def test_matches_seed_sequence(self, seed):
         # Blocks 0, 1, 2^32 - 1 and 2^32; the last has a second spawn-key
         # word and takes the SeedSequence fallback.
-        for stream in (0, 1, 2):
+        for stream in (0, 1, 2, 3):
             for start in (0, 2**32 - 1):
                 seat = KeyedBlocks(seed, stream, start, 2).cursor()
                 for row in (0, 1):
@@ -468,10 +479,12 @@ class TestKeyedBlocks:
 
     def test_ranges_under_fast_switching(self, monkeypatch):
         # Sixteen row ranges on the pool, the interpreter switching threads
-        # every few microseconds: each range's generator must be its own, so
-        # every block draws the bytes of its own SeedSequence, on all three
-        # streams.  The band rows are longer than a block, as the receiver's
-        # are, so that a shared generator is caught there too.
+        # every few microseconds: each range's generators must be its own, so
+        # every block draws the bytes of its own SeedSequence, on all four
+        # streams.  Each range alternates the band noise's window and
+        # completion draws row by row, as the receiver does, and their rows
+        # are longer than a block, so that a shared generator is caught
+        # there too.
         n_blocks, n, n_bins, seed = 64, 256, 4096, 13
         monkeypatch.setattr(pool, "_WORKERS", 16)
         spec = ChannelSpec("awgn", csnr_db=0.0, seed=seed)
@@ -479,20 +492,23 @@ class TestKeyedBlocks:
         scale = np.sqrt(0.5)
         noise_want = np.empty((n_blocks, n), dtype=np.complex128)
         fade_want = np.empty(n_blocks, dtype=np.complex128)
-        band_want = np.empty((n_blocks, n_bins), dtype=np.complex128)
+        band_want = np.empty((2, n_blocks, n_bins), dtype=np.complex128)
         for r in range(n_blocks):
             noise_want[r] = reference_rng(seed, 1, 7 + r).standard_normal(2 * n).view(complex)
             fade_want[r] = reference_rng(seed, 0, 7 + r).standard_normal(2).view(complex)[0]
-            band_want[r] = reference_rng(seed, 2, 7 + r).standard_normal(2 * n_bins).view(complex)
+            for part in (0, 1):
+                normals = reference_rng(seed, 2 + part, 7 + r).standard_normal(2 * n_bins)
+                band_want[part, r] = normals.view(complex)
         noise_want *= scale
         band_want *= np.sqrt(n) * scale
         band_got = np.empty_like(band_want)
-        new_fill = band_noise(spec, n, 7, n_blocks)
+        noise = BandNoise(spec, n, 7, n_blocks)
 
         def band_rows(lo, hi):
-            fill = new_fill()
+            window, rest = noise.cursor()
             for r in range(lo, hi):
-                fill(r, band_got[r])
+                window(r, band_got[0, r])
+                rest(r, band_got[1, r])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

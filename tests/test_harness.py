@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajscclink import channel, harness, pool
+from ajscclink import channel, harness, modem, pool
 from ajscclink.analysis import ks_two_sample
 from ajscclink.channel import ChannelSpec, make_channel
 from ajscclink.cli import main
@@ -45,6 +45,40 @@ from ajscclink.sources import SourceTrace, write_trace_csv
 
 def quiet_analysis(**kwargs):
     return AnalysisSettings(median_order=kwargs.pop("median_order", 0), **kwargs)
+
+
+def count_completions(monkeypatch):
+    """Make every BandNoise completion draw append its chunk row to the
+    returned list, so a test can count the blocks that completed their band."""
+    rows = []
+    cursor = channel.BandNoise.cursor
+
+    def counting_cursor(self):
+        window, rest = cursor(self)
+
+        def counted(row, out):
+            rows.append(row)
+            rest(row, out)
+
+        return window, counted
+
+    monkeypatch.setattr(channel.BandNoise, "cursor", counting_cursor)
+    return rows
+
+
+def band_and_time_domain_errors(cfg, csnr_db):
+    """Decoded errors of 1,024 raw AWGN blocks: with the channel's own noise
+    through process and a raw demodulate_stream, and with the receiver's
+    band noise through harness._transmit."""
+    encoded = np.random.default_rng(1).uniform(0.0, 1.0, 1024)
+    spec = ChannelSpec("awgn", csnr_db=csnr_db, seed=5)
+    noisy = make_channel(spec, cfg.sample_rate, cfg.fft_size)
+    blocks = noisy.process(modulate(encoded, 1.0, cfg))
+    reference = demodulate_stream(blocks, 1.0, cfg, interpolate=False) - encoded
+    quiet_spec = ChannelSpec("awgn", csnr_db=math.inf, seed=5)
+    quiet = make_channel(quiet_spec, cfg.sample_rate, cfg.fft_size)
+    band = harness._transmit(encoded, 1.0, cfg, quiet, False, spec) - encoded
+    return reference, band
 
 
 def triangle_trace_csv(path, duration=4.0, period=1e-3, peak=2.6):
@@ -96,21 +130,25 @@ class TestRunLink:
     @pytest.mark.parametrize("family", channel.FAMILIES)
     def test_report_independent_of_channel_workers(self, family, monkeypatch):
         # The worker count splits both the channel's and the receiver's rows.
-        # The raw receiver reads whole bins, so at 5 dB the noise moves no
-        # decoded value; at -25 dB it does, and its band noise, drawn by one
-        # generator per worker range, must not depend on the split.
-        for interpolate, csnr_db in ((True, 5.0), (False, -25.0)):
+        # The raw receiver's band noise is drawn by generators of each worker
+        # range, and must not depend on the split: at -10 dB the window
+        # decides most blocks, at -25 dB most complete their band, and at both
+        # the noise moves decoded values.
+        completions = count_completions(monkeypatch)
+        for interpolate, csnr_db in ((True, 5.0), (False, -10.0), (False, -25.0)):
             config = RunConfig(levels=10, duration=0.25, seed=42, channel_family=family,
                                csnr_db=csnr_db, analysis=quiet_analysis(),
                                interpolate=interpolate)
             payloads = []
             for workers in (1, 2):
                 monkeypatch.setattr(pool, "_WORKERS", workers)
+                completions.clear()
                 report = report_to_dict(run_link(config))
                 report.pop("wall_time_s")
                 payloads.append(json.dumps(report, sort_keys=True))
             assert payloads[0] == payloads[1]
             if not interpolate:
+                assert (len(completions) < 125) == (csnr_db == -10.0)
                 noiseless = run_link(dataclasses.replace(config, csnr_db=math.inf))
                 assert json.loads(payloads[0])["mse_sum"] != noiseless.mse.total
 
@@ -193,17 +231,47 @@ class TestRunLink:
         # channel's own noise through process and a raw demodulate_stream.
         # A noise level 1 dB off fails the fast case at p < 0.01.
         cfg = fast_profile() if profile == "fast" else slow_profile()
-        encoded = np.random.default_rng(1).uniform(0.0, 1.0, 1024)
         for csnr_db in (-28.0, -30.0):
-            spec = ChannelSpec("awgn", csnr_db=csnr_db, seed=5)
-            noisy = make_channel(spec, cfg.sample_rate, cfg.fft_size)
-            blocks = noisy.process(modulate(encoded, 1.0, cfg))
-            reference = demodulate_stream(blocks, 1.0, cfg, interpolate=False) - encoded
-            quiet_spec = ChannelSpec("awgn", csnr_db=math.inf, seed=5)
-            quiet = make_channel(quiet_spec, cfg.sample_rate, cfg.fft_size)
-            band = harness._transmit(encoded, 1.0, cfg, quiet, False, spec) - encoded
+            reference, band = band_and_time_domain_errors(cfg, csnr_db)
             assert 0.2 < np.mean(np.abs(band) > 1e-3) < 0.9
             assert ks_two_sample(reference, band).p_value > 0.01
+
+    @pytest.mark.parametrize("profile", ["fast", "slow"])
+    def test_band_noise_errors_match_time_domain_chain_where_blocks_mix(
+        self, profile, monkeypatch
+    ):
+        # At -20 dB the window decides some blocks and the others complete
+        # their band; the decoded errors must still match the time-domain
+        # reference's.
+        completions = count_completions(monkeypatch)
+        cfg = fast_profile() if profile == "fast" else slow_profile()
+        reference, band = band_and_time_domain_errors(cfg, -20.0)
+        assert 0 < len(completions) < len(band)
+        assert ks_two_sample(reference, band).p_value > 0.01
+
+    @pytest.mark.parametrize("profile", ["fast", "slow"])
+    @pytest.mark.parametrize("family", ["awgn", "flat_rayleigh", "jtc_outdoor_low_a"])
+    def test_window_decides_as_the_completed_band(self, profile, family, monkeypatch):
+        # With eps patched to -1 every block completes its band.  The windowed
+        # receiver must decode every block to the same bytes: where the union
+        # bound is at most 1e-12 the completion cannot move the peak.  At
+        # -20 dB the completion moves peaks of the fading channels, so a
+        # receiver that skipped it where the bound asks for it fails here.
+        completions = count_completions(monkeypatch)
+        cfg = fast_profile() if profile == "fast" else slow_profile()
+        encoded = np.random.default_rng(2).uniform(0.0, 1.0, 300)
+        doppler = 20.0 if family.startswith("jtc") else None
+        for csnr_db in (0.0, -10.0, -20.0):
+            spec = ChannelSpec(family, csnr_db=csnr_db, doppler_hz=doppler, seed=5)
+            quiet_spec = dataclasses.replace(spec, csnr_db=math.inf)
+            decoded = []
+            for epsilon in (1e-12, -1.0):
+                monkeypatch.setattr(modem, "_EPSILON", epsilon)
+                completions.clear()
+                quiet = make_channel(quiet_spec, cfg.sample_rate, cfg.fft_size)
+                decoded.append(harness._transmit(encoded, 1.0, cfg, quiet, False, spec))
+            assert len(completions) == len(encoded)
+            assert decoded[0].tobytes() == decoded[1].tobytes()
 
     def test_missing_trace_file_is_config_error(self):
         config = RunConfig(levels=8, duration=2.0, gsr_path="/nonexistent/trace.csv")
@@ -441,6 +509,22 @@ class TestCli:
         assert rc == 0
         rows = np.loadtxt(tmp_path / "staircase.csv", delimiter=",", skiprows=1)
         assert np.unique(np.round(rows[:, 1], 12)).size == 16
+
+    @pytest.mark.parametrize("x1", ["nan", "inf"])
+    def test_staircase_non_finite_x1_is_config_error(self, x1, tmp_path, capsys):
+        rc = main(["staircase", "--x1", x1, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "x1 must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "staircase.csv").exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", '"fast"'])
+    def test_config_that_is_not_an_object_is_config_error(self, text, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+        assert not (out / "run_report.json").exists()
 
     def test_simulate_with_config_and_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"

@@ -7,7 +7,7 @@ import pytest
 import scipy.fft
 
 from ajscclink import pool
-from ajscclink.channel import ChannelSpec, band_noise
+from ajscclink.channel import BandNoise, ChannelSpec, noise_deviation
 from ajscclink.errors import ConfigError, DemodError
 from ajscclink.modem import (
     ModemConfig,
@@ -242,17 +242,12 @@ class TestModulateRowSplit:
             modulate(np.zeros(4), FULL_SCALE, cfg, out=np.empty(shape, dtype=dtype))
 
 
-def whole_array_peak_frequencies(blocks, cfg, interpolate, band=None):
-    """Reference receiver: one zero-padded FFT of every row at once.
-
-    band, if given, is added to the in-band bins k_lo..k_hi of each row.
-    """
+def whole_array_peak_frequencies(blocks, cfg, interpolate):
+    """Reference receiver: one zero-padded FFT of every row at once."""
     n_fft = 2 * cfg.fft_size if interpolate else cfg.fft_size
     spectrum = scipy.fft.fft(blocks, n=n_fft, axis=1)
     k_lo = int(np.ceil(cfg.f_min * n_fft / cfg.sample_rate))
     k_hi = int(np.floor(cfg.f_max * n_fft / cfg.sample_rate))
-    if band is not None:
-        spectrum[:, k_lo : k_hi + 1] += band
     lo = max(k_lo - 1, 0)
     hi = min(k_hi + 1, n_fft - 1)
     seg = spectrum[:, lo : hi + 1]
@@ -273,6 +268,59 @@ def whole_array_peak_frequencies(blocks, cfg, interpolate, band=None):
     delta = np.where(denom < 0, 0.5 * (alpha - gamma) / np.where(denom == 0, 1.0, denom), 0.0)
     delta = np.clip(np.where(interior, delta, 0.0), -0.5, 0.5)
     return (k + delta) * cfg.sample_rate / n_fft
+
+
+def reference_rng(seed, stream, block):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
+
+
+def windowed_band_noise_reference(blocks, cfg, spec, start_block):
+    """Reference raw receiver with band noise: one FFT of every row at once,
+    then the window rule row by row, each block's noise from its own
+    SeedSequence.  Returns the peak frequencies and which rows completed.
+    """
+    n = cfg.fft_size
+    k_lo = int(np.ceil(cfg.f_min * n / cfg.sample_rate))
+    k_hi = int(np.floor(cfg.f_max * n / cfg.sample_rate))
+    bands = scipy.fft.fft(blocks, axis=1)[:, k_lo : k_hi + 1]
+    n_bins = bands.shape[1]
+    sigma = np.sqrt(n) * noise_deviation(spec.csnr_db)
+    k = np.empty(len(blocks), dtype=int)
+    completed = np.zeros(len(blocks), dtype=bool)
+    for r, x in enumerate(bands):
+        b = start_block + r
+        s = min(max(np.argmax(x.real**2 + x.imag**2) - 4, 0), n_bins - 9)
+        inside = np.arange(s, s + 9)
+        outside = np.setdiff1d(np.arange(n_bins), inside)
+        noisy = x.copy()
+        noisy[inside] += sigma * reference_rng(spec.seed, 2, b).standard_normal(18).view(complex)
+        a = np.abs(noisy[inside]).max()
+        x_out = np.abs(x[outside]).max()
+        bound = outside.size * np.exp(-max(a - x_out, 0.0) ** 2 / (2 * sigma**2))
+        if bound > 1e-12:
+            rest = reference_rng(spec.seed, 3, b).standard_normal(2 * outside.size)
+            noisy[outside] += sigma * rest.view(complex)
+            completed[r] = True
+        else:
+            noisy[outside] = 0.0
+        k[r] = np.argmax(noisy.real**2 + noisy.imag**2) + k_lo
+    return k * cfg.sample_rate / n, completed
+
+
+def sized_draws(cursor, sizes):
+    """A BandNoise cursor whose draws also append their sizes to sizes."""
+
+    def sized_cursor():
+        def sized(draw):
+            def record(row, out):
+                sizes.append(out.size)
+                draw(row, out)
+
+            return record
+
+        return tuple(sized(draw) for draw in cursor())
+
+    return sized_cursor
 
 
 def noisy_blocks(cfg, n_rows, seed=0):
@@ -318,31 +366,40 @@ class TestRowSplit:
 
     @pytest.mark.parametrize("profile, n_bins", [(fast_profile, 3501), (slow_profile, 2001)])
     def test_band_noise_matches_whole_array_receiver(self, profile, n_bins, monkeypatch):
-        # Noise added row by row inside each worker's tiles must give the
-        # bytes of one FFT of all rows plus each row's noise on bins
-        # k_lo..k_hi, also with more ranges than cores.
+        # The window and the completion, drawn row by row inside each
+        # worker's tiles, must give the bytes of the same rule over one FFT
+        # of all rows, also with more ranges than cores.  At the lower CSNR
+        # every block completes its band and the noise moves decoded values;
+        # at the higher one the window alone decides some of the blocks.
         cfg = profile()
         n_rows = 31
         blocks = modulate(np.random.default_rng(6).uniform(0, FULL_SCALE, n_rows), FULL_SCALE, cfg)
-        new_fill = band_noise(ChannelSpec("awgn", csnr_db=-25.0, seed=9), cfg.fft_size, 40, n_rows)
-        band = np.empty((n_rows, n_bins), dtype=np.complex128)
-        fill = new_fill()
-        for r in range(n_rows):
-            fill(r, band[r])
-        want = whole_array_peak_frequencies(blocks, cfg, False, band)
-        want = np.asarray(frequency_to_voltage(want, FULL_SCALE, cfg))
-        assert np.count_nonzero(want != demodulate_stream(blocks, FULL_SCALE, cfg, False)) > 0
-        for workers in (1, 2, 16):
-            monkeypatch.setattr(pool, "_WORKERS", workers)
-            got = demodulate_stream(blocks, FULL_SCALE, cfg, False, band_noise=new_fill)
-            assert got.tobytes() == want.tobytes()
+        noiseless = demodulate_stream(blocks, FULL_SCALE, cfg, False)
+        low, mixed = (-28.0, -21.0) if profile is fast_profile else (-25.0, -20.0)
+        for csnr_db in (low, mixed):
+            spec = ChannelSpec("awgn", csnr_db=csnr_db, seed=9)
+            want, completed = windowed_band_noise_reference(blocks, cfg, spec, 40)
+            want = np.asarray(frequency_to_voltage(want, FULL_SCALE, cfg))
+            if csnr_db == low:
+                assert completed.all()
+                assert np.count_nonzero(want != noiseless) > 0
+            else:
+                assert 0 < np.count_nonzero(completed) < n_rows
+            for workers in (1, 2, 16):
+                monkeypatch.setattr(pool, "_WORKERS", workers)
+                sizes = []
+                noise = BandNoise(spec, cfg.fft_size, 40, n_rows)
+                monkeypatch.setattr(noise, "cursor", sized_draws(noise.cursor, sizes))
+                got = demodulate_stream(blocks, FULL_SCALE, cfg, False, band_noise=noise)
+                assert got.tobytes() == want.tobytes()
+                assert sorted(sizes) == [9] * n_rows + [n_bins - 9] * np.count_nonzero(completed)
 
     def test_band_noise_needs_the_raw_receiver(self):
         cfg = slow_profile()
-        new_fill = band_noise(ChannelSpec("awgn", csnr_db=0.0), cfg.fft_size, 0, 1)
+        noise = BandNoise(ChannelSpec("awgn", csnr_db=0.0), cfg.fft_size, 0, 1)
         blocks = modulate([0.5], FULL_SCALE, cfg)
         with pytest.raises(ConfigError, match="raw receiver"):
-            demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=True, band_noise=new_fill)
+            demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=True, band_noise=noise)
 
     @pytest.mark.parametrize("interpolate", [True, False])
     def test_zero_block_in_second_worker_range_raises(self, interpolate, monkeypatch):
