@@ -274,9 +274,10 @@ class BandNoise:
 
     ``deviation`` is the per-component deviation of a DFT bin of the noise,
     sqrt(block_size) * ``noise_deviation(spec.csnr_db)``.  ``cursor()`` gives
-    a row range its own ``(window, rest)`` draws: ``draw(row, out)`` writes
-    ``standard_normal`` of stream (2, b) or (3, b), b = start_block + row,
-    interleaved re/im, times deviation into out, one complex128 per bin.
+    a row range its own ``draw(part, row, out)``, which writes
+    ``standard_normal`` of block b = start_block + row, interleaved re/im,
+    times deviation into out, one complex128 per bin: part 0, the window,
+    from stream (2, b), and part 1, the completion, from stream (3, b).
     """
 
     def __init__(self, spec: ChannelSpec, block_size: int, start_block: int, n_blocks: int):
@@ -284,11 +285,10 @@ class BandNoise:
         self._keyed = [KeyedBlocks(spec.seed, s, start_block, n_blocks) for s in (_WINDOW, _REST)]
 
     def cursor(self):
-        return tuple(self._draw(keyed.cursor()) for keyed in self._keyed)
+        seats = [keyed.cursor() for keyed in self._keyed]
 
-    def _draw(self, seat):
-        def draw(row: int, out: np.ndarray) -> None:
-            seat(row).standard_normal(out=out.view(np.float64))
+        def draw(part: int, row: int, out: np.ndarray) -> None:
+            seats[part](row).standard_normal(out=out.view(np.float64))
             out *= self.deviation
 
         return draw

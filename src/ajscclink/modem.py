@@ -211,7 +211,7 @@ def _peak_frequencies(
     # abs over the full spectrum, and the parabola vertex on log-power
     # equals the vertex on log-magnitude (the logs differ by 2x).
     def rows(r0: int, r1: int, buf, power, imag2, window, rest) -> None:
-        draws = None if band_noise is None else (band_noise.deviation, *band_noise.cursor())
+        draw = None if band_noise is None else band_noise.cursor()
         for t in range(r0, r1, tile):
             m = min(tile, r1 - t)
             buf[:m, :n] = blocks[t : t + m]
@@ -220,8 +220,9 @@ def _peak_frequencies(
             np.square(seg.real, out=power[:m])
             np.square(seg.imag, out=imag2[:m])
             power[:m] += imag2[:m]
-            if draws is not None:
-                _add_band_noise(seg[:, inband], power[:m, inband], t, draws, window[:m], rest)
+            if draw is not None:
+                sigma = band_noise.deviation
+                _add_band_noise(seg[:, inband], power[:m, inband], t, sigma, draw, window[:m], rest)
             freqs[t : t + m] = _tile_frequencies(power[:m], cfg, n_fft, interpolate)
 
     band = ((tile, hi - lo + 1), np.float64)
@@ -230,16 +231,14 @@ def _peak_frequencies(
     return freqs
 
 
-def _add_band_noise(band, power, first_row: int, draws, window, rest) -> None:
+def _add_band_noise(band, power, first_row: int, deviation: float, draw, window, rest) -> None:
     """Add the noise to a tile's in-band bins, band, where it can move the peak,
-    and update their squared magnitudes, power (module docstring).  draws is
-    (deviation, window draw, rest draw); window and rest are scratch.
+    and update their squared magnitudes, power (module docstring).  draw and
+    deviation are a ``BandNoise``'s cursor and deviation; window and rest are scratch.
     """
-    m, n_bins = band.shape
-    width = window.shape[1]
-    deviation, window_draw, rest_draw = draws
+    (m, n_bins), width = band.shape, window.shape[1]
     for r in range(m):
-        window_draw(first_row + r, window[r])
+        draw(0, first_row + r, window[r])
     rows = np.arange(m)[:, None]
     start = np.clip(power.argmax(axis=1) - _HALF_WINDOW, 0, n_bins - width)
     cols = start[:, None] + np.arange(width)
@@ -253,12 +252,14 @@ def _add_band_noise(band, power, first_row: int, draws, window, rest) -> None:
     # A margin past ~1e154 deviations overflows its square; the bound is 0.
     with np.errstate(over="ignore"):
         bound = (n_bins - width) * np.exp(-0.5 * np.square(margin / deviation))
-    for r in np.flatnonzero(bound > _EPSILON):
+    completed = np.flatnonzero(bound > _EPSILON)
+    for r in completed:
         s = start[r]
-        rest_draw(first_row + r, rest)
+        draw(1, first_row + r, rest)
         band[r, :s] += rest[:s]
         band[r, s + width :] += rest[s:]
-        power[r] = np.square(band[r].real) + np.square(band[r].imag)
+    if completed.size:  # one pass over the tile; the other rows' power is unchanged
+        np.add(np.square(band.real), np.square(band.imag), out=power)
 
 
 def _tile_frequencies(

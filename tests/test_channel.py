@@ -419,22 +419,22 @@ class TestBandNoise:
     def test_per_bin_variance(self, csnr_db):
         # One DFT bin of N noise samples of variance 10^(-CSNR/10) has
         # variance N * 10^(-CSNR/10), split evenly over re and im.  Both the
-        # window draws (9 bins over 20,000 blocks, 180,000 bins) and the
+        # window draws (9 bins over 78,000 blocks, 702,000 bins) and the
         # completion draws (3,492 bins over 200 blocks, 698,400 bins) must
-        # have it; the estimates' standard errors are at most 0.24%, and the
-        # tolerance is 1.5%.
+        # have it within 1%, as the DFT of the channel's time-domain noise
+        # does below; the estimates' standard errors are about 0.17%.
         n = 8192
         want = n * 10.0 ** (-csnr_db / 10.0)
-        noise = BandNoise(ChannelSpec("awgn", csnr_db=csnr_db, seed=3), n, 0, 20_000)
+        noise = BandNoise(ChannelSpec("awgn", csnr_db=csnr_db, seed=3), n, 0, 78_000)
         assert noise.deviation**2 == pytest.approx(want / 2, rel=1e-12)
-        window, rest = noise.cursor()
-        for draw, n_blocks, n_bins in ((window, 20_000, 9), (rest, 200, 3492)):
+        draw = noise.cursor()
+        for part, n_blocks, n_bins in ((0, 78_000, 9), (1, 200, 3492)):
             bins = np.empty((n_blocks, n_bins), dtype=np.complex128)
             for r in range(n_blocks):
-                draw(r, bins[r])
-            assert np.mean(bins.real**2) == pytest.approx(want / 2, rel=0.015)
-            assert np.mean(bins.imag**2) == pytest.approx(want / 2, rel=0.015)
-            assert abs(np.mean(bins)) < 0.015 * np.sqrt(want)
+                draw(part, r, bins[r])
+            assert np.mean(bins.real**2) == pytest.approx(want / 2, rel=0.01)
+            assert np.mean(bins.imag**2) == pytest.approx(want / 2, rel=0.01)
+            assert abs(np.mean(bins)) < 0.01 * np.sqrt(want)
         # The reference: the DFT of the channel's time-domain noise.
         spec = ChannelSpec("awgn", csnr_db=csnr_db, seed=3)
         noise = make_channel(spec, 1.0, n).process(np.zeros((64, n), dtype=np.complex128))
@@ -447,12 +447,12 @@ class TestBandNoise:
         spec = ChannelSpec("awgn", csnr_db=0.0, seed=3)
         a, b = np.empty(100, dtype=np.complex128), np.empty(100, dtype=np.complex128)
         for part in (0, 1):
-            BandNoise(spec, 64, 10, 6).cursor()[part](5, a)
-            BandNoise(spec, 64, 0, 17).cursor()[part](15, b)
+            BandNoise(spec, 64, 10, 6).cursor()(part, 5, a)
+            BandNoise(spec, 64, 0, 17).cursor()(part, 15, b)
             assert a.tobytes() == b.tobytes()
-            BandNoise(spec, 64, 0, 17).cursor()[part](16, b)
+            BandNoise(spec, 64, 0, 17).cursor()(part, 16, b)
             assert a.tobytes() != b.tobytes()
-            BandNoise(spec, 64, 0, 17).cursor()[1 - part](15, b)
+            BandNoise(spec, 64, 0, 17).cursor()(1 - part, 15, b)
             assert a.tobytes() != b.tobytes()
 
 
@@ -505,10 +505,10 @@ class TestKeyedBlocks:
         noise = BandNoise(spec, n, 7, n_blocks)
 
         def band_rows(lo, hi):
-            window, rest = noise.cursor()
+            draw = noise.cursor()
             for r in range(lo, hi):
-                window(r, band_got[0, r])
-                rest(r, band_got[1, r])
+                draw(0, r, band_got[0, r])
+                draw(1, r, band_got[1, r])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

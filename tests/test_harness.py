@@ -54,13 +54,14 @@ def count_completions(monkeypatch):
     cursor = channel.BandNoise.cursor
 
     def counting_cursor(self):
-        window, rest = cursor(self)
+        draw = cursor(self)
 
-        def counted(row, out):
-            rows.append(row)
-            rest(row, out)
+        def counted(part, row, out):
+            if part == 1:
+                rows.append(row)
+            draw(part, row, out)
 
-        return window, counted
+        return counted
 
     monkeypatch.setattr(channel.BandNoise, "cursor", counting_cursor)
     return rows

@@ -311,14 +311,13 @@ def sized_draws(cursor, sizes):
     """A BandNoise cursor whose draws also append their sizes to sizes."""
 
     def sized_cursor():
-        def sized(draw):
-            def record(row, out):
-                sizes.append(out.size)
-                draw(row, out)
+        draw = cursor()
 
-            return record
+        def record(part, row, out):
+            sizes.append(out.size)
+            draw(part, row, out)
 
-        return tuple(sized(draw) for draw in cursor())
+        return record
 
     return sized_cursor
 
