@@ -161,6 +161,7 @@ class ChannelSpec:
             object.__setattr__(self, "doppler_hz", _DEFAULT_DOPPLER.get(self.family, 0.0))
         if self.doppler_hz < 0:
             raise ConfigError("doppler_hz must be >= 0")
+        noise_deviation(self.csnr_db)  # a ConfigError past the float range
         if self.family in ("awgn", "flat_rayleigh") and self.doppler_hz != 0:
             raise ConfigError(f"{self.family} has no Doppler; doppler_hz must be 0")
 
@@ -262,11 +263,17 @@ def noise_deviation(csnr_db: float) -> float:
     """Per-component deviation of the complex noise at the nominal P_sig = 1.
 
     The noise variance is 1 / 10^(csnr_db / 10), split evenly over the real
-    and imaginary parts; csnr_db = inf gives 0.
+    and imaginary parts; inf gives 0, and past about +-3,080 dB a ConfigError.
     """
     if csnr_db == np.inf:
         return 0.0
-    return float(np.sqrt(1.0 / 10.0 ** (csnr_db / 10.0) / 2.0))
+    try:
+        deviation = float(np.sqrt(1.0 / 10.0 ** (csnr_db / 10.0) / 2.0))
+    except (OverflowError, ZeroDivisionError):
+        deviation = 0.0
+    if not 0.0 < deviation < np.inf:
+        raise ConfigError(f"csnr_db must give a finite positive noise variance, got {csnr_db!r}")
+    return deviation
 
 
 class BandNoise:

@@ -32,7 +32,7 @@ from .analysis import (
     threshold_filter,
     write_cdf_csv,
 )
-from .channel import FAMILIES, BandNoise, ChannelSpec, load_profile, make_channel
+from .channel import FAMILIES, BandNoise, ChannelSpec, load_profile, make_channel, noise_deviation
 from .codec import AjsccParams, decode, encode, staircase
 from .errors import ConfigError, StageError
 from .modem import (
@@ -132,6 +132,7 @@ class RunConfig:
             raise ConfigError(f"duration must be finite and > 0, got {self.duration!r}")
         if not (_is_finite(self.csnr_db) or self.csnr_db == math.inf):
             raise ConfigError(f"csnr_db must be finite or inf, got {self.csnr_db!r}")
+        noise_deviation(self.csnr_db)  # a ConfigError past the float range
         if self.doppler_hz is not None and not _is_finite(self.doppler_hz):
             raise ConfigError(f"doppler_hz must be finite or None, got {self.doppler_hz!r}")
         for name in ("x1_input_range", "x2_input_range"):

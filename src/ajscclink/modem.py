@@ -10,11 +10,9 @@ frequency back to a voltage.
 
 The modulator and the receiver both split a chunk's rows into one
 contiguous range per usable CPU, on the pool the channel also uses
-(``pool.split_rows``).  The modulator builds each row on its own, with the
-same operations whichever range holds it, and can write into a
-caller-owned buffer (``out=``), so a stream of chunks reuses one array.
-The blocks are byte-identical for any worker count and equal to one 2-D
-running product over the whole chunk.
+(``pool.split_rows``).  The modulator multiplies a coarse and a fine tone
+table into each block, one ufunc call per tile of rows, into the output or a
+caller-owned ``out=``; a row's bytes do not depend on its tile or chunking.
 
 In the receiver, each worker walks its range in tiles of about 2 MB of
 padded spectrum: it copies the rows into the left part of its own buffer,
@@ -53,6 +51,7 @@ FAST_SAMPLE_RATE = 8.192e6
 FAST_FFT_SIZE = 8192
 SLOW_SAMPLE_RATE = 500e3
 SLOW_FFT_SIZE = 5000
+_TONE_TILE = 32  # rows per modulator tile: 98 kB of tone tables per worker at fft_size 8192
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def modulate(
     array of each block's start phase: a chunk of a longer stream passes its
     slice of ``block_start_phases`` over the whole stream, so its blocks do
     not depend on where the chunks start.  The blocks are written into out,
-    a complex128 array of that shape, when it is given, and out is returned.
+    a complex128 array of that shape and contiguous rows, if given, and out is returned.
     """
     encoded = np.atleast_1d(np.asarray(encoded, dtype=np.float64))
     if encoded.size == 0:
@@ -137,9 +136,9 @@ def modulate(
     n_rows, n = encoded.size, cfg.fft_size
     if out is None:
         out = np.empty((n_rows, n), dtype=np.complex128)
-    elif out.shape != (n_rows, n) or out.dtype != np.complex128:
+    elif out.shape != (n_rows, n) or out.dtype != np.complex128 or out.strides[1] != 16:
         raise ConfigError(
-            f"out must be a ({n_rows}, {n}) complex128 array, got {out.shape} {out.dtype}"
+            f"out must be ({n_rows}, {n}) complex128, rows contiguous, got {out.shape} {out.dtype}"
         )
     freqs = np.atleast_1d(voltage_to_frequency(encoded, full_scale, cfg))
     if np.ndim(start_phase):
@@ -148,24 +147,25 @@ def modulate(
             raise ConfigError(f"start_phase must be a scalar or ({n_rows},), got {phases0.shape}")
     else:
         phases0 = block_start_phases(freqs, cfg, start_phase)
-    # Each block is a geometric progression first[b] * step[b]**n; the
-    # running product is ~4x faster than exp over the full grid and keeps
-    # |sample| within ~1e-12 of one.
-    step = np.exp(2j * np.pi * freqs / cfg.sample_rate)
-    first = np.exp(1j * phases0)
+    # Row b's sample q' * m + r is coarse[b, q'] * fine[b, r], with m the smallest divisor
+    # of n >= sqrt(n), fine = exp(j 2 pi c r), coarse = exp(j (phi + 2 pi frac(c m q'))) and
+    # c = f / fs.  |sample| is within ~5e-16 of one, the phase ~2e-12 rad of exact.
+    m = next(d for d in range(1, n + 1) if n % d == 0 and d * d >= n)
+    q, cycles, ramp = n // m, freqs / cfg.sample_rate, np.arange(n, dtype=np.float64)
 
-    # One 1-D accumulate per row: numpy holds the GIL through a 2-D
-    # accumulate over a broadcast step, so ranges of rows in that form do
-    # not overlap on the pool, while the 1-D calls release it.  A row takes
-    # the same operations whichever range holds it.
-    def rows(r0: int, r1: int) -> None:
-        for r in range(r0, r1):
-            b = out[r]
-            b[0] = first[r]
-            np.multiply.accumulate(np.broadcast_to(step[r], (n - 1,)), out=b[1:])
-            b[1:] *= first[r]
+    def rows(r0: int, r1: int, tables) -> None:
+        for t in range(r0, r1, _TONE_TILE):
+            u = min(t + _TONE_TILE, r1)
+            both, f, c = tables[: u - t], tables[: u - t, :m], tables[: u - t, m:]
+            np.multiply(cycles[t:u, None], ramp[:m], out=f.imag)
+            np.fmod(np.multiply(cycles[t:u, None], ramp[::m], out=c.imag), 1.0, out=c.imag)
+            np.multiply(both.imag, 2 * np.pi, out=both.imag)
+            np.add(c.imag, phases0[t:u, None], out=c.imag)
+            np.cos(both.imag, out=both.real)
+            np.sin(both.imag, out=both.imag)
+            np.multiply(c[:, :, None], f[:, None, :], out=out[t:u].reshape(u - t, q, m))
 
-    split_rows(rows, n_rows)
+    split_rows(rows, n_rows, ((_TONE_TILE, m + q), np.complex128))
     return out
 
 

@@ -18,6 +18,7 @@ from ajscclink.channel import (
     load_profile,
     make_channel,
     make_jakes,
+    noise_deviation,
 )
 from ajscclink.errors import ConfigError
 from ajscclink.modem import fast_profile, modulate
@@ -181,6 +182,16 @@ class TestChannelSpec:
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigError):
             ChannelSpec("rician")
+
+    @pytest.mark.parametrize("csnr_db", [4000.0, -4000.0, float("nan"), float("-inf")])
+    def test_csnr_without_a_finite_noise_variance_rejected(self, csnr_db):
+        with pytest.raises(ConfigError):
+            ChannelSpec("awgn", csnr_db=csnr_db)
+
+    def test_csnr_near_the_float_range_accepted(self):
+        for csnr_db in (3080.0, -3080.0):
+            ChannelSpec("awgn", csnr_db=csnr_db)
+            assert 0.0 < noise_deviation(csnr_db) < np.inf
 
     def test_resolved_fills_builtin_profile(self):
         spec = ChannelSpec("jtc_indoor_a").resolved()

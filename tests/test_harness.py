@@ -527,6 +527,19 @@ class TestCli:
         assert "must be a JSON object" in capsys.readouterr().err
         assert not (out / "run_report.json").exists()
 
+    @pytest.mark.parametrize("interp", [[], ["--no-interp"]], ids=["interp", "raw"])
+    @pytest.mark.parametrize("csnr_db", [4000, -4000])
+    def test_csnr_past_the_float_range_is_config_error(self, csnr_db, interp, tmp_path, capsys):
+        # 10^(csnr_db / 10) overflows or underflows past about +-3,080 dB.
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "levels": 8, "duration": 0.25, "csnr_db": csnr_db, "analysis": {"median_order": 0},
+        }))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), *interp, "--out", str(out)]) == 2
+        assert "finite positive noise variance" in capsys.readouterr().err
+        assert not (out / "run_report.json").exists()
+
     def test_simulate_with_config_and_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({

@@ -195,29 +195,51 @@ class TestDemodulate:
         assert slow_profile().block_period == pytest.approx(10e-3)
 
 
+def tone_split(n):
+    """(m, q): m the smallest divisor of n that is >= sqrt(n), q = n // m."""
+    m = min(d for d in range(1, n + 1) if n % d == 0 and d * d >= n)
+    return m, n // m
+
+
 def whole_array_modulate(encoded, cfg, start_phase):
-    """Reference modulator: one 2-D running product over every row at once."""
+    """Reference modulator: the coarse x fine tone rule over every row at once.
+
+    Sample q' * m + r of row b is exp(j (phi_b + 2 pi frac(c_b m q'))) *
+    exp(j 2 pi c_b r), with c_b = f_b / fs, built as one 3-D broadcast.
+    """
     freqs = voltage_to_frequency(np.asarray(encoded, dtype=np.float64), FULL_SCALE, cfg)
     phases0 = block_start_phases(freqs, cfg, start_phase)
-    step = np.exp(2j * np.pi * freqs / cfg.sample_rate)
-    first = np.exp(1j * phases0)
-    blocks = np.empty((freqs.size, cfg.fft_size), dtype=np.complex128)
-    blocks[:, 0] = first
-    np.multiply.accumulate(
-        np.broadcast_to(step[:, None], (freqs.size, cfg.fft_size - 1)),
-        axis=1,
-        out=blocks[:, 1:],
-    )
-    blocks[:, 1:] *= first[:, None]
-    return blocks
+    cycles = freqs / cfg.sample_rate
+    m, q = tone_split(cfg.fft_size)
+    coarse_cycles = cycles[:, None] * (m * np.arange(q, dtype=np.float64))
+    coarse_cycles -= np.floor(coarse_cycles)
+
+    def tones(angle):
+        table = np.empty(angle.shape, dtype=np.complex128)
+        table.real, table.imag = np.cos(angle), np.sin(angle)
+        return table
+
+    fine = tones(cycles[:, None] * np.arange(m, dtype=np.float64) * (2 * np.pi))
+    coarse = tones(coarse_cycles * (2 * np.pi) + phases0[:, None])
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(freqs.size, cfg.fft_size)
+
+
+def exact_tones(encoded, cfg, start_phases):
+    """Each block in extended precision: exp(j (phi_b + 2 pi (f_b / fs) n))."""
+    pi = np.arccos(np.longdouble(-1))
+    freqs = voltage_to_frequency(np.asarray(encoded, dtype=np.float64), FULL_SCALE, cfg)
+    cycles = freqs.astype(np.longdouble) / np.longdouble(cfg.sample_rate)
+    n = np.arange(cfg.fft_size, dtype=np.longdouble)
+    angle = np.asarray(start_phases, dtype=np.longdouble)[:, None] + 2 * pi * cycles[:, None] * n
+    return np.cos(angle), np.sin(angle)
 
 
 class TestModulateRowSplit:
     @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
     @pytest.mark.parametrize("n_rows", [1, 7, 300, 512])
     def test_matches_whole_array_modulator(self, profile, n_rows, monkeypatch):
-        # Rows built one at a time on the pool must give the bytes of the
-        # 2-D running product, for any worker count, with or without out=.
+        # Rows built in tiles on the pool must give the bytes of the tone
+        # rule over the whole chunk, for any worker count, with or without out=.
         cfg = profile()
         encoded = np.random.default_rng(n_rows).uniform(0, FULL_SCALE, n_rows)
         out = np.full((n_rows, cfg.fft_size), np.nan, dtype=np.complex128)
@@ -232,6 +254,33 @@ class TestModulateRowSplit:
                 assert out.tobytes() == want
                 out[:] = np.nan
 
+    @pytest.mark.parametrize("fft_size", [2, 61])
+    def test_prime_and_two_sample_blocks(self, fft_size, monkeypatch):
+        # A prime fft_size has m = fft_size and q = 1; fft_size = 2 has m = 2.
+        cfg = ModemConfig(f_min=0.0, f_max=4e3, sample_rate=1e4, fft_size=fft_size)
+        encoded = np.random.default_rng(fft_size).uniform(0, FULL_SCALE, 45)
+        want = whole_array_modulate(encoded, cfg, 1.0)
+        for workers in (1, 2):
+            monkeypatch.setattr(pool, "_WORKERS", workers)
+            assert modulate(encoded, FULL_SCALE, cfg, start_phase=1.0).tobytes() == want.tobytes()
+        phases = block_start_phases(voltage_to_frequency(encoded, FULL_SCALE, cfg), cfg, 1.0)
+        cos, sin = exact_tones(encoded, cfg, phases)
+        assert np.hypot(want.real - cos, want.imag - sin).max() <= 1e-13
+
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    def test_accuracy_against_extended_precision(self, profile):
+        # The phase error is set by the float64 f / fs (~2e-12 rad); the
+        # modulus stays within a few ulps of one.
+        cfg = profile()
+        rng = np.random.default_rng(11)
+        encoded = rng.uniform(0, FULL_SCALE, 40)
+        phases = rng.uniform(0, 2 * np.pi, 40)
+        got = modulate(encoded, FULL_SCALE, cfg, start_phase=phases)
+        cos, sin = exact_tones(encoded, cfg, phases)
+        assert np.hypot(got.real - cos, got.imag - sin).max() <= 1e-11
+        modulus = np.hypot(got.real.astype(np.longdouble), got.imag.astype(np.longdouble))
+        assert np.abs(modulus - 1).max() <= 1e-14
+
     @pytest.mark.parametrize(
         "shape, dtype",
         [((3, 64), np.complex128), ((4, 63), np.complex128), ((4, 64), np.complex64)],
@@ -240,6 +289,15 @@ class TestModulateRowSplit:
         cfg = ModemConfig(f_min=0.0, f_max=1e3, sample_rate=1e4, fft_size=64)
         with pytest.raises(ConfigError):
             modulate(np.zeros(4), FULL_SCALE, cfg, out=np.empty(shape, dtype=dtype))
+
+    def test_out_with_strided_rows_rejected(self):
+        # Each row is written as a (q, m) view of itself, so it must be contiguous.
+        cfg = ModemConfig(f_min=0.0, f_max=1e3, sample_rate=1e4, fft_size=64)
+        with pytest.raises(ConfigError):
+            modulate(np.zeros(4), FULL_SCALE, cfg, out=np.empty((4, 128), complex)[:, ::2])
+        rows = np.empty((8, 64), complex)[::2]
+        assert modulate(np.linspace(0, 1, 4), FULL_SCALE, cfg, out=rows) is rows
+        assert rows.tobytes() == modulate(np.linspace(0, 1, 4), FULL_SCALE, cfg).tobytes()
 
 
 def whole_array_peak_frequencies(blocks, cfg, interpolate):
