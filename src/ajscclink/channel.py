@@ -30,11 +30,13 @@ A run with the raw FFT-bin receiver at finite CSNR draws no time-domain
 noise: its channel runs at csnr_db = inf, and the receiver adds block b's
 noise straight to the in-band bins it reads (``BandNoise``).  The N-point
 DFT of N iid CN(0, 2s^2) samples is N iid CN(0, 2Ns^2) bins, so this is
-exact in distribution.  The 9 bins around the noiseless peak draw from
-stream ``spawn_key=(2, b)``, and the rest of the band, only where a union
-bound says it could move the peak (see ``modem``), from ``spawn_key=(3, b)``.
-The interpolating receiver reads a 2N-point padded spectrum whose noise
-bins are correlated, so its runs keep the time-domain stream (1, b).
+exact in distribution.  The 9 bins around the noiseless peak take their
+noise from one counter-based Philox stream keyed by ``spawn_key=(2,)``, at
+counter 5 * b, so a chunk draws the windows of all its blocks in one call.
+The rest of the band, only where a union bound says it could move the peak
+(see ``modem``), draws from ``spawn_key=(3, b)``.  The interpolating
+receiver reads a 2N-point padded spectrum whose noise bins are correlated,
+so its runs keep the time-domain stream (1, b).
 
 All three channels are one tapped delay line; AWGN and flat Rayleigh have a
 single tap at delay 0.  ``process`` splits the block rows into one
@@ -68,9 +70,13 @@ _BUILTIN_PROFILE_FILES = {
 }
 # Spawn-key streams: (_FADE,) seeds the oscillator banks, (_FADE, b) and
 # (_NOISE, b) the flat-Rayleigh coefficient and the noise of block b, and
-# (_WINDOW, b) and (_REST, b) the raw receiver's in-band noise of block b:
-# its window around the peak and the rest of the band.
+# (_WINDOW,) and (_REST, b) the raw receiver's in-band noise: the Philox key
+# of every block's window around the peak, and the rest of block b's band.
 _FADE, _NOISE, _WINDOW, _REST = 0, 1, 2, 3
+# The window's bins per block, and the Philox counters (4 words each) that
+# block b's window takes from counter _WINDOW_COUNTERS * b on: 20 words, of
+# which the bins' Box-Muller pairs use 18.
+_WINDOW_BINS, _WINDOW_COUNTERS = 9, 5
 _N_OSCILLATORS = 64  # sinusoids per fading tap
 
 
@@ -280,22 +286,42 @@ class BandNoise:
     """The raw receiver's in-band noise for blocks start_block .. start_block + n_blocks - 1.
 
     ``deviation`` is the per-component deviation of a DFT bin of the noise,
-    sqrt(block_size) * ``noise_deviation(spec.csnr_db)``.  ``cursor()`` gives
-    a row range its own ``draw(part, row, out)``, which writes
-    ``standard_normal`` of block b = start_block + row, interleaved re/im,
-    times deviation into out, one complex128 per bin: part 0, the window,
-    from stream (2, b), and part 1, the completion, from stream (3, b).
+    sqrt(block_size) * ``noise_deviation(spec.csnr_db)``.
+
+    ``window`` holds the 9 window bins of every block, one row each, drawn
+    here at once.  Block b's come from the 20 words
+    ``Philox(key=k, counter=5 * b).random_raw(20)``, with
+    ``k = SeedSequence(spec.seed, spawn_key=(2,)).generate_state(2, np.uint64)``:
+    with u = (w >> 11) * 2^-53, bin i is the Box-Muller pair
+    deviation * sqrt(-2 ln(1 - u_i)) * (cos 2 pi u_{9+i} + j sin 2 pi u_{9+i}),
+    and words 18 and 19 go unused.  A Philox counter advances by one per 4
+    words, so the chunk's blocks take their words from one stream started at
+    counter 5 * start_block.
+
+    ``cursor()`` gives a row range its own ``draw(row, out)`` for the
+    completion, which writes ``standard_normal`` of stream (3, b), b =
+    start_block + row, interleaved re/im, times deviation into out, one
+    complex128 per bin.
     """
 
     def __init__(self, spec: ChannelSpec, block_size: int, start_block: int, n_blocks: int):
         self.deviation = float(np.sqrt(block_size)) * noise_deviation(spec.csnr_db)
-        self._keyed = [KeyedBlocks(spec.seed, s, start_block, n_blocks) for s in (_WINDOW, _REST)]
+        key = np.random.SeedSequence(spec.seed, spawn_key=(_WINDOW,)).generate_state(2, np.uint64)
+        philox = np.random.Philox(key=key, counter=_WINDOW_COUNTERS * start_block)
+        words = philox.random_raw(4 * _WINDOW_COUNTERS * n_blocks)
+        u = (words.reshape(n_blocks, 4 * _WINDOW_COUNTERS) >> np.uint64(11)) * 2.0**-53
+        radius = self.deviation * np.sqrt(-2.0 * np.log(1.0 - u[:, :_WINDOW_BINS]))
+        angle = 2 * np.pi * u[:, _WINDOW_BINS : 2 * _WINDOW_BINS]
+        self.window = np.empty((n_blocks, _WINDOW_BINS), dtype=np.complex128)
+        np.multiply(radius, np.cos(angle), out=self.window.real)
+        np.multiply(radius, np.sin(angle), out=self.window.imag)
+        self._rest = KeyedBlocks(spec.seed, _REST, start_block, n_blocks)
 
     def cursor(self):
-        seats = [keyed.cursor() for keyed in self._keyed]
+        seat = self._rest.cursor()
 
-        def draw(part: int, row: int, out: np.ndarray) -> None:
-            seats[part](row).standard_normal(out=out.view(np.float64))
+        def draw(row: int, out: np.ndarray) -> None:
+            seat(row).standard_normal(out=out.view(np.float64))
             out *= self.deviation
 
         return draw

@@ -23,18 +23,20 @@ range, so the output is byte-identical for any worker count and equal to
 one padded FFT of the whole chunk.
 
 The raw receiver can take the channel noise in the frequency domain
-(``band_noise``, a ``channel.BandNoise``).  Each row adds noise to the
-2W + 1 = 9 in-band bins around its noiseless peak, from stream (2, b) of
-its absolute block b.  With A the largest noisy magnitude there, X_out the
-largest noiseless one of the M other in-band bins and s the per-component
-deviation of a bin, the union bound M * exp(-max(A - X_out, 0)^2 / (2 s^2))
-caps the chance that any of those M beats A once noisy.  Where it exceeds
-eps = 1e-12, the row also draws the M bins from stream (3, b) and searches
-the whole band.  The bins are iid, so this is exact, and it differs from a
-full-band draw with probability at most eps per block.  The generators are
-per worker and seated per block, so the bytes do not depend on the worker
-count or chunking.  The noiseless bins still come from the FFT; their
-closed form waits on ROADMAP item 2.
+(``band_noise``, a ``channel.BandNoise``, which holds the window noise of
+every row of the chunk).  Each row adds its window noise to the 2W + 1 = 9
+in-band bins around its noiseless peak, shifted to stay inside the band.
+With A the largest noisy magnitude there, X_out the largest noiseless one
+of the M other in-band bins and s the per-component deviation of a bin,
+the union bound M * exp(-max(A - X_out, 0)^2 / (2 s^2)) caps the chance
+that any of those M beats A once noisy.  Where it is at most eps = 1e-12
+(< M), A > X_out, so the band's peak is the window's.  Where it exceeds
+eps, the row also draws the M bins from stream (3, b) of its absolute
+block b and searches the whole band.  The bins are iid, so this is exact,
+and it differs from a full-band draw with probability at most eps per
+block.  The completion's generators are per worker and seated per block,
+so the bytes do not depend on the worker count or chunking.  The noiseless
+bins still come from the FFT; their closed form waits on ROADMAP item 2.
 """
 
 from __future__ import annotations
@@ -66,10 +68,18 @@ class ModemConfig:
     def __post_init__(self):
         if not 0 <= self.f_min < self.f_max:
             raise ConfigError(f"need 0 <= f_min < f_max, got [{self.f_min}, {self.f_max}]")
+        if not 0 < self.sample_rate < np.inf:
+            raise ConfigError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
         if self.f_max > 0.98 * self.sample_rate / 2:
             raise ConfigError(f"f_max {self.f_max} exceeds 98% of Nyquist")
         if self.fft_size < 2:
             raise ConfigError(f"fft_size must be >= 2, got {self.fft_size}")
+        k_lo, k_hi, _, _ = _band_edges(self, self.fft_size)
+        if k_lo > k_hi:
+            raise ConfigError(
+                f"band [{self.f_min}, {self.f_max}] Hz holds no bin of the "
+                f"{self.fft_size}-point grid at {self.sample_rate} Hz"
+            )
 
     @property
     def block_period(self) -> float:
@@ -169,9 +179,8 @@ def modulate(
     return out
 
 
-# The band noise's window is 2 * _HALF_WINDOW + 1 bins; the band is completed
-# where the union bound exceeds _EPSILON (module docstring).
-_HALF_WINDOW = 4
+# The raw receiver completes a block's band where the union bound exceeds
+# _EPSILON (module docstring).
 _EPSILON = 1e-12
 
 # Padded spectrum per receiver FFT tile (8 rows at n_fft = 16384).  On a
@@ -203,14 +212,13 @@ def _peak_frequencies(
     tile = max(1, min(_TILE_BYTES // (16 * n_fft), n_rows))
     freqs = np.empty(n_rows)
     inband = slice(k_lo - lo, k_hi - lo + 1)
-    # The band noise's scratch: each row's window draws, and one completion.
-    width = min(2 * _HALF_WINDOW + 1, k_hi - k_lo + 1)
-    noise_rows, n_rest = (tile, k_hi - k_lo + 1 - width) if band_noise is not None else (0, 0)
+    # The completion's scratch: one row's draws outside the window.
+    n_rest = 0 if band_noise is None else max(k_hi - k_lo + 1 - band_noise.window.shape[1], 0)
 
     # Squared magnitude, computed only around the search band: cheaper than
     # abs over the full spectrum, and the parabola vertex on log-power
     # equals the vertex on log-magnitude (the logs differ by 2x).
-    def rows(r0: int, r1: int, buf, power, imag2, window, rest) -> None:
+    def rows(r0: int, r1: int, buf, power, imag2, rest) -> None:
         draw = None if band_noise is None else band_noise.cursor()
         for t in range(r0, r1, tile):
             m = min(tile, r1 - t)
@@ -220,46 +228,52 @@ def _peak_frequencies(
             np.square(seg.real, out=power[:m])
             np.square(seg.imag, out=imag2[:m])
             power[:m] += imag2[:m]
-            if draw is not None:
-                sigma = band_noise.deviation
-                _add_band_noise(seg[:, inband], power[:m, inband], t, sigma, draw, window[:m], rest)
-            freqs[t : t + m] = _tile_frequencies(power[:m], cfg, n_fft, interpolate)
+            if draw is None:
+                freqs[t : t + m] = _tile_frequencies(power[:m], cfg, n_fft, interpolate)
+            else:
+                k = _noisy_peaks(
+                    seg[:, inband], power[:m, inband], imag2[:m, inband], band_noise, t, draw, rest
+                )
+                freqs[t : t + m] = (k + k_lo) * cfg.sample_rate / n_fft
 
     band = ((tile, hi - lo + 1), np.float64)
-    noise = ((noise_rows, width), np.complex128), ((n_rest,), np.complex128)
-    split_rows(rows, n_rows, ((tile, n_fft), np.complex128), band, band, *noise)
+    split_rows(rows, n_rows, ((tile, n_fft), np.complex128), band, band, ((n_rest,), np.complex128))
     return freqs
 
 
-def _add_band_noise(band, power, first_row: int, deviation: float, draw, window, rest) -> None:
-    """Add the noise to a tile's in-band bins, band, where it can move the peak,
-    and update their squared magnitudes, power (module docstring).  draw and
-    deviation are a ``BandNoise``'s cursor and deviation; window and rest are scratch.
+def _noisy_peaks(band, power, scratch, band_noise, first_row: int, draw, rest) -> np.ndarray:
+    """In-band index of each row's peak once band_noise is added to a tile's
+    in-band bins, band, whose squared magnitudes are power (module docstring).
+
+    first_row is the tile's first row in the chunk and draw the range's
+    cursor of band_noise.  power, and band on the rows that complete, are
+    overwritten; scratch (power's shape) and rest are scratch.
     """
-    (m, n_bins), width = band.shape, window.shape[1]
-    for r in range(m):
-        draw(0, first_row + r, window[r])
-    rows = np.arange(m)[:, None]
-    start = np.clip(power.argmax(axis=1) - _HALF_WINDOW, 0, n_bins - width)
+    (m, n_bins), full_width = band.shape, band_noise.window.shape[1]
+    width = min(full_width, n_bins)
+    rows = np.arange(m)
+    start = np.clip(power.argmax(axis=1) - full_width // 2, 0, n_bins - width)
     cols = start[:, None] + np.arange(width)
-    power[rows, cols] = 0.0
+    power[rows[:, None], cols] = 0.0
     out_peak = np.sqrt(power.max(axis=1))
-    noisy = band[rows, cols] + window
-    band[rows, cols] = noisy
+    noisy = band[rows[:, None], cols] + band_noise.window[first_row : first_row + m, :width]
     noisy_power = np.square(noisy.real) + np.square(noisy.imag)
-    power[rows, cols] = noisy_power
-    margin = np.maximum(np.sqrt(noisy_power.max(axis=1)) - out_peak, 0.0)
+    peak = noisy_power.argmax(axis=1)
+    margin = np.maximum(np.sqrt(noisy_power[rows, peak]) - out_peak, 0.0)
     # A margin past ~1e154 deviations overflows its square; the bound is 0.
     with np.errstate(over="ignore"):
-        bound = (n_bins - width) * np.exp(-0.5 * np.square(margin / deviation))
-    completed = np.flatnonzero(bound > _EPSILON)
-    for r in completed:
-        s = start[r]
-        draw(1, first_row + r, rest)
-        band[r, :s] += rest[:s]
-        band[r, s + width :] += rest[s:]
-    if completed.size:  # one pass over the tile; the other rows' power is unchanged
-        np.add(np.square(band.real), np.square(band.imag), out=power)
+        bound = (n_bins - width) * np.exp(-0.5 * np.square(margin / band_noise.deviation))
+    k = start + peak
+    for r in np.flatnonzero(bound > _EPSILON):
+        s, row, p = start[r], band[r], power[r]
+        draw(first_row + r, rest)
+        row[s : s + width] = noisy[r]
+        row[:s] += rest[:s]
+        row[s + width :] += rest[s:]
+        np.square(row.real, out=p)
+        p += np.square(row.imag, out=scratch[r])
+        k[r] = p.argmax()
+    return k
 
 
 def _tile_frequencies(
@@ -268,15 +282,16 @@ def _tile_frequencies(
     """Per-row peak frequency (Hz) from the power of spectrum bins lo..hi."""
     k_lo, k_hi, lo, _ = _band_edges(cfg, n_fft)
     band = power[:, k_lo - lo : k_hi - lo + 1]
-    peak_val = band.max(axis=1)
+    rows = np.arange(power.shape[0])
+    k = band.argmax(axis=1)
+    peak_val = band[rows, k]
     if np.any(peak_val == 0):
         raise DemodError("no spectral peak in band (all-zero block?)")
-    k = band.argmax(axis=1) + k_lo
+    k += k_lo
 
     if not interpolate:
         return k * cfg.sample_rate / n_fft
 
-    rows = np.arange(power.shape[0])
     interior = (k >= max(k_lo, 1)) & (k <= min(k_hi, n_fft - 2))
     k_seg = np.clip(k - lo, 1, power.shape[1] - 2)
     floor = peak_val * 1e-24
@@ -308,5 +323,9 @@ def demodulate_stream(
     blocks = np.asarray(blocks, dtype=np.complex128)
     if blocks.ndim != 2 or blocks.shape[1] != cfg.fft_size:
         raise ConfigError(f"blocks must be (n, {cfg.fft_size}), got {blocks.shape}")
+    if band_noise is not None and band_noise.window.shape[0] != blocks.shape[0]:
+        raise ConfigError(
+            f"band noise holds {band_noise.window.shape[0]} blocks, got {blocks.shape[0]}"
+        )
     f = _peak_frequencies(blocks, cfg, interpolate, band_noise)
     return np.asarray(frequency_to_voltage(f, full_scale, cfg))

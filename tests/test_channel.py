@@ -425,12 +425,24 @@ class TestKeyedStreams:
             np.testing.assert_array_equal(tail, whole[5:])
 
 
+def reference_window(seed, block, deviation):
+    """Block b's 9 window bins, from its own Philox at counter 5 * b: 20
+    words, as u in [0, 1), turned into 9 Box-Muller pairs."""
+    key = np.random.SeedSequence(seed, spawn_key=(2,)).generate_state(2, np.uint64)
+    u = (np.random.Philox(key=key, counter=5 * block).random_raw(20) >> np.uint64(11)) * 2.0**-53
+    radius = deviation * np.sqrt(-2.0 * np.log(1.0 - u[:9]))
+    window = np.empty(9, dtype=np.complex128)
+    window.real = radius * np.cos(2 * np.pi * u[9:18])
+    window.imag = radius * np.sin(2 * np.pi * u[9:18])
+    return window
+
+
 class TestBandNoise:
     @pytest.mark.parametrize("csnr_db", [0.0, 10.0])
     def test_per_bin_variance(self, csnr_db):
         # One DFT bin of N noise samples of variance 10^(-CSNR/10) has
         # variance N * 10^(-CSNR/10), split evenly over re and im.  Both the
-        # window draws (9 bins over 78,000 blocks, 702,000 bins) and the
+        # window bins (9 bins over 78,000 blocks, 702,000 bins) and the
         # completion draws (3,492 bins over 200 blocks, 698,400 bins) must
         # have it within 1%, as the DFT of the channel's time-domain noise
         # does below; the estimates' standard errors are about 0.17%.
@@ -438,11 +450,12 @@ class TestBandNoise:
         want = n * 10.0 ** (-csnr_db / 10.0)
         noise = BandNoise(ChannelSpec("awgn", csnr_db=csnr_db, seed=3), n, 0, 78_000)
         assert noise.deviation**2 == pytest.approx(want / 2, rel=1e-12)
+        assert noise.window.shape == (78_000, 9)
+        completion = np.empty((200, 3492), dtype=np.complex128)
         draw = noise.cursor()
-        for part, n_blocks, n_bins in ((0, 78_000, 9), (1, 200, 3492)):
-            bins = np.empty((n_blocks, n_bins), dtype=np.complex128)
-            for r in range(n_blocks):
-                draw(part, r, bins[r])
+        for r in range(200):
+            draw(r, completion[r])
+        for bins in (noise.window, completion):
             assert np.mean(bins.real**2) == pytest.approx(want / 2, rel=0.01)
             assert np.mean(bins.imag**2) == pytest.approx(want / 2, rel=0.01)
             assert abs(np.mean(bins)) < 0.01 * np.sqrt(want)
@@ -453,18 +466,25 @@ class TestBandNoise:
         assert np.mean(np.abs(spectra) ** 2) == pytest.approx(want, rel=0.01)
 
     def test_keyed_on_the_absolute_block(self):
-        # Each part, the window (0) and the completion (1), takes its own
-        # stream of the absolute block.
+        # The window and the completion each take their own stream of the
+        # absolute block, whatever chunk holds it.  A chunk's windows are one
+        # Philox stream from counter 5 * start_block; in the second chunk the
+        # counter crosses 2^64 between its rows 2 and 3.
         spec = ChannelSpec("awgn", csnr_db=0.0, seed=3)
-        a, b = np.empty(100, dtype=np.complex128), np.empty(100, dtype=np.complex128)
-        for part in (0, 1):
-            BandNoise(spec, 64, 10, 6).cursor()(part, 5, a)
-            BandNoise(spec, 64, 0, 17).cursor()(part, 15, b)
+        deviation = 8.0 * np.sqrt(0.5)
+        for start in (0, 2**64 // 5 - 3):
+            chunk = BandNoise(spec, 64, start, 6)
+            for r in range(6):
+                want = reference_window(3, start + r, deviation)
+                assert chunk.window[r].tobytes() == want.tobytes()
+                assert BandNoise(spec, 64, start + r, 1).window[0].tobytes() == want.tobytes()
+            a, b = np.empty(100, dtype=np.complex128), np.empty(100, dtype=np.complex128)
+            chunk.cursor()(5, a)
+            BandNoise(spec, 64, start + 1, 17).cursor()(4, b)
             assert a.tobytes() == b.tobytes()
-            BandNoise(spec, 64, 0, 17).cursor()(part, 16, b)
+            BandNoise(spec, 64, start + 1, 17).cursor()(5, b)
             assert a.tobytes() != b.tobytes()
-            BandNoise(spec, 64, 0, 17).cursor()(1 - part, 15, b)
-            assert a.tobytes() != b.tobytes()
+            assert a[:9].tobytes() != chunk.window[5].tobytes()
 
 
 def reference_rng(seed, stream, block):
@@ -491,11 +511,12 @@ class TestKeyedBlocks:
     def test_ranges_under_fast_switching(self, monkeypatch):
         # Sixteen row ranges on the pool, the interpreter switching threads
         # every few microseconds: each range's generators must be its own, so
-        # every block draws the bytes of its own SeedSequence, on all four
-        # streams.  Each range alternates the band noise's window and
-        # completion draws row by row, as the receiver does, and their rows
-        # are longer than a block, so that a shared generator is caught
-        # there too.
+        # every block draws the bytes of its own SeedSequence, on the noise,
+        # fade and completion streams.  Each range reads the band noise's
+        # window row and draws the completion row by row, as the receiver
+        # does; the completion rows are longer than a block, so that a shared
+        # generator is caught there too.  The windows come from their own
+        # Philox per block.
         n_blocks, n, n_bins, seed = 64, 256, 4096, 13
         monkeypatch.setattr(pool, "_WORKERS", 16)
         spec = ChannelSpec("awgn", csnr_db=0.0, seed=seed)
@@ -503,23 +524,23 @@ class TestKeyedBlocks:
         scale = np.sqrt(0.5)
         noise_want = np.empty((n_blocks, n), dtype=np.complex128)
         fade_want = np.empty(n_blocks, dtype=np.complex128)
-        band_want = np.empty((2, n_blocks, n_bins), dtype=np.complex128)
+        band_want = np.empty((n_blocks, n_bins), dtype=np.complex128)
+        window_want = np.empty((n_blocks, 9), dtype=np.complex128)
         for r in range(n_blocks):
             noise_want[r] = reference_rng(seed, 1, 7 + r).standard_normal(2 * n).view(complex)
             fade_want[r] = reference_rng(seed, 0, 7 + r).standard_normal(2).view(complex)[0]
-            for part in (0, 1):
-                normals = reference_rng(seed, 2 + part, 7 + r).standard_normal(2 * n_bins)
-                band_want[part, r] = normals.view(complex)
+            band_want[r] = reference_rng(seed, 3, 7 + r).standard_normal(2 * n_bins).view(complex)
+            window_want[r] = reference_window(seed, 7 + r, np.sqrt(n) * scale)
         noise_want *= scale
         band_want *= np.sqrt(n) * scale
-        band_got = np.empty_like(band_want)
+        band_got, window_got = np.empty_like(band_want), np.empty_like(window_want)
         noise = BandNoise(spec, n, 7, n_blocks)
 
         def band_rows(lo, hi):
             draw = noise.cursor()
             for r in range(lo, hi):
-                draw(0, r, band_got[0, r])
-                draw(1, r, band_got[1, r])
+                window_got[r] = noise.window[r]
+                draw(r, band_got[r])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -533,3 +554,4 @@ class TestKeyedBlocks:
         assert noise_got.tobytes() == noise_want.tobytes()
         assert fade_got.tobytes() == (fade_want / np.sqrt(2.0)).tobytes()
         assert band_got.tobytes() == band_want.tobytes()
+        assert window_got.tobytes() == window_want.tobytes()

@@ -56,10 +56,9 @@ def count_completions(monkeypatch):
     def counting_cursor(self):
         draw = cursor(self)
 
-        def counted(part, row, out):
-            if part == 1:
-                rows.append(row)
-            draw(part, row, out)
+        def counted(row, out):
+            rows.append(row)
+            draw(row, out)
 
         return counted
 

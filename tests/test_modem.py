@@ -49,6 +49,9 @@ class TestProfiles:
             dict(f_min=2e3, f_max=1e3, sample_rate=1e4, fft_size=64),
             dict(f_min=0.0, f_max=4.95e3, sample_rate=1e4, fft_size=64),
             dict(f_min=0.0, f_max=1e3, sample_rate=1e4, fft_size=1),
+            dict(f_min=0.0, f_max=1e3, sample_rate=float("nan"), fft_size=64),
+            # The band holds no bin of the 8-point grid (125 Hz apart).
+            dict(f_min=100.0, f_max=101.0, sample_rate=1e3, fft_size=8),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -332,10 +335,23 @@ def reference_rng(seed, stream, block):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
 
 
+def reference_window(seed, block, deviation):
+    """Block b's 9 window bins, from its own Philox at counter 5 * b: 20
+    words, as u in [0, 1), turned into 9 Box-Muller pairs."""
+    key = np.random.SeedSequence(seed, spawn_key=(2,)).generate_state(2, np.uint64)
+    u = (np.random.Philox(key=key, counter=5 * block).random_raw(20) >> np.uint64(11)) * 2.0**-53
+    radius = deviation * np.sqrt(-2.0 * np.log(1.0 - u[:9]))
+    window = np.empty(9, dtype=np.complex128)
+    window.real = radius * np.cos(2 * np.pi * u[9:18])
+    window.imag = radius * np.sin(2 * np.pi * u[9:18])
+    return window
+
+
 def windowed_band_noise_reference(blocks, cfg, spec, start_block):
     """Reference raw receiver with band noise: one FFT of every row at once,
-    then the window rule row by row, each block's noise from its own
-    SeedSequence.  Returns the peak frequencies and which rows completed.
+    then the window rule row by row, each block's window from its own Philox
+    and its completion from its own SeedSequence.  Returns the peak
+    frequencies and which rows completed.
     """
     n = cfg.fft_size
     k_lo = int(np.ceil(cfg.f_min * n / cfg.sample_rate))
@@ -351,7 +367,7 @@ def windowed_band_noise_reference(blocks, cfg, spec, start_block):
         inside = np.arange(s, s + 9)
         outside = np.setdiff1d(np.arange(n_bins), inside)
         noisy = x.copy()
-        noisy[inside] += sigma * reference_rng(spec.seed, 2, b).standard_normal(18).view(complex)
+        noisy[inside] += reference_window(spec.seed, b, sigma)
         a = np.abs(noisy[inside]).max()
         x_out = np.abs(x[outside]).max()
         bound = outside.size * np.exp(-max(a - x_out, 0.0) ** 2 / (2 * sigma**2))
@@ -366,14 +382,14 @@ def windowed_band_noise_reference(blocks, cfg, spec, start_block):
 
 
 def sized_draws(cursor, sizes):
-    """A BandNoise cursor whose draws also append their sizes to sizes."""
+    """A BandNoise cursor whose completion draws also append their sizes to sizes."""
 
     def sized_cursor():
         draw = cursor()
 
-        def record(part, row, out):
+        def record(row, out):
             sizes.append(out.size)
-            draw(part, row, out)
+            draw(row, out)
 
         return record
 
@@ -423,9 +439,9 @@ class TestRowSplit:
 
     @pytest.mark.parametrize("profile, n_bins", [(fast_profile, 3501), (slow_profile, 2001)])
     def test_band_noise_matches_whole_array_receiver(self, profile, n_bins, monkeypatch):
-        # The window and the completion, drawn row by row inside each
-        # worker's tiles, must give the bytes of the same rule over one FFT
-        # of all rows, also with more ranges than cores.  At the lower CSNR
+        # The chunk's windows, drawn at once, and the completion, drawn row by
+        # row inside each worker's tiles, must give the bytes of the same rule
+        # over one FFT of all rows, also with more ranges than cores.  At the lower CSNR
         # every block completes its band and the noise moves decoded values;
         # at the higher one the window alone decides some of the blocks.
         cfg = profile()
@@ -449,7 +465,7 @@ class TestRowSplit:
                 monkeypatch.setattr(noise, "cursor", sized_draws(noise.cursor, sizes))
                 got = demodulate_stream(blocks, FULL_SCALE, cfg, False, band_noise=noise)
                 assert got.tobytes() == want.tobytes()
-                assert sorted(sizes) == [9] * n_rows + [n_bins - 9] * np.count_nonzero(completed)
+                assert sizes == [n_bins - 9] * np.count_nonzero(completed)
 
     def test_band_noise_needs_the_raw_receiver(self):
         cfg = slow_profile()
@@ -457,6 +473,13 @@ class TestRowSplit:
         blocks = modulate([0.5], FULL_SCALE, cfg)
         with pytest.raises(ConfigError, match="raw receiver"):
             demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=True, band_noise=noise)
+
+    def test_band_noise_must_hold_the_blocks(self):
+        cfg = slow_profile()
+        noise = BandNoise(ChannelSpec("awgn", csnr_db=0.0), cfg.fft_size, 0, 2)
+        blocks = modulate([0.5], FULL_SCALE, cfg)
+        with pytest.raises(ConfigError, match="band noise holds 2 blocks"):
+            demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=False, band_noise=noise)
 
     @pytest.mark.parametrize("interpolate", [True, False])
     def test_zero_block_in_second_worker_range_raises(self, interpolate, monkeypatch):
