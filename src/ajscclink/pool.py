@@ -10,6 +10,14 @@ calling thread: buffers allocated inside the pool threads would grow
 per-thread malloc arenas and the process's peak memory with them.  Objects
 with state, such as a generator, are made per range inside fn and never
 shared between ranges.
+
+A worker's GIL-releasing calls should each cover a tile of rows, not a row.
+Each call releases and retakes the GIL, and short calls from two threads
+convoy on it: on a 2-vCPU Xeon VM, two threads each making 7.5 us complex
+multiplies took 2.6x as long as one thread making both shares, and with
+24 us calls 1.3x.  A delay line making about 8 calls of 5-8 us per
+8,192-sample row took about 48 ms on two workers and 31-33 ms on one for a
+512-block chunk.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from ajscclink import pool
+from ajscclink import channel, pool
 from ajscclink.channel import (
     BandNoise,
     ChannelSpec,
@@ -21,7 +21,7 @@ from ajscclink.channel import (
     noise_deviation,
 )
 from ajscclink.errors import ConfigError
-from ajscclink.modem import fast_profile, modulate
+from ajscclink.modem import demodulate_stream, fast_profile, modulate
 
 
 def unit_blocks(n_blocks, n, seed=0):
@@ -261,6 +261,15 @@ class TestMultipath:
         chunked = np.vstack([ch.process(x[:25], 0), ch.process(x[25:], 25)])
         np.testing.assert_array_equal(whole, chunked)
 
+    def test_gains_of_a_range_match_the_whole_chunk(self):
+        # Each worker computes the gains of its own rows; a block's gains
+        # depend on its time only, so any range gives the whole chunk's bytes.
+        for family in ("jtc_indoor_a", "jtc_outdoor_low_a"):
+            ch = MultipathChannel(ChannelSpec(family, seed=5), 8.192e6, 8192)
+            whole = ch._gains(40, 512)
+            for lo, hi in ((0, 1), (0, 256), (256, 512), (100, 387), (511, 512)):
+                assert ch._gains(40 + lo, hi - lo).tobytes() == whole[:, lo:hi].tobytes()
+
     def test_energy_accounting_full_path(self):
         x = unit_blocks(3000, 512, seed=2)
         outs = []
@@ -378,6 +387,28 @@ class TestKeyedStreams:
         with pytest.raises(ConfigError):
             ch.process(unit_blocks(4, 64), out=out)
 
+    @pytest.mark.parametrize("family", ["awgn", "jtc_outdoor_low_a"])
+    @pytest.mark.parametrize("blocks_at, out_at", [(0, 1), (1, 0), (0, 32), (0, 511), (511, 0)])
+    def test_out_overlapping_the_input_at_an_offset_rejected(self, family, blocks_at, out_at):
+        # out shifted against the input by a few samples up to all but one:
+        # rows would overwrite samples that other rows still read.
+        flat = unit_blocks(16, 64).ravel()
+        blocks = flat[blocks_at : blocks_at + 8 * 64].reshape(8, 64)
+        out = flat[out_at : out_at + 8 * 64].reshape(8, 64)
+        for csnr_db in (3.0, np.inf):
+            ch = make_channel(ChannelSpec(family, csnr_db=csnr_db), 8.192e6, 64)
+            with pytest.raises(ConfigError):
+                ch.process(blocks, out=out)
+
+    def test_out_as_a_second_view_of_the_input_accepted(self):
+        x = unit_blocks(8, 64)
+        spec = ChannelSpec("jtc_outdoor_low_a", csnr_db=3.0)
+        want = make_channel(spec, 8.192e6, 64).process(x)
+        got = x.copy()
+        view = got[:]
+        assert make_channel(spec, 8.192e6, 64).process(got, out=view) is view
+        assert got.tobytes() == want.tobytes()
+
     def test_adjacent_block_noise_uncorrelated(self):
         # Adjacent blocks draw from streams keyed on neighbouring indices;
         # their circular cross-correlation, pooled over 999 block pairs, must
@@ -425,6 +456,88 @@ class TestKeyedStreams:
             np.testing.assert_array_equal(tail, whole[5:])
 
 
+def reference_rng(seed, stream, block):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
+
+
+def reference_delay_line(spec, sample_rate, x):
+    """The delay line one row at a time, over the whole stream x at once.
+
+    Row r reads its delayed samples from a line holding the end of row r - 1
+    (zeros before row 0) and row r itself.  Its noise comes from its own
+    SeedSequence, a flat-Rayleigh coefficient likewise, and multipath gains
+    from one whole-stream call of ``_gains``.
+    """
+    n_blocks, n = x.shape
+    ch = make_channel(spec, sample_rate, n)
+    delays, c = ch.delays, int(ch.delays[-1])
+    scale = noise_deviation(spec.csnr_db)
+    if spec.family == "awgn":
+        gains = None
+    elif spec.family == "flat_rayleigh":
+        h = [reference_rng(spec.seed, 0, b).standard_normal(2) for b in range(n_blocks)]
+        gains = np.array(h).view(complex).T / np.sqrt(2.0)
+    else:
+        gains = ch._gains(0, n_blocks)
+    if gains is None and not scale:
+        return x.copy()
+    out = np.empty_like(x)
+    line = np.zeros(c + n, dtype=np.complex128)
+    tmp = np.empty(n, dtype=np.complex128)
+    for r in range(n_blocks):
+        line[:c] = x[r - 1, n - c :] if r else 0.0
+        line[c:] = x[r]
+        o = out[r]
+        if scale:
+            reference_rng(spec.seed, 1, r).standard_normal(out=o.view(np.float64))
+            o *= scale
+        for k, d in enumerate(delays):
+            src = line[c - d : c - d + n]
+            if gains is None:
+                o += src
+            elif k == 0 and not scale:
+                np.multiply(src, gains[k, r], out=o)
+            else:
+                np.multiply(src, gains[k, r], out=tmp)
+                o += tmp
+    return out
+
+
+class TestTiledDelayLine:
+    """``process`` walks each range in tiles of rows; it must give the per-row
+    reference line's bytes for any chunking, worker count and ``out=``."""
+
+    @pytest.mark.parametrize("csnr_db", [3.0, np.inf])
+    @pytest.mark.parametrize("family", channel.FAMILIES)
+    def test_matches_the_per_row_line(self, family, csnr_db, monkeypatch):
+        cfg = fast_profile()
+        n = cfg.fft_size
+        x = modulate(np.random.default_rng(9).uniform(0.0, 2.0, 61), 2.0, cfg)
+        spec = ChannelSpec(family, csnr_db=csnr_db, seed=17)
+        want = reference_delay_line(spec, cfg.sample_rate, x).tobytes()
+        c = make_channel(spec, cfg.sample_rate, n)._carry.size
+        tile = channel._LINE_BYTES // (16 * (3 * n + c))
+        assert 1 < tile < 60
+        interval = sys.getswitchinterval()
+        try:
+            for workers in (1, 2, 16):
+                monkeypatch.setattr(pool, "_WORKERS", workers)
+                sys.setswitchinterval(1e-5 if workers == 16 else interval)
+                for size in (1, tile - 1, tile, tile + 1, 61):
+                    for in_place in (False, True):
+                        ch = make_channel(spec, cfg.sample_rate, n)
+                        got = x.copy() if in_place else np.empty_like(x)
+                        for lo in range(0, 61, size):
+                            chunk = x[lo : lo + size]
+                            dest = got[lo : lo + size]
+                            if in_place:
+                                chunk = dest
+                            assert ch.process(chunk, lo, out=dest) is dest
+                        assert got.tobytes() == want, (workers, size, in_place)
+        finally:
+            sys.setswitchinterval(interval)
+
+
 def reference_window(seed, block, deviation):
     """Block b's 9 window bins, from its own Philox at counter 5 * b: 20
     words, as u in [0, 1), turned into 9 Box-Muller pairs."""
@@ -465,6 +578,51 @@ class TestBandNoise:
         spectra = np.fft.fft(noise, axis=1)
         assert np.mean(np.abs(spectra) ** 2) == pytest.approx(want, rel=0.01)
 
+    def test_completion_streams_built_on_first_draw(self, monkeypatch):
+        # A chunk whose blocks all take their peak from the window never
+        # builds the completion's KeyedBlocks; 16 ranges that all draw
+        # completions at once, the interpreter switching threads every few
+        # microseconds, build it once and keep their bytes.
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return KeyedBlocks(*args)
+
+        monkeypatch.setattr(channel, "KeyedBlocks", counted)
+        cfg = fast_profile()
+        x = modulate(np.random.default_rng(2).uniform(0.0, 2.0, 40), 2.0, cfg)
+        noise = BandNoise(ChannelSpec("awgn", csnr_db=10.0, seed=4), cfg.fft_size, 0, 40)
+        demodulate_stream(x, 2.0, cfg, interpolate=False, band_noise=noise)
+        assert built == []
+
+        n_blocks, n_bins, seed = 64, 2048, 13
+        spec = ChannelSpec("awgn", csnr_db=0.0, seed=seed)
+        deviation = np.sqrt(256) * np.sqrt(0.5)
+        want = np.empty((n_blocks, n_bins), dtype=np.complex128)
+        for r in range(n_blocks):
+            want[r] = reference_rng(seed, 3, 7 + r).standard_normal(2 * n_bins).view(complex)
+        want *= deviation
+        monkeypatch.setattr(pool, "_WORKERS", 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                built.clear()
+                noise = BandNoise(spec, 256, 7, n_blocks)
+                got = np.empty_like(want)
+
+                def band_rows(lo, hi):
+                    draw = noise.cursor()
+                    for r in range(lo, hi):
+                        draw(r, got[r])
+
+                pool.split_rows(band_rows, n_blocks)
+                assert built == [(seed, 3, 7, n_blocks)]
+                assert got.tobytes() == want.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_keyed_on_the_absolute_block(self):
         # The window and the completion each take their own stream of the
         # absolute block, whatever chunk holds it.  A chunk's windows are one
@@ -485,10 +643,6 @@ class TestBandNoise:
             BandNoise(spec, 64, start + 1, 17).cursor()(5, b)
             assert a.tobytes() != b.tobytes()
             assert a[:9].tobytes() != chunk.window[5].tobytes()
-
-
-def reference_rng(seed, stream, block):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
 
 
 class TestKeyedBlocks:
