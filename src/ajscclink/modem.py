@@ -15,12 +15,37 @@ table into each block, one ufunc call per tile of rows, into the output or a
 caller-owned ``out=``; a row's bytes do not depend on its tile or chunking.
 
 In the receiver, each worker walks its range in tiles of about 2 MB of
-padded spectrum: it copies the rows into the left part of its own buffer,
-zeroes the padding, transforms the tile in place with ``scipy.fft`` and
-searches the band of that tile only.  Every buffer is allocated in the
-calling thread.  A row's spectrum and peak do not depend on its tile or
-range, so the output is byte-identical for any worker count and equal to
-one padded FFT of the whole chunk.
+N-point spectrum: it copies the rows into its own buffer, transforms the
+tile in place with ``scipy.fft`` and searches the band of that tile only.
+Every buffer is allocated in the calling thread.  Every result and decision
+of a row depends only on the row's own samples, so the output is
+byte-identical for any tile, worker count and chunking.
+
+The interpolating receiver reads the 2N-point padded grid X2 without taking
+its FFT.  Its even bins are the N-point bins, X2[2k] = E[k].  Its odd bins
+are O[k] = X2[2k + 1] = FFT_N(x c)[k] with c[m] = exp(-j pi m / N), and each
+is an exact kernel sum of E: O[k] = sum_m E[m] K[k - m mod N], with
+K[i] = (2/N) / (1 - exp(-j pi (2i + 1) / N)).  A row finds j, the in-band
+peak of E, sums O[j - 1] and O[j], and takes the padded peak from bins
+2j - 1, 2j, 2j + 1 (A^2 the largest in-band power of them) where a bound
+shows that no other odd bin reaches A^2; no other even bin exceeds |E[j]|^2.
+Each bound must hold with a margin of 1e-9 A^2 over rounding:
+- Parseval: sum_k |O[k]|^2 = N |x|^2, so no other odd bin holds more than
+  R = N |x|^2 - |O[j - 1]|^2 - |O[j]|^2.  It holds for every tone at
+  csnr_db = inf, and on AWGN down to about 5 dB.
+- max norm (Young's inequality): with E split into the tone's bins E_T
+  (j - 8 .. j + 8) and the rest E_R, |O[k]| <= |(K * E_T)[k]| +
+  max |E_R| sum |K|.  The first term is summed exactly for the 48 odd bins
+  nearest the candidates and bounded by sum |E_T| times the largest |K|
+  beyond; outside the bins lo..hi that the receiver squares, |E| is bounded
+  by sqrt(2) max(|Re E|, |Im E|).  Noise spreads over all the bins, so this
+  bound holds where Parseval's fails at low CSNR: on AWGN for nearly every
+  block at 0 and -5 dB.
+A row where neither holds (deep fades, or AWGN at -10 dB) takes the
+fallback: a second N-point FFT, of x c, gives every odd bin, and the peak is
+searched over the whole padded band.  The parabola then reads the padded
+bins k - 1, k, k + 1 as before.  Against one 2N-point FFT per row, the peak
+frequencies differ by rounding only, at most 6e-13 bins on the profiles.
 
 The raw receiver can take the channel noise in the frequency domain
 (``band_noise``, a ``channel.BandNoise``, which holds the window noise of
@@ -41,6 +66,7 @@ bins still come from the FFT; their closed form waits on ROADMAP item 2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,10 +209,22 @@ def modulate(
 # _EPSILON (module docstring).
 _EPSILON = 1e-12
 
-# Padded spectrum per receiver FFT tile (8 rows at n_fft = 16384).  On a
-# 2-vCPU Xeon VM, 2 MB was the fastest of 1, 2, 4 and 8 MB for every profile
-# and receiver, and 8 MB tiles raised the peak memory of slow-profile sweeps
-# by 8%.
+# The interpolating receiver takes a row's peak from its three candidate bins
+# where a bound on every other odd bin is below (1 - _ETA) A (module
+# docstring): _ETA is a margin over the rounding of the sums.
+_ETA = 1e-9
+
+# The max-norm bound counts E bins j - _TONE .. j + _TONE as the tone's, and
+# sums them exactly into odd bins O[j + d] for d in -_SPAN - 1 .. _SPAN.
+_TONE, _SPAN = 8, 24
+_TONE_BINS = np.arange(-_TONE, _TONE + 1)
+_SPAN_BINS = np.array([d for d in range(-_SPAN - 1, _SPAN + 1) if d not in (-1, 0)])
+
+# N-point spectrum per receiver FFT tile (16 rows at N = 8192); the
+# interpolating receiver's fallback transforms its rows' x c in the same
+# buffer.  On a 2-vCPU Xeon VM, 2 MB was the fastest of 1, 2, 4 and 8 MB
+# for every profile and receiver (measured on 2N-point padded rows), and 8 MB
+# tiles raised the peak memory of slow-profile sweeps by 8%.
 _TILE_BYTES = 2 << 20
 
 
@@ -197,21 +235,46 @@ def _band_edges(cfg: ModemConfig, n_fft: int) -> tuple[int, int, int, int]:
     return k_lo, k_hi, max(k_lo - 1, 0), min(k_hi + 1, n_fft - 1)
 
 
+@functools.lru_cache(maxsize=4)
+def _half_bin_tables(n: int):
+    """The odd bins of the 2n-padded grid of n-point rows (module docstring).
+
+    Returns (h, c, near, far, norm): the kernel K[i] = (2/n) / (1 - exp(-j pi
+    (2i + 1) / n)) = (1 - j cot(pi (2i + 1) / 2n)) / n, doubled and reversed
+    so that O[k] = h[n - 1 - k : 2n - 1 - k] . E; the half-bin twiddle
+    c[m] = exp(-j pi m / n), so that O = FFT_n(x c); and for the max-norm
+    bound, near[t, d] = K[d - t] over _TONE_BINS x _SPAN_BINS, far, the
+    largest |K| farther out, and norm = sum |K|.  near is None where n is
+    too short for the bound's windows.
+    """
+    phi = np.pi * (2 * np.arange(n) + 1) / (2 * n)
+    kernel = (1.0 - 1j * (np.cos(phi) / np.sin(phi))) / n
+    h = kernel[(n - 1 - np.arange(2 * n)) % n]
+    c = np.exp(-1j * np.pi * np.arange(n) / n)
+    h.flags.writeable = c.flags.writeable = False  # shared by every call and worker
+    if n < 4 * (_SPAN + 1):
+        return h, c, None, None, None
+    magnitude = 1.0 / (n * np.sin(phi))  # |K|, largest at K[0] = K[-1], least at n / 2
+    near = kernel[(_SPAN_BINS[None, :] - _TONE_BINS[:, None]) % n]
+    near.flags.writeable = False
+    return h, c, near, magnitude[_SPAN + 1 - _TONE], magnitude.sum()
+
+
 def _peak_frequencies(
     blocks: np.ndarray, cfg: ModemConfig, interpolate: bool, band_noise=None
 ) -> np.ndarray:
-    """Per-row in-band FFT peak frequency (Hz).
+    """Per-row in-band peak frequency (Hz).
 
-    The rows are split over the worker pool; each worker zero-pads a tile of
+    The rows are split over the worker pool; each worker copies a tile of
     its rows into its own buffer and transforms it in place.  band_noise, if
     given, is a ``channel.BandNoise`` (see the module docstring).
     """
     n_rows, n = blocks.shape
-    n_fft = 2 * n if interpolate else n
-    k_lo, k_hi, lo, hi = _band_edges(cfg, n_fft)
-    tile = max(1, min(_TILE_BYTES // (16 * n_fft), n_rows))
+    k_lo, k_hi, lo, hi = _band_edges(cfg, n)
+    tile = max(1, min(_TILE_BYTES // (16 * n), n_rows))
     freqs = np.empty(n_rows)
     inband = slice(k_lo - lo, k_hi - lo + 1)
+    tables = _half_bin_tables(n) if interpolate else None
     # The completion's scratch: one row's draws outside the window.
     n_rest = 0 if band_noise is None else max(k_hi - k_lo + 1 - band_noise.window.shape[1], 0)
 
@@ -222,23 +285,141 @@ def _peak_frequencies(
         draw = None if band_noise is None else band_noise.cursor()
         for t in range(r0, r1, tile):
             m = min(tile, r1 - t)
-            buf[:m, :n] = blocks[t : t + m]
-            buf[:m, n:] = 0.0
-            seg = scipy.fft.fft(buf[:m], axis=1, workers=1, overwrite_x=True)[:, lo : hi + 1]
+            buf[:m] = blocks[t : t + m]
+            spectrum = scipy.fft.fft(buf[:m], axis=1, workers=1, overwrite_x=True)
+            seg = spectrum[:, lo : hi + 1]
             np.square(seg.real, out=power[:m])
             np.square(seg.imag, out=imag2[:m])
             power[:m] += imag2[:m]
-            if draw is None:
-                freqs[t : t + m] = _tile_frequencies(power[:m], cfg, n_fft, interpolate)
+            if interpolate:
+                freqs[t : t + m] = _interpolated_frequencies(
+                    spectrum, power[:m], cfg, tables, blocks[t : t + m], imag2
+                )
+            elif draw is None:
+                freqs[t : t + m] = _bin_frequencies(power[:m], cfg)
             else:
                 k = _noisy_peaks(
                     seg[:, inband], power[:m, inband], imag2[:m, inband], band_noise, t, draw, rest
                 )
-                freqs[t : t + m] = (k + k_lo) * cfg.sample_rate / n_fft
+                freqs[t : t + m] = (k + k_lo) * cfg.sample_rate / n
 
     band = ((tile, hi - lo + 1), np.float64)
-    split_rows(rows, n_rows, ((tile, n_fft), np.complex128), band, band, ((n_rest,), np.complex128))
+    split_rows(rows, n_rows, ((tile, n), np.complex128), band, band, ((n_rest,), np.complex128))
     return freqs
+
+
+def _interpolated_frequencies(spectrum, power, cfg: ModemConfig, tables, blocks, scratch):
+    """Per-row peak frequency (Hz) of a tile of blocks on the 2N-padded grid,
+    refined by the parabola (module docstring).
+
+    spectrum holds the blocks' N-point FFTs E, in the worker's buffer, power
+    |E|^2 over the grid's bins lo..hi, and tables ``_half_bin_tables(N)``.
+    The fallback overwrites spectrum, and scratch (power's shape).
+    """
+    h, c, near_table, far_kernel, kernel_norm = tables
+    m, n = spectrum.shape
+    k_lo, k_hi, lo, hi = _band_edges(cfg, n)
+    k2_lo, k2_hi, _, _ = _band_edges(cfg, 2 * n)
+    rows = np.arange(m)
+    j = power[:, k_lo - lo : k_hi - lo + 1].argmax(axis=1) + k_lo
+    # Powers of padded bins 2j - 2 .. 2j + 2; the odd ones, 2j -+ 1, are O[j - 1]
+    # and O[j].  (Where k_lo = 0, bin 2j - 2 may wrap to the band's last column:
+    # it is then outside the band, and no parabola reads it.)
+    powers = np.zeros((m, 5))
+    powers[:, 0::2] = power[rows[:, None], j[:, None] + (-1 - lo, -lo, 1 - lo)]
+    odd = np.empty((m, 2), dtype=np.complex128)
+    energy = np.empty(m)  # N |x|^2 = sum |E|^2 = sum |O|^2
+    for r in range(m):
+        s = n - j[r]
+        odd[r, 0] = np.dot(h[s : s + n], spectrum[r])
+        odd[r, 1] = np.dot(h[s - 1 : s - 1 + n], spectrum[r])
+        energy[r] = np.vdot(spectrum[r], spectrum[r]).real
+    powers[:, 1::2] = np.square(odd.real) + np.square(odd.imag)
+    # A^2: the largest of the candidates 2j - 1, 2j, 2j + 1 in band.
+    in_band = 2 * j[:, None] + (-1, 0, 1)
+    in_band = (in_band >= k2_lo) & (in_band <= k2_hi)
+    a2 = np.where(in_band, powers[:, 1:4], 0.0).max(axis=1)
+    limit = a2 * (1 - _ETA)
+    # Parseval: no other odd bin holds more than R = N |x|^2 - |O[j - 1]|^2 - |O[j]|^2.
+    ok = energy - powers[:, 1] - powers[:, 3] < limit
+    if not ok.all() and near_table is not None:
+        # Max norm: with E split into the tone's bins E_T and the rest E_R,
+        # |O[j + d]| <= |(K * E_T)[j + d]| + max |E_R| sum |K|, the first term
+        # exact for d in _SPAN_BINS and at most sum |E_T| far_kernel beyond.
+        cols = np.clip(j[:, None] - lo + _TONE_BINS, 0, power.shape[1] - 1)
+        saved = power[rows[:, None], cols]
+        power[rows[:, None], cols] = 0.0
+        rest = power.max(axis=1)
+        power[rows[:, None], cols] = saved
+        # Outside lo..hi, |E|^2 <= 2 max(|Re E|, |Im E|)^2.
+        for part in (spectrum[:, :lo], spectrum[:, hi + 1 :]):
+            if part.size:
+                part = part.view(np.float64)
+                rest = np.maximum(rest, 2 * np.square(np.maximum(part.max(axis=1), -part.min(axis=1))))
+        tone = spectrum[rows[:, None], (j[:, None] + _TONE_BINS) % n]
+        near = (tone[:, :, None] * near_table).sum(axis=1)
+        near = np.sqrt((np.square(near.real) + np.square(near.imag)).max(axis=1))
+        far = np.abs(tone).sum(axis=1) * far_kernel
+        ok |= np.square(np.maximum(near, far) + np.sqrt(rest) * kernel_norm) < limit
+    # Where a bound holds, the padded peak is the first largest in-band
+    # candidate, and its parabola's neighbours are all known.  A row with no
+    # in-band power takes the fallback, which raises DemodError.
+    pick = np.where(in_band, powers[:, 1:4], -1.0).argmax(axis=1)
+    k = 2 * j - 1 + pick
+    triple = powers[rows[:, None], pick[:, None] + (0, 1, 2)]
+    fall = np.flatnonzero(~ok | (a2 == 0))
+    if fall.size:
+        k[fall], triple[fall] = _odd_band_peaks(
+            blocks, fall, j[fall], powers[fall, 2], power, cfg, c, spectrum, scratch
+        )
+    left, mid, right = triple.T
+    interior = (k >= max(k2_lo, 1)) & (k <= min(k2_hi, 2 * n - 2))
+    floor = mid * 1e-24
+    alpha = np.log(np.maximum(left, floor))
+    beta = np.log(np.maximum(mid, floor))
+    gamma = np.log(np.maximum(right, floor))
+    denom = alpha - 2 * beta + gamma
+    delta = np.where(denom < 0, 0.5 * (alpha - gamma) / np.where(denom == 0, 1.0, denom), 0.0)
+    delta = np.clip(np.where(interior, delta, 0.0), -0.5, 0.5)
+    return (k + delta) * cfg.sample_rate / (2 * n)
+
+
+def _odd_band_peaks(blocks, which, j, even_peak, power, cfg: ModemConfig, c, x, scratch):
+    """The fallback: the padded peak k of rows which of a tile of blocks,
+    searched over the whole band, and the powers of bins k - 1, k, k + 1.
+
+    j and even_peak are the rows' in-band peak on the N-point grid and its
+    power, and power the tile's |E|^2 over the grid's bins lo..hi.  The odd
+    bins O come from an FFT of x c, done in x; scratch (power's shape) holds
+    their powers.  Returns (k, (len(which), 3) powers).
+    """
+    n = blocks.shape[1]
+    _, _, lo, _ = _band_edges(cfg, n)
+    k2_lo, k2_hi, lo2, hi2 = _band_edges(cfg, 2 * n)
+    rows = np.arange(which.size)
+    for i, r in enumerate(which):
+        np.multiply(blocks[r], c, out=x[i])
+    # Odd bin 2i + 1 is O[i]: bins lo2..hi2 hold O[o_lo..], and the band O[b_lo..b_hi].
+    o_lo, b_lo, b_hi = lo2 // 2, k2_lo // 2, (k2_hi - 1) // 2
+    seg = scipy.fft.fft(x[: rows.size], axis=1, workers=1, overwrite_x=True)
+    seg = seg[:, o_lo : (hi2 - 1) // 2 + 1].view(np.float64)
+    odd = scratch[: rows.size, : seg.shape[1] // 2]
+    np.square(seg, out=seg)
+    np.add(seg[:, 0::2], seg[:, 1::2], out=odd)
+    i = np.full(rows.size, b_lo)
+    odd_peak = np.full(rows.size, -1.0)  # a band of one even bin has no odd bin
+    if b_hi >= b_lo:
+        i += odd[:, b_lo - o_lo : b_hi - o_lo + 1].argmax(axis=1)
+        odd_peak = odd[rows, i - o_lo]
+    if np.any(np.maximum(even_peak, odd_peak) == 0):
+        raise DemodError("no spectral peak in band (all-zero block?)")
+    # The first largest: an odd peak wins a tie only below the even one.
+    is_odd = (odd_peak > even_peak) | ((odd_peak == even_peak) & (i < j))
+    near = np.empty((rows.size, 3))
+    near[:, 0] = np.where(is_odd, power[which, i - lo], odd[rows, j - 1 - o_lo])
+    near[:, 1] = np.where(is_odd, odd_peak, even_peak)
+    near[:, 2] = np.where(is_odd, power[which, i + 1 - lo], odd[rows, j - o_lo])
+    return np.where(is_odd, 2 * i + 1, 2 * j), near
 
 
 def _noisy_peaks(band, power, scratch, band_noise, first_row: int, draw, rest) -> np.ndarray:
@@ -276,32 +457,15 @@ def _noisy_peaks(band, power, scratch, band_noise, first_row: int, draw, rest) -
     return k
 
 
-def _tile_frequencies(
-    power: np.ndarray, cfg: ModemConfig, n_fft: int, interpolate: bool
-) -> np.ndarray:
-    """Per-row peak frequency (Hz) from the power of spectrum bins lo..hi."""
-    k_lo, k_hi, lo, _ = _band_edges(cfg, n_fft)
+def _bin_frequencies(power: np.ndarray, cfg: ModemConfig) -> np.ndarray:
+    """Per-row in-band peak frequency (Hz) from the power of N-point bins lo..hi."""
+    n = cfg.fft_size
+    k_lo, k_hi, lo, _ = _band_edges(cfg, n)
     band = power[:, k_lo - lo : k_hi - lo + 1]
-    rows = np.arange(power.shape[0])
     k = band.argmax(axis=1)
-    peak_val = band[rows, k]
-    if np.any(peak_val == 0):
+    if np.any(band[np.arange(band.shape[0]), k] == 0):
         raise DemodError("no spectral peak in band (all-zero block?)")
-    k += k_lo
-
-    if not interpolate:
-        return k * cfg.sample_rate / n_fft
-
-    interior = (k >= max(k_lo, 1)) & (k <= min(k_hi, n_fft - 2))
-    k_seg = np.clip(k - lo, 1, power.shape[1] - 2)
-    floor = peak_val * 1e-24
-    alpha = np.log(np.maximum(power[rows, k_seg - 1], floor))
-    beta = np.log(np.maximum(power[rows, k_seg], floor))
-    gamma = np.log(np.maximum(power[rows, k_seg + 1], floor))
-    denom = alpha - 2 * beta + gamma
-    delta = np.where(denom < 0, 0.5 * (alpha - gamma) / np.where(denom == 0, 1.0, denom), 0.0)
-    delta = np.clip(np.where(interior, delta, 0.0), -0.5, 0.5)
-    return (k + delta) * cfg.sample_rate / n_fft
+    return (k + k_lo) * cfg.sample_rate / n
 
 
 def demodulate_stream(

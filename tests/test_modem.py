@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from ajscclink import pool
-from ajscclink.channel import BandNoise, ChannelSpec, noise_deviation
+from ajscclink import modem, pool
+from ajscclink.channel import BandNoise, ChannelSpec, make_channel, noise_deviation
 from ajscclink.errors import ConfigError, DemodError
 from ajscclink.modem import (
     ModemConfig,
@@ -157,16 +157,23 @@ class TestDemodulate:
         assert abs(got - v) <= 1e-9
 
     def test_off_bin_error_within_tenth_of_a_bin(self):
-        # Oracle: sweep known fractional offsets across a bin and compare
-        # the recovered voltage against the exact input.
-        cfg = fast_profile()
-        bin_volts = FULL_SCALE * cfg.bin_width / (cfg.f_max - cfg.f_min)
-        worst = 0.0
-        for offset in np.linspace(-0.5, 0.499, 29):
-            v = frequency_to_voltage((1500 + offset) * cfg.bin_width, FULL_SCALE, cfg)
-            got = demodulate_one(modulate([v], FULL_SCALE, cfg)[0], cfg)
-            worst = max(worst, abs(got - v))
-        assert worst <= 0.1 * bin_volts
+        # Oracle: sweep known fractional offsets across a bin, mid-band and
+        # within one bin of each band edge, and compare the recovered voltage
+        # against the exact input, on both profiles.  The worst is about
+        # 0.0104 bins.
+        for cfg in (fast_profile(), slow_profile()):
+            offsets = np.linspace(0.0, 0.999, 29) * cfg.bin_width
+            freqs = np.concatenate(
+                [
+                    (cfg.fft_size * 0.2 + offsets / cfg.bin_width - 0.5) * cfg.bin_width,
+                    cfg.f_min + offsets,
+                    cfg.f_max - offsets,
+                ]
+            )
+            v = frequency_to_voltage(freqs, FULL_SCALE, cfg)
+            got = demodulate_stream(modulate(v, FULL_SCALE, cfg), FULL_SCALE, cfg)
+            bin_volts = FULL_SCALE * cfg.bin_width / (cfg.f_max - cfg.f_min)
+            assert np.abs(got - v).max() <= 0.1 * bin_volts
 
     def test_raw_bin_mode_quantizes_to_grid(self):
         cfg = fast_profile()
@@ -303,32 +310,118 @@ class TestModulateRowSplit:
         assert rows.tobytes() == modulate(np.linspace(0, 1, 4), FULL_SCALE, cfg).tobytes()
 
 
-def whole_array_peak_frequencies(blocks, cfg, interpolate):
-    """Reference receiver: one zero-padded FFT of every row at once."""
-    n_fft = 2 * cfg.fft_size if interpolate else cfg.fft_size
-    spectrum = scipy.fft.fft(blocks, n=n_fft, axis=1)
+def band_edges(cfg, n_fft):
     k_lo = int(np.ceil(cfg.f_min * n_fft / cfg.sample_rate))
     k_hi = int(np.floor(cfg.f_max * n_fft / cfg.sample_rate))
-    lo = max(k_lo - 1, 0)
-    hi = min(k_hi + 1, n_fft - 1)
-    seg = spectrum[:, lo : hi + 1]
-    power = seg.real**2 + seg.imag**2
-    band = power[:, k_lo - lo : k_hi - lo + 1]
-    peak_val = band.max(axis=1)
-    k = band.argmax(axis=1) + k_lo
-    if not interpolate:
-        return k * cfg.sample_rate / n_fft
+    return k_lo, k_hi, max(k_lo - 1, 0), min(k_hi + 1, n_fft - 1)
+
+
+def parabola_peaks(power, k, lo, k_lo, k_hi, n_fft):
+    """Bin k (absolute) plus the vertex offset of the parabola through the log
+    power of bins k - 1, k, k + 1 of power (bins lo..), clipped to half a bin."""
     rows = np.arange(power.shape[0])
+    peak_val = power[rows, k - lo]
+    if np.any(peak_val == 0):
+        raise DemodError("no spectral peak in band")
     interior = (k >= max(k_lo, 1)) & (k <= min(k_hi, n_fft - 2))
     k_seg = np.clip(k - lo, 1, power.shape[1] - 2)
     floor = peak_val * 1e-24
     alpha = np.log(np.maximum(power[rows, k_seg - 1], floor))
-    beta = np.log(np.maximum(power[rows, k_seg], floor))
+    beta = np.log(np.maximum(peak_val, floor))
     gamma = np.log(np.maximum(power[rows, k_seg + 1], floor))
     denom = alpha - 2 * beta + gamma
     delta = np.where(denom < 0, 0.5 * (alpha - gamma) / np.where(denom == 0, 1.0, denom), 0.0)
-    delta = np.clip(np.where(interior, delta, 0.0), -0.5, 0.5)
-    return (k + delta) * cfg.sample_rate / n_fft
+    return k + np.clip(np.where(interior, delta, 0.0), -0.5, 0.5)
+
+
+def padded_peak_frequencies(blocks, cfg):
+    """Physics reference of the interpolating receiver: one 2N-point
+    zero-padded FFT per row, the in-band peak and its parabola."""
+    n_fft = 2 * cfg.fft_size
+    spectrum = scipy.fft.fft(blocks, n=n_fft, axis=1)
+    k_lo, k_hi, lo, hi = band_edges(cfg, n_fft)
+    seg = spectrum[:, lo : hi + 1]
+    power = seg.real**2 + seg.imag**2
+    k = power[:, k_lo - lo : k_hi - lo + 1].argmax(axis=1) + k_lo
+    return parabola_peaks(power, k, lo, k_lo, k_hi, n_fft) * cfg.sample_rate / n_fft
+
+
+def whole_array_peak_frequencies(blocks, cfg, interpolate, detail=None):
+    """Reference receiver: the receiver's rule over every row at once.
+
+    Raw: the in-band argmax of one N-point FFT per row.  Interpolating: one
+    N-point FFT E of all rows; per row the kernel sums O[j - 1], O[j] (the
+    padded grid's bins 2j -+ 1), N |x|^2 and the Parseval and max-norm bounds;
+    and for the rows where neither holds, one FFT O of x c, interleaved with E
+    into the padded band, searched whole.  detail, if a dict, gets per row
+    "tier" (0 Parseval, 1 max norm, 2 fallback), the N-point peak "j", and
+    each bound on the power of the odd bins other than 2j -+ 1: "parseval"
+    (R) and "max_norm" (B^2).
+    """
+    n = cfg.fft_size
+    spectrum = scipy.fft.fft(blocks, axis=1)
+    k_lo, k_hi, lo, hi = band_edges(cfg, n)
+    seg = spectrum[:, lo : hi + 1]
+    power = seg.real**2 + seg.imag**2
+    j = power[:, k_lo - lo : k_hi - lo + 1].argmax(axis=1) + k_lo
+    if not interpolate:
+        if np.any(power[np.arange(len(j)), j - lo] == 0):
+            raise DemodError("no spectral peak in band")
+        return j * cfg.sample_rate / n
+    h, c, near_table, far_kernel, kernel_norm = modem._half_bin_tables(n)
+    k2_lo, k2_hi, lo2, hi2 = band_edges(cfg, 2 * n)
+    rows = np.arange(len(blocks))
+    # Padded bins 2j - 2 .. 2j + 2.
+    padded = np.zeros((len(blocks), 5))
+    padded[:, 0::2] = power[rows[:, None], j[:, None] - lo + np.array([-1, 0, 1])]
+    odd = np.array(
+        [[np.dot(h[n - k : 2 * n - k], e), np.dot(h[n - 1 - k : 2 * n - 1 - k], e)] for k, e in zip(j, spectrum)]
+    ).reshape(-1, 2)
+    energy = np.array([np.vdot(e, e).real for e in spectrum])
+    padded[:, 1::2] = odd.real**2 + odd.imag**2
+    in_band = (2 * j[:, None] + np.array([-1, 0, 1]) >= k2_lo) & (2 * j[:, None] + np.array([-1, 0, 1]) <= k2_hi)
+    a2 = np.where(in_band, padded[:, 1:4], 0.0).max(axis=1)
+    limit = a2 * (1 - modem._ETA)
+    parseval = energy - padded[:, 1] - padded[:, 3] < limit
+    # Max norm: the tone's E bins j - 8 .. j + 8 summed exactly into O[j + d],
+    # d in -25 .. 24 but -1, 0; every other E bin at most the largest |E|
+    # among them, with |E|^2 <= 2 max(|Re E|, |Im E|)^2 outside lo..hi, where
+    # the tone's bins count too.
+    window = (j[:, None] + np.arange(-8, 9)) % n
+    outer = np.ones(n, dtype=bool)
+    outer[lo : hi + 1] = False
+    whole = 2 * np.maximum(np.abs(spectrum.real), np.abs(spectrum.imag)) ** 2
+    whole[:, lo : hi + 1] = power
+    whole[rows[:, None], window] = np.where(outer[window], whole[rows[:, None], window], 0.0)
+    tone = spectrum[rows[:, None], window]
+    near = (tone[:, :, None] * near_table).sum(axis=1)
+    near = np.sqrt((near.real**2 + near.imag**2).max(axis=1))
+    far = np.abs(tone).sum(axis=1) * far_kernel
+    bound = np.maximum(near, far) + np.sqrt(whole.max(axis=1)) * kernel_norm
+    fall = ~(parseval | (bound**2 < limit)) | (a2 == 0)
+    if detail is not None:
+        detail.update(
+            tier=np.where(fall, 2, np.where(parseval, 0, 1)),
+            j=j,
+            parseval=energy - padded[:, 1] - padded[:, 3],
+            max_norm=bound**2,
+        )
+    freqs = np.empty(len(blocks))
+    pick = np.where(in_band, padded[:, 1:4], -1.0).argmax(axis=1)[~fall]
+    k = 2 * j[~fall] - 1 + pick
+    triple = padded[~fall][np.arange(k.size)[:, None], pick[:, None] + np.array([0, 1, 2])]
+    freqs[~fall] = parabola_peaks(triple, k, k - 1, k2_lo, k2_hi, 2 * n)
+    if fall.any():
+        # The padded band lo2..hi2: even bins from E, odd ones from O = FFT(x c).
+        odd_spectrum = scipy.fft.fft(blocks[fall] * c, axis=1)
+        bins = np.arange(lo2, hi2 + 1)
+        band = np.empty((odd_spectrum.shape[0], bins.size))
+        band[:, bins % 2 == 0] = power[fall][:, bins[bins % 2 == 0] // 2 - lo]
+        odd_seg = odd_spectrum[:, bins[bins % 2 == 1] // 2]
+        band[:, bins % 2 == 1] = odd_seg.real**2 + odd_seg.imag**2
+        k = band[:, k2_lo - lo2 : k2_hi - lo2 + 1].argmax(axis=1) + k2_lo
+        freqs[fall] = parabola_peaks(band, k, lo2, k2_lo, k2_hi, 2 * n)
+    return freqs * cfg.sample_rate / (2 * n)
 
 
 def reference_rng(seed, stream, block):
@@ -404,18 +497,49 @@ def noisy_blocks(cfg, n_rows, seed=0):
     return blocks + noise / np.sqrt(2)
 
 
+def mixed_blocks(cfg, n_rows, seed=0):
+    """Modulated blocks, the first two at f_min and f_max, with complex noise
+    at a CSNR of inf, 10, 0 and -10 dB by turns: rows for each of the
+    interpolating receiver's Parseval bound, max-norm bound and fallback."""
+    rng = np.random.default_rng(seed)
+    encoded = rng.uniform(0, FULL_SCALE, n_rows)
+    encoded[:2] = [0.0, FULL_SCALE][:n_rows]
+    blocks = modulate(encoded, FULL_SCALE, cfg)
+    noise = rng.standard_normal((n_rows, 2 * cfg.fft_size)).view(np.complex128)
+    deviation = np.sqrt(np.array([0.0, 0.1, 1.0, 10.0]) / 2)
+    return blocks + noise * deviation[np.arange(n_rows) % 4, None]
+
+
+def count_fallback_rows(monkeypatch):
+    """Patch the interpolating receiver's fallback to count the rows it takes."""
+    taken = []
+    fallback = modem._odd_band_peaks
+
+    def counted(blocks, which, *args):
+        taken.append(which.size)
+        return fallback(blocks, which, *args)
+
+    monkeypatch.setattr(modem, "_odd_band_peaks", counted)
+    return taken
+
+
 class TestRowSplit:
     @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
     @pytest.mark.parametrize("n_rows", [1, 7, 31, 300, 512])
     def test_matches_whole_array_receiver(self, profile, n_rows, monkeypatch):
         # Tiles of each worker's rows, transformed in place, must give the
-        # bytes of one padded FFT over all rows, for any worker count.
+        # bytes of the same rule over one FFT of all rows, for any worker
+        # count; the larger chunks take all three of the interpolating
+        # receiver's paths.
         cfg = profile()
-        blocks = noisy_blocks(cfg, n_rows, seed=n_rows)
+        blocks = mixed_blocks(cfg, n_rows, seed=n_rows)
         for interpolate in (True, False):
-            want = whole_array_peak_frequencies(blocks, cfg, interpolate)
+            detail = {}
+            want = whole_array_peak_frequencies(blocks, cfg, interpolate, detail)
             want = np.asarray(frequency_to_voltage(want, FULL_SCALE, cfg))
-            for workers in (1, 2):
+            if interpolate and n_rows >= 31:
+                assert set(detail["tier"]) == {0, 1, 2}
+            for workers in (1, 2, 16):
                 monkeypatch.setattr(pool, "_WORKERS", workers)
                 got = demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=interpolate)
                 assert got.tobytes() == want.tobytes()
@@ -425,7 +549,7 @@ class TestRowSplit:
         # many more ranges than pool threads, with the interpreter switching
         # threads every few microseconds, the bytes must still match.
         cfg = slow_profile()
-        blocks = noisy_blocks(cfg, 300, seed=4)
+        blocks = mixed_blocks(cfg, 300, seed=4)
         want = whole_array_peak_frequencies(blocks, cfg, True)
         want = np.asarray(frequency_to_voltage(want, FULL_SCALE, cfg))
         monkeypatch.setattr(pool, "_WORKERS", 16)
@@ -436,6 +560,126 @@ class TestRowSplit:
         finally:
             sys.setswitchinterval(interval)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    def test_fallback_for_every_row_matches(self, profile, monkeypatch):
+        # With _ETA = 2 no bound holds, so every row takes the fallback's
+        # second FFT, and must still give the reference's bytes.
+        cfg = profile()
+        blocks = mixed_blocks(cfg, 40, seed=8)
+        monkeypatch.setattr(modem, "_ETA", 2.0)
+        detail = {}
+        want = whole_array_peak_frequencies(blocks, cfg, True, detail)
+        assert set(detail["tier"]) == {2}
+        for workers in (1, 2):
+            monkeypatch.setattr(pool, "_WORKERS", workers)
+            taken = count_fallback_rows(monkeypatch)
+            got = modem._peak_frequencies(blocks, cfg, True)
+            assert got.tobytes() == want.tobytes()
+            assert sum(taken) == 40
+
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    def test_noiseless_rows_never_fall_back(self, profile, monkeypatch):
+        # At csnr_db = inf the Parseval bound holds for every tone: mid-band,
+        # within one bin of either band edge, and through a fading channel.
+        cfg = profile()
+        offsets = np.linspace(0.0, 0.999, 37) * cfg.bin_width
+        freqs = np.concatenate([cfg.f_min + offsets, cfg.f_max - offsets])
+        freqs = np.concatenate([freqs, np.random.default_rng(2).uniform(cfg.f_min, cfg.f_max, 54)])
+        blocks = modulate(frequency_to_voltage(freqs, FULL_SCALE, cfg), FULL_SCALE, cfg)
+        taken = count_fallback_rows(monkeypatch)
+        for family in ("awgn", "flat_rayleigh", "jtc_indoor_a", "jtc_outdoor_low_a"):
+            channel = make_channel(ChannelSpec(family, seed=3), cfg.sample_rate, cfg.fft_size)
+            faded = channel.process(blocks, start_block=0)
+            detail = {}
+            whole_array_peak_frequencies(faded, cfg, True, detail)
+            assert set(detail["tier"]) == {0}
+            demodulate_stream(faded, FULL_SCALE, cfg)
+        assert taken == []
+
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    def test_matches_padded_fft(self, profile):
+        # The physics reference: one 2N-point zero-padded FFT per row.  The
+        # peaks agree to 1e-9 bins, and on every row both bounds hold for the
+        # padded grid's odd bins other than the candidates 2j -+ 1.
+        cfg = profile()
+        n = cfg.fft_size
+        encoded = np.random.default_rng(5).uniform(0, FULL_SCALE, 48)
+        encoded[:4] = 0.0, 1e-5, FULL_SCALE - 1e-5, FULL_SCALE
+        blocks = modulate(encoded, FULL_SCALE, cfg)
+        tiers = []
+        for family, csnr_db in [
+            ("awgn", np.inf), ("awgn", 20.0), ("awgn", 10.0), ("awgn", 5.0), ("awgn", 0.0),
+            ("jtc_outdoor_low_a", 10.0), ("jtc_outdoor_low_a", np.inf),
+            ("flat_rayleigh", 0.0), ("flat_rayleigh", np.inf), ("awgn", -10.0),
+        ]:
+            spec = ChannelSpec(family, csnr_db=csnr_db, seed=7)
+            noisy = make_channel(spec, cfg.sample_rate, n).process(blocks, start_block=0)
+            got = modem._peak_frequencies(noisy, cfg, True)
+            assert np.abs(got - padded_peak_frequencies(noisy, cfg)).max() <= 1e-9 * cfg.bin_width
+            detail = {}
+            whole_array_peak_frequencies(noisy, cfg, True, detail)
+            tiers.extend(detail["tier"])
+            padded = scipy.fft.fft(noisy, n=2 * n, axis=1)
+            odd = padded.real[:, 1::2] ** 2 + padded.imag[:, 1::2] ** 2
+            rows = np.arange(len(noisy))
+            odd[rows, detail["j"] - 1] = odd[rows, detail["j"]] = 0.0
+            others = odd.max(axis=1)
+            assert np.all(others <= detail["parseval"] * (1 + 1e-9))
+            assert np.all(others <= detail["max_norm"] * (1 + 1e-9))
+        assert set(tiers) == {0, 1, 2}
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [fast_profile(), ModemConfig(f_min=1030.0, f_max=3000.0, sample_rate=1e4, fft_size=160)],
+    )
+    def test_ties_take_the_first_bin(self, cfg):
+        # A unit impulse has every bin of the padded grid at power 1, so the
+        # peak is the first in-band bin: even on the fast profile (k2_lo =
+        # 1000), odd on the other grid (k2_lo = 33).
+        blocks = np.zeros((3, cfg.fft_size), dtype=np.complex128)
+        blocks[:, 0] = 1.0
+        got = modem._peak_frequencies(blocks, cfg, True)
+        k2_lo = band_edges(cfg, 2 * cfg.fft_size)[0]
+        assert np.all(got == k2_lo * cfg.sample_rate / (2 * cfg.fft_size))
+        assert got.tobytes() == padded_peak_frequencies(blocks, cfg).tobytes()
+
+    @pytest.mark.parametrize("force_fallback", [False, True])
+    def test_blocks_with_strided_rows(self, force_fallback, monkeypatch):
+        # The receiver copies its tile's rows and reads a fallback row's
+        # samples in place, so rows that are not contiguous (a float64 view of
+        # such a row raises) and Fortran-ordered blocks give the same bytes.
+        cfg = fast_profile()
+        blocks = mixed_blocks(cfg, 24, seed=12)
+        if force_fallback:
+            monkeypatch.setattr(modem, "_ETA", 2.0)
+        want = demodulate_stream(blocks, FULL_SCALE, cfg)
+        wide = np.zeros((24, 2 * cfg.fft_size), dtype=np.complex128)
+        wide[:, ::2] = blocks
+        strided = wide[:, ::2]
+        with pytest.raises(ValueError):
+            strided[0].view(np.float64)
+        for layout in (strided, np.asfortranarray(blocks)):
+            assert demodulate_stream(layout, FULL_SCALE, cfg).tobytes() == want.tobytes()
+
+    def test_half_bin_tables(self):
+        # O = FFT(x c) from the kernel sums, and the max-norm bound's constants
+        # from the kernel's definition.
+        for n in (5000, 8192):
+            h, c, near, far, norm = modem._half_bin_tables(n)
+            x = noisy_blocks(ModemConfig(0.0, 1e3, 1e4, n), 1, seed=n)[0]
+            odd = scipy.fft.fft(x * c)
+            e = scipy.fft.fft(x)
+            for k in (0, 1, n // 3, n - 1):
+                got = np.dot(h[n - 1 - k : 2 * n - 1 - k], e)
+                assert abs(got - odd[k]) <= 1e-12 * np.sqrt(n) * np.linalg.norm(x)
+            i = np.arange(n)
+            kernel = (2 / n) / (1 - np.exp(-1j * np.pi * (2 * i + 1) / n))
+            d = np.array([d for d in range(-25, 25) if d not in (-1, 0)])
+            np.testing.assert_allclose(near, kernel[(d[None, :] - np.arange(-8, 9)[:, None]) % n], rtol=1e-12)
+            assert norm == pytest.approx(np.abs(kernel).sum(), rel=1e-12)
+            assert far == pytest.approx(np.abs(kernel[17 : n - 17]).max(), rel=1e-12)
+        assert modem._half_bin_tables(64)[2] is None
 
     @pytest.mark.parametrize("profile, n_bins", [(fast_profile, 3501), (slow_profile, 2001)])
     def test_band_noise_matches_whole_array_receiver(self, profile, n_bins, monkeypatch):
