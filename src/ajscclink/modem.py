@@ -15,8 +15,9 @@ table into each block, one ufunc call per tile of rows, into the output or a
 caller-owned ``out=``; a row's bytes do not depend on its tile or chunking.
 
 In the receiver, each worker walks its range in tiles of about 2 MB of
-N-point spectrum: it copies the rows into its own buffer, transforms the
-tile in place with ``scipy.fft`` and searches the band of that tile only.
+N-point spectrum: ``numpy.fft`` transforms the tile's rows straight from the
+chunk into the worker's own buffer (``out=``), and the worker searches the
+band of that tile only.
 Every buffer is allocated in the calling thread.  Every result and decision
 of a row depends only on the row's own samples, so the output is
 byte-identical for any tile, worker count and chunking.
@@ -70,7 +71,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigError, DemodError
 from .pool import split_rows
@@ -265,9 +265,9 @@ def _peak_frequencies(
 ) -> np.ndarray:
     """Per-row in-band peak frequency (Hz).
 
-    The rows are split over the worker pool; each worker copies a tile of
-    its rows into its own buffer and transforms it in place.  band_noise, if
-    given, is a ``channel.BandNoise`` (see the module docstring).
+    The rows are split over the worker pool; each worker transforms a tile
+    of its rows into its own buffer.  band_noise, if given, is a
+    ``channel.BandNoise`` (see the module docstring).
     """
     n_rows, n = blocks.shape
     k_lo, k_hi, lo, hi = _band_edges(cfg, n)
@@ -285,8 +285,7 @@ def _peak_frequencies(
         draw = None if band_noise is None else band_noise.cursor()
         for t in range(r0, r1, tile):
             m = min(tile, r1 - t)
-            buf[:m] = blocks[t : t + m]
-            spectrum = scipy.fft.fft(buf[:m], axis=1, workers=1, overwrite_x=True)
+            spectrum = np.fft.fft(blocks[t : t + m], axis=1, out=buf[:m])
             seg = spectrum[:, lo : hi + 1]
             np.square(seg.real, out=power[:m])
             np.square(seg.imag, out=imag2[:m])
@@ -401,7 +400,7 @@ def _odd_band_peaks(blocks, which, j, even_peak, power, cfg: ModemConfig, c, x, 
         np.multiply(blocks[r], c, out=x[i])
     # Odd bin 2i + 1 is O[i]: bins lo2..hi2 hold O[o_lo..], and the band O[b_lo..b_hi].
     o_lo, b_lo, b_hi = lo2 // 2, k2_lo // 2, (k2_hi - 1) // 2
-    seg = scipy.fft.fft(x[: rows.size], axis=1, workers=1, overwrite_x=True)
+    seg = np.fft.fft(x[: rows.size], axis=1, out=x[: rows.size])
     seg = seg[:, o_lo : (hi2 - 1) // 2 + 1].view(np.float64)
     odd = scratch[: rows.size, : seg.shape[1] // 2]
     np.square(seg, out=seg)

@@ -3,7 +3,7 @@
 Each works on a chunk of blocks, one block per row, and computes each row
 on its own.  ``split_rows`` cuts the rows into one contiguous range per
 usable CPU and runs the ranges on one module-level thread pool; numpy's
-generator fills, ufunc loops and ``scipy.fft`` release the GIL, while Python
+generator fills, ufunc loops and ``numpy.fft`` release the GIL, while Python
 work such as seating a keyed generator (``channel.KeyedBlocks``) holds it.
 Each range gets its own slice of a scratch array allocated here, in the
 calling thread: buffers allocated inside the pool threads would grow

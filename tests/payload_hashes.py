@@ -25,7 +25,6 @@ import sys
 import tempfile
 
 import numpy as np
-import scipy
 
 from ajscclink.channel import FAMILIES
 from ajscclink.harness import AnalysisSettings, RunConfig, report_to_dict, reproduce, run_link
@@ -75,15 +74,14 @@ def figure_hashes() -> dict[str, str]:
 
 
 def environment() -> dict[str, str]:
-    """Where the bytes were made: numpy and scipy (its FFT), and the CPU
-    features numpy can dispatch on."""
+    """Where the bytes were made: numpy (the run path's only numeric
+    library) and the CPU features it can dispatch on."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__ as features
     except ImportError:  # numpy < 2
         from numpy.core._multiarray_umath import __cpu_features__ as features
     return {
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "machine": platform.machine(),
         "cpu_features": " ".join(sorted(k for k, v in features.items() if v)),
     }

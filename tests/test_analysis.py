@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 from scipy import signal as sp_signal
 
 from ajscclink.analysis import (
@@ -82,6 +84,42 @@ class TestMedianFilter:
             median_filter(tr, 0)
         with pytest.raises(ValueError):
             median_filter(trace(np.ones(100)), 200)
+
+
+def ndimage_median(values, order):
+    return ndimage.median_filter(values, size=order + 1, mode="reflect")
+
+
+# A median returns one of its window's samples, and 0.0 == -0.0: where a
+# window holds both zeros, neither filter defines which one it returns.  The
+# byte comparisons therefore map -0.0 to 0.0, and
+# test_signed_zeros_compare_equal covers them by value.
+_CONTINUOUS = st.floats(-1e6, 1e6).map(lambda v: v + 0.0)
+_QUANTIZED = st.integers(-4, 4).map(lambda i: i * 0.25)  # many ties
+
+
+class TestMedianFilterMatchesNdimage:
+    @given(data=st.data(), order=st.sampled_from([2, 4, 20, 100, 200]), quantized=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_ndimage(self, data, order, quantized):
+        n = data.draw(st.integers(order + 1, 3 * order + 3), label="length")
+        values = _QUANTIZED if quantized else _CONTINUOUS
+        x = data.draw(arrays(np.float64, n, elements=values), label="samples")
+        got = median_filter(trace(x), order).samples
+        assert got.tobytes() == ndimage_median(x, order).tobytes()
+
+    def test_long_trace_matches_ndimage(self):
+        # 20,000 samples of a random walk in steps of 1/8, so windows hold ties.
+        rng = np.random.default_rng(17)
+        x = np.round(rng.standard_normal(20_000).cumsum() * 8) / 8 + 0.0
+        for values in (x, x + rng.uniform(0, 1e-3, x.size)):
+            got = median_filter(trace(values), 200).samples
+            assert got.tobytes() == ndimage_median(values, 200).tobytes()
+
+    @pytest.mark.parametrize("order", [2, 20])
+    def test_signed_zeros_compare_equal(self, order):
+        x = np.random.default_rng(order).choice([-0.0, 0.0, 1.0, -1.0], 300)
+        np.testing.assert_array_equal(median_filter(trace(x), order).samples, ndimage_median(x, order))
 
 
 class TestDetectPeaks:

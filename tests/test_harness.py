@@ -696,3 +696,30 @@ class TestCli:
             env={**os.environ, "PYTHONPATH": str(pathlib.Path(harness.__file__).parents[1])},
         )
         assert proc.stdout.strip() == "[]"
+
+    def test_run_path_imports_no_scipy(self):
+        # The receiver's paths: the interpolating one at inf (bounds only) and
+        # at -10 dB (the fallback's FFT of x c), and the raw one at -25 dB on
+        # the slow profile (band noise, completed over the whole band).
+        code = """
+import json, sys
+import ajscclink.cli
+from ajscclink.harness import config_from_dict, run_link
+for fields in json.loads(sys.argv[1]):
+    run_link(config_from_dict({"levels": 30, "seed": 1, **fields}))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+        runs = [
+            {"duration": 0.25},
+            {"duration": 0.25, "csnr_db": -10.0},
+            {"duration": 2.5, "profile": "slow", "csnr_db": -25.0, "interpolate": False},
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(runs)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(pathlib.Path(harness.__file__).parents[1])},
+        )
+        assert proc.stdout.strip() == "[]"

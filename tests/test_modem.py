@@ -527,8 +527,8 @@ class TestRowSplit:
     @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
     @pytest.mark.parametrize("n_rows", [1, 7, 31, 300, 512])
     def test_matches_whole_array_receiver(self, profile, n_rows, monkeypatch):
-        # Tiles of each worker's rows, transformed in place, must give the
-        # bytes of the same rule over one FFT of all rows, for any worker
+        # Tiles of each worker's rows, transformed into its buffer, must give
+        # the bytes of the same rule over one FFT of all rows, for any worker
         # count; the larger chunks take all three of the interpolating
         # receiver's paths.
         cfg = profile()
@@ -577,6 +577,34 @@ class TestRowSplit:
             got = modem._peak_frequencies(blocks, cfg, True)
             assert got.tobytes() == want.tobytes()
             assert sum(taken) == 40
+
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_spectra_are_scipy_fft_bytes(self, profile, workers, monkeypatch):
+        # Each numpy.fft call of the receiver, the tiles' N-point spectra
+        # written out of place into the worker's buffer and the fallback's
+        # x c transformed in place, must hold scipy.fft.fft's bytes for its
+        # rows.  With _ETA = 2 every row takes the fallback.
+        cfg = profile()
+        blocks = mixed_blocks(cfg, 40, seed=21)
+        monkeypatch.setattr(modem, "_ETA", 2.0)
+        monkeypatch.setattr(pool, "_WORKERS", workers)
+        calls, fft = [], np.fft.fft
+
+        def recorded(a, *args, out=None, **kwargs):
+            rows = np.array(a)  # before an in-place transform overwrites a
+            got = fft(a, *args, out=out, **kwargs)
+            assert got is out
+            calls.append((np.shares_memory(a, out), rows, got.copy()))
+            return got
+
+        monkeypatch.setattr(np.fft, "fft", recorded)
+        modem._peak_frequencies(blocks, cfg, True)
+        for in_place in (False, True):
+            mine = [(rows, got) for shared, rows, got in calls if shared == in_place]
+            assert sum(len(rows) for rows, _ in mine) == 40
+            for rows, got in mine:
+                assert got.tobytes() == scipy.fft.fft(rows, axis=1).tobytes()
 
     @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
     def test_noiseless_rows_never_fall_back(self, profile, monkeypatch):
@@ -646,9 +674,10 @@ class TestRowSplit:
 
     @pytest.mark.parametrize("force_fallback", [False, True])
     def test_blocks_with_strided_rows(self, force_fallback, monkeypatch):
-        # The receiver copies its tile's rows and reads a fallback row's
-        # samples in place, so rows that are not contiguous (a float64 view of
-        # such a row raises) and Fortran-ordered blocks give the same bytes.
+        # The receiver transforms its tile's rows and reads a fallback row's
+        # samples where they lie in blocks, so rows that are not contiguous
+        # (a float64 view of such a row raises) and Fortran-ordered blocks
+        # give the same bytes.
         cfg = fast_profile()
         blocks = mixed_blocks(cfg, 24, seed=12)
         if force_fallback:
