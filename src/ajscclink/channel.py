@@ -24,7 +24,8 @@ A line with delays carries the end of one call into the next, so it takes
 its blocks in stream order, and any other ``start_block`` is a ConfigError.
 ``KeyedBlocks`` derives a chunk's per-block generator states at once, with
 the bytes of one SeedSequence per block, and each row range re-seats a
-generator of its own block by block.
+generator of its own block by block.  It takes blocks b < 2^32 (50 days of
+fast-profile signal), and a block range that reaches past is a ConfigError.
 
 A run with the raw FFT-bin receiver at finite CSNR draws no time-domain
 noise: its channel runs at csnr_db = inf, and the receiver adds block b's
@@ -45,10 +46,9 @@ pool (``pool.split_rows``; numpy's generator fills and ufunc loops release
 the GIL, seating a generator holds it).  Each worker computes the multipath
 gains of its own rows, then walks its range in tiles of a few rows
 (``_LINE_BYTES``), so that each ufunc call covers a tile, not a row.
-Flat-Rayleigh h, two normals per block, is drawn serially.  ``process`` can
-write its output over its input's own memory (``out=``), but not over memory
-that overlaps it at an offset: the samples that each row's delays reach back
-into, the end of the row before it, are copied out before any row is
+Flat-Rayleigh h, two normals per block, is drawn serially.  ``process``
+writes its output over its input: the samples that each row's delays reach
+back into, the end of the row before it, are copied out before any row is
 written, and each worker copies a tile's tails and rows into its own scratch
 line before it overwrites them.  Every sample gets the same operations in
 the same order whichever tile, range and chunk hold its row, so the output
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .pool import split_rows
 
 FAMILIES = ("awgn", "flat_rayleigh", "jtc_indoor_a", "jtc_outdoor_low_a")
@@ -175,8 +175,10 @@ class ChannelSpec:
             raise ConfigError(f"unknown channel family {self.family!r}; expected one of {FAMILIES}")
         if self.doppler_hz is None:
             object.__setattr__(self, "doppler_hz", _DEFAULT_DOPPLER.get(self.family, 0.0))
-        if self.doppler_hz < 0:
-            raise ConfigError("doppler_hz must be >= 0")
+        if not 0 <= self.doppler_hz < np.inf:
+            raise ConfigError(f"doppler_hz must be finite and >= 0, got {self.doppler_hz!r}")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         noise_deviation(self.csnr_db)  # a ConfigError past the float range
         if self.family in ("awgn", "flat_rayleigh") and self.doppler_hz != 0:
             raise ConfigError(f"{self.family} has no Doppler; doppler_hz must be 0")
@@ -215,11 +217,15 @@ class KeyedBlocks:
     into it as a uint32 vector, with SeedSequence's hash constants.  Each
     block's 4 uint64 seed words (``generate_state(4, np.uint64)``) are kept,
     and ``cursor`` turns them into a PCG64 (state, inc) as the PCG64
-    constructor does.  A block at b >= 2^32 has a second key word and takes
-    its words from its own SeedSequence.
+    constructor does.  A block at b >= 2^32 would have a second key word;
+    a range that reaches one is a ConfigError.
     """
 
     def __init__(self, seed: int, stream: int, start_block: int, n_blocks: int):
+        if start_block + n_blocks > 1 << 32:
+            raise ConfigError(
+                f"keyed streams take blocks b < 2^32, got b up to {start_block + n_blocks - 1}"
+            )
         prefix = np.random.SeedSequence(seed, spawn_key=(stream,))
         # The hashmix calls before b's: 4 to fill the pool, 12 to mix it and 4
         # per entropy word after the first 4.  The entropy is the seed's
@@ -228,8 +234,7 @@ class KeyedBlocks:
         seed_words = max(1, (int(prefix.entropy).bit_length() + 31) // 32)
         calls = 16 + 4 * (max(seed_words, 4) + 1 - 4)
         hash_a = _INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32
-        n_fast = max(0, min(n_blocks, (1 << 32) - start_block))
-        b = np.arange(start_block, start_block + n_fast, dtype=np.uint64).astype(np.uint32)
+        b = np.arange(start_block, start_block + n_blocks, dtype=np.uint32)
         pool = []
         for word in prefix.pool:
             v = b ^ np.uint32(hash_a)
@@ -242,13 +247,8 @@ class KeyedBlocks:
         for i in range(8):
             v = pool[i % 4] ^ np.uint32(hash_b)
             hash_b = hash_b * _MULT_B & _MASK32
-            state[:n_fast, i] = _xorshift16(v * np.uint32(hash_b))
+            state[:, i] = _xorshift16(v * np.uint32(hash_b))
         self._words = state.astype("<u4").view("<u8").astype(np.uint64)
-        for row in range(n_fast, n_blocks):
-            key = (stream, start_block + row)
-            self._words[row] = np.random.SeedSequence(seed, spawn_key=key).generate_state(
-                4, np.uint64
-            )
 
     def cursor(self):
         """A new generator for one row range, as ``seat(row)``, which sets it
@@ -416,36 +416,27 @@ class _DelayLineChannel:
         in its worker."""
         return None
 
-    def process(self, blocks: np.ndarray, start_block: int | None = None, out=None) -> np.ndarray:
-        """Channel output for blocks start_block, start_block + 1, ...
+    def process(self, blocks: np.ndarray, start_block: int | None = None) -> np.ndarray:
+        """Channel output for blocks start_block, start_block + 1, ..., written
+        over blocks, which is returned.
 
-        start_block defaults to the block after the previous call's last one;
-        a line with delays takes no other.  The output is written into out,
-        a C-contiguous complex128 array of the blocks' shape, when it is
-        given, and out is returned; out may be the input's own memory, but
-        may not overlap it at an offset.
+        blocks must be a writeable, C-contiguous, non-empty (n, block_size)
+        complex128 array.  start_block defaults to the block after the
+        previous call's last one; a line with delays takes no other.
         """
-        blocks = np.ascontiguousarray(blocks, dtype=np.complex128)
-        if blocks.ndim != 2 or blocks.size == 0 or blocks.shape[1] != self.block_size:
-            raise ConfigError(
-                f"blocks must be a non-empty (n, {self.block_size}) array, got {blocks.shape}"
-            )
-        if out is not None and (
-            out.shape != blocks.shape or out.dtype != np.complex128 or not out.flags.c_contiguous
+        if not (
+            isinstance(blocks, np.ndarray)
+            and blocks.dtype == np.complex128
+            and blocks.flags.c_contiguous
+            and blocks.flags.writeable
+            and blocks.ndim == 2
+            and blocks.size
+            and blocks.shape[1] == self.block_size
         ):
             raise ConfigError(
-                f"out must be a C-contiguous {blocks.shape} complex128 array, "
-                f"got {out.shape} {out.dtype}"
+                f"blocks must be a writeable, C-contiguous, non-empty (n, {self.block_size}) "
+                f"complex128 array, got {np.shape(blocks)} {getattr(blocks, 'dtype', None)}"
             )
-        # Both are C-contiguous and of one shape, so their bounds overlap
-        # exactly when their memory does.
-        if (
-            out is not None
-            and out is not blocks
-            and out.ctypes.data != blocks.ctypes.data
-            and np.may_share_memory(out, blocks)
-        ):
-            raise ConfigError("out must be the input's own memory or not overlap it")
         if start_block is None:
             start_block = self._next_block
         if start_block < 0:
@@ -460,17 +451,11 @@ class _DelayLineChannel:
         gain_rows = self._gain_rows(start_block, n_blocks)
         scale = self._scale
         if scale == 0.0 and gain_rows is None:
-            if out is None or out is blocks:
-                return blocks
-            out[...] = blocks
-            return out
-        if out is None:
-            out = np.empty_like(blocks)
+            return blocks
         c = self._carry.size
         # The c input samples before each row, which its delays reach back
         # into: the carry for row 0, the end of row r - 1 for row r.  Both
-        # they and the next carry are copied before any row of out, which
-        # may be blocks itself, is written.
+        # they and the next carry are copied before any row is overwritten.
         tails = np.empty((n_blocks, c), dtype=np.complex128)
         tails[0] = self._carry
         tails[1:] = blocks[:-1, n - c :]
@@ -493,10 +478,10 @@ class _DelayLineChannel:
                 m = u - t
                 line[:m, :c] = tails[t:u]
                 line[:m, c:] = blocks[t:u]
-                o = out[t:u]
+                o = blocks[t:u]
                 if scale:
                     for r in range(t, u):
-                        seat(r).standard_normal(out=out[r].view(np.float64))
+                        seat(r).standard_normal(out=blocks[r].view(np.float64))
                     o *= scale
                 for k, d in enumerate(delays):
                     src = line[:m, c - d : c - d + n]
@@ -509,7 +494,7 @@ class _DelayLineChannel:
                         o += tmp[:m]
 
         split_rows(rows, n_blocks, ((tile, n + c), np.complex128), ((tile, n), np.complex128))
-        return out
+        return blocks
 
 
 class AwgnChannel(_DelayLineChannel):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class AjsccParams:
     design1_bias: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.levels, (int, np.integer)) and self.levels >= 2):
+        if not (is_int(self.levels) and self.levels >= 2):
             raise ConfigError(f"levels must be an integer >= 2, got {self.levels!r}")
         if self.level_height is None:
             object.__setattr__(self, "level_height", 1.0 / self.levels)

@@ -1,4 +1,12 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the config boundary's
+integer check."""
+
+import numbers
+
+
+def is_int(x) -> bool:
+    """An integer that is not a bool: a JSON true is no count or seed."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class ConfigError(ValueError):

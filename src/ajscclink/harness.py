@@ -34,7 +34,7 @@ from .analysis import (
 )
 from .channel import FAMILIES, BandNoise, ChannelSpec, load_profile, make_channel, noise_deviation
 from .codec import AjsccParams, decode, encode, staircase
-from .errors import ConfigError, StageError
+from .errors import ConfigError, StageError, is_int
 from .modem import (
     ModemConfig,
     block_start_phases,
@@ -89,9 +89,9 @@ class AnalysisSettings:
             if v is not None and not _is_finite(v):
                 raise ConfigError(f"analysis.{name} must be finite or None, got {v!r}")
         m, w = self.median_order, self.despike_width
-        if not (isinstance(m, numbers.Integral) and (m == 0 or (m >= 2 and m % 2 == 0))):
+        if not (is_int(m) and (m == 0 or (m >= 2 and m % 2 == 0))):
             raise ConfigError(f"analysis.median_order must be 0 or an even integer >= 2, got {m!r}")
-        if not (isinstance(w, numbers.Integral) and w >= 1 and w % 2 == 1):
+        if not (is_int(w) and w >= 1 and w % 2 == 1):
             raise ConfigError(f"analysis.despike_width must be an odd integer >= 1, got {w!r}")
 
 
@@ -124,7 +124,7 @@ class RunConfig:
             raise ConfigError(
                 f"channel_family must be one of {FAMILIES}, got {self.channel_family!r}"
             )
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not isinstance(self.interpolate, bool):
             raise ConfigError(f"interpolate must be true or false, got {self.interpolate!r}")
@@ -272,7 +272,7 @@ def _transmit(
         blocks = modulate(
             encoded[lo:hi], full_scale, cfg, start_phase=phases[lo:hi], out=buf[: hi - lo]
         )
-        blocks = channel.process(blocks, start_block=lo, out=blocks)
+        blocks = channel.process(blocks, start_block=lo)
         noise = None if noise_spec is None else BandNoise(noise_spec, cfg.fft_size, lo, hi - lo)
         out[lo:hi] = demodulate_stream(
             blocks, full_scale, cfg, interpolate=interpolate, band_noise=noise

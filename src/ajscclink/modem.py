@@ -17,7 +17,8 @@ caller-owned ``out=``; a row's bytes do not depend on its tile or chunking.
 In the receiver, each worker walks its range in tiles of about 2 MB of
 N-point spectrum: ``numpy.fft`` transforms the tile's rows straight from the
 chunk into the worker's own buffer (``out=``), and the worker searches the
-band of that tile only.
+band of that tile only: one in-band argmax j of |E|^2 per row, which both
+receivers start from.
 Every buffer is allocated in the calling thread.  Every result and decision
 of a row depends only on the row's own samples, so the output is
 byte-identical for any tile, worker count and chunking.
@@ -43,10 +44,11 @@ Each bound must hold with a margin of 1e-9 A^2 over rounding:
   bound holds where Parseval's fails at low CSNR: on AWGN for nearly every
   block at 0 and -5 dB.
 A row where neither holds (deep fades, or AWGN at -10 dB) takes the
-fallback: a second N-point FFT, of x c, gives every odd bin, and the peak is
-searched over the whole padded band.  The parabola then reads the padded
-bins k - 1, k, k + 1 as before.  Against one 2N-point FFT per row, the peak
-frequencies differ by rounding only, at most 6e-13 bins on the profiles.
+fallback: a second N-point FFT, of x c, gives every odd bin, and the first
+peak is searched over the whole padded band, odd and even bins interleaved.
+The parabola then reads the padded bins k - 1, k, k + 1 as before.  Against
+one 2N-point FFT per row, the peak frequencies differ by rounding only, at
+most 6e-13 bins on the profiles.
 
 The raw receiver can take the channel noise in the frequency domain
 (``band_noise``, a ``channel.BandNoise``, which holds the window noise of
@@ -72,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DemodError
+from .errors import ConfigError, DemodError, is_int
 from .pool import split_rows
 
 FAST_SAMPLE_RATE = 8.192e6
@@ -98,8 +100,8 @@ class ModemConfig:
             raise ConfigError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
         if self.f_max > 0.98 * self.sample_rate / 2:
             raise ConfigError(f"f_max {self.f_max} exceeds 98% of Nyquist")
-        if self.fft_size < 2:
-            raise ConfigError(f"fft_size must be >= 2, got {self.fft_size}")
+        if not (is_int(self.fft_size) and self.fft_size >= 2):
+            raise ConfigError(f"fft_size must be an integer >= 2, got {self.fft_size!r}")
         k_lo, k_hi, _, _ = _band_edges(self, self.fft_size)
         if k_lo > k_hi:
             raise ConfigError(
@@ -290,37 +292,39 @@ def _peak_frequencies(
             np.square(seg.real, out=power[:m])
             np.square(seg.imag, out=imag2[:m])
             power[:m] += imag2[:m]
+            j = power[:m, inband].argmax(axis=1)  # the in-band N-point peak
             if interpolate:
                 freqs[t : t + m] = _interpolated_frequencies(
-                    spectrum, power[:m], cfg, tables, blocks[t : t + m], imag2
+                    spectrum, power[:m], cfg, tables, blocks[t : t + m], j + k_lo
                 )
-            elif draw is None:
-                freqs[t : t + m] = _bin_frequencies(power[:m], cfg)
-            else:
-                k = _noisy_peaks(
-                    seg[:, inband], power[:m, inband], imag2[:m, inband], band_noise, t, draw, rest
+                continue
+            if draw is not None:
+                j = _noisy_peaks(
+                    seg[:, inband], power[:m, inband], j, imag2[:m, inband], band_noise, t, draw,
+                    rest,
                 )
-                freqs[t : t + m] = (k + k_lo) * cfg.sample_rate / n
+            elif not power[np.arange(m), j + k_lo - lo].all():
+                raise DemodError("no spectral peak in band (all-zero block?)")
+            freqs[t : t + m] = (j + k_lo) * cfg.sample_rate / n
 
     band = ((tile, hi - lo + 1), np.float64)
     split_rows(rows, n_rows, ((tile, n), np.complex128), band, band, ((n_rest,), np.complex128))
     return freqs
 
 
-def _interpolated_frequencies(spectrum, power, cfg: ModemConfig, tables, blocks, scratch):
+def _interpolated_frequencies(spectrum, power, cfg: ModemConfig, tables, blocks, j):
     """Per-row peak frequency (Hz) of a tile of blocks on the 2N-padded grid,
     refined by the parabola (module docstring).
 
     spectrum holds the blocks' N-point FFTs E, in the worker's buffer, power
-    |E|^2 over the grid's bins lo..hi, and tables ``_half_bin_tables(N)``.
-    The fallback overwrites spectrum, and scratch (power's shape).
+    |E|^2 over the grid's bins lo..hi, tables ``_half_bin_tables(N)``, and j
+    each row's in-band peak of E.  The fallback overwrites spectrum.
     """
     h, c, near_table, far_kernel, kernel_norm = tables
     m, n = spectrum.shape
-    k_lo, k_hi, lo, hi = _band_edges(cfg, n)
+    _, _, lo, hi = _band_edges(cfg, n)
     k2_lo, k2_hi, _, _ = _band_edges(cfg, 2 * n)
     rows = np.arange(m)
-    j = power[:, k_lo - lo : k_hi - lo + 1].argmax(axis=1) + k_lo
     # Powers of padded bins 2j - 2 .. 2j + 2; the odd ones, 2j -+ 1, are O[j - 1]
     # and O[j].  (Where k_lo = 0, bin 2j - 2 may wrap to the band's last column:
     # it is then outside the band, and no parabola reads it.)
@@ -368,9 +372,7 @@ def _interpolated_frequencies(spectrum, power, cfg: ModemConfig, tables, blocks,
     triple = powers[rows[:, None], pick[:, None] + (0, 1, 2)]
     fall = np.flatnonzero(~ok | (a2 == 0))
     if fall.size:
-        k[fall], triple[fall] = _odd_band_peaks(
-            blocks, fall, j[fall], powers[fall, 2], power, cfg, c, spectrum, scratch
-        )
+        k[fall], triple[fall] = _odd_band_peaks(blocks, fall, power, cfg, c, spectrum)
     left, mid, right = triple.T
     interior = (k >= max(k2_lo, 1)) & (k <= min(k2_hi, 2 * n - 2))
     floor = mid * 1e-24
@@ -383,47 +385,38 @@ def _interpolated_frequencies(spectrum, power, cfg: ModemConfig, tables, blocks,
     return (k + delta) * cfg.sample_rate / (2 * n)
 
 
-def _odd_band_peaks(blocks, which, j, even_peak, power, cfg: ModemConfig, c, x, scratch):
+def _odd_band_peaks(blocks, which, power, cfg: ModemConfig, c, x):
     """The fallback: the padded peak k of rows which of a tile of blocks,
     searched over the whole band, and the powers of bins k - 1, k, k + 1.
 
-    j and even_peak are the rows' in-band peak on the N-point grid and its
-    power, and power the tile's |E|^2 over the grid's bins lo..hi.  The odd
-    bins O come from an FFT of x c, done in x; scratch (power's shape) holds
-    their powers.  Returns (k, (len(which), 3) powers).
+    power is the tile's |E|^2 over the grid's bins lo..hi.  The odd bins O
+    come from an FFT of x c, done in x.  Each row of x, viewed as floats,
+    then holds the padded powers at their own bin indices 2 lo .. 2 hi + 1:
+    |E[i]|^2 at 2i, written over Re O[i], and |O[i]|^2 at 2i + 1.  Returns
+    (k, (len(which), 3) powers).
     """
     n = blocks.shape[1]
-    _, _, lo, _ = _band_edges(cfg, n)
-    k2_lo, k2_hi, lo2, hi2 = _band_edges(cfg, 2 * n)
-    rows = np.arange(which.size)
+    _, _, lo, hi = _band_edges(cfg, n)
+    k2_lo, k2_hi, _, _ = _band_edges(cfg, 2 * n)
     for i, r in enumerate(which):
         np.multiply(blocks[r], c, out=x[i])
-    # Odd bin 2i + 1 is O[i]: bins lo2..hi2 hold O[o_lo..], and the band O[b_lo..b_hi].
-    o_lo, b_lo, b_hi = lo2 // 2, k2_lo // 2, (k2_hi - 1) // 2
-    seg = np.fft.fft(x[: rows.size], axis=1, out=x[: rows.size])
-    seg = seg[:, o_lo : (hi2 - 1) // 2 + 1].view(np.float64)
-    odd = scratch[: rows.size, : seg.shape[1] // 2]
-    np.square(seg, out=seg)
-    np.add(seg[:, 0::2], seg[:, 1::2], out=odd)
-    i = np.full(rows.size, b_lo)
-    odd_peak = np.full(rows.size, -1.0)  # a band of one even bin has no odd bin
-    if b_hi >= b_lo:
-        i += odd[:, b_lo - o_lo : b_hi - o_lo + 1].argmax(axis=1)
-        odd_peak = odd[rows, i - o_lo]
-    if np.any(np.maximum(even_peak, odd_peak) == 0):
+    band = np.fft.fft(x[: which.size], axis=1, out=x[: which.size]).view(np.float64)
+    band = band[:, 2 * lo : 2 * hi + 2]
+    np.square(band, out=band)
+    np.add(band[:, 0::2], band[:, 1::2], out=band[:, 1::2])
+    for i, r in enumerate(which):
+        band[i, 0::2] = power[r]
+    k = band[:, k2_lo - 2 * lo : k2_hi - 2 * lo + 1].argmax(axis=1) + k2_lo
+    triple = band[np.arange(which.size)[:, None], k[:, None] - 2 * lo + (-1, 0, 1)]
+    if not triple[:, 1].all():
         raise DemodError("no spectral peak in band (all-zero block?)")
-    # The first largest: an odd peak wins a tie only below the even one.
-    is_odd = (odd_peak > even_peak) | ((odd_peak == even_peak) & (i < j))
-    near = np.empty((rows.size, 3))
-    near[:, 0] = np.where(is_odd, power[which, i - lo], odd[rows, j - 1 - o_lo])
-    near[:, 1] = np.where(is_odd, odd_peak, even_peak)
-    near[:, 2] = np.where(is_odd, power[which, i + 1 - lo], odd[rows, j - o_lo])
-    return np.where(is_odd, 2 * i + 1, 2 * j), near
+    return k, triple
 
 
-def _noisy_peaks(band, power, scratch, band_noise, first_row: int, draw, rest) -> np.ndarray:
+def _noisy_peaks(band, power, j, scratch, band_noise, first_row: int, draw, rest) -> np.ndarray:
     """In-band index of each row's peak once band_noise is added to a tile's
-    in-band bins, band, whose squared magnitudes are power (module docstring).
+    in-band bins, band, whose squared magnitudes are power and whose
+    noiseless peaks are j (module docstring).
 
     first_row is the tile's first row in the chunk and draw the range's
     cursor of band_noise.  power, and band on the rows that complete, are
@@ -432,7 +425,7 @@ def _noisy_peaks(band, power, scratch, band_noise, first_row: int, draw, rest) -
     (m, n_bins), full_width = band.shape, band_noise.window.shape[1]
     width = min(full_width, n_bins)
     rows = np.arange(m)
-    start = np.clip(power.argmax(axis=1) - full_width // 2, 0, n_bins - width)
+    start = np.clip(j - full_width // 2, 0, n_bins - width)
     cols = start[:, None] + np.arange(width)
     power[rows[:, None], cols] = 0.0
     out_peak = np.sqrt(power.max(axis=1))
@@ -454,17 +447,6 @@ def _noisy_peaks(band, power, scratch, band_noise, first_row: int, draw, rest) -
         p += np.square(row.imag, out=scratch[r])
         k[r] = p.argmax()
     return k
-
-
-def _bin_frequencies(power: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    """Per-row in-band peak frequency (Hz) from the power of N-point bins lo..hi."""
-    n = cfg.fft_size
-    k_lo, k_hi, lo, _ = _band_edges(cfg, n)
-    band = power[:, k_lo - lo : k_hi - lo + 1]
-    k = band.argmax(axis=1)
-    if np.any(band[np.arange(band.shape[0]), k] == 0):
-        raise DemodError("no spectral peak in band (all-zero block?)")
-    return (k + k_lo) * cfg.sample_rate / n
 
 
 def demodulate_stream(

@@ -186,7 +186,7 @@ def test_c7_channel_statistics():
     # AWGN noise variance at 0 dB over 10^6 unit-power samples.
     rng = np.random.default_rng(7)
     x = np.exp(1j * rng.uniform(0, 2 * np.pi, (1000, 1024)))
-    noise = make_channel(ChannelSpec("awgn", 0.0, seed=77), 1.0, 1024).process(x) - x
+    noise = make_channel(ChannelSpec("awgn", 0.0, seed=77), 1.0, 1024).process(x.copy()) - x
     var = float(np.mean(np.abs(noise) ** 2))
     ok_awgn = abs(var - 1.0) <= 0.02
 

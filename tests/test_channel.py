@@ -30,8 +30,9 @@ def unit_blocks(n_blocks, n, seed=0):
 
 
 def channel_out(spec, x, sample_rate=1.0):
-    """One process call of a fresh channel over the whole block stream x."""
-    return make_channel(spec, sample_rate, x.shape[1]).process(x)
+    """One process call of a fresh channel over a copy of the whole block
+    stream x: process writes over its input, and the tests read x after."""
+    return make_channel(spec, sample_rate, x.shape[1]).process(x.copy())
 
 
 class TestAwgn:
@@ -188,6 +189,28 @@ class TestChannelSpec:
         with pytest.raises(ConfigError):
             ChannelSpec("awgn", csnr_db=csnr_db)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(seed=-1),
+            dict(seed=1.5),
+            dict(seed=True),
+            dict(seed="1"),
+            dict(family="jtc_indoor_a", doppler_hz=float("nan")),
+            dict(family="jtc_indoor_a", doppler_hz=float("inf")),
+            dict(family="jtc_outdoor_low_a", doppler_hz=-1.0),
+        ],
+    )
+    def test_bad_seed_or_doppler_rejected(self, fields):
+        with pytest.raises(ConfigError):
+            ChannelSpec(**{"family": "awgn", **fields})
+
+    def test_numpy_integer_seed_accepted(self):
+        spec = ChannelSpec("awgn", csnr_db=0.0, seed=np.uint64(2**63 + 1))
+        x = np.ones((2, 8), complex)
+        want = channel_out(ChannelSpec("awgn", csnr_db=0.0, seed=2**63 + 1), x)
+        assert channel_out(spec, x).tobytes() == want.tobytes()
+
     def test_csnr_near_the_float_range_accepted(self):
         for csnr_db in (3080.0, -3080.0):
             ChannelSpec("awgn", csnr_db=csnr_db)
@@ -258,7 +281,7 @@ class TestMultipath:
         whole = channel_out(spec, x, 8.192e6)
         np.testing.assert_array_equal(whole, channel_out(spec, x, 8.192e6))
         ch = MultipathChannel(spec, 8.192e6, 512)
-        chunked = np.vstack([ch.process(x[:25], 0), ch.process(x[25:], 25)])
+        chunked = np.vstack([ch.process(x[:25].copy(), 0), ch.process(x[25:].copy(), 25)])
         np.testing.assert_array_equal(whole, chunked)
 
     def test_gains_of_a_range_match_the_whole_chunk(self):
@@ -287,7 +310,8 @@ class TestStreamingWrappers:
         whole = channel_out(spec, x)
         # No start_block: each call continues from the previous one's end.
         ch = FlatRayleighChannel(spec, 1e6, 128)
-        chunked = np.vstack([ch.process(x[:13]), ch.process(x[13:31]), ch.process(x[31:])])
+        chunks = (x[:13].copy(), x[13:31].copy(), x[31:].copy())
+        chunked = np.vstack([ch.process(chunk) for chunk in chunks])
         np.testing.assert_array_equal(whole, chunked)
 
     def test_make_channel_dispatch(self):
@@ -302,9 +326,15 @@ class TestKeyedStreams:
 
     @staticmethod
     def chunked(spec, x, sizes):
+        """One channel over a copy of x in chunks of the given sizes, each
+        written over itself."""
         ch = make_channel(spec, 8.192e6, x.shape[1])
+        got = x.copy()
         bounds = np.cumsum([0, *sizes])
-        return np.vstack([ch.process(x[lo:hi], lo) for lo, hi in zip(bounds[:-1], bounds[1:])])
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            chunk = got[lo:hi]
+            assert ch.process(chunk, lo) is chunk
+        return got
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_chunk_and_worker_invariance_on_unit_power(self, family, monkeypatch):
@@ -350,64 +380,45 @@ class TestKeyedStreams:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_in_place_matches_fresh_output(self, family, monkeypatch):
         # Each chunk is written over its own input, split into more ranges
-        # than cores under fast thread switching.  A row's delays reach back
-        # into the row before it, so that tail and the carry must be read
-        # before any row is overwritten.
+        # than cores under fast thread switching, and must give the bytes of
+        # one call on one worker.  A row's delays reach back into the row
+        # before it, so that tail and the carry must be read before any row
+        # is overwritten.
         cfg = fast_profile()
         x = modulate(np.random.default_rng(4).uniform(0.0, 2.0, 60), 2.0, cfg)
         spec = ChannelSpec(family, csnr_db=3.0, seed=12)
         monkeypatch.setattr(pool, "_WORKERS", 1)
-        want = make_channel(spec, cfg.sample_rate, cfg.fft_size).process(x).tobytes()
-        bounds = np.cumsum([0, 7, 7, 19, 27])
+        want = make_channel(spec, cfg.sample_rate, cfg.fft_size).process(x.copy()).tobytes()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for workers in (1, 16):
                 monkeypatch.setattr(pool, "_WORKERS", workers)
-                ch = make_channel(spec, cfg.sample_rate, cfg.fft_size)
-                got = x.copy()
-                for lo, hi in zip(bounds[:-1], bounds[1:]):
-                    chunk = got[lo:hi]
-                    assert ch.process(chunk, lo, out=chunk) is chunk
-                assert got.tobytes() == want
+                assert self.chunked(spec, x, [7, 7, 19, 27]).tobytes() == want
         finally:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize(
-        "out",
-        [
-            np.empty((3, 64), dtype=np.complex128),
-            np.empty((4, 63), dtype=np.complex128),
-            np.empty((4, 64), dtype=np.complex64),
-            np.empty((64, 4), dtype=np.complex128).T,
-        ],
+        "kind", ["complex64", "float64", "fortran", "strided_rows", "read_only"]
     )
-    def test_bad_out_rejected(self, out):
-        ch = make_channel(ChannelSpec("awgn", csnr_db=0.0), 1e6, 64)
-        with pytest.raises(ConfigError):
-            ch.process(unit_blocks(4, 64), out=out)
-
     @pytest.mark.parametrize("family", ["awgn", "jtc_outdoor_low_a"])
-    @pytest.mark.parametrize("blocks_at, out_at", [(0, 1), (1, 0), (0, 32), (0, 511), (511, 0)])
-    def test_out_overlapping_the_input_at_an_offset_rejected(self, family, blocks_at, out_at):
-        # out shifted against the input by a few samples up to all but one:
-        # rows would overwrite samples that other rows still read.
-        flat = unit_blocks(16, 64).ravel()
-        blocks = flat[blocks_at : blocks_at + 8 * 64].reshape(8, 64)
-        out = flat[out_at : out_at + 8 * 64].reshape(8, 64)
+    def test_input_it_cannot_overwrite_rejected(self, family, kind):
+        # process writes over its input, so an input of another dtype, not
+        # C-contiguous or read-only is a ConfigError, and is left as it was.
+        x = unit_blocks(4, 64)
+        blocks = {
+            "complex64": lambda: x.astype(np.complex64),
+            "float64": lambda: x.real.copy(),
+            "fortran": lambda: np.asfortranarray(x),
+            "strided_rows": lambda: np.repeat(x, 2, axis=1)[:, ::2],
+            "read_only": lambda: np.broadcast_to(x, x.shape),
+        }[kind]()
+        before = blocks.tobytes()
         for csnr_db in (3.0, np.inf):
             ch = make_channel(ChannelSpec(family, csnr_db=csnr_db), 8.192e6, 64)
-            with pytest.raises(ConfigError):
-                ch.process(blocks, out=out)
-
-    def test_out_as_a_second_view_of_the_input_accepted(self):
-        x = unit_blocks(8, 64)
-        spec = ChannelSpec("jtc_outdoor_low_a", csnr_db=3.0)
-        want = make_channel(spec, 8.192e6, 64).process(x)
-        got = x.copy()
-        view = got[:]
-        assert make_channel(spec, 8.192e6, 64).process(got, out=view) is view
-        assert got.tobytes() == want.tobytes()
+            with pytest.raises(ConfigError, match="writeable, C-contiguous"):
+                ch.process(blocks)
+        assert blocks.tobytes() == before
 
     def test_adjacent_block_noise_uncorrelated(self):
         # Adjacent blocks draw from streams keyed on neighbouring indices;
@@ -423,7 +434,7 @@ class TestKeyedStreams:
         x = unit_blocks(12, 64)
         spec = ChannelSpec("flat_rayleigh", csnr_db=3.0, seed=4)
         ch = make_channel(spec, 1e6, 64)
-        tail = ch.process(x[5:], start_block=5)
+        tail = ch.process(x[5:].copy(), start_block=5)
         np.testing.assert_array_equal(tail, channel_out(spec, x)[5:])
         with pytest.raises(ConfigError):
             ch.process(x, start_block=-1)
@@ -439,11 +450,11 @@ class TestKeyedStreams:
         whole = channel_out(spec, x, 8.192e6)
         ch = make_channel(spec, 8.192e6, 512)
         with pytest.raises(ConfigError):
-            ch.process(x[5:], start_block=5)
-        head = ch.process(x[:3], start_block=0)
+            ch.process(x[5:].copy(), start_block=5)
+        head = ch.process(x[:3].copy(), start_block=0)
         with pytest.raises(ConfigError):
-            ch.process(x[7:], start_block=7)
-        tail = ch.process(x[3:])
+            ch.process(x[7:].copy(), start_block=7)
+        tail = ch.process(x[3:].copy())
         np.testing.assert_array_equal(np.vstack([head, tail]), whole)
         memoryless = [
             (spec, 512e3),
@@ -452,7 +463,7 @@ class TestKeyedStreams:
         ]
         for spec, rate in memoryless:
             whole = channel_out(spec, x, rate)
-            tail = make_channel(spec, rate, 512).process(x[5:], start_block=5)
+            tail = make_channel(spec, rate, 512).process(x[5:].copy(), start_block=5)
             np.testing.assert_array_equal(tail, whole[5:])
 
 
@@ -505,7 +516,8 @@ def reference_delay_line(spec, sample_rate, x):
 
 class TestTiledDelayLine:
     """``process`` walks each range in tiles of rows; it must give the per-row
-    reference line's bytes for any chunking, worker count and ``out=``."""
+    reference line's bytes for any chunking and worker count, each chunk
+    written over itself."""
 
     @pytest.mark.parametrize("csnr_db", [3.0, np.inf])
     @pytest.mark.parametrize("family", channel.FAMILIES)
@@ -524,16 +536,12 @@ class TestTiledDelayLine:
                 monkeypatch.setattr(pool, "_WORKERS", workers)
                 sys.setswitchinterval(1e-5 if workers == 16 else interval)
                 for size in (1, tile - 1, tile, tile + 1, 61):
-                    for in_place in (False, True):
-                        ch = make_channel(spec, cfg.sample_rate, n)
-                        got = x.copy() if in_place else np.empty_like(x)
-                        for lo in range(0, 61, size):
-                            chunk = x[lo : lo + size]
-                            dest = got[lo : lo + size]
-                            if in_place:
-                                chunk = dest
-                            assert ch.process(chunk, lo, out=dest) is dest
-                        assert got.tobytes() == want, (workers, size, in_place)
+                    ch = make_channel(spec, cfg.sample_rate, n)
+                    got = x.copy()
+                    for lo in range(0, 61, size):
+                        chunk = got[lo : lo + size]
+                        assert ch.process(chunk, lo) is chunk
+                    assert got.tobytes() == want, (workers, size)
         finally:
             sys.setswitchinterval(interval)
 
@@ -626,17 +634,24 @@ class TestBandNoise:
     def test_keyed_on_the_absolute_block(self):
         # The window and the completion each take their own stream of the
         # absolute block, whatever chunk holds it.  A chunk's windows are one
-        # Philox stream from counter 5 * start_block; in the second chunk the
-        # counter crosses 2^64 between its rows 2 and 3.
+        # Philox stream from counter 5 * start_block; in the third chunk the
+        # counter crosses 2^64 between its rows 2 and 3.  The completion's
+        # keyed streams end at block 2^32 - 1, the last block of the second
+        # chunk's completions, so the third chunk's completion draw is a
+        # ConfigError.
         spec = ChannelSpec("awgn", csnr_db=0.0, seed=3)
         deviation = 8.0 * np.sqrt(0.5)
-        for start in (0, 2**64 // 5 - 3):
+        for start in (0, 2**32 - 18, 2**64 // 5 - 3):
             chunk = BandNoise(spec, 64, start, 6)
             for r in range(6):
                 want = reference_window(3, start + r, deviation)
                 assert chunk.window[r].tobytes() == want.tobytes()
                 assert BandNoise(spec, 64, start + r, 1).window[0].tobytes() == want.tobytes()
             a, b = np.empty(100, dtype=np.complex128), np.empty(100, dtype=np.complex128)
+            if start > 2**32:
+                with pytest.raises(ConfigError, match="2\\^32"):
+                    chunk.cursor()(5, a)
+                continue
             chunk.cursor()(5, a)
             BandNoise(spec, 64, start + 1, 17).cursor()(4, b)
             assert a.tobytes() == b.tobytes()
@@ -650,10 +665,11 @@ class TestKeyedBlocks:
     # a chunk of blocks; the reference is one SeedSequence per block.
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3])
     def test_matches_seed_sequence(self, seed):
-        # Blocks 0, 1, 2^32 - 1 and 2^32; the last has a second spawn-key
-        # word and takes the SeedSequence fallback.
+        # Blocks 0, 1, 2^32 - 2 and 2^32 - 1, the last block a key word
+        # holds.  A range that reaches block 2^32, which would take a second
+        # key word, is a ConfigError.
         for stream in (0, 1, 2, 3):
-            for start in (0, 2**32 - 1):
+            for start in (0, 2**32 - 2):
                 seat = KeyedBlocks(seed, stream, start, 2).cursor()
                 for row in (0, 1):
                     want = reference_rng(seed, stream, start + row)
@@ -661,6 +677,30 @@ class TestKeyedBlocks:
                     assert got.bit_generator.state == want.bit_generator.state
                     got_normals = got.standard_normal(64)
                     assert got_normals.tobytes() == want.standard_normal(64).tobytes()
+            for start, n_blocks in ((2**32 - 1, 2), (2**32, 1), (0, 2**32 + 1)):
+                with pytest.raises(ConfigError, match="2\\^32"):
+                    KeyedBlocks(seed, stream, start, n_blocks)
+
+    def test_blocks_past_2_32_rejected_by_band_noise_and_process(self):
+        # The completion's stream (3, b), the noise (1, b) and the flat fades
+        # (0, b) take blocks up to 2^32 - 1, as their SeedSequences do, and a
+        # range that reaches block 2^32 is a ConfigError.
+        last = 2**32 - 1
+        spec = ChannelSpec("awgn", csnr_db=0.0, seed=5)
+        got = np.empty(32, dtype=np.complex128)
+        BandNoise(spec, 64, last - 1, 2).cursor()(1, got)
+        want = reference_rng(5, 3, last).standard_normal(64).view(complex) * 8.0 * np.sqrt(0.5)
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ConfigError, match="2\\^32"):
+            BandNoise(spec, 64, last - 1, 3).cursor()(0, got)
+        noise = make_channel(spec, 1.0, 8).process(np.zeros((1, 8), complex), start_block=last)
+        want = reference_rng(5, 1, last).standard_normal(16).view(complex) * np.sqrt(0.5)
+        assert noise.tobytes() == want.tobytes()
+        for keyed in (spec, ChannelSpec("flat_rayleigh", seed=5)):
+            ch = make_channel(keyed, 1.0, 8)
+            ch.process(np.ones((2, 8), dtype=np.complex128), start_block=last - 1)
+            with pytest.raises(ConfigError, match="2\\^32"):
+                ch.process(np.ones((2, 8), dtype=np.complex128), start_block=last)
 
     def test_ranges_under_fast_switching(self, monkeypatch):
         # Sixteen row ranges on the pool, the interpreter switching threads
@@ -701,7 +741,8 @@ class TestKeyedBlocks:
         try:
             noise_got = make_channel(spec, 1.0, n).process(zeros, start_block=7)
             flat = ChannelSpec("flat_rayleigh", seed=seed)
-            fade_got = make_channel(flat, 1.0, 1).process(np.ones((n_blocks, 1)), 7)[:, 0]
+            ones = np.ones((n_blocks, 1), dtype=np.complex128)
+            fade_got = make_channel(flat, 1.0, 1).process(ones, 7)[:, 0]
             pool.split_rows(band_rows, n_blocks)
         finally:
             sys.setswitchinterval(interval)

@@ -632,6 +632,11 @@ class TestCli:
             {"tap_profile_path": "one_column.csv/x.csv"},
             # A NaN tap delay, which the delay-order check alone lets through.
             {"channel_family": "jtc_outdoor_low_a", "tap_profile_path": "nan_delay.csv"},
+            # JSON true and false are no integers: they would run as seed 1,
+            # despike width 1 (no despike) and median order 0 (no median).
+            {"seed": True},
+            {"analysis": {"despike_width": True}},
+            {"analysis": {"median_order": False}},
         ],
     )
     def test_bad_config_file_is_config_error(self, fields, tmp_path, monkeypatch):

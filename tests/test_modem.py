@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.fft
+from scipy import integrate, special
 
 from ajscclink import modem, pool
 from ajscclink.channel import BandNoise, ChannelSpec, make_channel, noise_deviation
@@ -52,6 +53,8 @@ class TestProfiles:
             dict(f_min=0.0, f_max=1e3, sample_rate=float("nan"), fft_size=64),
             # The band holds no bin of the 8-point grid (125 Hz apart).
             dict(f_min=100.0, f_max=101.0, sample_rate=1e3, fft_size=8),
+            dict(f_min=0.0, f_max=1e3, sample_rate=1e4, fft_size=64.0),
+            dict(f_min=0.0, f_max=1e3, sample_rate=1e4, fft_size=True),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -618,7 +621,7 @@ class TestRowSplit:
         taken = count_fallback_rows(monkeypatch)
         for family in ("awgn", "flat_rayleigh", "jtc_indoor_a", "jtc_outdoor_low_a"):
             channel = make_channel(ChannelSpec(family, seed=3), cfg.sample_rate, cfg.fft_size)
-            faded = channel.process(blocks, start_block=0)
+            faded = channel.process(blocks.copy(), start_block=0)
             detail = {}
             whole_array_peak_frequencies(faded, cfg, True, detail)
             assert set(detail["tier"]) == {0}
@@ -642,7 +645,7 @@ class TestRowSplit:
             ("flat_rayleigh", 0.0), ("flat_rayleigh", np.inf), ("awgn", -10.0),
         ]:
             spec = ChannelSpec(family, csnr_db=csnr_db, seed=7)
-            noisy = make_channel(spec, cfg.sample_rate, n).process(blocks, start_block=0)
+            noisy = make_channel(spec, cfg.sample_rate, n).process(blocks.copy(), start_block=0)
             got = modem._peak_frequencies(noisy, cfg, True)
             assert np.abs(got - padded_peak_frequencies(noisy, cfg)).max() <= 1e-9 * cfg.bin_width
             detail = {}
@@ -762,3 +765,85 @@ class TestRowSplit:
         monkeypatch.setattr(pool, "_WORKERS", 2)
         with pytest.raises(DemodError):
             demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=interpolate)
+
+
+def mfsk_error_law(es_n0: float, m: int) -> float:
+    """Symbol error probability of noncoherent M-FSK with orthogonal tones in
+    AWGN: 1 - E[(1 - exp(-Y))^(M - 1)].  In units of one bin's noise power,
+    Y = |sqrt(Es/N0) + z|^2 (z ~ CN(0, 1)) is the sent bin's power, and each
+    of the M - 1 other bins' powers is Exp(1), so P(all below Y) = (1 - e^-Y)^(M-1).
+    """
+    a = np.sqrt(es_n0)
+
+    def hit(y):
+        # Y's density, the noncentral chi-square of 2 dof, times P(all below y).
+        density = np.exp(-((np.sqrt(y) - a) ** 2)) * special.i0e(2 * a * np.sqrt(y))
+        return density * np.exp((m - 1) * np.log1p(-np.exp(-y)))
+
+    return 1.0 - integrate.quad(hit, 0.0, (a + 12.0) ** 2, points=[a * a], limit=200)[0]
+
+
+class TestMfskLaw:
+    """The raw receiver is a noncoherent M-FSK detector over the M in-band
+    bins: a bin-centred tone of N unit samples puts N in its bin and nothing
+    in the others, and the noise puts CN(0, N sigma^2) in each (here drawn
+    in the band, ``BandNoise``), so Es/N0 = |h|^2 N / sigma^2.  The decoded
+    bin's error rate must follow the law within four binomial standard
+    errors, with at least 20 errors expected so that z is near normal.
+    """
+
+    N_BLOCKS = 3000
+
+    @staticmethod
+    def bin_centred_blocks(cfg, n_blocks, seed):
+        k_lo, k_hi, _, _ = band_edges(cfg, cfg.fft_size)
+        sent = np.random.default_rng(seed).integers(k_lo, k_hi + 1, n_blocks)
+        encoded = frequency_to_voltage(sent * cfg.bin_width, FULL_SCALE, cfg)
+        return sent, modulate(encoded, FULL_SCALE, cfg), k_hi - k_lo + 1
+
+    @staticmethod
+    def errors(blocks, cfg, spec, sent):
+        noise = BandNoise(spec, cfg.fft_size, 0, len(blocks))
+        got = demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=False, band_noise=noise)
+        decoded = np.rint(voltage_to_frequency(got, FULL_SCALE, cfg) / cfg.bin_width)
+        return decoded != sent
+
+    @pytest.mark.parametrize(
+        "profile, csnr_db, seed",
+        [
+            (slow_profile, -26.0, 2601),
+            (slow_profile, -25.0, 2501),
+            (slow_profile, -24.0, 2401),
+            (fast_profile, -27.0, 2701),
+        ],
+    )
+    def test_awgn(self, profile, csnr_db, seed):
+        cfg = profile()
+        sent, blocks, m = self.bin_centred_blocks(cfg, self.N_BLOCKS, seed)
+        wrong = self.errors(blocks, cfg, ChannelSpec("awgn", csnr_db=csnr_db, seed=seed), sent)
+        p = mfsk_error_law(cfg.fft_size * 10.0 ** (csnr_db / 10.0), m)
+        z = (wrong.mean() - p) / np.sqrt(p * (1 - p) / wrong.size)
+        print(f"M-FSK, N {cfg.fft_size}, {csnr_db} dB: {wrong.mean():.4f}, law {p:.4f}, z {z:.2f}")
+        assert p * wrong.size >= 20
+        assert abs(z) < 4, (wrong.mean(), p, z)
+
+    def test_flat_rayleigh_conditioned_on_each_fade(self):
+        # Each block's error probability is the law at its own |h|^2 Es/N0;
+        # the error count is a sum of Bernoullis with those probabilities.
+        cfg, csnr_db, seed = slow_profile(), -18.0, 1801
+        sent, blocks, m = self.bin_centred_blocks(cfg, self.N_BLOCKS, seed)
+        first = blocks[:, 0].copy()
+        fading = ChannelSpec("flat_rayleigh", seed=seed)
+        faded = make_channel(fading, cfg.sample_rate, cfg.fft_size).process(blocks)
+        gain = np.abs(faded[:, 0] / first) ** 2
+        noise = ChannelSpec("flat_rayleigh", csnr_db=csnr_db, seed=seed + 1)
+        wrong = self.errors(faded, cfg, noise, sent)
+        # The law on a grid of Es/N0, interpolated in log Es/N0 at each block's.
+        es_n0 = cfg.fft_size * 10.0 ** (csnr_db / 10.0) * gain
+        grid = np.geomspace(es_n0.min(), es_n0.max(), 400)
+        p = np.interp(np.log(es_n0), np.log(grid), [mfsk_error_law(g, m) for g in grid])
+        z = (wrong.sum() - p.sum()) / np.sqrt(np.sum(p * (1 - p)))
+        rate, law = wrong.mean(), p.mean()
+        print(f"M-FSK, flat Rayleigh, {csnr_db} dB: {rate:.4f}, law {law:.4f}, z {z:.2f}")
+        assert p.sum() >= 20
+        assert abs(z) < 4, (wrong.mean(), p.mean(), z)
