@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, is_int
+from .errors import ConfigError, is_int, is_real
 from .pool import split_rows
 
 FAMILIES = ("awgn", "flat_rayleigh", "jtc_indoor_a", "jtc_outdoor_low_a")
@@ -175,7 +175,7 @@ class ChannelSpec:
             raise ConfigError(f"unknown channel family {self.family!r}; expected one of {FAMILIES}")
         if self.doppler_hz is None:
             object.__setattr__(self, "doppler_hz", _DEFAULT_DOPPLER.get(self.family, 0.0))
-        if not 0 <= self.doppler_hz < np.inf:
+        if not (is_real(self.doppler_hz) and 0 <= self.doppler_hz < np.inf):
             raise ConfigError(f"doppler_hz must be finite and >= 0, got {self.doppler_hz!r}")
         if not (is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")

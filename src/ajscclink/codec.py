@@ -13,12 +13,11 @@ out.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, is_int
+from .errors import ConfigError, is_int, is_real
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ class AjsccParams:
             object.__setattr__(self, "level_height", 1.0 / self.levels)
         for name in ("x1_max", "x2_max", "level_height"):
             v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
+            if not (is_real(v) and math.isfinite(v) and v > 0):
                 raise ConfigError(f"{name} must be finite and > 0, got {v!r}")
 
     @property

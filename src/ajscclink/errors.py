@@ -1,5 +1,5 @@
 """Exception types shared across the simulator, and the config boundary's
-integer check."""
+integer and real-number checks."""
 
 import numbers
 
@@ -7,6 +7,11 @@ import numbers
 def is_int(x) -> bool:
     """An integer that is not a bool: a JSON true is no count or seed."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """A real number that is not a bool: a JSON true is no duration or level."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 class ConfigError(ValueError):

@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import pathlib
 import time
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ from .analysis import (
 )
 from .channel import FAMILIES, BandNoise, ChannelSpec, load_profile, make_channel, noise_deviation
 from .codec import AjsccParams, decode, encode, staircase
-from .errors import ConfigError, StageError, is_int
+from .errors import ConfigError, StageError, is_int, is_real
 from .modem import (
     ModemConfig,
     block_start_phases,
@@ -59,7 +58,7 @@ _CHUNK_SAMPLES = 4 << 20  # ~64 MB of complex128 per modulated chunk
 
 
 def _is_finite(x) -> bool:
-    return isinstance(x, numbers.Real) and math.isfinite(x)
+    return is_real(x) and math.isfinite(x)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,39 @@ contiguous range per usable CPU, on the pool the channel also uses
 table into each block, one ufunc call per tile of rows, into the output or a
 caller-owned ``out=``; a row's bytes do not depend on its tile or chunking.
 
-In the receiver, each worker walks its range in tiles of about 2 MB of
-N-point spectrum: ``numpy.fft`` transforms the tile's rows straight from the
-chunk into the worker's own buffer (``out=``), and the worker searches the
-band of that tile only: one in-band argmax j of |E|^2 per row, which both
-receivers start from.
+In the receiver, each worker takes its range through three tiers; the last
+two take a tile of about 2 MB of rows (16 at N = 8192) at a time:
+1. The gate.  Past a row's first 16 samples, which a multipath channel mixes
+   with the previous block's tone, a clean tone's lag-1 autocorrelation r_1
+   over 512 samples has the magnitude of their power p; noise lowers
+   |r_1| / p to about SNR / (1 + SNR).  A row goes on only where
+   |r_1| >= 0.7 p, and a raw row with band noise only where its window could
+   clear the union bound (below).
+2. The direct tier.  The phase of r_1 over 2048 samples, unwrapped onto that
+   of r_m (m of the tone split, 128 at N = 8192), gives the tone's bin j
+   (cf. Kay, IEEE Trans. ASSP 37(12), 1989).  The tier computes exactly the
+   bins the row's decision reads, and no others: viewed as (q, m), a row's
+   bin h / 2 (h in half bins) is sum_p z^(h m p) sum_r x[p, r] z^(h r) with
+   z = exp(-j pi / N), one batched matrix product per tile and a q-long sum.
+   That is 5 N complex multiply-adds for an interpolating row (E[j - 1],
+   O[j - 1], E[j], O[j], E[j + 1]) and 3 N for a raw one (E[k .. k + 2]
+   around j, inside the band or the window).  Parseval, sum |E|^2 = N |x|^2,
+   then proves the FFT path's decision or the row moves on:
+   - the rest R of N |x|^2 beyond the computed E bins is below the largest
+     of them, which is the strict largest in band: j is the FFT's in-band
+     peak;
+   - interpolating: the odd-bin Parseval bound below holds;
+   - raw with band noise: the window is the one the FFT path places, every
+     window bin not computed holds |E + w| <= sqrt(R) + |w|, less than the
+     largest noisy bin A of the three, and the union bound holds with
+     X_out <= sqrt(R).
+   Each bound holds with a margin of 1e-9 over rounding.  The bins agree with
+   the FFT's to about 1e-15 N, so a row's frequency moves by rounding only
+   with its tier.
+3. The FFT path, on the rows left: ``numpy.fft`` transforms them into the
+   worker's own buffer (``out=``, straight from the chunk where they are
+   consecutive), and the worker searches the band of those rows only: one
+   in-band argmax j of |E|^2 per row, which both receivers start from.
 Every buffer is allocated in the calling thread.  Every result and decision
 of a row depends only on the row's own samples, so the output is
 byte-identical for any tile, worker count and chunking.
@@ -27,10 +55,11 @@ The interpolating receiver reads the 2N-point padded grid X2 without taking
 its FFT.  Its even bins are the N-point bins, X2[2k] = E[k].  Its odd bins
 are O[k] = X2[2k + 1] = FFT_N(x c)[k] with c[m] = exp(-j pi m / N), and each
 is an exact kernel sum of E: O[k] = sum_m E[m] K[k - m mod N], with
-K[i] = (2/N) / (1 - exp(-j pi (2i + 1) / N)).  A row finds j, the in-band
-peak of E, sums O[j - 1] and O[j], and takes the padded peak from bins
-2j - 1, 2j, 2j + 1 (A^2 the largest in-band power of them) where a bound
-shows that no other odd bin reaches A^2; no other even bin exceeds |E[j]|^2.
+K[i] = (2/N) / (1 - exp(-j pi (2i + 1) / N)).  On the FFT path a row finds
+j, the in-band peak of E, sums O[j - 1] and O[j], and takes the padded peak
+from bins 2j - 1, 2j, 2j + 1 (A^2 the largest in-band power of them) where a
+bound shows that no other odd bin reaches A^2; no other even bin exceeds
+|E[j]|^2.
 Each bound must hold with a margin of 1e-9 A^2 over rounding:
 - Parseval: sum_k |O[k]|^2 = N |x|^2, so no other odd bin holds more than
   R = N |x|^2 - |O[j - 1]|^2 - |O[j]|^2.  It holds for every tone at
@@ -63,8 +92,7 @@ eps, the row also draws the M bins from stream (3, b) of its absolute
 block b and searches the whole band.  The bins are iid, so this is exact,
 and it differs from a full-band draw with probability at most eps per
 block.  The completion's generators are per worker and seated per block,
-so the bytes do not depend on the worker count or chunking.  The noiseless
-bins still come from the FFT; their closed form waits on ROADMAP item 2.
+so the bytes do not depend on the worker count or chunking.
 """
 
 from __future__ import annotations
@@ -155,6 +183,17 @@ def block_start_phases(freqs: np.ndarray, cfg: ModemConfig, start_phase: float =
     return np.mod(phases, 2 * np.pi)
 
 
+@functools.lru_cache(maxsize=4)
+def _tone_split(n: int) -> tuple[int, int]:
+    """(m, q): m the smallest divisor of n that is >= sqrt(n), and q = n // m.
+
+    A block's samples q' * m + r, viewed as a (q, m) array, are the
+    modulator's coarse x fine product and the direct bins' matrix product.
+    """
+    m = next(d for d in range(1, n + 1) if n % d == 0 and d * d >= n)
+    return m, n // m
+
+
 def modulate(
     encoded, full_scale: float, cfg: ModemConfig, start_phase=0.0, out=None
 ) -> np.ndarray:
@@ -185,11 +224,11 @@ def modulate(
             raise ConfigError(f"start_phase must be a scalar or ({n_rows},), got {phases0.shape}")
     else:
         phases0 = block_start_phases(freqs, cfg, start_phase)
-    # Row b's sample q' * m + r is coarse[b, q'] * fine[b, r], with m the smallest divisor
-    # of n >= sqrt(n), fine = exp(j 2 pi c r), coarse = exp(j (phi + 2 pi frac(c m q'))) and
-    # c = f / fs.  |sample| is within ~5e-16 of one, the phase ~2e-12 rad of exact.
-    m = next(d for d in range(1, n + 1) if n % d == 0 and d * d >= n)
-    q, cycles, ramp = n // m, freqs / cfg.sample_rate, np.arange(n, dtype=np.float64)
+    # Row b's sample q' * m + r is coarse[b, q'] * fine[b, r], with (m, q) = _tone_split(n),
+    # fine = exp(j 2 pi c r), coarse = exp(j (phi + 2 pi frac(c m q'))) and c = f / fs.
+    # |sample| is within ~5e-16 of one, the phase ~2e-12 rad of exact.
+    m, q = _tone_split(n)
+    cycles, ramp = freqs / cfg.sample_rate, np.arange(n, dtype=np.float64)
 
     def rows(r0: int, r1: int, tables) -> None:
         for t in range(r0, r1, _TONE_TILE):
@@ -211,9 +250,9 @@ def modulate(
 # _EPSILON (module docstring).
 _EPSILON = 1e-12
 
-# The interpolating receiver takes a row's peak from its three candidate bins
-# where a bound on every other odd bin is below (1 - _ETA) A (module
-# docstring): _ETA is a margin over the rounding of the sums.
+# A row's peak is taken without the FFT, or from the FFT's candidate bins,
+# where a bound holds with a margin of _ETA over the rounding of the sums
+# (module docstring).
 _ETA = 1e-9
 
 # The max-norm bound counts E bins j - _TONE .. j + _TONE as the tone's, and
@@ -221,6 +260,15 @@ _ETA = 1e-9
 _TONE, _SPAN = 8, 24
 _TONE_BINS = np.arange(-_TONE, _TONE + 1)
 _SPAN_BINS = np.array([d for d in range(-_SPAN - 1, _SPAN + 1) if d not in (-1, 0)])
+
+# The direct tier (module docstring): its autocorrelations skip a row's first
+# _SKIP samples, which a multipath channel fills in part with the previous
+# block's tone (the packaged tap profiles reach 4 samples on the fast
+# profile), and read the _SEGMENT samples after them; it tries a row only
+# where |r_1| >= _CLEAN |x|^2.  The interpolating receiver computes the
+# padded bins 2j + _PADDED, the raw one three bins k, k + 1, k + 2.
+_SKIP, _GATE, _SEGMENT, _CLEAN = 16, 512, 2048, 0.7
+_PADDED, _TRIPLE = (-2, -1, 0, 1, 2), (0, 2, 4)
 
 # N-point spectrum per receiver FFT tile (16 rows at N = 8192); the
 # interpolating receiver's fallback transforms its rows' x c in the same
@@ -262,68 +310,284 @@ def _half_bin_tables(n: int):
     return h, c, near, magnitude[_SPAN + 1 - _TONE], magnitude.sum()
 
 
+@functools.lru_cache(maxsize=4)
+def _direct_tables(n: int, offsets: tuple[int, ...]):
+    """The direct tier's tables for the bins b + offsets / 2 of n-point rows
+    (``_direct_bins``): the half-bin twiddles z^i = exp(-j pi i / n) for
+    i < 2n, the offsets, and with (m, q) = _tone_split(n) the sample steps
+    r < m and m p for p < q."""
+    m, q = _tone_split(n)
+    z = np.exp(-1j * np.pi * np.arange(2 * n) / n)
+    tables = z, np.asarray(offsets), np.arange(m)[:, None], m * np.arange(q)[:, None]
+    for table in tables:
+        table.flags.writeable = False  # shared by every call and worker
+    return tables
+
+
 def _peak_frequencies(
     blocks: np.ndarray, cfg: ModemConfig, interpolate: bool, band_noise=None
 ) -> np.ndarray:
     """Per-row in-band peak frequency (Hz).
 
-    The rows are split over the worker pool; each worker transforms a tile
-    of its rows into its own buffer.  band_noise, if given, is a
-    ``channel.BandNoise`` (see the module docstring).
+    The rows are split over the worker pool.  Each worker gates its rows,
+    takes those that pass through the direct tier a tile at a time, then
+    transforms the rows left a tile at a time into its own buffer.
+    band_noise, if given, is a ``channel.BandNoise`` (see the module
+    docstring).
     """
+    blocks = np.ascontiguousarray(blocks)  # the direct tier views each row as (q, m)
     n_rows, n = blocks.shape
     k_lo, k_hi, lo, hi = _band_edges(cfg, n)
     tile = max(1, min(_TILE_BYTES // (16 * n), n_rows))
     freqs = np.empty(n_rows)
     inband = slice(k_lo - lo, k_hi - lo + 1)
     tables = _half_bin_tables(n) if interpolate else None
+    direct = _direct_tables(n, _PADDED if interpolate else _TRIPLE)
+    split, n_direct = direct[2].size, direct[1].size
     # The completion's scratch: one row's draws outside the window.
     n_rest = 0 if band_noise is None else max(k_hi - k_lo + 1 - band_noise.window.shape[1], 0)
 
-    # Squared magnitude, computed only around the search band: cheaper than
-    # abs over the full spectrum, and the parabola vertex on log-power
-    # equals the vertex on log-magnitude (the logs differ by 2x).
-    def rows(r0: int, r1: int, buf, power, imag2, rest) -> None:
+    def rows(r0: int, r1: int, buf, powers, squares, rest, fine, sums, index) -> None:
         draw = None if band_noise is None else band_noise.cursor()
-        for t in range(r0, r1, tile):
-            m = min(tile, r1 - t)
-            spectrum = np.fft.fft(blocks[t : t + m], axis=1, out=buf[:m])
-            seg = spectrum[:, lo : hi + 1]
-            np.square(seg.real, out=power[:m])
-            np.square(seg.imag, out=imag2[:m])
-            power[:m] += imag2[:m]
-            j = power[:m, inband].argmax(axis=1)  # the in-band N-point peak
+        # k: each row's peak bin (of the padded grid where interpolating), and
+        # triple the powers of bins k - 1, k, k + 1.
+        k = np.zeros(r1 - r0, dtype=np.int64)
+        triple = np.zeros((r1 - r0, 3)) if interpolate else None
+        done = _gate(blocks[r0:r1], cfg, interpolate, split, band_noise, r0)
+        cand = np.flatnonzero(done)
+        for i in range(0, cand.size, tile):
+            which = cand[i : i + tile]
+            ok, peak, near = _direct_peaks(
+                _rows_of(blocks, r0 + which, buf), cfg, interpolate, direct, band_noise,
+                r0 + which, fine, sums, index,
+            )
+            k[which[ok]] = peak
             if interpolate:
-                freqs[t : t + m] = _interpolated_frequencies(
-                    spectrum, power[:m], cfg, tables, blocks[t : t + m], j + k_lo
+                triple[which[ok]] = near
+            done[which[~ok]] = False
+        # The FFT path, on the rows the direct tier left.
+        left = np.flatnonzero(~done)
+        for i in range(0, left.size, tile):
+            rel = left[i : i + tile]
+            which, m = r0 + rel, rel.size
+            spectrum = np.fft.fft(_rows_of(blocks, which, buf), axis=1, out=buf[:m])
+            power, imag2 = powers[:m], squares[:m]
+            # Squared magnitude, computed only around the search band: cheaper
+            # than abs over the full spectrum, and the parabola vertex on
+            # log-power equals the vertex on log-magnitude (the logs differ by 2x).
+            seg = spectrum[:, lo : hi + 1]
+            np.square(seg.real, out=power)
+            np.square(seg.imag, out=imag2)
+            power += imag2
+            j = power[:, inband].argmax(axis=1)  # the in-band N-point peak
+            if interpolate:
+                energy = np.vecdot(spectrum, spectrum).real  # sum |E|^2 = N |x|^2
+                k[rel], triple[rel] = _interpolated_peaks(
+                    spectrum, power, energy, cfg, tables, blocks, which, j + k_lo
                 )
                 continue
             if draw is not None:
                 j = _noisy_peaks(
-                    seg[:, inband], power[:m, inband], j, imag2[:m, inband], band_noise, t, draw,
+                    seg[:, inband], power[:, inband], j, imag2[:, inband], band_noise, which, draw,
                     rest,
                 )
             elif not power[np.arange(m), j + k_lo - lo].all():
                 raise DemodError("no spectral peak in band (all-zero block?)")
-            freqs[t : t + m] = (j + k_lo) * cfg.sample_rate / n
+            k[rel] = j + k_lo
+        if interpolate:
+            freqs[r0:r1] = _parabola(k, triple, cfg, n)
+        else:
+            freqs[r0:r1] = k * cfg.sample_rate / n
 
     band = ((tile, hi - lo + 1), np.float64)
-    split_rows(rows, n_rows, ((tile, n), np.complex128), band, band, ((n_rest,), np.complex128))
+    split_rows(
+        rows, n_rows, ((tile, n), np.complex128), band, band, ((n_rest,), np.complex128),
+        ((tile, split, n_direct), np.complex128), ((tile, n // split, n_direct), np.complex128),
+        ((tile, split, n_direct), np.int64),
+    )
     return freqs
 
 
-def _interpolated_frequencies(spectrum, power, cfg: ModemConfig, tables, blocks, j):
-    """Per-row peak frequency (Hz) of a tile of blocks on the 2N-padded grid,
-    refined by the parabola (module docstring).
+def _rows_of(blocks, which, buf):
+    """Rows which (ascending) of blocks: a view where they are consecutive,
+    else a copy in buf."""
+    if which[-1] - which[0] == which.size - 1:
+        return blocks[which[0] : which[-1] + 1]
+    return np.take(blocks, which, axis=0, out=buf[: which.size], mode="clip")
 
-    spectrum holds the blocks' N-point FFTs E, in the worker's buffer, power
-    |E|^2 over the grid's bins lo..hi, tables ``_half_bin_tables(N)``, and j
-    each row's in-band peak of E.  The fallback overwrites spectrum.
+
+def _gate(x, cfg: ModemConfig, interpolate, split, band_noise, first_row):
+    """Which rows of x, rows first_row.. of the chunk, the direct tier tries
+    (module docstring)."""
+    m, n = x.shape
+    k_lo, k_hi, _, _ = _band_edges(cfg, n)
+    n_bins = k_hi - k_lo + 1
+    # The raw receiver's three bins lie in the band, or with band noise in
+    # the window.
+    width = n_bins if band_noise is None else min(band_noise.window.shape[1], n_bins)
+    seg = min(_GATE, n - _SKIP - split)
+    if seg <= 0 or not (interpolate or width >= 3):
+        return np.zeros(m, dtype=bool)
+    done = np.ones(m, dtype=bool)
+    if band_noise is not None:
+        # The window decides a row only where the union bound holds: try rows
+        # where it would with a margin of a half-bin tone's peak, 2/pi
+        # sqrt(N |x|^2), plus the largest noise bin.  A clean tone's modulus
+        # is constant past the edge, so one sample gives |x|^2 / N.
+        window = band_noise.window[first_row : first_row + m, :width]
+        margin = 2 / np.pi * n * np.abs(x[:, _SKIP]) + np.abs(window).max(axis=1)
+        with np.errstate(over="ignore"):
+            bound = (n_bins - width) * np.exp(-0.5 * np.square(margin / band_noise.deviation))
+        done &= bound <= _EPSILON
+        if not done.any():
+            return done
+    # |r_1| over the first _GATE samples past the edge is their power p for a
+    # clean tone, and less by the noise's share of p.
+    head = x[:, _SKIP : _SKIP + seg]
+    power = np.vecdot(head, head).real
+    lag = np.vecdot(head, x[:, _SKIP + 1 : _SKIP + 1 + seg])
+    return done & (power > 0) & (np.abs(lag) >= _CLEAN * power)
+
+
+def _direct_peaks(x, cfg: ModemConfig, interpolate, tables, band_noise, which, fine, sums, index):
+    """The direct tier on rows x, rows which of the chunk (module docstring).
+
+    Returns (ok, k, triple): which rows it decides, and for those their peak
+    bin k and the interpolating receiver's triple, as in
+    ``_peak_frequencies``.  tables are ``_direct_tables`` for the receiver's
+    bins; fine, sums and index are scratch.
+    """
+    m, n = x.shape
+    k_lo, k_hi, _, _ = _band_edges(cfg, n)
+    n_bins = k_hi - k_lo + 1
+    split = tables[2].size
+    seg = min(_SEGMENT, n - _SKIP - split)
+    floats = x.view(np.float64)
+    power, rows = n * np.einsum("ij,ij->i", floats, floats), np.arange(m)  # N |x|^2
+    # The tone's frequency: r_1's phase over the segment, unwrapped onto that
+    # of r_s (s = m of the tone split), which reads it s times finer.
+    head = x[:, _SKIP : _SKIP + seg]
+    coarse = np.angle(np.vecdot(head, x[:, _SKIP + 1 : _SKIP + 1 + seg])) / (2 * np.pi)
+    fine_turns = np.angle(np.vecdot(head, x[:, _SKIP + split : _SKIP + split + seg])) / (2 * np.pi)
+    cycles = (fine_turns + np.rint(coarse * split - fine_turns)) / split
+    j = np.clip(np.rint(cycles * n).astype(np.int64) % n, k_lo, k_hi)
+    if interpolate:
+        bins = _direct_bins(x, j, tables, fine, sums, index)
+        powers = np.square(bins.real) + np.square(bins.imag)  # padded bins 2j - 2 .. 2j + 2
+        # Parseval over E: no bin but j - 1, j, j + 1 holds more than the rest
+        # of N |x|^2, so j is the FFT's in-band peak.
+        limit = powers[:, 2] * (1 - _ETA)
+        ok = power - powers[:, 0] - powers[:, 2] - powers[:, 4] < limit
+        ok &= (powers[:, 0] < limit) | (j - 1 < k_lo)
+        ok &= (powers[:, 4] < limit) | (j + 1 > k_hi)
+        a2, k, triple = _padded_candidates(powers, j, cfg, n)
+        ok &= (power - powers[:, 1] - powers[:, 3] < a2 * (1 - _ETA)) & (a2 > 0)
+        return ok, k[ok], triple[ok]
+    # Bins j - 1 .. j + 1, kept inside the band, or with band noise inside
+    # the window the FFT path places around j.
+    first, width = k_lo, n_bins
+    if band_noise is not None:
+        full_width = band_noise.window.shape[1]
+        width = min(full_width, n_bins)
+        start = np.clip(j - k_lo - full_width // 2, 0, n_bins - width)
+        first = k_lo + start
+    base = np.clip(j - 1, first, first + width - 3)
+    bins = _direct_bins(x, base, tables, fine, sums, index)
+    powers = np.square(bins.real) + np.square(bins.imag)
+    top = powers.argmax(axis=1)
+    limit = powers[rows, top] * (1 - _ETA)
+    # Parseval over E: no other bin holds more than the rest R of N |x|^2, so
+    # the top bin is the FFT's strict in-band peak.
+    rest = power - powers.sum(axis=1)
+    ok = (np.count_nonzero(powers >= limit[:, None], axis=1) == 1) & (rest < limit)
+    k = base + top
+    if band_noise is not None:
+        # The window must be the one the FFT path places.  Its other bins
+        # hold |E + w| <= sqrt(R) + |w|, so where that stays below A, the
+        # largest noisy bin of the three, A is the window's peak; and the
+        # union bound must hold with X_out <= sqrt(R).
+        ok &= np.clip(k - k_lo - full_width // 2, 0, n_bins - width) == start
+        window = band_noise.window[which, :width]
+        cols = (base - first)[:, None] + (0, 1, 2)
+        noisy = bins + window[rows[:, None], cols]
+        noisy_power = np.square(noisy.real) + np.square(noisy.imag)
+        top = noisy_power.argmax(axis=1)
+        a2 = noisy_power[rows, top]
+        ok &= np.count_nonzero(noisy_power >= (a2 * (1 - _ETA))[:, None], axis=1) == 1
+        others = np.abs(window)
+        others[rows[:, None], cols] = 0.0
+        out_peak = np.sqrt(np.maximum(rest, 0.0))
+        ok &= np.square(out_peak + others.max(axis=1)) < a2 * (1 - _ETA)
+        margin = np.maximum(np.sqrt(a2) - out_peak, 0.0)
+        with np.errstate(over="ignore"):
+            bound = (n_bins - width) * np.exp(-0.5 * np.square(margin / band_noise.deviation))
+        ok &= bound <= _EPSILON
+        k = base + top
+    return ok, k[ok], None
+
+
+def _direct_bins(x, base, tables, fine, sums, index):
+    """Bins base + offsets / 2 of each row of x (``_direct_tables``).
+
+    Viewed as (q, m), row x holds sample p m + r at [p, r], so its bin
+    h / 2 is sum_p z^(h m p) sum_r x[p, r] z^(h r), with z the half-bin
+    twiddle: one batched matrix product of the rows with their fine
+    twiddles, then a q-long coarse sum.  fine, sums and index are scratch.
+    """
+    z, offsets, fine_steps, coarse_steps = tables
+    rows, n = x.shape
+    m, q = fine_steps.size, coarse_steps.size
+    half = (2 * base[:, None] + offsets)[:, None, :]  # each row's bins, in half bins
+    turns = np.remainder(np.multiply(half, fine_steps, out=index[:rows]), 2 * n, out=index[:rows])
+    f = np.take(z, turns, out=fine[:rows], mode="wrap")
+    y = np.matmul(x.reshape(rows, q, m), f, out=sums[:rows])
+    # f is spent: its buffer takes the coarse twiddles' conjugates.
+    c, turns = (a.reshape(-1)[: y.size].reshape(y.shape) for a in (fine, index))
+    np.remainder(np.multiply(-half, coarse_steps, out=turns), 2 * n, out=turns)
+    return np.vecdot(np.take(z, turns, out=c, mode="wrap"), y, axis=1)
+
+
+def _padded_candidates(powers, j, cfg: ModemConfig, n: int):
+    """For the powers of padded bins 2j - 2 .. 2j + 2 of each row: A^2, the
+    largest in-band power of the candidates 2j - 1, 2j, 2j + 1, and the first
+    candidate k that holds it, with the powers of bins k - 1, k, k + 1."""
+    k2_lo, k2_hi, _, _ = _band_edges(cfg, 2 * n)
+    in_band = 2 * j[:, None] + (-1, 0, 1)
+    in_band = (in_band >= k2_lo) & (in_band <= k2_hi)
+    a2 = np.where(in_band, powers[:, 1:4], 0.0).max(axis=1)
+    pick = np.where(in_band, powers[:, 1:4], -1.0).argmax(axis=1)
+    triple = powers[np.arange(len(j))[:, None], pick[:, None] + (0, 1, 2)]
+    return a2, 2 * j - 1 + pick, triple
+
+
+def _parabola(k, triple, cfg: ModemConfig, n: int):
+    """Frequency (Hz) of padded peaks k refined by the parabola through the
+    log powers triple of bins k - 1, k, k + 1."""
+    k2_lo, k2_hi, _, _ = _band_edges(cfg, 2 * n)
+    left, mid, right = triple.T
+    interior = (k >= max(k2_lo, 1)) & (k <= min(k2_hi, 2 * n - 2))
+    floor = mid * 1e-24
+    alpha = np.log(np.maximum(left, floor))
+    beta = np.log(np.maximum(mid, floor))
+    gamma = np.log(np.maximum(right, floor))
+    denom = alpha - 2 * beta + gamma
+    delta = np.where(denom < 0, 0.5 * (alpha - gamma) / np.where(denom == 0, 1.0, denom), 0.0)
+    delta = np.clip(np.where(interior, delta, 0.0), -0.5, 0.5)
+    return (k + delta) * cfg.sample_rate / (2 * n)
+
+
+def _interpolated_peaks(spectrum, power, energy, cfg: ModemConfig, tables, blocks, which, j):
+    """The padded peak k of rows which of blocks and the powers of bins
+    k - 1, k, k + 1, which the parabola reads (module docstring).
+
+    spectrum holds the rows' N-point FFTs E, in the worker's buffer, power
+    |E|^2 over the grid's bins lo..hi, energy their N |x|^2, tables
+    ``_half_bin_tables(N)``, and j each row's in-band peak of E.  The
+    fallback overwrites spectrum.
     """
     h, c, near_table, far_kernel, kernel_norm = tables
     m, n = spectrum.shape
     _, _, lo, hi = _band_edges(cfg, n)
-    k2_lo, k2_hi, _, _ = _band_edges(cfg, 2 * n)
     rows = np.arange(m)
     # Powers of padded bins 2j - 2 .. 2j + 2; the odd ones, 2j -+ 1, are O[j - 1]
     # and O[j].  (Where k_lo = 0, bin 2j - 2 may wrap to the band's last column:
@@ -331,17 +595,12 @@ def _interpolated_frequencies(spectrum, power, cfg: ModemConfig, tables, blocks,
     powers = np.zeros((m, 5))
     powers[:, 0::2] = power[rows[:, None], j[:, None] + (-1 - lo, -lo, 1 - lo)]
     odd = np.empty((m, 2), dtype=np.complex128)
-    energy = np.empty(m)  # N |x|^2 = sum |E|^2 = sum |O|^2
     for r in range(m):
         s = n - j[r]
         odd[r, 0] = np.dot(h[s : s + n], spectrum[r])
         odd[r, 1] = np.dot(h[s - 1 : s - 1 + n], spectrum[r])
-        energy[r] = np.vdot(spectrum[r], spectrum[r]).real
     powers[:, 1::2] = np.square(odd.real) + np.square(odd.imag)
-    # A^2: the largest of the candidates 2j - 1, 2j, 2j + 1 in band.
-    in_band = 2 * j[:, None] + (-1, 0, 1)
-    in_band = (in_band >= k2_lo) & (in_band <= k2_hi)
-    a2 = np.where(in_band, powers[:, 1:4], 0.0).max(axis=1)
+    a2, k, triple = _padded_candidates(powers, j, cfg, n)
     limit = a2 * (1 - _ETA)
     # Parseval: no other odd bin holds more than R = N |x|^2 - |O[j - 1]|^2 - |O[j]|^2.
     ok = energy - powers[:, 1] - powers[:, 3] < limit
@@ -367,33 +626,21 @@ def _interpolated_frequencies(spectrum, power, cfg: ModemConfig, tables, blocks,
     # Where a bound holds, the padded peak is the first largest in-band
     # candidate, and its parabola's neighbours are all known.  A row with no
     # in-band power takes the fallback, which raises DemodError.
-    pick = np.where(in_band, powers[:, 1:4], -1.0).argmax(axis=1)
-    k = 2 * j - 1 + pick
-    triple = powers[rows[:, None], pick[:, None] + (0, 1, 2)]
     fall = np.flatnonzero(~ok | (a2 == 0))
     if fall.size:
-        k[fall], triple[fall] = _odd_band_peaks(blocks, fall, power, cfg, c, spectrum)
-    left, mid, right = triple.T
-    interior = (k >= max(k2_lo, 1)) & (k <= min(k2_hi, 2 * n - 2))
-    floor = mid * 1e-24
-    alpha = np.log(np.maximum(left, floor))
-    beta = np.log(np.maximum(mid, floor))
-    gamma = np.log(np.maximum(right, floor))
-    denom = alpha - 2 * beta + gamma
-    delta = np.where(denom < 0, 0.5 * (alpha - gamma) / np.where(denom == 0, 1.0, denom), 0.0)
-    delta = np.clip(np.where(interior, delta, 0.0), -0.5, 0.5)
-    return (k + delta) * cfg.sample_rate / (2 * n)
+        k[fall], triple[fall] = _odd_band_peaks(blocks, which[fall], fall, power, cfg, c, spectrum)
+    return k, triple
 
 
-def _odd_band_peaks(blocks, which, power, cfg: ModemConfig, c, x):
-    """The fallback: the padded peak k of rows which of a tile of blocks,
-    searched over the whole band, and the powers of bins k - 1, k, k + 1.
+def _odd_band_peaks(blocks, which, fall, power, cfg: ModemConfig, c, x):
+    """The fallback: the padded peak k of rows which of blocks, searched over
+    the whole band, and the powers of bins k - 1, k, k + 1.
 
-    power is the tile's |E|^2 over the grid's bins lo..hi.  The odd bins O
-    come from an FFT of x c, done in x.  Each row of x, viewed as floats,
-    then holds the padded powers at their own bin indices 2 lo .. 2 hi + 1:
-    |E[i]|^2 at 2i, written over Re O[i], and |O[i]|^2 at 2i + 1.  Returns
-    (k, (len(which), 3) powers).
+    fall holds the rows' rows in power, the |E|^2 of a tile over the grid's
+    bins lo..hi.  The odd bins O come from an FFT of x c, done in x.  Each
+    row of x, viewed as floats, then holds the padded powers at their own
+    bin indices 2 lo .. 2 hi + 1: |E[i]|^2 at 2i, written over Re O[i], and
+    |O[i]|^2 at 2i + 1.  Returns (k, (len(which), 3) powers).
     """
     n = blocks.shape[1]
     _, _, lo, hi = _band_edges(cfg, n)
@@ -404,7 +651,7 @@ def _odd_band_peaks(blocks, which, power, cfg: ModemConfig, c, x):
     band = band[:, 2 * lo : 2 * hi + 2]
     np.square(band, out=band)
     np.add(band[:, 0::2], band[:, 1::2], out=band[:, 1::2])
-    for i, r in enumerate(which):
+    for i, r in enumerate(fall):
         band[i, 0::2] = power[r]
     k = band[:, k2_lo - 2 * lo : k2_hi - 2 * lo + 1].argmax(axis=1) + k2_lo
     triple = band[np.arange(which.size)[:, None], k[:, None] - 2 * lo + (-1, 0, 1)]
@@ -413,14 +660,14 @@ def _odd_band_peaks(blocks, which, power, cfg: ModemConfig, c, x):
     return k, triple
 
 
-def _noisy_peaks(band, power, j, scratch, band_noise, first_row: int, draw, rest) -> np.ndarray:
-    """In-band index of each row's peak once band_noise is added to a tile's
-    in-band bins, band, whose squared magnitudes are power and whose
-    noiseless peaks are j (module docstring).
+def _noisy_peaks(band, power, j, scratch, band_noise, which, draw, rest) -> np.ndarray:
+    """In-band index of each row's peak once band_noise is added to in-band
+    bins band of rows which of the chunk, whose squared magnitudes are power
+    and whose noiseless peaks are j (module docstring).
 
-    first_row is the tile's first row in the chunk and draw the range's
-    cursor of band_noise.  power, and band on the rows that complete, are
-    overwritten; scratch (power's shape) and rest are scratch.
+    draw is the range's cursor of band_noise.  power, and band on the rows
+    that complete, are overwritten; scratch (power's shape) and rest are
+    scratch.
     """
     (m, n_bins), full_width = band.shape, band_noise.window.shape[1]
     width = min(full_width, n_bins)
@@ -429,7 +676,7 @@ def _noisy_peaks(band, power, j, scratch, band_noise, first_row: int, draw, rest
     cols = start[:, None] + np.arange(width)
     power[rows[:, None], cols] = 0.0
     out_peak = np.sqrt(power.max(axis=1))
-    noisy = band[rows[:, None], cols] + band_noise.window[first_row : first_row + m, :width]
+    noisy = band[rows[:, None], cols] + band_noise.window[which, :width]
     noisy_power = np.square(noisy.real) + np.square(noisy.imag)
     peak = noisy_power.argmax(axis=1)
     margin = np.maximum(np.sqrt(noisy_power[rows, peak]) - out_peak, 0.0)
@@ -439,7 +686,7 @@ def _noisy_peaks(band, power, j, scratch, band_noise, first_row: int, draw, rest
     k = start + peak
     for r in np.flatnonzero(bound > _EPSILON):
         s, row, p = start[r], band[r], power[r]
-        draw(first_row + r, rest)
+        draw(which[r], rest)
         row[s : s + width] = noisy[r]
         row[:s] += rest[:s]
         row[s + width :] += rest[s:]

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_real
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ class SourceTrace:
 def _require_finite_fields(spec) -> None:
     for f in dataclasses.fields(spec):
         v = getattr(spec, f.name)
-        if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+        if not (is_real(v) and math.isfinite(v)):
             raise ConfigError(f"{f.name} must be a finite number, got {v!r}")
 
 

@@ -637,6 +637,11 @@ class TestCli:
             {"seed": True},
             {"analysis": {"despike_width": True}},
             {"analysis": {"median_order": False}},
+            {"duration": True},
+            {"csnr_db": True},
+            {"x1_max": True},
+            {"cytometry": {"pulse_rate": True}},
+            {"channel_family": "jtc_indoor_a", "doppler_hz": False},
         ],
     )
     def test_bad_config_file_is_config_error(self, fields, tmp_path, monkeypatch):

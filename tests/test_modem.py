@@ -5,10 +5,12 @@ import sys
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from ajscclink import modem, pool
-from ajscclink.channel import BandNoise, ChannelSpec, make_channel, noise_deviation
+from ajscclink.channel import FAMILIES, BandNoise, ChannelSpec, make_channel, noise_deviation
 from ajscclink.errors import ConfigError, DemodError
 from ajscclink.modem import (
     ModemConfig,
@@ -349,18 +351,59 @@ def padded_peak_frequencies(blocks, cfg):
     return parabola_peaks(power, k, lo, k_lo, k_hi, n_fft) * cfg.sample_rate / n_fft
 
 
+def direct_bins(blocks, cfg, base, offsets):
+    """Bins base + offsets / 2 of every row at once, as the direct tier
+    computes them: each row viewed as (q, m), one matrix product with its
+    fine twiddles z^(h r), then the q-long sum against z^(h m p), with z
+    the half-bin twiddle exp(-j pi / N) and h the bin in half bins."""
+    n = cfg.fft_size
+    m, q = modem._tone_split(n)
+    z = np.exp(-1j * np.pi * np.arange(2 * n) / n)
+    half = (2 * base[:, None] + np.asarray(offsets))[:, None, :]
+    fine = z[half * np.arange(m)[:, None] % (2 * n)]
+    sums = np.matmul(blocks.reshape(-1, q, m), fine)
+    return np.vecdot(z[-half * (m * np.arange(q))[:, None] % (2 * n)], sums, axis=1)
+
+
+def direct_candidates(blocks, cfg):
+    """The direct tier's gate and tone estimate over every row at once:
+    which rows it tries, each row's N |x|^2, and its bin j."""
+    n, skip = cfg.fft_size, modem._SKIP
+    m = modem._tone_split(n)[0]
+    k_lo, k_hi, _, _ = band_edges(cfg, n)
+    gate, seg = min(modem._GATE, n - skip - m), min(modem._SEGMENT, n - skip - m)
+    if gate <= 0:
+        return np.zeros(len(blocks), dtype=bool), None, None
+    head = blocks[:, skip : skip + gate]
+    power = np.vecdot(head, head).real
+    lag = np.vecdot(head, blocks[:, skip + 1 : skip + 1 + gate])
+    tried = (power > 0) & (np.abs(lag) >= modem._CLEAN * power)
+    floats = blocks.view(np.float64)
+    energy = n * np.einsum("ij,ij->i", floats, floats)
+    head = blocks[:, skip : skip + seg]
+    coarse = np.angle(np.vecdot(head, blocks[:, skip + 1 : skip + 1 + seg])) / (2 * np.pi)
+    fine = np.angle(np.vecdot(head, blocks[:, skip + m : skip + m + seg])) / (2 * np.pi)
+    cycles = (fine + np.rint(coarse * m - fine)) / m
+    return tried, energy, np.clip(np.rint(cycles * n).astype(np.int64) % n, k_lo, k_hi)
+
+
 def whole_array_peak_frequencies(blocks, cfg, interpolate, detail=None):
     """Reference receiver: the receiver's rule over every row at once.
 
-    Raw: the in-band argmax of one N-point FFT per row.  Interpolating: one
-    N-point FFT E of all rows; per row the kernel sums O[j - 1], O[j] (the
-    padded grid's bins 2j -+ 1), N |x|^2 and the Parseval and max-norm bounds;
-    and for the rows where neither holds, one FFT O of x c, interleaved with E
-    into the padded band, searched whole.  detail, if a dict, gets per row
-    "tier" (0 Parseval, 1 max norm, 2 fallback), the N-point peak "j", and
-    each bound on the power of the odd bins other than 2j -+ 1: "parseval"
-    (R) and "max_norm" (B^2).
+    Raw: the in-band argmax of one N-point FFT per row (the direct tier
+    decides a raw row only where it gives that bin).  Interpolating: the
+    direct tier, the padded bins 2j - 2 .. 2j + 2 of the rows its gate tries
+    and its two Parseval bounds; for the other rows one N-point FFT E of all
+    rows; per row the kernel sums O[j - 1], O[j] (the padded grid's bins
+    2j -+ 1), N |x|^2 and the Parseval and max-norm bounds; and for the rows
+    where neither holds, one FFT O of x c, interleaved with E into the
+    padded band, searched whole.  detail, if a dict, gets per row "tier" (0
+    Parseval, 1 max norm, 2 fallback, 3 direct), "fft_tier" (the tier the FFT
+    path would take), the N-point peak "j", and each FFT-path bound on the
+    power of the odd bins other than 2j -+ 1: "parseval" (R) and "max_norm"
+    (B^2).
     """
+    blocks = np.ascontiguousarray(blocks)
     n = cfg.fft_size
     spectrum = scipy.fft.fft(blocks, axis=1)
     k_lo, k_hi, lo, hi = band_edges(cfg, n)
@@ -374,15 +417,34 @@ def whole_array_peak_frequencies(blocks, cfg, interpolate, detail=None):
     h, c, near_table, far_kernel, kernel_norm = modem._half_bin_tables(n)
     k2_lo, k2_hi, lo2, hi2 = band_edges(cfg, 2 * n)
     rows = np.arange(len(blocks))
+    three = np.array([-1, 0, 1])
+    # The direct tier: its rows' padded bins 2j - 2 .. 2j + 2, and Parseval
+    # over E (j is the FFT's in-band peak) and over the odd bins.
+    tried, direct_energy, direct_j = direct_candidates(blocks, cfg)
+    direct = np.zeros(len(blocks), dtype=bool)
+    if tried.any():
+        dj, de = direct_j[tried], direct_energy[tried]
+        bins = direct_bins(blocks[tried], cfg, dj, (-2, -1, 0, 1, 2))
+        p = bins.real**2 + bins.imag**2
+        limit = p[:, 2] * (1 - modem._ETA)
+        ok = (de - p[:, 0] - p[:, 2] - p[:, 4] < limit) & ((p[:, 0] < limit) | (dj - 1 < k_lo))
+        ok &= (p[:, 4] < limit) | (dj + 1 > k_hi)
+        in_band = (2 * dj[:, None] + three >= k2_lo) & (2 * dj[:, None] + three <= k2_hi)
+        a2 = np.where(in_band, p[:, 1:4], 0.0).max(axis=1)
+        ok &= (de - p[:, 1] - p[:, 3] < a2 * (1 - modem._ETA)) & (a2 > 0)
+        pick = np.where(in_band, p[:, 1:4], -1.0).argmax(axis=1)
+        direct_k = (2 * dj - 1 + pick)[ok]
+        direct_triple = p[np.arange(len(dj))[:, None], pick[:, None] + np.array([0, 1, 2])][ok]
+        direct[np.flatnonzero(tried)[ok]] = True
     # Padded bins 2j - 2 .. 2j + 2.
     padded = np.zeros((len(blocks), 5))
-    padded[:, 0::2] = power[rows[:, None], j[:, None] - lo + np.array([-1, 0, 1])]
+    padded[:, 0::2] = power[rows[:, None], j[:, None] - lo + three]
     odd = np.array(
         [[np.dot(h[n - k : 2 * n - k], e), np.dot(h[n - 1 - k : 2 * n - 1 - k], e)] for k, e in zip(j, spectrum)]
     ).reshape(-1, 2)
-    energy = np.array([np.vdot(e, e).real for e in spectrum])
+    energy = np.vecdot(spectrum, spectrum).real
     padded[:, 1::2] = odd.real**2 + odd.imag**2
-    in_band = (2 * j[:, None] + np.array([-1, 0, 1]) >= k2_lo) & (2 * j[:, None] + np.array([-1, 0, 1]) <= k2_hi)
+    in_band = (2 * j[:, None] + three >= k2_lo) & (2 * j[:, None] + three <= k2_hi)
     a2 = np.where(in_band, padded[:, 1:4], 0.0).max(axis=1)
     limit = a2 * (1 - modem._ETA)
     parseval = energy - padded[:, 1] - padded[:, 3] < limit
@@ -403,17 +465,23 @@ def whole_array_peak_frequencies(blocks, cfg, interpolate, detail=None):
     bound = np.maximum(near, far) + np.sqrt(whole.max(axis=1)) * kernel_norm
     fall = ~(parseval | (bound**2 < limit)) | (a2 == 0)
     if detail is not None:
+        fft_tier = np.where(fall, 2, np.where(parseval, 0, 1))
         detail.update(
-            tier=np.where(fall, 2, np.where(parseval, 0, 1)),
+            tier=np.where(direct, 3, fft_tier),
+            fft_tier=fft_tier,
             j=j,
             parseval=energy - padded[:, 1] - padded[:, 3],
             max_norm=bound**2,
         )
+    fall &= ~direct
     freqs = np.empty(len(blocks))
-    pick = np.where(in_band, padded[:, 1:4], -1.0).argmax(axis=1)[~fall]
-    k = 2 * j[~fall] - 1 + pick
-    triple = padded[~fall][np.arange(k.size)[:, None], pick[:, None] + np.array([0, 1, 2])]
-    freqs[~fall] = parabola_peaks(triple, k, k - 1, k2_lo, k2_hi, 2 * n)
+    if direct.any():
+        freqs[direct] = parabola_peaks(direct_triple, direct_k, direct_k - 1, k2_lo, k2_hi, 2 * n)
+    bounded = ~fall & ~direct
+    pick = np.where(in_band, padded[:, 1:4], -1.0).argmax(axis=1)[bounded]
+    k = 2 * j[bounded] - 1 + pick
+    triple = padded[bounded][np.arange(k.size)[:, None], pick[:, None] + np.array([0, 1, 2])]
+    freqs[bounded] = parabola_peaks(triple, k, k - 1, k2_lo, k2_hi, 2 * n)
     if fall.any():
         # The padded band lo2..hi2: even bins from E, odd ones from O = FFT(x c).
         odd_spectrum = scipy.fft.fft(blocks[fall] * c, axis=1)
@@ -502,15 +570,16 @@ def noisy_blocks(cfg, n_rows, seed=0):
 
 def mixed_blocks(cfg, n_rows, seed=0):
     """Modulated blocks, the first two at f_min and f_max, with complex noise
-    at a CSNR of inf, 10, 0 and -10 dB by turns: rows for each of the
-    interpolating receiver's Parseval bound, max-norm bound and fallback."""
+    at a CSNR of inf, 10, 3, 0 and -10 dB by turns: rows for each of the
+    interpolating receiver's direct tier, Parseval bound, max-norm bound and
+    fallback."""
     rng = np.random.default_rng(seed)
     encoded = rng.uniform(0, FULL_SCALE, n_rows)
     encoded[:2] = [0.0, FULL_SCALE][:n_rows]
     blocks = modulate(encoded, FULL_SCALE, cfg)
     noise = rng.standard_normal((n_rows, 2 * cfg.fft_size)).view(np.complex128)
-    deviation = np.sqrt(np.array([0.0, 0.1, 1.0, 10.0]) / 2)
-    return blocks + noise * deviation[np.arange(n_rows) % 4, None]
+    deviation = np.sqrt(np.array([0.0, 0.1, 0.5, 1.0, 10.0]) / 2)
+    return blocks + noise * deviation[np.arange(n_rows) % 5, None]
 
 
 def count_fallback_rows(monkeypatch):
@@ -530,10 +599,10 @@ class TestRowSplit:
     @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
     @pytest.mark.parametrize("n_rows", [1, 7, 31, 300, 512])
     def test_matches_whole_array_receiver(self, profile, n_rows, monkeypatch):
-        # Tiles of each worker's rows, transformed into its buffer, must give
-        # the bytes of the same rule over one FFT of all rows, for any worker
-        # count; the larger chunks take all three of the interpolating
-        # receiver's paths.
+        # Tiles of each worker's rows, through the direct tier or transformed
+        # into its buffer, must give the bytes of the same rule over all rows
+        # at once, for any worker count; the larger chunks take all four of
+        # the interpolating receiver's paths.
         cfg = profile()
         blocks = mixed_blocks(cfg, n_rows, seed=n_rows)
         for interpolate in (True, False):
@@ -541,7 +610,7 @@ class TestRowSplit:
             want = whole_array_peak_frequencies(blocks, cfg, interpolate, detail)
             want = np.asarray(frequency_to_voltage(want, FULL_SCALE, cfg))
             if interpolate and n_rows >= 31:
-                assert set(detail["tier"]) == {0, 1, 2}
+                assert set(detail["tier"]) == {0, 1, 2, 3}
             for workers in (1, 2, 16):
                 monkeypatch.setattr(pool, "_WORKERS", workers)
                 got = demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=interpolate)
@@ -611,8 +680,9 @@ class TestRowSplit:
 
     @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
     def test_noiseless_rows_never_fall_back(self, profile, monkeypatch):
-        # At csnr_db = inf the Parseval bound holds for every tone: mid-band,
-        # within one bin of either band edge, and through a fading channel.
+        # At csnr_db = inf every tone takes the direct tier, and the FFT
+        # path's Parseval bound would hold for it too: mid-band, within one
+        # bin of either band edge, and through a fading channel.
         cfg = profile()
         offsets = np.linspace(0.0, 0.999, 37) * cfg.bin_width
         freqs = np.concatenate([cfg.f_min + offsets, cfg.f_max - offsets])
@@ -624,15 +694,17 @@ class TestRowSplit:
             faded = channel.process(blocks.copy(), start_block=0)
             detail = {}
             whole_array_peak_frequencies(faded, cfg, True, detail)
-            assert set(detail["tier"]) == {0}
+            assert set(detail["tier"]) == {3}
+            assert set(detail["fft_tier"]) == {0}
             demodulate_stream(faded, FULL_SCALE, cfg)
         assert taken == []
 
     @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
     def test_matches_padded_fft(self, profile):
         # The physics reference: one 2N-point zero-padded FFT per row.  The
-        # peaks agree to 1e-9 bins, and on every row both bounds hold for the
-        # padded grid's odd bins other than the candidates 2j -+ 1.
+        # peaks agree to 1e-9 bins through every tier, and on every row both
+        # FFT-path bounds hold for the padded grid's odd bins other than the
+        # candidates 2j -+ 1.
         cfg = profile()
         n = cfg.fft_size
         encoded = np.random.default_rng(5).uniform(0, FULL_SCALE, 48)
@@ -658,7 +730,7 @@ class TestRowSplit:
             others = odd.max(axis=1)
             assert np.all(others <= detail["parseval"] * (1 + 1e-9))
             assert np.all(others <= detail["max_norm"] * (1 + 1e-9))
-        assert set(tiers) == {0, 1, 2}
+        assert set(tiers) == {0, 1, 2, 3}
 
     @pytest.mark.parametrize(
         "cfg",
@@ -765,6 +837,155 @@ class TestRowSplit:
         monkeypatch.setattr(pool, "_WORKERS", 2)
         with pytest.raises(DemodError):
             demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=interpolate)
+
+
+def record_direct(mp):
+    """Patch the direct tier, through the MonkeyPatch mp, to record each
+    batch it computes: its rows x, their base bins, the bins, and which rows
+    it decides with their peak bins k.  Run it on one worker."""
+    seen = []
+    bins_of, peaks_of = modem._direct_bins, modem._direct_peaks
+
+    def bins(x, base, *args):
+        got = bins_of(x, base, *args)
+        seen.append(dict(x=np.array(x), base=base.copy(), bins=got.copy()))
+        return got
+
+    def peaks(*args):
+        ok, k, triple = peaks_of(*args)
+        seen[-1].update(ok=ok.copy(), k=k.copy())
+        return ok, k, triple
+
+    mp.setattr(modem, "_direct_bins", bins)
+    mp.setattr(modem, "_direct_peaks", peaks)
+    return seen
+
+
+def direct_share(blocks, cfg, interpolate, band_noise=None):
+    """How many rows of blocks the direct tier decides."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pool, "_WORKERS", 1)
+        seen = record_direct(mp)
+        modem._peak_frequencies(blocks, cfg, interpolate, band_noise)
+    return sum(int(batch["ok"].sum()) for batch in seen)
+
+
+# A tone: a voltage anywhere in [0, full scale], or an offset in bins within
+# one bin of either band edge.
+tone_strategy = st.one_of(
+    st.floats(0.0, FULL_SCALE),
+    st.tuples(st.sampled_from(("lo", "hi")), st.floats(0.0, 0.999)),
+)
+
+
+class TestDirectTier:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        profile=st.sampled_from([fast_profile, slow_profile]),
+        interpolate=st.booleans(),
+        family=st.sampled_from(FAMILIES),
+        csnr_db=st.sampled_from([np.inf, 30.0, 10.0, 0.0]),
+        tones=st.lists(tone_strategy, min_size=1, max_size=6),
+        second=st.one_of(st.none(), st.floats(0.05, 1.0)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_decided_rows_read_the_fft_bins(
+        self, profile, interpolate, family, csnr_db, tones, second, seed
+    ):
+        # Wherever the direct tier decides a row, its bin j is the FFT's
+        # in-band peak and its bins are the FFT's (E, and O = FFT(x c) for the
+        # odd bins of the padded grid) to 1e-12 N: tones anywhere in the band,
+        # through every channel, with noise, and rows of two tones.
+        cfg = profile()
+        n = cfg.fft_size
+        k_lo, k_hi, _, _ = band_edges(cfg, n)
+        freqs = [
+            voltage_to_frequency(t, FULL_SCALE, cfg) if not isinstance(t, tuple)
+            else cfg.f_min + t[1] * cfg.bin_width if t[0] == "lo" else cfg.f_max - t[1] * cfg.bin_width
+            for t in tones
+        ]
+        encoded = frequency_to_voltage(np.array(freqs), FULL_SCALE, cfg)
+        blocks = modulate(encoded, FULL_SCALE, cfg)
+        if second is not None:
+            other = np.random.default_rng(seed).uniform(0, FULL_SCALE, len(tones))
+            blocks += second * modulate(other, FULL_SCALE, cfg)
+        spec = ChannelSpec(family, csnr_db=csnr_db, seed=seed)
+        blocks = make_channel(spec, cfg.sample_rate, n).process(blocks, start_block=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pool, "_WORKERS", 1)
+            seen = record_direct(mp)
+            modem._peak_frequencies(blocks, cfg, interpolate)
+        c = modem._half_bin_tables(n)[1]
+        for batch in seen:
+            x, base, bins, ok = batch["x"][batch["ok"]], batch["base"][batch["ok"]], batch["bins"][batch["ok"]], batch["ok"]
+            spectrum = scipy.fft.fft(x, axis=1)
+            power = spectrum.real**2 + spectrum.imag**2
+            peak = power[:, k_lo : k_hi + 1].argmax(axis=1) + k_lo
+            rows = np.arange(len(x))[:, None]
+            if interpolate:
+                assert np.array_equal(base, peak)
+                odd = scipy.fft.fft(x * c, axis=1)
+                want = np.empty_like(bins)
+                want[:, 0::2] = spectrum[rows, base[:, None] + (-1, 0, 1)]
+                want[:, 1::2] = odd[rows, base[:, None] + (-1, 0)]
+            else:
+                assert np.array_equal(batch["k"], peak)
+                want = spectrum[rows, base[:, None] + (0, 1, 2)]
+            scale = np.sqrt(np.mean(np.abs(x) ** 2, axis=1))[:, None]
+            assert np.all(np.abs(bins - want) <= 1e-12 * n * scale)
+
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    def test_shares(self, profile):
+        # At csnr_db = inf every row takes the direct tier, through every
+        # channel and for both receivers (with band noise too); at AWGN 0 dB
+        # the gate keeps every interpolating row out of it.
+        cfg = profile()
+        n_rows = 64
+        blocks = modulate(np.random.default_rng(3).uniform(0, FULL_SCALE, n_rows), FULL_SCALE, cfg)
+        for family in FAMILIES:
+            faded = make_channel(ChannelSpec(family, seed=4), cfg.sample_rate, cfg.fft_size)
+            faded = faded.process(blocks.copy(), start_block=0)
+            assert direct_share(faded, cfg, True) == n_rows
+            assert direct_share(faded, cfg, False) == n_rows
+        noise = BandNoise(ChannelSpec("awgn", csnr_db=0.0, seed=4), cfg.fft_size, 0, n_rows)
+        assert direct_share(blocks, cfg, False, noise) == n_rows
+        noisy = make_channel(ChannelSpec("awgn", csnr_db=0.0, seed=4), cfg.sample_rate, cfg.fft_size)
+        assert direct_share(noisy.process(blocks.copy(), start_block=0), cfg, True) == 0
+
+    @pytest.mark.parametrize("interpolate", [True, False])
+    def test_zero_row_among_clean_rows_raises(self, interpolate, monkeypatch):
+        # The direct tier leaves a zero row to the FFT path, which raises.
+        cfg = fast_profile()
+        blocks = modulate(np.linspace(0.1, 0.9, 40), FULL_SCALE, cfg)
+        blocks[21] = 0.0
+        for workers in (1, 2):
+            monkeypatch.setattr(pool, "_WORKERS", workers)
+            with pytest.raises(DemodError):
+                demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=interpolate)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        profile=st.sampled_from([fast_profile, slow_profile]),
+        cuts=st.lists(st.integers(1, 59), max_size=6, unique=True).map(sorted),
+        workers=st.sampled_from([1, 2, 16]),
+    )
+    def test_bytes_do_not_depend_on_chunking(self, profile, cuts, workers):
+        # Chunks of a stream, each through its own call (and raw runs with
+        # their chunk's band noise), give the bytes of one call on all rows.
+        cfg = profile()
+        blocks = mixed_blocks(cfg, 60, seed=17)
+        spec = ChannelSpec("awgn", csnr_db=-20.0, seed=5)
+        edges = [0, *cuts, 60]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pool, "_WORKERS", workers)
+            for interpolate, noisy in ((True, False), (False, False), (False, True)):
+
+                def run(lo, hi):
+                    noise = BandNoise(spec, cfg.fft_size, lo, hi - lo) if noisy else None
+                    return demodulate_stream(blocks[lo:hi], FULL_SCALE, cfg, interpolate, band_noise=noise)
+
+                parts = [run(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+                assert np.concatenate(parts).tobytes() == run(0, 60).tobytes()
 
 
 def mfsk_error_law(es_n0: float, m: int) -> float:
