@@ -20,10 +20,11 @@ its coefficient h from ``spawn_key=(0, b)``.  The multipath oscillator
 banks are drawn once from ``spawn_key=(0,)`` and are functions of time.  So
 on a memoryless line (AWGN, flat Rayleigh, and multipath whose delays all
 round to sample 0) any block range can be computed on its own, in any order.
-A line with delays carries the end of one call into the next, so it takes
-its blocks in stream order, and any other ``start_block`` is a ConfigError.
-``KeyedBlocks`` derives a chunk's per-block generator states at once, with
-the bytes of one SeedSequence per block, and each row range re-seats a
+A line with delays reads, for a range's first block, the last ``memory``
+input samples of the block before it: ``process`` takes them as ``before``
+and keeps nothing between calls, so a range can also start mid-stream.
+``KeyedBlocks`` derives a range's per-block generator states at once, with
+the bytes of one SeedSequence per block, and each thread re-seats a
 generator of its own block by block.  It takes blocks b < 2^32 (50 days of
 fast-profile signal), and a block range that reaches past is a ConfigError.
 
@@ -33,7 +34,7 @@ noise straight to the in-band bins it reads (``BandNoise``).  The N-point
 DFT of N iid CN(0, 2s^2) samples is N iid CN(0, 2Ns^2) bins, so this is
 exact in distribution.  The 9 bins around the noiseless peak take their
 noise from one counter-based Philox stream keyed by ``spawn_key=(2,)``, at
-counter 5 * b, so a chunk draws the windows of all its blocks in one call.
+counter 5 * b, so a run draws the windows of all its blocks from one stream.
 The rest of the band, only where a union bound says it could move the peak
 (see ``modem``), draws from ``spawn_key=(3, b)``.  The interpolating
 receiver reads a 2N-point padded spectrum whose noise bins are correlated,
@@ -43,20 +44,25 @@ All three channels are one tapped delay line; AWGN and flat Rayleigh have a
 single tap at delay 0.  ``process`` splits the block rows into one
 contiguous range per usable CPU and runs the ranges on the package's thread
 pool (``pool.split_rows``; numpy's generator fills and ufunc loops release
-the GIL, seating a generator holds it).  Each worker computes the multipath
-gains of its own rows, then walks its range in tiles of a few rows
-(``_LINE_BYTES``), so that each ufunc call covers a tile, not a row.
-Flat-Rayleigh h, two normals per block, is drawn serially.  ``process``
-writes its output over its input: the samples that each row's delays reach
-back into, the end of the row before it, are copied out before any row is
-written, and each worker copies a tile's tails and rows into its own scratch
-line before it overwrites them.  Every sample gets the same operations in
-the same order whichever tile, range and chunk hold its row, so the output
-is byte-identical for any worker count and any chunking of one stream.
+the GIL, seating a generator holds it), or inline inside another range.
+Each worker walks its range in tiles of a few rows (``_LINE_BYTES``), so
+that each ufunc call covers a tile, not a row.  A call's set-up, the line
+gains (flat-Rayleigh h, two normals per block, or the multipath cosine
+sums) and the noise's ``KeyedBlocks``, is built once per call, or once per
+``block_range``: ``harness._transmit`` opens one per worker range and calls
+``process`` once per tile inside it.  ``process`` writes its output over its
+input: the samples that each row's delays reach back into, ``before`` or
+the end of the row before it, are copied out before any row is written, and
+each worker copies a tile's tails and rows into its own scratch line before
+it overwrites them.  Every sample gets the same operations in the same order
+whichever tile, range and call hold its row, so the output is byte-identical
+for any worker count and any split of one stream into calls.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import importlib.resources
 import threading
 from dataclasses import dataclass
@@ -81,6 +87,9 @@ _FADE, _NOISE, _WINDOW, _REST = 0, 1, 2, 3
 # block b's window takes from counter _WINDOW_COUNTERS * b on: 20 words, of
 # which the bins' Box-Muller pairs use 18.
 _WINDOW_BINS, _WINDOW_COUNTERS = 9, 5
+# Window rows drawn per batch, so that the draw's temporaries stay at about
+# 2 MB however long the run.
+_WINDOW_BATCH = 4096
 _N_OSCILLATORS = 64  # sinusoids per fading tap
 # What one delay-line tile touches: its scratch line and tmp and its output
 # rows, 16 * (3n + c) bytes a row, kept inside one core's 2 MB L2 (4 rows, or
@@ -204,14 +213,18 @@ def _xorshift16(v: np.ndarray) -> np.ndarray:
     return v ^ (v >> np.uint32(16))
 
 
+# Each thread's generator, which every cursor the thread makes re-seats.
+_THREAD = threading.local()
+
+
 class KeyedBlocks:
     """The generators of stream ``spawn_key=(stream, b)`` of one seed, for the
-    blocks b = start_block + row, 0 <= row < n_blocks of a chunk.
+    blocks b = start_block + row, 0 <= row < n_blocks of a range.
 
     Block b's generator is that of
     ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, b)))``,
     state and draws, for an int seed >= 0.  Building that SeedSequence costs
-    about 25 us per block with the GIL held; here the blocks of a chunk share
+    about 25 us per block with the GIL held; here the blocks of a range share
     it.  Their entropy words differ only in the last one, b, so the pool of
     ``SeedSequence(seed, spawn_key=(stream,))`` is mixed once and b is mixed
     into it as a uint32 vector, with SeedSequence's hash constants.  Each
@@ -251,12 +264,16 @@ class KeyedBlocks:
         self._words = state.astype("<u4").view("<u8").astype(np.uint64)
 
     def cursor(self):
-        """A new generator for one row range, as ``seat(row)``, which sets it
-        to block start_block + row's state and returns it.
+        """``seat(row)``, which sets this thread's generator to block
+        start_block + row's state and returns it.
 
-        A cursor is never shared between threads: each range makes its own.
+        Every cursor of one thread seats the same generator, made on the
+        thread's first cursor, so a caller draws before it seats again; a
+        cursor is never shared between threads.
         """
-        rng = np.random.Generator(np.random.PCG64(0))
+        rng = _THREAD.__dict__.get("rng")
+        if rng is None:
+            rng = _THREAD.rng = np.random.Generator(np.random.PCG64(0))
         bit_generator = rng.bit_generator
         words = self._words
 
@@ -299,54 +316,65 @@ class BandNoise:
     sqrt(block_size) * ``noise_deviation(spec.csnr_db)``.
 
     ``window`` holds the 9 window bins of every block, one row each, drawn
-    here at once.  Block b's come from the 20 words
+    here.  Block b's come from the 20 words
     ``Philox(key=k, counter=5 * b).random_raw(20)``, with
     ``k = SeedSequence(spec.seed, spawn_key=(2,)).generate_state(2, np.uint64)``:
     with u = (w >> 11) * 2^-53, bin i is the Box-Muller pair
     deviation * sqrt(-2 ln(1 - u_i)) * (cos 2 pi u_{9+i} + j sin 2 pi u_{9+i}),
     and words 18 and 19 go unused.  A Philox counter advances by one per 4
-    words, so the chunk's blocks take their words from one stream started at
-    counter 5 * start_block.
+    words, so the blocks take their words from one stream started at counter
+    5 * start_block, a batch of rows at a time.
 
     ``cursor()`` gives a row range its own ``draw(row, out)`` for the
     completion, which writes ``standard_normal`` of stream (3, b), b =
     start_block + row, interleaved re/im, times deviation into out, one
     complex128 per bin.  The stream's ``KeyedBlocks`` is built on the first
-    draw of any cursor, so a chunk in which no block completes never builds
-    it.
+    draw of any cursor, so a run in which no block completes never builds
+    it.  ``rows(lo, hi)`` is the noise of rows lo..hi - 1, for a receiver
+    call on those blocks only; it shares the window and the completion
+    stream.
     """
 
     def __init__(self, spec: ChannelSpec, block_size: int, start_block: int, n_blocks: int):
         self.deviation = float(np.sqrt(block_size)) * noise_deviation(spec.csnr_db)
         key = np.random.SeedSequence(spec.seed, spawn_key=(_WINDOW,)).generate_state(2, np.uint64)
         philox = np.random.Philox(key=key, counter=_WINDOW_COUNTERS * start_block)
-        words = philox.random_raw(4 * _WINDOW_COUNTERS * n_blocks)
-        u = (words.reshape(n_blocks, 4 * _WINDOW_COUNTERS) >> np.uint64(11)) * 2.0**-53
-        radius = self.deviation * np.sqrt(-2.0 * np.log(1.0 - u[:, :_WINDOW_BINS]))
-        angle = 2 * np.pi * u[:, _WINDOW_BINS : 2 * _WINDOW_BINS]
         self.window = np.empty((n_blocks, _WINDOW_BINS), dtype=np.complex128)
-        np.multiply(radius, np.cos(angle), out=self.window.real)
-        np.multiply(radius, np.sin(angle), out=self.window.imag)
-        self._rest_key = (spec.seed, _REST, start_block, n_blocks)
-        self._rest = None
-        self._rest_lock = threading.Lock()
+        for lo in range(0, n_blocks, _WINDOW_BATCH):
+            window = self.window[lo : lo + _WINDOW_BATCH]
+            words = philox.random_raw(4 * _WINDOW_COUNTERS * len(window))
+            u = (words.reshape(len(window), 4 * _WINDOW_COUNTERS) >> np.uint64(11)) * 2.0**-53
+            radius = self.deviation * np.sqrt(-2.0 * np.log(1.0 - u[:, :_WINDOW_BINS]))
+            angle = 2 * np.pi * u[:, _WINDOW_BINS : 2 * _WINDOW_BINS]
+            np.multiply(radius, np.cos(angle), out=window.real)
+            np.multiply(radius, np.sin(angle), out=window.imag)
+        self._first = 0  # row 0's row among the blocks drawn here; rows() shifts it
+        # The completion's stream, built once and shared with every rows() view.
+        self._rest = {"key": (spec.seed, _REST, start_block, n_blocks), "lock": threading.Lock()}
+
+    def rows(self, lo: int, hi: int) -> "BandNoise":
+        view = copy.copy(self)
+        view.window = self.window[lo:hi]
+        view._first = self._first + lo
+        return view
 
     def _rest_blocks(self) -> KeyedBlocks:
-        # Built on the first completion draw, which most chunks never make;
-        # the cursors that ask for it run on the pool threads.
-        with self._rest_lock:
-            if self._rest is None:
-                self._rest = KeyedBlocks(*self._rest_key)
-            return self._rest
+        # Built on the first completion draw, which most runs never make; the
+        # cursors that ask for it run on the pool threads.
+        rest = self._rest
+        with rest["lock"]:
+            if "blocks" not in rest:
+                rest["blocks"] = KeyedBlocks(*rest["key"])
+            return rest["blocks"]
 
     def cursor(self):
-        seat = None
+        seat, first = None, self._first
 
         def draw(row: int, out: np.ndarray) -> None:
             nonlocal seat
             if seat is None:
                 seat = self._rest_blocks().cursor()
-            seat(row).standard_normal(out=out.view(np.float64))
+            seat(first + row).standard_normal(out=out.view(np.float64))
             out *= self.deviation
 
         return draw
@@ -396,33 +424,56 @@ class _DelayLineChannel:
     """Streaming core shared by every family: a delay line plus keyed noise.
 
     The line has distinct delays in samples, the first 0, each with one
-    complex gain per block (``_gains``; None means a single unit tap).  A
-    carry buffer holds the last samples of the previous call, so a stream
-    split into consecutive chunks sees the same delayed samples as one call;
-    a line with a carry therefore takes its chunks in stream order only.
+    complex gain per block (``_gains``; None means a single unit tap).
+    ``memory``, the largest delay, is how many input samples of the block
+    before a call's first block the call reads.  process keeps no state
+    between calls, so threads and block ranges can share one channel.
     """
 
     def __init__(self, spec: ChannelSpec, sample_rate: float, block_size: int):
         self.spec = spec
         self.block_size = block_size
         self.delays = np.zeros(1, dtype=int)
-        self._carry = np.zeros(0, dtype=np.complex128)
-        self._next_block = 0
         self._scale = noise_deviation(spec.csnr_db)
+        self._ranges = threading.local()  # each thread's block_range set-up
 
-    def _gain_rows(self, start_block: int, n_blocks: int):
-        """None for a single unit tap, else gains(lo, hi): the (delays, hi - lo)
-        gains of rows lo..hi - 1 of the chunk, which each range calls once,
-        in its worker."""
+    @property
+    def memory(self) -> int:
+        return int(self.delays[-1])
+
+    def _gains(self, start_block: int, n_blocks: int) -> np.ndarray | None:
+        """None for a single unit tap, else the (delays, n_blocks) line gains
+        of blocks start_block..start_block + n_blocks - 1."""
         return None
 
-    def process(self, blocks: np.ndarray, start_block: int | None = None) -> np.ndarray:
+    def _setup(self, start_block: int, n_blocks: int) -> tuple:
+        """(first, end, gains, keyed): what process needs for blocks
+        first..end - 1, the line gains and the noise's KeyedBlocks."""
+        keyed = KeyedBlocks(self.spec.seed, _NOISE, start_block, n_blocks) if self._scale else None
+        end = start_block + n_blocks
+        return start_block, end, self._gains(start_block, n_blocks), keyed
+
+    @contextlib.contextmanager
+    def block_range(self, lo: int, hi: int):
+        """Build process's set-up for blocks lo..hi - 1 once: inside the
+        context, this thread's process calls on blocks of the range read it
+        instead of building their own.  No output byte depends on it."""
+        outer = getattr(self._ranges, "setup", None)
+        self._ranges.setup = self._setup(lo, hi - lo)
+        try:
+            yield
+        finally:
+            self._ranges.setup = outer
+
+    def process(self, blocks: np.ndarray, start_block: int = 0, before=None) -> np.ndarray:
         """Channel output for blocks start_block, start_block + 1, ..., written
         over blocks, which is returned.
 
         blocks must be a writeable, C-contiguous, non-empty (n, block_size)
-        complex128 array.  start_block defaults to the block after the
-        previous call's last one; a line with delays takes no other.
+        complex128 array.  before holds the last ``memory`` input samples of
+        block start_block - 1, which block start_block's delays reach back
+        into; a line with delays needs it past block 0, and before block 0
+        the line holds zeros.
         """
         if not (
             isinstance(blocks, np.ndarray)
@@ -437,42 +488,42 @@ class _DelayLineChannel:
                 f"blocks must be a writeable, C-contiguous, non-empty (n, {self.block_size}) "
                 f"complex128 array, got {np.shape(blocks)} {getattr(blocks, 'dtype', None)}"
             )
-        if start_block is None:
-            start_block = self._next_block
         if start_block < 0:
             raise ConfigError(f"start_block must be >= 0, got {start_block}")
-        if self._carry.size and start_block != self._next_block:
+        c = self.memory
+        if before is None and c and start_block:
             raise ConfigError(
-                f"a channel with tap delays takes its blocks in stream order: "
-                f"start_block must be {self._next_block}, got {start_block}"
+                f"a channel with tap delays needs before, the last {c} input samples "
+                f"of block {start_block - 1}"
             )
+        if before is not None and np.shape(before) != (c,):
+            raise ConfigError(f"before must hold {c} samples, got shape {np.shape(before)}")
         n_blocks, n = blocks.shape
-        self._next_block = start_block + n_blocks
-        gain_rows = self._gain_rows(start_block, n_blocks)
+        setup = getattr(self._ranges, "setup", None)
+        if setup is None or not setup[0] <= start_block <= setup[1] - n_blocks:
+            setup = self._setup(start_block, n_blocks)
+        first, _, gains, keyed = setup
+        base = start_block - first  # row 0's row in the set-up
         scale = self._scale
-        if scale == 0.0 and gain_rows is None:
+        if scale == 0.0 and gains is None:
             return blocks
-        c = self._carry.size
         # The c input samples before each row, which its delays reach back
-        # into: the carry for row 0, the end of row r - 1 for row r.  Both
-        # they and the next carry are copied before any row is overwritten.
+        # into: before for row 0, the end of row r - 1 for row r.  They are
+        # copied before any row is overwritten.
         tails = np.empty((n_blocks, c), dtype=np.complex128)
-        tails[0] = self._carry
+        tails[0] = 0.0 if before is None else before
         tails[1:] = blocks[:-1, n - c :]
-        self._carry = blocks[-1, n - c :].copy()
         delays = self.delays
-        keyed = KeyedBlocks(self.spec.seed, _NOISE, start_block, n_blocks) if scale else None
         tile = max(1, min(_LINE_BYTES // (16 * (3 * n + c)), n_blocks))
 
         # A tile of rows at a time, so that each ufunc call covers a tile,
         # not a row (see ``pool``).  Every element of a row gets the same
-        # operations in the same order whichever tile, range and chunk hold
+        # operations in the same order whichever tile, range and call hold
         # it, so the bytes do not depend on the split.  line holds the tile's
         # tails and rows, so the rows can be overwritten while their delayed
         # copies are read; the noise stays keyed per row.
         def rows(lo: int, hi: int, line: np.ndarray, tmp: np.ndarray) -> None:
             seat = keyed.cursor() if scale else None
-            gains = None if gain_rows is None else gain_rows(lo, hi)
             for t in range(lo, hi, tile):
                 u = min(t + tile, hi)
                 m = u - t
@@ -481,16 +532,18 @@ class _DelayLineChannel:
                 o = blocks[t:u]
                 if scale:
                     for r in range(t, u):
-                        seat(r).standard_normal(out=blocks[r].view(np.float64))
+                        seat(base + r).standard_normal(out=blocks[r].view(np.float64))
                     o *= scale
                 for k, d in enumerate(delays):
                     src = line[:m, c - d : c - d + n]
                     if gains is None:
                         o += src
-                    elif k == 0 and not scale:
-                        np.multiply(src, gains[k, t - lo : u - lo, None], out=o)
+                        continue
+                    g = gains[k, base + t : base + u, None]
+                    if k == 0 and not scale:
+                        np.multiply(src, g, out=o)
                     else:
-                        np.multiply(src, gains[k, t - lo : u - lo, None], out=tmp[:m])
+                        np.multiply(src, g, out=tmp[:m])
                         o += tmp[:m]
 
         split_rows(rows, n_blocks, ((tile, n + c), np.complex128), ((tile, n), np.complex128))
@@ -510,15 +563,15 @@ class FlatRayleighChannel(_DelayLineChannel):
     not the realized draws.
     """
 
-    def _gain_rows(self, start_block: int, n_blocks: int):
-        # Serial: two normals per block, so seating each generator, which
-        # holds the GIL, is all the work, and a second worker gains nothing.
+    def _gains(self, start_block: int, n_blocks: int) -> np.ndarray:
+        # Two normals per block: seating each generator, which holds the GIL,
+        # is all the work.
         h = np.empty((1, n_blocks), dtype=np.complex128)
         seat = KeyedBlocks(self.spec.seed, _FADE, start_block, n_blocks).cursor()
         for r in range(n_blocks):
             seat(r).standard_normal(out=h[0, r : r + 1].view(np.float64))
         h /= np.sqrt(2.0)
-        return lambda lo, hi: h[:, lo:hi]
+        return h
 
 
 class MultipathChannel(_DelayLineChannel):
@@ -555,7 +608,6 @@ class MultipathChannel(_DelayLineChannel):
         # gains are summed once per block and the line has one entry per delay.
         self.delays = np.unique(self.delay_samples)
         self._groups = [np.flatnonzero(self.delay_samples == d) for d in self.delays]
-        self._carry = np.zeros(int(self.delays[-1]), dtype=np.complex128)
 
     def tap_gain_series(self, block_indices: np.ndarray) -> np.ndarray:
         """(n_taps, n_blocks) fading gains at block-start times, unscaled."""
@@ -568,12 +620,6 @@ class MultipathChannel(_DelayLineChannel):
         return np.stack(
             [(self.tap_scales[idx, None] * gains[idx]).sum(axis=0) for idx in self._groups]
         )
-
-    def _gain_rows(self, start_block: int, n_blocks: int):
-        # Each range computes its own rows' gains in its worker: the cosine
-        # sums are a few large ufunc calls per range, and a gain depends only
-        # on its block's time.
-        return lambda lo, hi: self._gains(start_block + lo, hi - lo)
 
 
 def make_channel(spec: ChannelSpec, sample_rate: float, block_size: int):

@@ -8,11 +8,13 @@ log magnitude (evaluated on a 2x zero-padded grid, which keeps the fit's
 bias under a tenth of a bin for a rectangular window), and maps the
 frequency back to a voltage.
 
-The modulator and the receiver both split a chunk's rows into one
-contiguous range per usable CPU, on the pool the channel also uses
-(``pool.split_rows``).  The modulator multiplies a coarse and a fine tone
-table into each block, one ufunc call per tile of rows, into the output or a
-caller-owned ``out=``; a row's bytes do not depend on its tile or chunking.
+The modulator and the receiver both split their rows into one contiguous
+range per usable CPU, on the pool the channel also uses
+(``pool.split_rows``), or run them inline when called inside another range,
+as ``harness._transmit`` calls them once per tile of its workers' ranges.
+The modulator multiplies a coarse and a fine tone table into each block, one
+ufunc call per tile of rows, into the output or a caller-owned ``out=``; a
+row's bytes do not depend on its tile or on which call holds it.
 
 In the receiver, each worker takes its range through three tiers; the last
 two take a tile of about 2 MB of rows (16 at N = 8192) at a time:
@@ -44,12 +46,12 @@ two take a tile of about 2 MB of rows (16 at N = 8192) at a time:
    the FFT's to about 1e-15 N, so a row's frequency moves by rounding only
    with its tier.
 3. The FFT path, on the rows left: ``numpy.fft`` transforms them into the
-   worker's own buffer (``out=``, straight from the chunk where they are
+   worker's own buffer (``out=``, straight from the input where they are
    consecutive), and the worker searches the band of those rows only: one
    in-band argmax j of |E|^2 per row, which both receivers start from.
-Every buffer is allocated in the calling thread.  Every result and decision
+Every buffer is the thread's scratch (``pool``).  Every result and decision
 of a row depends only on the row's own samples, so the output is
-byte-identical for any tile, worker count and chunking.
+byte-identical for any tile, worker count and split of a stream into calls.
 
 The interpolating receiver reads the 2N-point padded grid X2 without taking
 its FFT.  Its even bins are the N-point bins, X2[2k] = E[k].  Its odd bins
@@ -81,7 +83,7 @@ most 6e-13 bins on the profiles.
 
 The raw receiver can take the channel noise in the frequency domain
 (``band_noise``, a ``channel.BandNoise``, which holds the window noise of
-every row of the chunk).  Each row adds its window noise to the 2W + 1 = 9
+every row of the call).  Each row adds its window noise to the 2W + 1 = 9
 in-band bins around its noiseless peak, shifted to stay inside the band.
 With A the largest noisy magnitude there, X_out the largest noiseless one
 of the M other in-band bins and s the per-component deviation of a bin,
@@ -91,8 +93,8 @@ that any of those M beats A once noisy.  Where it is at most eps = 1e-12
 eps, the row also draws the M bins from stream (3, b) of its absolute
 block b and searches the whole band.  The bins are iid, so this is exact,
 and it differs from a full-band draw with probability at most eps per
-block.  The completion's generators are per worker and seated per block,
-so the bytes do not depend on the worker count or chunking.
+block.  The completion's generators are per thread and seated per block,
+so the bytes do not depend on the worker count or on the split into calls.
 """
 
 from __future__ import annotations
@@ -202,9 +204,9 @@ def modulate(
     Returns an (n_blocks, fft_size) complex array; row b is the block for
     encoded[b] with |sample| = 1 and phase carried over block boundaries.
     start_phase is the carrier phase at the start of the first block, or an
-    array of each block's start phase: a chunk of a longer stream passes its
+    array of each block's start phase: a tile of a longer stream passes its
     slice of ``block_start_phases`` over the whole stream, so its blocks do
-    not depend on where the chunks start.  The blocks are written into out,
+    not depend on where the tiles start.  The blocks are written into out,
     a complex128 array of that shape and contiguous rows, if given, and out is returned.
     """
     encoded = np.atleast_1d(np.asarray(encoded, dtype=np.float64))
@@ -228,14 +230,15 @@ def modulate(
     # fine = exp(j 2 pi c r), coarse = exp(j (phi + 2 pi frac(c m q'))) and c = f / fs.
     # |sample| is within ~5e-16 of one, the phase ~2e-12 rad of exact.
     m, q = _tone_split(n)
-    cycles, ramp = freqs / cfg.sample_rate, np.arange(n, dtype=np.float64)
+    cycles = freqs / cfg.sample_rate
+    fine_steps, coarse_steps = np.arange(m, dtype=np.float64), np.arange(0, n, m, dtype=np.float64)
 
     def rows(r0: int, r1: int, tables) -> None:
         for t in range(r0, r1, _TONE_TILE):
             u = min(t + _TONE_TILE, r1)
             both, f, c = tables[: u - t], tables[: u - t, :m], tables[: u - t, m:]
-            np.multiply(cycles[t:u, None], ramp[:m], out=f.imag)
-            np.fmod(np.multiply(cycles[t:u, None], ramp[::m], out=c.imag), 1.0, out=c.imag)
+            np.multiply(cycles[t:u, None], fine_steps, out=f.imag)
+            np.fmod(np.multiply(cycles[t:u, None], coarse_steps, out=c.imag), 1.0, out=c.imag)
             np.multiply(both.imag, 2 * np.pi, out=both.imag)
             np.add(c.imag, phases0[t:u, None], out=c.imag)
             np.cos(both.imag, out=both.real)
@@ -417,7 +420,7 @@ def _rows_of(blocks, which, buf):
 
 
 def _gate(x, cfg: ModemConfig, interpolate, split, band_noise, first_row):
-    """Which rows of x, rows first_row.. of the chunk, the direct tier tries
+    """Which rows of x, rows first_row.. of the call, the direct tier tries
     (module docstring)."""
     m, n = x.shape
     k_lo, k_hi, _, _ = _band_edges(cfg, n)
@@ -450,7 +453,7 @@ def _gate(x, cfg: ModemConfig, interpolate, split, band_noise, first_row):
 
 
 def _direct_peaks(x, cfg: ModemConfig, interpolate, tables, band_noise, which, fine, sums, index):
-    """The direct tier on rows x, rows which of the chunk (module docstring).
+    """The direct tier on rows x, rows which of the call (module docstring).
 
     Returns (ok, k, triple): which rows it decides, and for those their peak
     bin k and the interpolating receiver's triple, as in
@@ -662,7 +665,7 @@ def _odd_band_peaks(blocks, which, fall, power, cfg: ModemConfig, c, x):
 
 def _noisy_peaks(band, power, j, scratch, band_noise, which, draw, rest) -> np.ndarray:
     """In-band index of each row's peak once band_noise is added to in-band
-    bins band of rows which of the chunk, whose squared magnitudes are power
+    bins band of rows which of the call, whose squared magnitudes are power
     and whose noiseless peaks are j (module docstring).
 
     draw is the range's cursor of band_noise.  power, and band on the rows

@@ -1,15 +1,24 @@
 """The row split shared by the modulator, the channel and the receiver.
 
-Each works on a chunk of blocks, one block per row, and computes each row
+Each works on an array of blocks, one block per row, and computes each row
 on its own.  ``split_rows`` cuts the rows into one contiguous range per
 usable CPU and runs the ranges on one module-level thread pool; numpy's
 generator fills, ufunc loops and ``numpy.fft`` release the GIL, while Python
 work such as seating a keyed generator (``channel.KeyedBlocks``) holds it.
-Each range gets its own slice of a scratch array allocated here, in the
-calling thread: buffers allocated inside the pool threads would grow
-per-thread malloc arenas and the process's peak memory with them.  Objects
-with state, such as a generator, are made per range inside fn and never
-shared between ranges.
+Objects with state, such as a generator, are made per range or per thread
+inside fn and never shared between threads.
+
+``harness._transmit`` makes one split per run, and each of its ranges calls
+the modulator, the channel and the receiver once per tile of rows.  Two
+rules make that nesting work:
+- No nested dispatch.  A ``split_rows`` called while this thread runs a
+  range, in the pool or inline, runs its rows inline as one range: two pool
+  threads waiting on their own pool would deadlock.
+- Scratch per thread, not per call.  Each (shape, dtype) pair in scratch is
+  a slot of fn, and each thread keeps one buffer per slot, grown to the
+  largest request it has seen and reused after that.  A layer called once
+  per tile therefore allocates its scratch on its first tile only; a fresh
+  array per tile would pay its page faults every time.
 
 A worker's GIL-releasing calls should each cover a tile of rows, not a row.
 Each call releases and retakes the GIL, and short calls from two threads
@@ -22,7 +31,9 @@ multiplies took 2.6x as long as one thread making both shares, and with
 
 from __future__ import annotations
 
+import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -39,20 +50,45 @@ def _usable_cpus() -> int:
 # first use.
 _WORKERS = _usable_cpus()
 _POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="ajscclink-rows")
+# Per thread: inside, whether the thread is running a range, and scratch,
+# its buffer per slot.
+_THREAD = threading.local()
+
+
+def _scratch(slot, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """This thread's array of the given shape for a scratch slot."""
+    buffers = _THREAD.__dict__.setdefault("scratch", {})
+    size = math.prod(shape)
+    buf = buffers.get(slot)
+    if buf is None or buf.dtype != dtype or buf.size < size:
+        buf = buffers[slot] = np.empty(size, dtype=dtype)
+    return buf[:size].reshape(shape)
 
 
 def split_rows(fn, n_rows: int, *scratch: tuple[tuple[int, ...], type]) -> None:
     """Call fn(lo, hi, *bufs) once per contiguous range [lo, hi) of rows.
 
     The ranges cover 0..n_rows in order.  scratch holds (shape, dtype)
-    pairs; each call gets its own array of each.  One range (always the
-    case for fewer than two rows) runs inline, more run on the pool, and
-    the first exception a range raises propagates.
+    pairs; each call gets an array of each, its thread's own.  One range
+    (always the case for fewer than two rows, or inside another range) runs
+    inline, more run on the pool, and the first exception a range raises
+    propagates.
     """
-    parts = max(1, min(_WORKERS, n_rows))
+    nested = getattr(_THREAD, "inside", False)
+    parts = 1 if nested else max(1, min(_WORKERS, n_rows))
     bounds = [n_rows * i // parts for i in range(parts + 1)]
-    bufs = [np.empty((parts, *shape), dtype=dtype) for shape, dtype in scratch]
+    code = getattr(fn, "__code__", fn)
+
+    def run(lo: int, hi: int) -> None:
+        bufs = [_scratch((code, i), shape, dtype) for i, (shape, dtype) in enumerate(scratch)]
+        outer = getattr(_THREAD, "inside", False)
+        _THREAD.inside = True
+        try:
+            fn(lo, hi, *bufs)
+        finally:
+            _THREAD.inside = outer
+
     if parts == 1:
-        fn(0, n_rows, *(b[0] for b in bufs))
+        run(0, n_rows)
     else:
-        list(_POOL.map(fn, bounds[:-1], bounds[1:], *bufs))
+        list(_POOL.map(run, bounds[:-1], bounds[1:]))

@@ -281,7 +281,8 @@ class TestMultipath:
         whole = channel_out(spec, x, 8.192e6)
         np.testing.assert_array_equal(whole, channel_out(spec, x, 8.192e6))
         ch = MultipathChannel(spec, 8.192e6, 512)
-        chunked = np.vstack([ch.process(x[:25].copy(), 0), ch.process(x[25:].copy(), 25)])
+        before = x[24, 512 - ch.memory :]
+        chunked = np.vstack([ch.process(x[:25].copy(), 0), ch.process(x[25:].copy(), 25, before)])
         np.testing.assert_array_equal(whole, chunked)
 
     def test_gains_of_a_range_match_the_whole_chunk(self):
@@ -308,10 +309,9 @@ class TestStreamingWrappers:
         x = unit_blocks(40, 128, seed=6)
         spec = ChannelSpec("flat_rayleigh", csnr_db=5.0, seed=3)
         whole = channel_out(spec, x)
-        # No start_block: each call continues from the previous one's end.
         ch = FlatRayleighChannel(spec, 1e6, 128)
-        chunks = (x[:13].copy(), x[13:31].copy(), x[31:].copy())
-        chunked = np.vstack([ch.process(chunk) for chunk in chunks])
+        chunks = ((0, x[:13].copy()), (13, x[13:31].copy()), (31, x[31:].copy()))
+        chunked = np.vstack([ch.process(chunk, lo) for lo, chunk in chunks])
         np.testing.assert_array_equal(whole, chunked)
 
     def test_make_channel_dispatch(self):
@@ -327,13 +327,14 @@ class TestKeyedStreams:
     @staticmethod
     def chunked(spec, x, sizes):
         """One channel over a copy of x in chunks of the given sizes, each
-        written over itself."""
+        written over itself and given the input samples before it."""
         ch = make_channel(spec, 8.192e6, x.shape[1])
         got = x.copy()
         bounds = np.cumsum([0, *sizes])
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             chunk = got[lo:hi]
-            assert ch.process(chunk, lo) is chunk
+            before = x[lo - 1, x.shape[1] - ch.memory :] if lo else None
+            assert ch.process(chunk, lo, before) is chunk
         return got
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -439,23 +440,27 @@ class TestKeyedStreams:
         with pytest.raises(ConfigError):
             ch.process(x, start_block=-1)
 
-    def test_delay_line_takes_blocks_in_stream_order(self):
+    def test_delay_line_takes_the_samples_before_its_range(self):
         # At the fast rate the outdoor taps sit at 0, 2 and 4 samples, so a
-        # block reads the end of the block before it, which the carry holds
-        # only for the stream's next block.  At the slow rate every delay
-        # rounds to 0 and the line is memoryless, as AWGN and flat Rayleigh
-        # are: there any block range can be computed on its own.
+        # block reads the last 4 input samples of the block before it: a
+        # range past block 0 needs them as before, in any order of calls.
+        # At the slow rate every delay rounds to 0 and the line is
+        # memoryless, as AWGN and flat Rayleigh are: there any block range
+        # can be computed on its own.
         x = unit_blocks(12, 512, seed=3)
         spec = ChannelSpec("jtc_outdoor_low_a", csnr_db=3.0, seed=4)
         whole = channel_out(spec, x, 8.192e6)
         ch = make_channel(spec, 8.192e6, 512)
-        with pytest.raises(ConfigError):
+        assert ch.memory == 4
+        with pytest.raises(ConfigError, match="before"):
             ch.process(x[5:].copy(), start_block=5)
+        for before in (x[4, -3:], x[4:5, -4:], x[4]):
+            with pytest.raises(ConfigError, match="before"):
+                ch.process(x[5:].copy(), 5, before)
+        tail = ch.process(x[7:].copy(), 7, x[6, -4:])
+        middle = ch.process(x[3:7].copy(), 3, x[2, -4:])
         head = ch.process(x[:3].copy(), start_block=0)
-        with pytest.raises(ConfigError):
-            ch.process(x[7:].copy(), start_block=7)
-        tail = ch.process(x[3:].copy())
-        np.testing.assert_array_equal(np.vstack([head, tail]), whole)
+        np.testing.assert_array_equal(np.vstack([head, middle, tail]), whole)
         memoryless = [
             (spec, 512e3),
             (ChannelSpec("awgn", 3.0, seed=4), 1.0),
@@ -527,7 +532,7 @@ class TestTiledDelayLine:
         x = modulate(np.random.default_rng(9).uniform(0.0, 2.0, 61), 2.0, cfg)
         spec = ChannelSpec(family, csnr_db=csnr_db, seed=17)
         want = reference_delay_line(spec, cfg.sample_rate, x).tobytes()
-        c = make_channel(spec, cfg.sample_rate, n)._carry.size
+        c = make_channel(spec, cfg.sample_rate, n).memory
         tile = channel._LINE_BYTES // (16 * (3 * n + c))
         assert 1 < tile < 60
         interval = sys.getswitchinterval()
@@ -540,10 +545,33 @@ class TestTiledDelayLine:
                     got = x.copy()
                     for lo in range(0, 61, size):
                         chunk = got[lo : lo + size]
-                        assert ch.process(chunk, lo) is chunk
+                        before = x[lo - 1, n - c :] if lo else None
+                        assert ch.process(chunk, lo, before) is chunk
                     assert got.tobytes() == want, (workers, size)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("family", channel.FAMILIES)
+    def test_block_range_builds_one_set_up(self, family, monkeypatch):
+        # Inside block_range(10, 30), the calls on tiles of blocks 10..29
+        # read one set-up for the range (gains and keyed noise), and a call
+        # on blocks 0..9 builds its own; every block gets the per-row line's
+        # bytes.
+        cfg = fast_profile()
+        n = cfg.fft_size
+        x = modulate(np.random.default_rng(9).uniform(0.0, 2.0, 30), 2.0, cfg)
+        spec = ChannelSpec(family, csnr_db=3.0, seed=17)
+        want = reference_delay_line(spec, cfg.sample_rate, x).tobytes()
+        ch = make_channel(spec, cfg.sample_rate, n)
+        c, setup, built = ch.memory, ch._setup, []
+        monkeypatch.setattr(ch, "_setup", lambda lo, m: built.append((lo, m)) or setup(lo, m))
+        got = x.copy()
+        with ch.block_range(10, 30):
+            for lo in range(10, 30, 4):
+                ch.process(got[lo : lo + 4], lo, x[lo - 1, n - c :])
+            ch.process(got[:10], 0)
+        assert built == [(10, 20), (0, 10)]
+        assert got.tobytes() == want
 
 
 def reference_window(seed, block, deviation):

@@ -7,6 +7,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -168,29 +170,46 @@ class TestRunLink:
 
     @pytest.mark.parametrize("family", ["awgn", "jtc_outdoor_low_a"])
     def test_reused_chunk_buffer_matches_fresh_chunks(self, family, monkeypatch):
-        # Chunks of 5 blocks over 23 blocks: four full chunks and a short
-        # last one, all modulated into one buffer.  The result must equal a
-        # loop that modulates every chunk into a fresh array.
+        # Tiles of 5 blocks over 23 blocks, on 1, 2, 3 and 16 workers: each
+        # pool thread modulates its tiles into one buffer of its own, and a
+        # range that starts mid-stream modulates the block before it for the
+        # channel's delays.  The result must equal a loop that modulates
+        # every tile into a fresh array and gives the channel the previous
+        # tile's input samples.
         cfg = fast_profile()
-        chunk, n_blocks, full_scale = 5, 23, 2.0
-        monkeypatch.setattr(harness, "_CHUNK_SAMPLES", chunk * cfg.fft_size)
+        tile, n_blocks, full_scale = 5, 23, 2.0
+        monkeypatch.setattr(harness, "_TILE_SAMPLES", tile * cfg.fft_size)
         encoded = np.random.default_rng(3).uniform(0, full_scale, n_blocks)
         doppler = 20.0 if family.startswith("jtc") else None
         spec = ChannelSpec(family, csnr_db=0.0, doppler_hz=doppler, seed=11)
 
         fresh = make_channel(spec, cfg.sample_rate, cfg.fft_size)
+        c = fresh.memory
+        assert c == (4 if doppler else 0)
         phases = block_start_phases(voltage_to_frequency(encoded, full_scale, cfg), cfg)
-        want = []
-        for lo in range(0, n_blocks, chunk):
+        want, before = [], None
+        for lo in range(0, n_blocks, tile):
             blocks = modulate(
-                encoded[lo : lo + chunk], full_scale, cfg, start_phase=phases[lo : lo + chunk]
+                encoded[lo : lo + tile], full_scale, cfg, start_phase=phases[lo : lo + tile]
             )
-            blocks = fresh.process(blocks, start_block=lo)
+            after = blocks[-1, cfg.fft_size - c :].copy()
+            blocks = fresh.process(blocks, lo, before)
+            before = after
             want.append(demodulate_stream(blocks, full_scale, cfg))
+        want = np.concatenate(want).tobytes()
 
-        reused = make_channel(spec, cfg.sample_rate, cfg.fft_size)
-        got = harness._transmit(encoded, full_scale, cfg, reused, True)
-        assert got.tobytes() == np.concatenate(want).tobytes()
+        shared = make_channel(spec, cfg.sample_rate, cfg.fft_size)
+        interval = sys.getswitchinterval()
+        try:
+            for workers in (1, 2, 3, 16):
+                # More ranges than cores share the channel and the pool
+                # threads' scratch, under fast thread switching at 16.
+                monkeypatch.setattr(pool, "_WORKERS", workers)
+                sys.setswitchinterval(1e-5 if workers == 16 else interval)
+                got = harness._transmit(encoded, full_scale, cfg, shared, True)
+                assert got.tobytes() == want, workers
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize(
         "family, interpolate, csnr_db",
@@ -205,23 +224,49 @@ class TestRunLink:
         ],
     )
     def test_report_independent_of_chunk_size(self, family, interpolate, csnr_db, monkeypatch):
-        # Chunks of 1, 7 and 512 blocks over 600: the modulator takes the
-        # stream's block phases and the channel its nominal signal power, so
-        # no chunk boundary moves a bit of the payload.  The raw receiver's
-        # band noise is keyed on the absolute block, not the chunk row.
+        # Tiles of 1, 7 and 512 blocks over 600, on 1, 2, 3 and 16 workers:
+        # the modulator takes the stream's block phases, the channel its
+        # nominal signal power and the input samples before each tile, and a
+        # worker range that starts mid-stream the block before it, so no tile
+        # or range boundary moves a bit of the payload.  The raw receiver's
+        # band noise is keyed on the absolute block, not the tile row.
         config = RunConfig(levels=30, duration=0.6, seed=7, channel_family=family,
                            csnr_db=csnr_db, interpolate=interpolate)
         fft_size = config.modem_config().fft_size
         payloads = []
-        for chunk in (1, 7, 512):
-            monkeypatch.setattr(harness, "_CHUNK_SAMPLES", chunk * fft_size)
-            report = report_to_dict(run_link(config))
-            report.pop("wall_time_s")
-            payloads.append(json.dumps(report, sort_keys=True))
-        assert payloads[1] == payloads[0]
-        assert payloads[2] == payloads[0]
+        for tile in (1, 7, 512):
+            for workers in (1, 2, 3, 16):
+                monkeypatch.setattr(harness, "_TILE_SAMPLES", tile * fft_size)
+                monkeypatch.setattr(pool, "_WORKERS", workers)
+                report = report_to_dict(run_link(config))
+                report.pop("wall_time_s")
+                payloads.append(json.dumps(report, sort_keys=True))
+        for payload in payloads[1:]:
+            assert payload == payloads[0]
         noiseless = run_link(dataclasses.replace(config, csnr_db=math.inf))
         assert json.loads(payloads[0])["mse_sum"] != noiseless.mse.total
+
+    def test_traced_peak_memory_does_not_grow_with_the_run(self, monkeypatch):
+        # Each worker takes its blocks through the link a tile at a time in
+        # buffers of its own, so a run's traced peak is those buffers plus
+        # the per-block vectors: an 8 s run must peak within 2 MB of a 2 s
+        # one, and both far below the 64 MB of one whole-stream chunk.  Each
+        # run gets fresh pool threads, so both peaks count the workers'
+        # scratch, allocated on their first tile.
+        monkeypatch.setattr(pool, "_WORKERS", 2)
+        run_link(RunConfig(duration=0.5, seed=1))  # the receiver's cached tables
+        peaks = []
+        for duration in (2.0, 8.0):
+            with ThreadPoolExecutor(max_workers=2) as fresh:
+                monkeypatch.setattr(pool, "_POOL", fresh)
+                tracemalloc.start()
+                try:
+                    run_link(RunConfig(duration=duration, seed=1))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[0] < 24 << 20
+        assert abs(peaks[1] - peaks[0]) < 2 << 20
 
     @pytest.mark.parametrize("profile", ["fast", "slow"])
     def test_band_noise_errors_match_time_domain_chain(self, profile):

@@ -952,6 +952,29 @@ class TestDirectTier:
         noisy = make_channel(ChannelSpec("awgn", csnr_db=0.0, seed=4), cfg.sample_rate, cfg.fft_size)
         assert direct_share(noisy.process(blocks.copy(), start_block=0), cfg, True) == 0
 
+    def test_far_even_bin_above_the_peak_bin_takes_the_fft_path(self):
+        # A tone at bin 2000.4 plus a weaker tone on bin 2064: the row passes
+        # the gate, the tier reads j = 2000, its neighbours hold less than
+        # E[j] and the odd-bin Parseval bound holds, but the far even bin
+        # holds more than |E[j]|^2, so j is not the FFT's in-band peak.  Only
+        # the E-side Parseval check is left to send the row to the FFT path.
+        cfg = fast_profile()
+        n, j, far = cfg.fft_size, 2000, 2064
+        t = np.arange(n)
+        x = np.exp(2j * np.pi * (j + 0.4) * t / n) + 0.82 * np.exp(2j * np.pi * far * t / n)
+        even = np.abs(np.fft.fft(x)) ** 2
+        odd = np.abs(np.fft.fft(x * np.exp(-1j * np.pi * t / n))) ** 2
+        assert even[far] > 1.1 * even[j] and even[j] > 2 * max(even[j - 1], even[j + 1])
+        a2 = max(odd[j - 1], even[j], odd[j])
+        assert n * np.vdot(x, x).real - odd[j - 1] - odd[j] < 0.8 * a2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pool, "_WORKERS", 1)
+            seen = record_direct(mp)
+            modem._peak_frequencies(x[None], cfg, True)
+        (batch,) = seen
+        assert batch["base"].tolist() == [j]
+        assert not batch["ok"][0]
+
     @pytest.mark.parametrize("interpolate", [True, False])
     def test_zero_row_among_clean_rows_raises(self, interpolate, monkeypatch):
         # The direct tier leaves a zero row to the FFT path, which raises.
