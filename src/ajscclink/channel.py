@@ -24,7 +24,7 @@ A line with delays reads, for a range's first block, the last ``memory``
 input samples of the block before it: ``process`` takes them as ``before``
 and keeps nothing between calls, so a range can also start mid-stream.
 ``KeyedBlocks`` derives a range's per-block generator states at once, with
-the bytes of one SeedSequence per block, and each thread re-seats a
+the bytes of one SeedSequence per block, and each row range re-seats a
 generator of its own block by block.  It takes blocks b < 2^32 (50 days of
 fast-profile signal), and a block range that reaches past is a ConfigError.
 
@@ -49,12 +49,12 @@ Each worker walks its range in tiles of a few rows (``_LINE_BYTES``), so
 that each ufunc call covers a tile, not a row.  A call's set-up, the line
 gains (flat-Rayleigh h, two normals per block, or the multipath cosine
 sums) and the noise's ``KeyedBlocks``, is built once per call, or once per
-``block_range``: ``harness._transmit`` opens one per worker range and calls
-``process`` once per tile inside it.  ``process`` writes its output over its
-input: the samples that each row's delays reach back into, ``before`` or
-the end of the row before it, are copied out before any row is written, and
-each worker copies a tile's tails and rows into its own scratch line before
-it overwrites them.  Every sample gets the same operations in the same order
+``block_range``, in its first call: ``harness._transmit`` opens one per
+worker range and calls ``process`` once per tile inside it.  ``process``
+writes its output over its input: the samples that each row's delays reach
+back into, ``before`` or the end of the row before it, are copied out
+before any row is written, and each worker copies a tile's tails and rows
+into its own scratch line before it overwrites them.  Every sample gets the same operations in the same order
 whichever tile, range and call hold its row, so the output is byte-identical
 for any worker count and any split of one stream into calls.
 """
@@ -213,10 +213,6 @@ def _xorshift16(v: np.ndarray) -> np.ndarray:
     return v ^ (v >> np.uint32(16))
 
 
-# Each thread's generator, which every cursor the thread makes re-seats.
-_THREAD = threading.local()
-
-
 class KeyedBlocks:
     """The generators of stream ``spawn_key=(stream, b)`` of one seed, for the
     blocks b = start_block + row, 0 <= row < n_blocks of a range.
@@ -264,16 +260,12 @@ class KeyedBlocks:
         self._words = state.astype("<u4").view("<u8").astype(np.uint64)
 
     def cursor(self):
-        """``seat(row)``, which sets this thread's generator to block
-        start_block + row's state and returns it.
+        """A new generator for one row range, as ``seat(row)``, which sets it
+        to block start_block + row's state and returns it.
 
-        Every cursor of one thread seats the same generator, made on the
-        thread's first cursor, so a caller draws before it seats again; a
-        cursor is never shared between threads.
+        A cursor is never shared between threads: each range makes its own.
         """
-        rng = _THREAD.__dict__.get("rng")
-        if rng is None:
-            rng = _THREAD.rng = np.random.Generator(np.random.PCG64(0))
+        rng = np.random.Generator(np.random.PCG64(0))
         bit_generator = rng.bit_generator
         words = self._words
 
@@ -447,23 +439,23 @@ class _DelayLineChannel:
         return None
 
     def _setup(self, start_block: int, n_blocks: int) -> tuple:
-        """(first, end, gains, keyed): what process needs for blocks
-        first..end - 1, the line gains and the noise's KeyedBlocks."""
+        """(gains, keyed): what process needs for blocks start_block..
+        start_block + n_blocks - 1, the line gains and the noise's KeyedBlocks."""
         keyed = KeyedBlocks(self.spec.seed, _NOISE, start_block, n_blocks) if self._scale else None
-        end = start_block + n_blocks
-        return start_block, end, self._gains(start_block, n_blocks), keyed
+        return self._gains(start_block, n_blocks), keyed
 
     @contextlib.contextmanager
     def block_range(self, lo: int, hi: int):
-        """Build process's set-up for blocks lo..hi - 1 once: inside the
-        context, this thread's process calls on blocks of the range read it
-        instead of building their own.  No output byte depends on it."""
-        outer = getattr(self._ranges, "setup", None)
-        self._ranges.setup = self._setup(lo, hi - lo)
+        """Share one set-up among this thread's process calls on blocks
+        lo..hi - 1: inside the context, the first such call builds it for the
+        whole range, so its time is the channel's, and the later ones read
+        it.  No output byte depends on it."""
+        outer = getattr(self._ranges, "current", None)
+        self._ranges.current = [lo, hi, None]
         try:
             yield
         finally:
-            self._ranges.setup = outer
+            self._ranges.current = outer
 
     def process(self, blocks: np.ndarray, start_block: int = 0, before=None) -> np.ndarray:
         """Channel output for blocks start_block, start_block + 1, ..., written
@@ -499,10 +491,14 @@ class _DelayLineChannel:
         if before is not None and np.shape(before) != (c,):
             raise ConfigError(f"before must hold {c} samples, got shape {np.shape(before)}")
         n_blocks, n = blocks.shape
-        setup = getattr(self._ranges, "setup", None)
-        if setup is None or not setup[0] <= start_block <= setup[1] - n_blocks:
-            setup = self._setup(start_block, n_blocks)
-        first, _, gains, keyed = setup
+        current = getattr(self._ranges, "current", None)
+        if current is not None and current[0] <= start_block <= current[1] - n_blocks:
+            first, end, setup = current
+            if setup is None:
+                setup = current[2] = self._setup(first, end - first)
+        else:
+            first, setup = start_block, self._setup(start_block, n_blocks)
+        gains, keyed = setup
         base = start_block - first  # row 0's row in the set-up
         scale = self._scale
         if scale == 0.0 and gains is None:

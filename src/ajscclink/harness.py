@@ -6,8 +6,10 @@ demodulate -> decode -> filter -> metrics, deterministically for a given
 split of all the run's blocks over the pool (``pool.split_rows``), in which
 each worker takes its blocks through modulate, the channel's process and
 demodulate_stream one tile (``_TILE_SAMPLES``) at a time, so a run's memory
-does not grow with its length.  Sweeps derive one independent seed per point
-from the master seed, the level count, and the channel family.
+does not grow with its length; where one of those stages has been replaced
+from outside, the split is one range on the calling thread.  Sweeps derive
+one independent seed per point from the master seed, the level count, and
+the channel family.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ SOURCE_SAMPLE_PERIOD = 1e-3
 # fast interpolating run and 25.5, 25.4 and 25.0 ms per 3 s slow raw run;
 # each worker holds one tile.
 _TILE_SAMPLES = 1 << 18
+# modulate and demodulate_stream as the modem defines them (see _transmit).
+_LAYER_STAGES = (modulate, demodulate_stream)
 
 
 def _is_finite(x) -> bool:
@@ -266,6 +270,14 @@ def _transmit(
     set the noise that the receiver adds to its in-band bins
     (``channel.BandNoise``); the channel then adds none itself.
     """
+    # The stages run on the pool threads only as their layers define them: a
+    # stage replaced from outside, such as a timing wrapper, may not be
+    # thread-safe, so the whole transmit then runs on this thread.
+    own = (
+        modulate is _LAYER_STAGES[0]
+        and demodulate_stream is _LAYER_STAGES[1]
+        and getattr(channel.process, "__func__", None) is type(channel).process
+    )
     encoded = np.atleast_1d(encoded)
     freqs = np.atleast_1d(voltage_to_frequency(encoded, full_scale, cfg))
     phases = block_start_phases(freqs, cfg)
@@ -305,7 +317,9 @@ def _transmit(
                     band_noise=None if noise is None else noise.rows(t, u),
                 )
 
-    split_rows(rows, n_blocks, ((tile, n), np.complex128), ((2, c), np.complex128))
+    split_rows(
+        rows, n_blocks, ((tile, n), np.complex128), ((2, c), np.complex128), inline=not own
+    )
     return out
 
 

@@ -9,7 +9,7 @@ Objects with state, such as a generator, are made per range or per thread
 inside fn and never shared between threads.
 
 ``harness._transmit`` makes one split per run, and each of its ranges calls
-the modulator, the channel and the receiver once per tile of rows.  Two
+the modulator, the channel and the receiver once per tile of rows.  Three
 rules make that nesting work:
 - No nested dispatch.  A ``split_rows`` called while this thread runs a
   range, in the pool or inline, runs its rows inline as one range: two pool
@@ -19,6 +19,11 @@ rules make that nesting work:
   largest request it has seen and reused after that.  A layer called once
   per tile therefore allocates its scratch on its first tile only; a fresh
   array per tile would pay its page faults every time.
+- Only the layers' own functions on the pool.  A caller that cannot know
+  whether fn's callees are thread-safe (a stage replaced from outside, such
+  as a timing wrapper that keeps one call stack) passes inline: the rows
+  then run as one range on the calling thread, and so does every split
+  nested in it.
 
 A worker's GIL-releasing calls should each cover a tile of rows, not a row.
 Each call releases and retakes the GIL, and short calls from two threads
@@ -65,17 +70,19 @@ def _scratch(slot, shape: tuple[int, ...], dtype) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def split_rows(fn, n_rows: int, *scratch: tuple[tuple[int, ...], type]) -> None:
+def split_rows(
+    fn, n_rows: int, *scratch: tuple[tuple[int, ...], type], inline: bool = False
+) -> None:
     """Call fn(lo, hi, *bufs) once per contiguous range [lo, hi) of rows.
 
     The ranges cover 0..n_rows in order.  scratch holds (shape, dtype)
     pairs; each call gets an array of each, its thread's own.  One range
-    (always the case for fewer than two rows, or inside another range) runs
-    inline, more run on the pool, and the first exception a range raises
-    propagates.
+    (always the case for fewer than two rows, inside another range, or with
+    inline) runs on the calling thread, more run on the pool, and the first
+    exception a range raises propagates.
     """
     nested = getattr(_THREAD, "inside", False)
-    parts = 1 if nested else max(1, min(_WORKERS, n_rows))
+    parts = 1 if nested or inline else max(1, min(_WORKERS, n_rows))
     bounds = [n_rows * i // parts for i in range(parts + 1)]
     code = getattr(fn, "__code__", fn)
 

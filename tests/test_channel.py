@@ -687,6 +687,19 @@ class TestBandNoise:
             assert a.tobytes() != b.tobytes()
             assert a[:9].tobytes() != chunk.window[5].tobytes()
 
+    def test_window_batches_continue_one_stream(self):
+        # The windows are drawn _WINDOW_BATCH rows at a time from one Philox
+        # stream: the rows on both sides of a batch boundary are their own
+        # blocks' windows.
+        spec = ChannelSpec("awgn", csnr_db=0.0, seed=3)
+        deviation = 8.0 * np.sqrt(0.5)
+        batch = channel._WINDOW_BATCH
+        for start in (0, 7):
+            noise = BandNoise(spec, 64, start, batch + 4)
+            for r in (0, batch - 1, batch, batch + 3):
+                want = reference_window(3, start + r, deviation)
+                assert noise.window[r].tobytes() == want.tobytes(), (start, r)
+
 
 class TestKeyedBlocks:
     # KeyedBlocks re-implements SeedSequence's mixing and PCG64's seeding for

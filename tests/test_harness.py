@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -155,18 +156,57 @@ class TestRunLink:
                 assert json.loads(payloads[0])["mse_sum"] != noiseless.mse.total
 
     def test_zero_block_in_second_worker_range_is_transmit_error(self, monkeypatch):
-        def modulate_with_zero_block(*args, **kwargs):
-            blocks = modulate(*args, **kwargs)
-            blocks[3 * len(blocks) // 4] = 0.0
+        # The channel class's own process, patched, still runs on the pool:
+        # block 3/4 of the way through the run, in the second worker's
+        # range, leaves the channel as zeros.
+        config = RunConfig(levels=10, duration=0.25, seed=42, analysis=quiet_analysis())
+        zero = 3 * run_link(config).n_blocks // 4
+        process, threads = channel._DelayLineChannel.process, set()
+
+        def process_with_zero_block(self, blocks, start_block=0, before=None):
+            threads.add(threading.current_thread().name)
+            blocks = process(self, blocks, start_block, before)
+            if start_block <= zero < start_block + len(blocks):
+                blocks[zero - start_block] = 0.0
             return blocks
 
         monkeypatch.setattr(pool, "_WORKERS", 2)
-        monkeypatch.setattr(harness, "modulate", modulate_with_zero_block)
-        config = RunConfig(levels=10, duration=0.25, seed=42, analysis=quiet_analysis())
+        monkeypatch.setattr(channel._DelayLineChannel, "process", process_with_zero_block)
         with pytest.raises(StageError) as excinfo:
             run_link(config)
+        assert all(name.startswith("ajscclink-rows") for name in threads), threads
         assert excinfo.value.stage == "transmit"
         assert isinstance(excinfo.value.__cause__, DemodError)
+
+    def test_replaced_stages_run_on_the_calling_thread(self, monkeypatch):
+        # A wrapper put over a stage from outside, as a span tracer does,
+        # may not be thread-safe: then the whole transmit runs on the
+        # calling thread, and the payload keeps its bytes.
+        monkeypatch.setattr(pool, "_WORKERS", 2)
+        config = RunConfig(duration=0.5, seed=5, channel_family="jtc_outdoor_low_a",
+                           csnr_db=3.0, doppler_hz=20.0, analysis=quiet_analysis())
+        want = report_to_dict(run_link(config))
+        threads = []
+
+        def on_this_thread(fn):
+            def wrapper(*args, **kwargs):
+                threads.append(threading.current_thread())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def make_wrapped_channel(*args, **kwargs):
+            ch = make_channel(*args, **kwargs)
+            ch.process = on_this_thread(ch.process)
+            return ch
+
+        for name in ("modulate", "demodulate_stream"):
+            monkeypatch.setattr(harness, name, on_this_thread(getattr(harness, name)))
+        monkeypatch.setattr(harness, "make_channel", make_wrapped_channel)
+        got = report_to_dict(run_link(config))
+        assert len(threads) > 3 and set(threads) == {threading.current_thread()}
+        want.pop("wall_time_s"), got.pop("wall_time_s")
+        assert got == want
 
     @pytest.mark.parametrize("family", ["awgn", "jtc_outdoor_low_a"])
     def test_reused_chunk_buffer_matches_fresh_chunks(self, family, monkeypatch):
