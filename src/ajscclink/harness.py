@@ -66,7 +66,14 @@ SOURCE_SAMPLE_PERIOD = 1e-3
 # 150, 122 and 130 ms per 2 s noiseless fast interpolating run, 120, 116 and
 # 111 ms per 1 s JTC outdoor raw run, 1.46, 1.42 and 1.38 s per 5 s AWGN 0 dB
 # fast interpolating run and 25.5, 25.4 and 25.0 ms per 3 s slow raw run;
-# each worker holds one tile.
+# each worker holds one tile.  Re-timed once the receiver's per-call set-up
+# was built once per config: linkbench medians of 4 runs of 8 s at tiles of
+# 1, 2 and 4 MB read link_s_per_ref 0.280, 0.392 and 0.486 (noiseless fast
+# interpolating), 0.175, 0.228 and 0.267 (JTC outdoor raw) and 3.12, 4.44
+# and 4.81 (slow AWGN sweep), with peak_rss_mb 45.5, 48.0 and 52.8; 51.5,
+# 56.7 and 61.5; 43.9, 46.3 and 50.8.  4 MB stays, the fastest on all three:
+# each MB less saves about 2.4 MB of RSS but pays the layers' fixed cost per
+# call, still about 0.2 ms, on more tiles.
 _TILE_SAMPLES = 1 << 18
 # modulate and demodulate_stream as the modem defines them (see _transmit).
 _LAYER_STAGES = (modulate, demodulate_stream)

@@ -16,8 +16,11 @@ The modulator multiplies a coarse and a fine tone table into each block, one
 ufunc call per tile of rows, into the output or a caller-owned ``out=``; a
 row's bytes do not depend on its tile or on which call holds it.
 
-In the receiver, each worker takes its range through three tiers; the last
-two take a tile of about 2 MB of rows (16 at N = 8192) at a time:
+In the receiver, each worker takes its range through three tiers.  The
+direct tier takes a call's consecutive rows in place as one batch (a
+transmit tile is one batch), and other rows gathered a tile of about 2 MB
+(16 rows at N = 8192) at a time; it computes their bins, and the FFT path
+transforms its rows, such a tile at a time:
 1. The gate.  Past a row's first 16 samples, which a multipath channel mixes
    with the previous block's tone, a clean tone's lag-1 autocorrelation r_1
    over 512 samples has the magnitude of their power p; noise lowers
@@ -49,9 +52,11 @@ two take a tile of about 2 MB of rows (16 at N = 8192) at a time:
    worker's own buffer (``out=``, straight from the input where they are
    consecutive), and the worker searches the band of those rows only: one
    in-band argmax j of |E|^2 per row, which both receivers start from.
-Every buffer is the thread's scratch (``pool``).  Every result and decision
-of a row depends only on the row's own samples, so the output is
-byte-identical for any tile, worker count and split of a stream into calls.
+Every buffer is the thread's scratch (``pool``), and what a call needs of
+its ModemConfig is built once per config (``_receiver``).  Every result and
+decision of a row depends only on the row's own samples, so the output is
+byte-identical for any tile, batch, worker count and split of a stream into
+calls.
 
 The interpolating receiver reads the 2N-point padded grid X2 without taking
 its FFT.  Its even bins are the N-point bins, X2[2k] = E[k].  Its odd bins
@@ -101,6 +106,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,6 +202,16 @@ def _tone_split(n: int) -> tuple[int, int]:
     return m, n // m
 
 
+@functools.lru_cache(maxsize=4)
+def _tone_steps(n: int):
+    """(m, q, r, m p): the tone split and the modulator's sample steps r < m
+    and m p for p < q, as floats."""
+    m, q = _tone_split(n)
+    fine, coarse = np.arange(m, dtype=np.float64), np.arange(0, n, m, dtype=np.float64)
+    fine.flags.writeable = coarse.flags.writeable = False  # shared by every call and worker
+    return m, q, fine, coarse
+
+
 def modulate(
     encoded, full_scale: float, cfg: ModemConfig, start_phase=0.0, out=None
 ) -> np.ndarray:
@@ -229,16 +245,18 @@ def modulate(
     # Row b's sample q' * m + r is coarse[b, q'] * fine[b, r], with (m, q) = _tone_split(n),
     # fine = exp(j 2 pi c r), coarse = exp(j (phi + 2 pi frac(c m q'))) and c = f / fs.
     # |sample| is within ~5e-16 of one, the phase ~2e-12 rad of exact.
-    m, q = _tone_split(n)
+    m, q, fine_steps, coarse_steps = _tone_steps(n)
     cycles = freqs / cfg.sample_rate
-    fine_steps, coarse_steps = np.arange(m, dtype=np.float64), np.arange(0, n, m, dtype=np.float64)
 
     def rows(r0: int, r1: int, tables) -> None:
         for t in range(r0, r1, _TONE_TILE):
             u = min(t + _TONE_TILE, r1)
             both, f, c = tables[: u - t], tables[: u - t, :m], tables[: u - t, m:]
             np.multiply(cycles[t:u, None], fine_steps, out=f.imag)
-            np.fmod(np.multiply(cycles[t:u, None], coarse_steps, out=c.imag), 1.0, out=c.imag)
+            turns = np.multiply(cycles[t:u, None], coarse_steps, out=c.imag)
+            # turns - floor(turns) is fmod(turns, 1) for turns >= 0, both exact,
+            # in 1/30 of the time.
+            np.subtract(turns, np.floor(turns, out=c.real), out=c.imag)
             np.multiply(both.imag, 2 * np.pi, out=both.imag)
             np.add(c.imag, phases0[t:u, None], out=c.imag)
             np.cos(both.imag, out=both.real)
@@ -272,6 +290,7 @@ _SPAN_BINS = np.array([d for d in range(-_SPAN - 1, _SPAN + 1) if d not in (-1, 
 # padded bins 2j + _PADDED, the raw one three bins k, k + 1, k + 2.
 _SKIP, _GATE, _SEGMENT, _CLEAN = 16, 512, 2048, 0.7
 _PADDED, _TRIPLE = (-2, -1, 0, 1, 2), (0, 2, 4)
+_STEPS = np.arange(3)  # the bins k, k + 1, k + 2 of a triple from k
 
 # N-point spectrum per receiver FFT tile (16 rows at N = 8192); the
 # interpolating receiver's fallback transforms its rows' x c in the same
@@ -318,13 +337,50 @@ def _direct_tables(n: int, offsets: tuple[int, ...]):
     """The direct tier's tables for the bins b + offsets / 2 of n-point rows
     (``_direct_bins``): the half-bin twiddles z^i = exp(-j pi i / n) for
     i < 2n, the offsets, and with (m, q) = _tone_split(n) the sample steps
-    r < m and m p for p < q."""
+    r < m and -m p for p < q, as (m, 1) and (q, 1) columns."""
     m, q = _tone_split(n)
     z = np.exp(-1j * np.pi * np.arange(2 * n) / n)
-    tables = z, np.asarray(offsets), np.arange(m)[:, None], m * np.arange(q)[:, None]
+    tables = z, np.asarray(offsets), np.arange(m)[:, None], -m * np.arange(q)[:, None]
     for table in tables:
         table.flags.writeable = False  # shared by every call and worker
     return tables
+
+
+class _Receiver(NamedTuple):
+    """A receiver's set-up for one ModemConfig (``_receiver``)."""
+
+    k_lo: int  # in-band bins k_lo..k_hi of the N-point grid
+    k_hi: int
+    lo: int  # k_lo..k_hi and one neighbour each side
+    hi: int
+    k2_lo: int  # in-band bins of the 2N-point padded grid
+    k2_hi: int
+    tile: int  # rows per FFT tile, gathered batch and tile of direct bins
+    row: int  # the direct bins' scratch per row, in complex elements
+    half: tuple | None  # _half_bin_tables(n), interpolating only
+    direct: tuple  # _direct_tables(n, the receiver's offsets)
+
+
+@functools.lru_cache(maxsize=8)
+def _receiver(cfg: ModemConfig, interpolate: bool) -> _Receiver:
+    """What ``_peak_frequencies`` needs of cfg and the receiver: built once
+    per pair, not per call, since the transmit calls the receiver once per
+    tile.
+
+    The direct bins' scratch per row holds the row's fine twiddles, sums
+    and int64 twiddle indices.
+    """
+    n = cfg.fft_size
+    k_lo, k_hi, lo, hi = _band_edges(cfg, n)
+    k2_lo, k2_hi, _, _ = _band_edges(cfg, 2 * n)
+    offsets = _PADDED if interpolate else _TRIPLE
+    m, q = _tone_split(n)
+    row = (m + q) * len(offsets) + (m * len(offsets) + 1) // 2
+    tile = max(1, _TILE_BYTES // (16 * n))
+    return _Receiver(
+        k_lo, k_hi, lo, hi, k2_lo, k2_hi, tile, row,
+        _half_bin_tables(n) if interpolate else None, _direct_tables(n, offsets),
+    )
 
 
 def _peak_frequencies(
@@ -332,44 +388,55 @@ def _peak_frequencies(
 ) -> np.ndarray:
     """Per-row in-band peak frequency (Hz).
 
-    The rows are split over the worker pool.  Each worker gates its rows,
-    takes those that pass through the direct tier a tile at a time, then
+    The rows are split over the worker pool.  Each worker gates its rows and
+    takes those that pass through the direct tier: in place as one batch
+    where they are consecutive, else gathered a tile at a time.  It then
     transforms the rows left a tile at a time into its own buffer.
     band_noise, if given, is a ``channel.BandNoise`` (see the module
     docstring).
     """
     blocks = np.ascontiguousarray(blocks)  # the direct tier views each row as (q, m)
     n_rows, n = blocks.shape
-    k_lo, k_hi, lo, hi = _band_edges(cfg, n)
-    tile = max(1, min(_TILE_BYTES // (16 * n), n_rows))
+    setup = _receiver(cfg, interpolate)
+    k_lo, k_hi, lo, hi, _, _, tile, row, _, _ = setup
     freqs = np.empty(n_rows)
-    inband = slice(k_lo - lo, k_hi - lo + 1)
-    tables = _half_bin_tables(n) if interpolate else None
-    direct = _direct_tables(n, _PADDED if interpolate else _TRIPLE)
-    split, n_direct = direct[2].size, direct[1].size
-    # The completion's scratch: one row's draws outside the window.
+    inband, width = slice(k_lo - lo, k_hi - lo + 1), hi - lo + 1
+    # Each worker's scratch, in complex elements: the FFT tile's buffer, which
+    # also takes gathered rows, the direct bins' scratch, the band's powers
+    # and squares, and the completion's draws outside the window.
+    body = tile * (n + row)
+    bands = body + tile * width
     n_rest = 0 if band_noise is None else max(k_hi - k_lo + 1 - band_noise.window.shape[1], 0)
 
-    def rows(r0: int, r1: int, buf, powers, squares, rest, fine, sums, index) -> None:
+    def rows(r0: int, r1: int, space) -> None:
         draw = None if band_noise is None else band_noise.cursor()
+        buf = space[: tile * n].reshape(tile, n)
         # k: each row's peak bin (of the padded grid where interpolating), and
         # triple the powers of bins k - 1, k, k + 1.
         k = np.zeros(r1 - r0, dtype=np.int64)
         triple = np.zeros((r1 - r0, 3)) if interpolate else None
-        done = _gate(blocks[r0:r1], cfg, interpolate, split, band_noise, r0)
-        cand = np.flatnonzero(done)
-        for i in range(0, cand.size, tile):
-            which = cand[i : i + tile]
-            ok, peak, near = _direct_peaks(
-                _rows_of(blocks, r0 + which, buf), cfg, interpolate, direct, band_noise,
-                r0 + which, fine, sums, index,
-            )
-            k[which[ok]] = peak
-            if interpolate:
-                triple[which[ok]] = near
-            done[which[~ok]] = False
+        done = _gate(blocks[r0:r1], setup, interpolate, band_noise, r0)
+        cand = done.nonzero()[0]
+        if cand.size:
+            # Consecutive rows are one batch, read in place; others are
+            # gathered into buf a tile at a time.
+            step = cand.size if cand[-1] - cand[0] == cand.size - 1 else tile
+            for i in range(0, cand.size, step):
+                which = cand[i : i + step]
+                ok, peak, near = _direct_peaks(
+                    _rows_of(blocks, r0 + which, buf), setup, band_noise, r0 + which,
+                    space[tile * n : body],
+                )
+                decided = which[ok]
+                k[decided] = peak
+                if interpolate:
+                    triple[decided] = near
+                done[which[~ok]] = False
         # The FFT path, on the rows the direct tier left.
-        left = np.flatnonzero(~done)
+        left = (~done).nonzero()[0]
+        if left.size:
+            powers, squares = space[body:bands].view(np.float64).reshape(2, tile, width)
+            rest = space[bands : bands + n_rest]
         for i in range(0, left.size, tile):
             rel = left[i : i + tile]
             which, m = r0 + rel, rel.size
@@ -386,7 +453,7 @@ def _peak_frequencies(
             if interpolate:
                 energy = np.vecdot(spectrum, spectrum).real  # sum |E|^2 = N |x|^2
                 k[rel], triple[rel] = _interpolated_peaks(
-                    spectrum, power, energy, cfg, tables, blocks, which, j + k_lo
+                    spectrum, power, energy, setup, blocks, which, j + k_lo
                 )
                 continue
             if draw is not None:
@@ -402,12 +469,7 @@ def _peak_frequencies(
         else:
             freqs[r0:r1] = k * cfg.sample_rate / n
 
-    band = ((tile, hi - lo + 1), np.float64)
-    split_rows(
-        rows, n_rows, ((tile, n), np.complex128), band, band, ((n_rest,), np.complex128),
-        ((tile, split, n_direct), np.complex128), ((tile, n // split, n_direct), np.complex128),
-        ((tile, split, n_direct), np.int64),
-    )
+    split_rows(rows, n_rows, ((bands + n_rest,), np.complex128))
     return freqs
 
 
@@ -416,22 +478,21 @@ def _rows_of(blocks, which, buf):
     else a copy in buf."""
     if which[-1] - which[0] == which.size - 1:
         return blocks[which[0] : which[-1] + 1]
-    return np.take(blocks, which, axis=0, out=buf[: which.size], mode="clip")
+    return blocks.take(which, axis=0, out=buf[: which.size], mode="clip")
 
 
-def _gate(x, cfg: ModemConfig, interpolate, split, band_noise, first_row):
+def _gate(x, setup: _Receiver, interpolate, band_noise, first_row):
     """Which rows of x, rows first_row.. of the call, the direct tier tries
     (module docstring)."""
     m, n = x.shape
-    k_lo, k_hi, _, _ = _band_edges(cfg, n)
-    n_bins = k_hi - k_lo + 1
+    n_bins = setup.k_hi - setup.k_lo + 1
     # The raw receiver's three bins lie in the band, or with band noise in
     # the window.
     width = n_bins if band_noise is None else min(band_noise.window.shape[1], n_bins)
-    seg = min(_GATE, n - _SKIP - split)
+    seg = min(_GATE, n - _SKIP - setup.direct[2].size)
     if seg <= 0 or not (interpolate or width >= 3):
         return np.zeros(m, dtype=bool)
-    done = np.ones(m, dtype=bool)
+    done = None
     if band_noise is not None:
         # The window decides a row only where the union bound holds: try rows
         # where it would with a margin of a half-bin tone's peak, 2/pi
@@ -441,7 +502,7 @@ def _gate(x, cfg: ModemConfig, interpolate, split, band_noise, first_row):
         margin = 2 / np.pi * n * np.abs(x[:, _SKIP]) + np.abs(window).max(axis=1)
         with np.errstate(over="ignore"):
             bound = (n_bins - width) * np.exp(-0.5 * np.square(margin / band_noise.deviation))
-        done &= bound <= _EPSILON
+        done = bound <= _EPSILON
         if not done.any():
             return done
     # |r_1| over the first _GATE samples past the edge is their power p for a
@@ -449,41 +510,45 @@ def _gate(x, cfg: ModemConfig, interpolate, split, band_noise, first_row):
     head = x[:, _SKIP : _SKIP + seg]
     power = np.vecdot(head, head).real
     lag = np.vecdot(head, x[:, _SKIP + 1 : _SKIP + 1 + seg])
-    return done & (power > 0) & (np.abs(lag) >= _CLEAN * power)
+    clean = (power > 0) & (np.abs(lag) >= _CLEAN * power)
+    return clean if done is None else done & clean
 
 
-def _direct_peaks(x, cfg: ModemConfig, interpolate, tables, band_noise, which, fine, sums, index):
+def _direct_peaks(x, setup: _Receiver, band_noise, which, space):
     """The direct tier on rows x, rows which of the call (module docstring).
 
     Returns (ok, k, triple): which rows it decides, and for those their peak
     bin k and the interpolating receiver's triple, as in
-    ``_peak_frequencies``.  tables are ``_direct_tables`` for the receiver's
-    bins; fine, sums and index are scratch.
+    ``_peak_frequencies``.  space is the scratch of its bins (``_direct_bins``).
     """
     m, n = x.shape
-    k_lo, k_hi, _, _ = _band_edges(cfg, n)
+    k_lo, k_hi = setup.k_lo, setup.k_hi
     n_bins = k_hi - k_lo + 1
-    split = tables[2].size
+    split = setup.direct[2].size
     seg = min(_SEGMENT, n - _SKIP - split)
     floats = x.view(np.float64)
-    power, rows = n * np.einsum("ij,ij->i", floats, floats), np.arange(m)  # N |x|^2
+    # N |x|^2.  Not np.vecdot on the floats, which would be BLAS's ddot: on a
+    # 2-vCPU Xeon VM a 2 s noiseless fast run took 0.24-0.30 s with it, against
+    # 0.165 s with einsum and 0.18 s with OPENBLAS_NUM_THREADS=1, as OpenBLAS's
+    # threads convoy with the pool's.
+    power = n * np.einsum("ij,ij->i", floats, floats)
     # The tone's frequency: r_1's phase over the segment, unwrapped onto that
     # of r_s (s = m of the tone split), which reads it s times finer.
     head = x[:, _SKIP : _SKIP + seg]
     coarse = np.angle(np.vecdot(head, x[:, _SKIP + 1 : _SKIP + 1 + seg])) / (2 * np.pi)
     fine_turns = np.angle(np.vecdot(head, x[:, _SKIP + split : _SKIP + split + seg])) / (2 * np.pi)
     cycles = (fine_turns + np.rint(coarse * split - fine_turns)) / split
-    j = np.clip(np.rint(cycles * n).astype(np.int64) % n, k_lo, k_hi)
-    if interpolate:
-        bins = _direct_bins(x, j, tables, fine, sums, index)
+    j = np.minimum(np.maximum(np.rint(cycles * n).astype(np.int64) % n, k_lo), k_hi)
+    if setup.half is not None:
+        bins = _direct_bins(x, j, setup.direct, space, setup.tile)
         powers = np.square(bins.real) + np.square(bins.imag)  # padded bins 2j - 2 .. 2j + 2
         # Parseval over E: no bin but j - 1, j, j + 1 holds more than the rest
         # of N |x|^2, so j is the FFT's in-band peak.
         limit = powers[:, 2] * (1 - _ETA)
         ok = power - powers[:, 0] - powers[:, 2] - powers[:, 4] < limit
-        ok &= (powers[:, 0] < limit) | (j - 1 < k_lo)
-        ok &= (powers[:, 4] < limit) | (j + 1 > k_hi)
-        a2, k, triple = _padded_candidates(powers, j, cfg, n)
+        ok &= (powers[:, 0] < limit) | (j <= k_lo)
+        ok &= (powers[:, 4] < limit) | (j >= k_hi)
+        a2, k, triple = _padded_candidates(powers, j, setup)
         ok &= (power - powers[:, 1] - powers[:, 3] < a2 * (1 - _ETA)) & (a2 > 0)
         return ok, k[ok], triple[ok]
     # Bins j - 1 .. j + 1, kept inside the band, or with band noise inside
@@ -492,31 +557,32 @@ def _direct_peaks(x, cfg: ModemConfig, interpolate, tables, band_noise, which, f
     if band_noise is not None:
         full_width = band_noise.window.shape[1]
         width = min(full_width, n_bins)
-        start = np.clip(j - k_lo - full_width // 2, 0, n_bins - width)
+        start = np.minimum(np.maximum(j - k_lo - full_width // 2, 0), n_bins - width)
         first = k_lo + start
-    base = np.clip(j - 1, first, first + width - 3)
-    bins = _direct_bins(x, base, tables, fine, sums, index)
+    base = np.minimum(np.maximum(j - 1, first), first + width - 3)
+    bins = _direct_bins(x, base, setup.direct, space, setup.tile)
     powers = np.square(bins.real) + np.square(bins.imag)
     top = powers.argmax(axis=1)
-    limit = powers[rows, top] * (1 - _ETA)
+    limit = powers.max(axis=1) * (1 - _ETA)
     # Parseval over E: no other bin holds more than the rest R of N |x|^2, so
     # the top bin is the FFT's strict in-band peak.
     rest = power - powers.sum(axis=1)
-    ok = (np.count_nonzero(powers >= limit[:, None], axis=1) == 1) & (rest < limit)
+    ok = ((powers >= limit[:, None]).sum(axis=1) == 1) & (rest < limit)
     k = base + top
     if band_noise is not None:
         # The window must be the one the FFT path places.  Its other bins
         # hold |E + w| <= sqrt(R) + |w|, so where that stays below A, the
         # largest noisy bin of the three, A is the window's peak; and the
         # union bound must hold with X_out <= sqrt(R).
-        ok &= np.clip(k - k_lo - full_width // 2, 0, n_bins - width) == start
+        rows = np.arange(m)
+        ok &= np.minimum(np.maximum(k - k_lo - full_width // 2, 0), n_bins - width) == start
         window = band_noise.window[which, :width]
-        cols = (base - first)[:, None] + (0, 1, 2)
+        cols = (base - first)[:, None] + _STEPS
         noisy = bins + window[rows[:, None], cols]
         noisy_power = np.square(noisy.real) + np.square(noisy.imag)
         top = noisy_power.argmax(axis=1)
         a2 = noisy_power[rows, top]
-        ok &= np.count_nonzero(noisy_power >= (a2 * (1 - _ETA))[:, None], axis=1) == 1
+        ok &= (noisy_power >= (a2 * (1 - _ETA))[:, None]).sum(axis=1) == 1
         others = np.abs(window)
         others[rows[:, None], cols] = 0.0
         out_peak = np.sqrt(np.maximum(rest, 0.0))
@@ -529,68 +595,74 @@ def _direct_peaks(x, cfg: ModemConfig, interpolate, tables, band_noise, which, f
     return ok, k[ok], None
 
 
-def _direct_bins(x, base, tables, fine, sums, index):
+def _direct_bins(x, base, tables, space, tile):
     """Bins base + offsets / 2 of each row of x (``_direct_tables``).
 
     Viewed as (q, m), row x holds sample p m + r at [p, r], so its bin
     h / 2 is sum_p z^(h m p) sum_r x[p, r] z^(h r), with z the half-bin
     twiddle: one batched matrix product of the rows with their fine
-    twiddles, then a q-long coarse sum.  fine, sums and index are scratch.
+    twiddles, then a q-long coarse sum.  It runs a tile of rows at a time,
+    with their fine twiddles, sums and twiddle indices in space.
     """
     z, offsets, fine_steps, coarse_steps = tables
     rows, n = x.shape
-    m, q = fine_steps.size, coarse_steps.size
+    m, q, k = fine_steps.size, coarse_steps.size, offsets.size
+    bins = np.empty((rows, k), dtype=np.complex128)
     half = (2 * base[:, None] + offsets)[:, None, :]  # each row's bins, in half bins
-    turns = np.remainder(np.multiply(half, fine_steps, out=index[:rows]), 2 * n, out=index[:rows])
-    f = np.take(z, turns, out=fine[:rows], mode="wrap")
-    y = np.matmul(x.reshape(rows, q, m), f, out=sums[:rows])
-    # f is spent: its buffer takes the coarse twiddles' conjugates.
-    c, turns = (a.reshape(-1)[: y.size].reshape(y.shape) for a in (fine, index))
-    np.remainder(np.multiply(-half, coarse_steps, out=turns), 2 * n, out=turns)
-    return np.vecdot(np.take(z, turns, out=c, mode="wrap"), y, axis=1)
+    for s in range(0, rows, tile):
+        t = min(tile, rows - s)
+        fine = space[: t * m * k].reshape(t, m, k)
+        sums = space[t * m * k : t * (m + q) * k].reshape(t, q, k)
+        index = space[t * (m + q) * k :].view(np.int64)[: fine.size].reshape(fine.shape)
+        # The index products h r and -h m p: a matmul of integers, which,
+        # unlike a broadcast multiply, takes no buffer.
+        turns = np.remainder(np.matmul(fine_steps, half[s : s + t], out=index), 2 * n, out=index)
+        f = z.take(turns, out=fine, mode="wrap")
+        y = np.matmul(x[s : s + t].reshape(t, q, m), f, out=sums)
+        # f is spent: its buffer takes the coarse twiddles' conjugates.
+        c, turns = (a.reshape(-1)[: y.size].reshape(y.shape) for a in (fine, index))
+        np.remainder(np.matmul(coarse_steps, half[s : s + t], out=turns), 2 * n, out=turns)
+        np.vecdot(z.take(turns, out=c, mode="wrap"), y, axis=1, out=bins[s : s + t])
+    return bins
 
 
-def _padded_candidates(powers, j, cfg: ModemConfig, n: int):
+def _padded_candidates(powers, j, setup: _Receiver):
     """For the powers of padded bins 2j - 2 .. 2j + 2 of each row: A^2, the
     largest in-band power of the candidates 2j - 1, 2j, 2j + 1, and the first
     candidate k that holds it, with the powers of bins k - 1, k, k + 1."""
-    k2_lo, k2_hi, _, _ = _band_edges(cfg, 2 * n)
-    in_band = 2 * j[:, None] + (-1, 0, 1)
-    in_band = (in_band >= k2_lo) & (in_band <= k2_hi)
-    a2 = np.where(in_band, powers[:, 1:4], 0.0).max(axis=1)
-    pick = np.where(in_band, powers[:, 1:4], -1.0).argmax(axis=1)
-    triple = powers[np.arange(len(j))[:, None], pick[:, None] + (0, 1, 2)]
-    return a2, 2 * j - 1 + pick, triple
+    above = 2 * j[:, None] + _STEPS  # each candidate + 1
+    in_band = np.where((above > setup.k2_lo) & (above <= setup.k2_hi + 1), powers[:, 1:4], -1.0)
+    pick = in_band.argmax(axis=1)
+    triple = powers[np.arange(len(j))[:, None], pick[:, None] + _STEPS]
+    return np.maximum(in_band.max(axis=1), 0.0), 2 * j - 1 + pick, triple
 
 
 def _parabola(k, triple, cfg: ModemConfig, n: int):
     """Frequency (Hz) of padded peaks k refined by the parabola through the
-    log powers triple of bins k - 1, k, k + 1."""
-    k2_lo, k2_hi, _, _ = _band_edges(cfg, 2 * n)
-    left, mid, right = triple.T
-    interior = (k >= max(k2_lo, 1)) & (k <= min(k2_hi, 2 * n - 2))
-    floor = mid * 1e-24
-    alpha = np.log(np.maximum(left, floor))
-    beta = np.log(np.maximum(mid, floor))
-    gamma = np.log(np.maximum(right, floor))
+    log powers triple of bins k - 1, k, k + 1.
+
+    k lies in the padded band, so k <= 2n - 2 (f_max is below Nyquist), and
+    only k = 0 has no left neighbour: its vertex stays on the bin.
+    """
+    alpha, beta, gamma = np.log(np.maximum(triple, triple[:, 1:2] * 1e-24)).T
     denom = alpha - 2 * beta + gamma
-    delta = np.where(denom < 0, 0.5 * (alpha - gamma) / np.where(denom == 0, 1.0, denom), 0.0)
-    delta = np.clip(np.where(interior, delta, 0.0), -0.5, 0.5)
+    delta = np.zeros(len(k))
+    np.divide(0.5 * (alpha - gamma), denom, out=delta, where=(denom < 0) & (k > 0))
+    np.minimum(np.maximum(delta, -0.5, out=delta), 0.5, out=delta)
     return (k + delta) * cfg.sample_rate / (2 * n)
 
 
-def _interpolated_peaks(spectrum, power, energy, cfg: ModemConfig, tables, blocks, which, j):
+def _interpolated_peaks(spectrum, power, energy, setup: _Receiver, blocks, which, j):
     """The padded peak k of rows which of blocks and the powers of bins
     k - 1, k, k + 1, which the parabola reads (module docstring).
 
     spectrum holds the rows' N-point FFTs E, in the worker's buffer, power
-    |E|^2 over the grid's bins lo..hi, energy their N |x|^2, tables
-    ``_half_bin_tables(N)``, and j each row's in-band peak of E.  The
-    fallback overwrites spectrum.
+    |E|^2 over the grid's bins lo..hi, energy their N |x|^2, and j each
+    row's in-band peak of E.  The fallback overwrites spectrum.
     """
-    h, c, near_table, far_kernel, kernel_norm = tables
+    h, c, near_table, far_kernel, kernel_norm = setup.half
     m, n = spectrum.shape
-    _, _, lo, hi = _band_edges(cfg, n)
+    lo, hi = setup.lo, setup.hi
     rows = np.arange(m)
     # Powers of padded bins 2j - 2 .. 2j + 2; the odd ones, 2j -+ 1, are O[j - 1]
     # and O[j].  (Where k_lo = 0, bin 2j - 2 may wrap to the band's last column:
@@ -603,7 +675,7 @@ def _interpolated_peaks(spectrum, power, energy, cfg: ModemConfig, tables, block
         odd[r, 0] = np.dot(h[s : s + n], spectrum[r])
         odd[r, 1] = np.dot(h[s - 1 : s - 1 + n], spectrum[r])
     powers[:, 1::2] = np.square(odd.real) + np.square(odd.imag)
-    a2, k, triple = _padded_candidates(powers, j, cfg, n)
+    a2, k, triple = _padded_candidates(powers, j, setup)
     limit = a2 * (1 - _ETA)
     # Parseval: no other odd bin holds more than R = N |x|^2 - |O[j - 1]|^2 - |O[j]|^2.
     ok = energy - powers[:, 1] - powers[:, 3] < limit
@@ -631,11 +703,11 @@ def _interpolated_peaks(spectrum, power, energy, cfg: ModemConfig, tables, block
     # in-band power takes the fallback, which raises DemodError.
     fall = np.flatnonzero(~ok | (a2 == 0))
     if fall.size:
-        k[fall], triple[fall] = _odd_band_peaks(blocks, which[fall], fall, power, cfg, c, spectrum)
+        k[fall], triple[fall] = _odd_band_peaks(blocks, which[fall], fall, power, setup, c, spectrum)
     return k, triple
 
 
-def _odd_band_peaks(blocks, which, fall, power, cfg: ModemConfig, c, x):
+def _odd_band_peaks(blocks, which, fall, power, setup: _Receiver, c, x):
     """The fallback: the padded peak k of rows which of blocks, searched over
     the whole band, and the powers of bins k - 1, k, k + 1.
 
@@ -645,9 +717,7 @@ def _odd_band_peaks(blocks, which, fall, power, cfg: ModemConfig, c, x):
     bin indices 2 lo .. 2 hi + 1: |E[i]|^2 at 2i, written over Re O[i], and
     |O[i]|^2 at 2i + 1.  Returns (k, (len(which), 3) powers).
     """
-    n = blocks.shape[1]
-    _, _, lo, hi = _band_edges(cfg, n)
-    k2_lo, k2_hi, _, _ = _band_edges(cfg, 2 * n)
+    lo, hi, k2_lo, k2_hi = setup.lo, setup.hi, setup.k2_lo, setup.k2_hi
     for i, r in enumerate(which):
         np.multiply(blocks[r], c, out=x[i])
     band = np.fft.fft(x[: which.size], axis=1, out=x[: which.size]).view(np.float64)

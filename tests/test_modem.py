@@ -1,6 +1,7 @@
 """Modem tests: voltage/frequency maps, block synthesis, FFT peak recovery."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from ajscclink import modem, pool
+from ajscclink import harness, modem, pool
 from ajscclink.channel import FAMILIES, BandNoise, ChannelSpec, make_channel, noise_deviation
 from ajscclink.errors import ConfigError, DemodError
 from ajscclink.modem import (
@@ -1009,6 +1010,80 @@ class TestDirectTier:
 
                 parts = [run(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
                 assert np.concatenate(parts).tobytes() == run(0, 60).tobytes()
+
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    @pytest.mark.parametrize("receiver", ["interpolating", "raw", "raw with band noise"])
+    def test_bytes_do_not_depend_on_the_batch(self, profile, receiver, monkeypatch):
+        # A row's bytes do not depend on the direct batch that holds it: for
+        # any receiver tile (the bound of a gathered batch and of a tile of
+        # direct bins), split of the stream into calls and worker count, each
+        # row gets the bytes it gets alone.  Every row of the clean stream
+        # takes the direct tier, consecutive rows as one batch; in the gapped
+        # one, noise keeps every fifth row out of it, so the tier gathers.
+        cfg = profile()
+        n, n_rows = cfg.fft_size, 64
+        interpolate = receiver == "interpolating"
+        spec = ChannelSpec("awgn", csnr_db=0.0, seed=11) if receiver.endswith("noise") else None
+        rng = np.random.default_rng(12)
+        clean = modulate(rng.uniform(0, FULL_SCALE, n_rows), FULL_SCALE, cfg)
+        gapped = clean.copy()
+        gapped[::5] += 3 * rng.standard_normal((13, 2 * n)).view(np.complex128)
+        setup = modem._receiver
+
+        def run(blocks, rows_per_call, tile, workers):
+            monkeypatch.setattr(pool, "_WORKERS", workers)
+            monkeypatch.setattr(modem, "_receiver", lambda *args: setup(*args)._replace(tile=tile))
+            parts = []
+            for lo in range(0, n_rows, rows_per_call):
+                hi = min(lo + rows_per_call, n_rows)
+                noise = None if spec is None else BandNoise(spec, n, lo, hi - lo)
+                parts.append(
+                    demodulate_stream(blocks[lo:hi], FULL_SCALE, cfg, interpolate, band_noise=noise)
+                )
+            return np.concatenate(parts)
+
+        for blocks, tried in ((clean, n_rows), (gapped, n_rows - 13)):
+            noise = None if spec is None else BandNoise(spec, n, 0, n_rows)
+            assert direct_share(blocks, cfg, interpolate, noise) == tried
+            want = run(blocks, n_rows, 1, 1)
+            for tile in (1, 7, 16, n_rows):
+                for rows_per_call in (1, 7, 32, n_rows):
+                    for workers in (1, 2):
+                        got = run(blocks, rows_per_call, tile, workers)
+                        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    @pytest.mark.parametrize("interpolate", [True, False])
+    def test_a_transmit_tile_is_one_batch(self, profile, interpolate):
+        # The direct tier takes a transmit tile's consecutive rows in one
+        # batch.
+        cfg = profile()
+        n_rows = harness._TILE_SAMPLES // cfg.fft_size
+        blocks = modulate(np.random.default_rng(14).uniform(0, FULL_SCALE, n_rows), FULL_SCALE, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pool, "_WORKERS", 1)
+            seen = record_direct(mp)
+            modem._peak_frequencies(blocks, cfg, interpolate)
+        assert [len(batch["x"]) for batch in seen] == [n_rows]
+        assert seen[0]["ok"].all()
+
+    @pytest.mark.parametrize("profile, n_rows", [(fast_profile, 32), (slow_profile, 52)])
+    @pytest.mark.parametrize("interpolate", [True, False])
+    def test_warm_call_allocates_little(self, profile, n_rows, interpolate, monkeypatch):
+        # A warm receiver call on a transmit tile of clean rows allocates
+        # under 256 kB: the direct bins' scratch (327 kB per 16 fast rows)
+        # is the thread's, not a temporary of each batch.
+        cfg = profile()
+        blocks = modulate(np.random.default_rng(15).uniform(0, FULL_SCALE, n_rows), FULL_SCALE, cfg)
+        monkeypatch.setattr(pool, "_WORKERS", 1)
+        demodulate_stream(blocks, FULL_SCALE, cfg, interpolate)
+        tracemalloc.start()
+        try:
+            demodulate_stream(blocks, FULL_SCALE, cfg, interpolate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10
 
 
 def mfsk_error_law(es_n0: float, m: int) -> float:
