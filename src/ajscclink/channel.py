@@ -24,7 +24,7 @@ A line with delays reads, for a range's first block, the last ``memory``
 input samples of the block before it: ``process`` takes them as ``before``
 and keeps nothing between calls, so a range can also start mid-stream.
 ``KeyedBlocks`` derives a range's per-block generator states at once, with
-the bytes of one SeedSequence per block, and each row range re-seats a
+the bytes of one SeedSequence per block, and each call re-seats a
 generator of its own block by block.  It takes blocks b < 2^32 (50 days of
 fast-profile signal), and a block range that reaches past is a ConfigError.
 
@@ -41,22 +41,20 @@ receiver reads a 2N-point padded spectrum whose noise bins are correlated,
 so its runs keep the time-domain stream (1, b).
 
 All three channels are one tapped delay line; AWGN and flat Rayleigh have a
-single tap at delay 0.  ``process`` splits the block rows into one
-contiguous range per usable CPU and runs the ranges on the package's thread
-pool (``pool.split_rows``; numpy's generator fills and ufunc loops release
-the GIL, seating a generator holds it), or inline inside another range.
-Each worker walks its range in tiles of a few rows (``_LINE_BYTES``), so
-that each ufunc call covers a tile, not a row.  A call's set-up, the line
-gains (flat-Rayleigh h, two normals per block, or the multipath cosine
-sums) and the noise's ``KeyedBlocks``, is built once per call, or once per
-``block_range``, in its first call: ``harness._transmit`` opens one per
-worker range and calls ``process`` once per tile inside it.  ``process``
-writes its output over its input: the samples that each row's delays reach
-back into, ``before`` or the end of the row before it, are copied out
-before any row is written, and each worker copies a tile's tails and rows
-into its own scratch line before it overwrites them.  Every sample gets the same operations in the same order
-whichever tile, range and call hold its row, so the output is byte-identical
-for any worker count and any split of one stream into calls.
+single tap at delay 0.  ``process`` is a serial kernel: it walks its rows on
+the calling thread in tiles of a few rows (``_LINE_BYTES``), so that each
+ufunc call covers a tile, not a row, and ``harness._transmit`` calls it once
+per tile from each range of its one row split (``pool``).  A call's set-up,
+the line gains (flat-Rayleigh h, two normals per block, or the multipath
+cosine sums) and the noise's ``KeyedBlocks``, is built once per call, or
+once per ``block_range``, in its first call: ``_transmit`` opens one per
+worker range.  ``process`` writes its output over its input: the samples
+that each row's delays reach back into, ``before`` or the end of the row
+before it, are copied out before any row is written, and a tile's tails and
+rows are copied into the thread's scratch line before they are overwritten.
+Every sample gets the same operations in the same order whichever tile and
+call hold its row, so the output is byte-identical for any split of one
+stream into calls, whichever thread makes each call.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, is_int, is_real
-from .pool import split_rows
+from .pool import scratch
 
 FAMILIES = ("awgn", "flat_rayleigh", "jtc_indoor_a", "jtc_outdoor_low_a")
 _DEFAULT_DOPPLER = {"jtc_indoor_a": 5.0, "jtc_outdoor_low_a": 20.0}
@@ -263,7 +261,7 @@ class KeyedBlocks:
         """A new generator for one row range, as ``seat(row)``, which sets it
         to block start_block + row's state and returns it.
 
-        A cursor is never shared between threads: each range makes its own.
+        A cursor is never shared between threads: each call makes its own.
         """
         rng = np.random.Generator(np.random.PCG64(0))
         bit_generator = rng.bit_generator
@@ -317,7 +315,7 @@ class BandNoise:
     words, so the blocks take their words from one stream started at counter
     5 * start_block, a batch of rows at a time.
 
-    ``cursor()`` gives a row range its own ``draw(row, out)`` for the
+    ``cursor()`` gives a receiver call its own ``draw(row, out)`` for the
     completion, which writes ``standard_normal`` of stream (3, b), b =
     start_block + row, interleaved re/im, times deviation into out, one
     complex128 per bin.  The stream's ``KeyedBlocks`` is built on the first
@@ -514,35 +512,34 @@ class _DelayLineChannel:
 
         # A tile of rows at a time, so that each ufunc call covers a tile,
         # not a row (see ``pool``).  Every element of a row gets the same
-        # operations in the same order whichever tile, range and call hold
-        # it, so the bytes do not depend on the split.  line holds the tile's
-        # tails and rows, so the rows can be overwritten while their delayed
-        # copies are read; the noise stays keyed per row.
-        def rows(lo: int, hi: int, line: np.ndarray, tmp: np.ndarray) -> None:
-            seat = keyed.cursor() if scale else None
-            for t in range(lo, hi, tile):
-                u = min(t + tile, hi)
-                m = u - t
-                line[:m, :c] = tails[t:u]
-                line[:m, c:] = blocks[t:u]
-                o = blocks[t:u]
-                if scale:
-                    for r in range(t, u):
-                        seat(base + r).standard_normal(out=blocks[r].view(np.float64))
-                    o *= scale
-                for k, d in enumerate(delays):
-                    src = line[:m, c - d : c - d + n]
-                    if gains is None:
-                        o += src
-                        continue
-                    g = gains[k, base + t : base + u, None]
-                    if k == 0 and not scale:
-                        np.multiply(src, g, out=o)
-                    else:
-                        np.multiply(src, g, out=tmp[:m])
-                        o += tmp[:m]
-
-        split_rows(rows, n_blocks, ((tile, n + c), np.complex128), ((tile, n), np.complex128))
+        # operations in the same order whichever tile and call hold it, so
+        # the bytes do not depend on the split.  line holds the tile's tails
+        # and rows, so the rows can be overwritten while their delayed copies
+        # are read; the noise stays keyed per row.
+        line = scratch("delay line", (tile, n + c), np.complex128)
+        tmp = scratch("delay line product", (tile, n), np.complex128)
+        seat = keyed.cursor() if scale else None
+        for t in range(0, n_blocks, tile):
+            u = min(t + tile, n_blocks)
+            m = u - t
+            line[:m, :c] = tails[t:u]
+            line[:m, c:] = blocks[t:u]
+            o = blocks[t:u]
+            if scale:
+                for r in range(t, u):
+                    seat(base + r).standard_normal(out=blocks[r].view(np.float64))
+                o *= scale
+            for k, d in enumerate(delays):
+                src = line[:m, c - d : c - d + n]
+                if gains is None:
+                    o += src
+                    continue
+                g = gains[k, base + t : base + u, None]
+                if k == 0 and not scale:
+                    np.multiply(src, g, out=o)
+                else:
+                    np.multiply(src, g, out=tmp[:m])
+                    o += tmp[:m]
         return blocks
 
 

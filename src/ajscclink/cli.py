@@ -114,7 +114,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError, PermissionError) as exc:
+            raise ConfigError(f"cannot use output directory {out}: {exc.strerror}") from exc
 
         if args.command == "simulate":
             config = _build_config(args, levels=args.levels)

@@ -3,13 +3,14 @@
 A run executes generate -> rescale -> encode -> modulate -> channel ->
 demodulate -> decode -> filter -> metrics, deterministically for a given
 (config, seed).  The three middle stages are one transmit stage: one row
-split of all the run's blocks over the pool (``pool.split_rows``), in which
-each worker takes its blocks through modulate, the channel's process and
-demodulate_stream one tile (``_TILE_SAMPLES``) at a time, so a run's memory
-does not grow with its length; where one of those stages has been replaced
-from outside, the split is one range on the calling thread.  Sweeps derive
-one independent seed per point from the master seed, the level count, and
-the channel family.
+split of all the run's blocks over the pool (``pool.split_rows``, the
+package's only dispatch to it), in which each worker takes its blocks
+through modulate, the channel's process and demodulate_stream, each a
+serial kernel on the worker's thread, one tile (``_TILE_SAMPLES``) at a
+time, so a run's memory does not grow with its length; where one of those
+stages has been replaced from outside, the split is one range on the
+calling thread.  Sweeps derive one independent seed per point from the
+master seed, the level count, and the channel family.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import pathlib
 import time
 from dataclasses import dataclass, field
@@ -49,7 +51,7 @@ from .modem import (
     slow_profile,
     voltage_to_frequency,
 )
-from .pool import split_rows
+from .pool import scratch, split_rows
 from .sources import (
     CytometrySynthSpec,
     GsrSynthSpec,
@@ -156,6 +158,10 @@ class RunConfig:
         noise_deviation(self.csnr_db)  # a ConfigError past the float range
         if self.doppler_hz is not None and not _is_finite(self.doppler_hz):
             raise ConfigError(f"doppler_hz must be finite or None, got {self.doppler_hz!r}")
+        for name in ("tap_profile_path", "cytometry_path", "gsr_path"):
+            path = getattr(self, name)
+            if path is not None and not isinstance(path, (str, os.PathLike)):
+                raise ConfigError(f"{name} must be a path string or None, got {path!r}")
         for name in ("x1_input_range", "x2_input_range"):
             r = getattr(self, name)
             if r is not None and not (
@@ -294,13 +300,15 @@ def _transmit(
     out = np.empty(n_blocks)
 
     # Each worker takes its range of blocks through modulate, process and
-    # demodulate_stream one tile at a time, in its own tile buffer, so that a
-    # tile stays in the core's cache from its first write to its last read;
-    # the layers run their rows inline (see ``pool``).  Each tile takes its
-    # slice of the stream's block phases, and the channel gets the last c
-    # input samples of the block before the tile, so no byte depends on the
-    # tile size or the worker count.
-    def rows(lo: int, hi: int, buf: np.ndarray, tails: np.ndarray) -> None:
+    # demodulate_stream one tile at a time, in its thread's tile buffer, so
+    # that a tile stays in the core's cache from its first write to its last
+    # read; the layers compute their rows on this worker's thread (see
+    # ``pool``).  Each tile takes its slice of the stream's block phases, and
+    # the channel gets the last c input samples of the block before the
+    # tile, so no byte depends on the tile size or the worker count.
+    def rows(lo: int, hi: int) -> None:
+        buf = scratch("transmit tile", (tile, n), np.complex128)
+        tails = scratch("transmit tails", (2, c), np.complex128)
         before = None
         with channel.block_range(lo, hi):
             if lo and c:
@@ -324,9 +332,7 @@ def _transmit(
                     band_noise=None if noise is None else noise.rows(t, u),
                 )
 
-    split_rows(
-        rows, n_blocks, ((tile, n), np.complex128), ((2, c), np.complex128), inline=not own
-    )
+    split_rows(rows, n_blocks, inline=not own)
     return out
 
 
@@ -518,7 +524,13 @@ def config_from_dict(d: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    with fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -8,19 +8,19 @@ log magnitude (evaluated on a 2x zero-padded grid, which keeps the fit's
 bias under a tenth of a bin for a rectangular window), and maps the
 frequency back to a voltage.
 
-The modulator and the receiver both split their rows into one contiguous
-range per usable CPU, on the pool the channel also uses
-(``pool.split_rows``), or run them inline when called inside another range,
-as ``harness._transmit`` calls them once per tile of its workers' ranges.
-The modulator multiplies a coarse and a fine tone table into each block, one
-ufunc call per tile of rows, into the output or a caller-owned ``out=``; a
-row's bytes do not depend on its tile or on which call holds it.
+The modulator and the receiver are serial kernels: a call computes its rows
+on the calling thread, in that thread's scratch (``pool.scratch``), and
+``harness._transmit`` calls them once per tile from each range of its one
+row split.  The modulator multiplies a coarse and a fine tone table into
+each block, one ufunc call per tile of rows, into the output or a
+caller-owned ``out=``; a row's bytes do not depend on its tile or on which
+call holds it.
 
-In the receiver, each worker takes its range through three tiers.  The
-direct tier takes a call's consecutive rows in place as one batch (a
-transmit tile is one batch), and other rows gathered a tile of about 2 MB
-(16 rows at N = 8192) at a time; it computes their bins, and the FFT path
-transforms its rows, such a tile at a time:
+The receiver takes a call's rows through three tiers.  The direct tier
+takes a call's consecutive rows in place as one batch (a transmit tile is
+one batch), and other rows gathered a tile of about 2 MB (16 rows at
+N = 8192) at a time; it computes their bins, and the FFT path transforms its
+rows, such a tile at a time:
 1. The gate.  Past a row's first 16 samples, which a multipath channel mixes
    with the previous block's tone, a clean tone's lag-1 autocorrelation r_1
    over 512 samples has the magnitude of their power p; noise lowers
@@ -49,14 +49,13 @@ transforms its rows, such a tile at a time:
    the FFT's to about 1e-15 N, so a row's frequency moves by rounding only
    with its tier.
 3. The FFT path, on the rows left: ``numpy.fft`` transforms them into the
-   worker's own buffer (``out=``, straight from the input where they are
-   consecutive), and the worker searches the band of those rows only: one
+   thread's buffer (``out=``, straight from the input where they are
+   consecutive), and the call searches the band of those rows only: one
    in-band argmax j of |E|^2 per row, which both receivers start from.
-Every buffer is the thread's scratch (``pool``), and what a call needs of
-its ModemConfig is built once per config (``_receiver``).  Every result and
-decision of a row depends only on the row's own samples, so the output is
-byte-identical for any tile, batch, worker count and split of a stream into
-calls.
+What a call needs of its ModemConfig is built once per config
+(``_receiver``).  Every result and decision of a row depends only on the
+row's own samples, so the output is byte-identical for any tile, batch and
+split of a stream into calls, whichever thread makes each call.
 
 The interpolating receiver reads the 2N-point padded grid X2 without taking
 its FFT.  Its even bins are the N-point bins, X2[2k] = E[k].  Its odd bins
@@ -98,8 +97,8 @@ that any of those M beats A once noisy.  Where it is at most eps = 1e-12
 eps, the row also draws the M bins from stream (3, b) of its absolute
 block b and searches the whole band.  The bins are iid, so this is exact,
 and it differs from a full-band draw with probability at most eps per
-block.  The completion's generators are per thread and seated per block,
-so the bytes do not depend on the worker count or on the split into calls.
+block.  The completion's generators are per call and seated per block, so
+the bytes do not depend on the split into calls or on their threads.
 """
 
 from __future__ import annotations
@@ -111,13 +110,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DemodError, is_int
-from .pool import split_rows
+from .pool import scratch
 
 FAST_SAMPLE_RATE = 8.192e6
 FAST_FFT_SIZE = 8192
 SLOW_SAMPLE_RATE = 500e3
 SLOW_FFT_SIZE = 5000
-_TONE_TILE = 32  # rows per modulator tile: 98 kB of tone tables per worker at fft_size 8192
+_TONE_TILE = 32  # rows per modulator tile: 98 kB of tone tables per thread at fft_size 8192
 
 
 @dataclass(frozen=True)
@@ -208,7 +207,7 @@ def _tone_steps(n: int):
     and m p for p < q, as floats."""
     m, q = _tone_split(n)
     fine, coarse = np.arange(m, dtype=np.float64), np.arange(0, n, m, dtype=np.float64)
-    fine.flags.writeable = coarse.flags.writeable = False  # shared by every call and worker
+    fine.flags.writeable = coarse.flags.writeable = False  # shared by every call and thread
     return m, q, fine, coarse
 
 
@@ -248,22 +247,20 @@ def modulate(
     m, q, fine_steps, coarse_steps = _tone_steps(n)
     cycles = freqs / cfg.sample_rate
 
-    def rows(r0: int, r1: int, tables) -> None:
-        for t in range(r0, r1, _TONE_TILE):
-            u = min(t + _TONE_TILE, r1)
-            both, f, c = tables[: u - t], tables[: u - t, :m], tables[: u - t, m:]
-            np.multiply(cycles[t:u, None], fine_steps, out=f.imag)
-            turns = np.multiply(cycles[t:u, None], coarse_steps, out=c.imag)
-            # turns - floor(turns) is fmod(turns, 1) for turns >= 0, both exact,
-            # in 1/30 of the time.
-            np.subtract(turns, np.floor(turns, out=c.real), out=c.imag)
-            np.multiply(both.imag, 2 * np.pi, out=both.imag)
-            np.add(c.imag, phases0[t:u, None], out=c.imag)
-            np.cos(both.imag, out=both.real)
-            np.sin(both.imag, out=both.imag)
-            np.multiply(c[:, :, None], f[:, None, :], out=out[t:u].reshape(u - t, q, m))
-
-    split_rows(rows, n_rows, ((_TONE_TILE, m + q), np.complex128))
+    tables = scratch("modulate", (_TONE_TILE, m + q), np.complex128)
+    for t in range(0, n_rows, _TONE_TILE):
+        u = min(t + _TONE_TILE, n_rows)
+        both, f, c = tables[: u - t], tables[: u - t, :m], tables[: u - t, m:]
+        np.multiply(cycles[t:u, None], fine_steps, out=f.imag)
+        turns = np.multiply(cycles[t:u, None], coarse_steps, out=c.imag)
+        # turns - floor(turns) is fmod(turns, 1) for turns >= 0, both exact,
+        # in 1/30 of the time.
+        np.subtract(turns, np.floor(turns, out=c.real), out=c.imag)
+        np.multiply(both.imag, 2 * np.pi, out=both.imag)
+        np.add(c.imag, phases0[t:u, None], out=c.imag)
+        np.cos(both.imag, out=both.real)
+        np.sin(both.imag, out=both.imag)
+        np.multiply(c[:, :, None], f[:, None, :], out=out[t:u].reshape(u - t, q, m))
     return out
 
 
@@ -323,7 +320,7 @@ def _half_bin_tables(n: int):
     kernel = (1.0 - 1j * (np.cos(phi) / np.sin(phi))) / n
     h = kernel[(n - 1 - np.arange(2 * n)) % n]
     c = np.exp(-1j * np.pi * np.arange(n) / n)
-    h.flags.writeable = c.flags.writeable = False  # shared by every call and worker
+    h.flags.writeable = c.flags.writeable = False  # shared by every call and thread
     if n < 4 * (_SPAN + 1):
         return h, c, None, None, None
     magnitude = 1.0 / (n * np.sin(phi))  # |K|, largest at K[0] = K[-1], least at n / 2
@@ -342,7 +339,7 @@ def _direct_tables(n: int, offsets: tuple[int, ...]):
     z = np.exp(-1j * np.pi * np.arange(2 * n) / n)
     tables = z, np.asarray(offsets), np.arange(m)[:, None], -m * np.arange(q)[:, None]
     for table in tables:
-        table.flags.writeable = False  # shared by every call and worker
+        table.flags.writeable = False  # shared by every call and thread
     return tables
 
 
@@ -388,89 +385,81 @@ def _peak_frequencies(
 ) -> np.ndarray:
     """Per-row in-band peak frequency (Hz).
 
-    The rows are split over the worker pool.  Each worker gates its rows and
-    takes those that pass through the direct tier: in place as one batch
-    where they are consecutive, else gathered a tile at a time.  It then
-    transforms the rows left a tile at a time into its own buffer.
-    band_noise, if given, is a ``channel.BandNoise`` (see the module
-    docstring).
+    The call gates its rows and takes those that pass through the direct
+    tier: in place as one batch where they are consecutive, else gathered a
+    tile at a time.  It then transforms the rows left a tile at a time into
+    the thread's buffer.  band_noise, if given, is a ``channel.BandNoise``
+    (see the module docstring).
     """
     blocks = np.ascontiguousarray(blocks)  # the direct tier views each row as (q, m)
     n_rows, n = blocks.shape
     setup = _receiver(cfg, interpolate)
     k_lo, k_hi, lo, hi, _, _, tile, row, _, _ = setup
-    freqs = np.empty(n_rows)
     inband, width = slice(k_lo - lo, k_hi - lo + 1), hi - lo + 1
-    # Each worker's scratch, in complex elements: the FFT tile's buffer, which
+    # The thread's scratch, in complex elements: the FFT tile's buffer, which
     # also takes gathered rows, the direct bins' scratch, the band's powers
     # and squares, and the completion's draws outside the window.
     body = tile * (n + row)
     bands = body + tile * width
     n_rest = 0 if band_noise is None else max(k_hi - k_lo + 1 - band_noise.window.shape[1], 0)
-
-    def rows(r0: int, r1: int, space) -> None:
-        draw = None if band_noise is None else band_noise.cursor()
-        buf = space[: tile * n].reshape(tile, n)
-        # k: each row's peak bin (of the padded grid where interpolating), and
-        # triple the powers of bins k - 1, k, k + 1.
-        k = np.zeros(r1 - r0, dtype=np.int64)
-        triple = np.zeros((r1 - r0, 3)) if interpolate else None
-        done = _gate(blocks[r0:r1], setup, interpolate, band_noise, r0)
-        cand = done.nonzero()[0]
-        if cand.size:
-            # Consecutive rows are one batch, read in place; others are
-            # gathered into buf a tile at a time.
-            step = cand.size if cand[-1] - cand[0] == cand.size - 1 else tile
-            for i in range(0, cand.size, step):
-                which = cand[i : i + step]
-                ok, peak, near = _direct_peaks(
-                    _rows_of(blocks, r0 + which, buf), setup, band_noise, r0 + which,
-                    space[tile * n : body],
-                )
-                decided = which[ok]
-                k[decided] = peak
-                if interpolate:
-                    triple[decided] = near
-                done[which[~ok]] = False
-        # The FFT path, on the rows the direct tier left.
-        left = (~done).nonzero()[0]
-        if left.size:
-            powers, squares = space[body:bands].view(np.float64).reshape(2, tile, width)
-            rest = space[bands : bands + n_rest]
-        for i in range(0, left.size, tile):
-            rel = left[i : i + tile]
-            which, m = r0 + rel, rel.size
-            spectrum = np.fft.fft(_rows_of(blocks, which, buf), axis=1, out=buf[:m])
-            power, imag2 = powers[:m], squares[:m]
-            # Squared magnitude, computed only around the search band: cheaper
-            # than abs over the full spectrum, and the parabola vertex on
-            # log-power equals the vertex on log-magnitude (the logs differ by 2x).
-            seg = spectrum[:, lo : hi + 1]
-            np.square(seg.real, out=power)
-            np.square(seg.imag, out=imag2)
-            power += imag2
-            j = power[:, inband].argmax(axis=1)  # the in-band N-point peak
+    space = scratch("receiver", (bands + n_rest,), np.complex128)
+    draw = None if band_noise is None else band_noise.cursor()
+    buf = space[: tile * n].reshape(tile, n)
+    # k: each row's peak bin (of the padded grid where interpolating), and
+    # triple the powers of bins k - 1, k, k + 1.
+    k = np.zeros(n_rows, dtype=np.int64)
+    triple = np.zeros((n_rows, 3)) if interpolate else None
+    done = _gate(blocks, setup, interpolate, band_noise)
+    cand = done.nonzero()[0]
+    if cand.size:
+        # Consecutive rows are one batch, read in place; others are
+        # gathered into buf a tile at a time.
+        step = cand.size if cand[-1] - cand[0] == cand.size - 1 else tile
+        for i in range(0, cand.size, step):
+            which = cand[i : i + step]
+            ok, peak, near = _direct_peaks(
+                _rows_of(blocks, which, buf), setup, band_noise, which, space[tile * n : body]
+            )
+            decided = which[ok]
+            k[decided] = peak
             if interpolate:
-                energy = np.vecdot(spectrum, spectrum).real  # sum |E|^2 = N |x|^2
-                k[rel], triple[rel] = _interpolated_peaks(
-                    spectrum, power, energy, setup, blocks, which, j + k_lo
-                )
-                continue
-            if draw is not None:
-                j = _noisy_peaks(
-                    seg[:, inband], power[:, inband], j, imag2[:, inband], band_noise, which, draw,
-                    rest,
-                )
-            elif not power[np.arange(m), j + k_lo - lo].all():
-                raise DemodError("no spectral peak in band (all-zero block?)")
-            k[rel] = j + k_lo
+                triple[decided] = near
+            done[which[~ok]] = False
+    # The FFT path, on the rows the direct tier left.
+    left = (~done).nonzero()[0]
+    if left.size:
+        powers, squares = space[body:bands].view(np.float64).reshape(2, tile, width)
+        rest = space[bands : bands + n_rest]
+    for i in range(0, left.size, tile):
+        which = left[i : i + tile]
+        m = which.size
+        spectrum = np.fft.fft(_rows_of(blocks, which, buf), axis=1, out=buf[:m])
+        power, imag2 = powers[:m], squares[:m]
+        # Squared magnitude, computed only around the search band: cheaper
+        # than abs over the full spectrum, and the parabola vertex on
+        # log-power equals the vertex on log-magnitude (the logs differ by 2x).
+        seg = spectrum[:, lo : hi + 1]
+        np.square(seg.real, out=power)
+        np.square(seg.imag, out=imag2)
+        power += imag2
+        j = power[:, inband].argmax(axis=1)  # the in-band N-point peak
         if interpolate:
-            freqs[r0:r1] = _parabola(k, triple, cfg, n)
-        else:
-            freqs[r0:r1] = k * cfg.sample_rate / n
-
-    split_rows(rows, n_rows, ((bands + n_rest,), np.complex128))
-    return freqs
+            energy = np.vecdot(spectrum, spectrum).real  # sum |E|^2 = N |x|^2
+            k[which], triple[which] = _interpolated_peaks(
+                spectrum, power, energy, setup, blocks, which, j + k_lo
+            )
+            continue
+        if draw is not None:
+            j = _noisy_peaks(
+                seg[:, inband], power[:, inband], j, imag2[:, inband], band_noise, which, draw,
+                rest,
+            )
+        elif not power[np.arange(m), j + k_lo - lo].all():
+            raise DemodError("no spectral peak in band (all-zero block?)")
+        k[which] = j + k_lo
+    if interpolate:
+        return _parabola(k, triple, cfg, n)
+    return k * cfg.sample_rate / n
 
 
 def _rows_of(blocks, which, buf):
@@ -481,9 +470,8 @@ def _rows_of(blocks, which, buf):
     return blocks.take(which, axis=0, out=buf[: which.size], mode="clip")
 
 
-def _gate(x, setup: _Receiver, interpolate, band_noise, first_row):
-    """Which rows of x, rows first_row.. of the call, the direct tier tries
-    (module docstring)."""
+def _gate(x, setup: _Receiver, interpolate, band_noise):
+    """Which rows of x the direct tier tries (module docstring)."""
     m, n = x.shape
     n_bins = setup.k_hi - setup.k_lo + 1
     # The raw receiver's three bins lie in the band, or with band noise in
@@ -498,7 +486,7 @@ def _gate(x, setup: _Receiver, interpolate, band_noise, first_row):
         # where it would with a margin of a half-bin tone's peak, 2/pi
         # sqrt(N |x|^2), plus the largest noise bin.  A clean tone's modulus
         # is constant past the edge, so one sample gives |x|^2 / N.
-        window = band_noise.window[first_row : first_row + m, :width]
+        window = band_noise.window[:, :width]
         margin = 2 / np.pi * n * np.abs(x[:, _SKIP]) + np.abs(window).max(axis=1)
         with np.errstate(over="ignore"):
             bound = (n_bins - width) * np.exp(-0.5 * np.square(margin / band_noise.deviation))
@@ -656,7 +644,7 @@ def _interpolated_peaks(spectrum, power, energy, setup: _Receiver, blocks, which
     """The padded peak k of rows which of blocks and the powers of bins
     k - 1, k, k + 1, which the parabola reads (module docstring).
 
-    spectrum holds the rows' N-point FFTs E, in the worker's buffer, power
+    spectrum holds the rows' N-point FFTs E, in the thread's buffer, power
     |E|^2 over the grid's bins lo..hi, energy their N |x|^2, and j each
     row's in-band peak of E.  The fallback overwrites spectrum.
     """
@@ -733,13 +721,13 @@ def _odd_band_peaks(blocks, which, fall, power, setup: _Receiver, c, x):
     return k, triple
 
 
-def _noisy_peaks(band, power, j, scratch, band_noise, which, draw, rest) -> np.ndarray:
+def _noisy_peaks(band, power, j, spare, band_noise, which, draw, rest) -> np.ndarray:
     """In-band index of each row's peak once band_noise is added to in-band
     bins band of rows which of the call, whose squared magnitudes are power
     and whose noiseless peaks are j (module docstring).
 
-    draw is the range's cursor of band_noise.  power, and band on the rows
-    that complete, are overwritten; scratch (power's shape) and rest are
+    draw is the call's cursor of band_noise.  power, and band on the rows
+    that complete, are overwritten; spare (power's shape) and rest are
     scratch.
     """
     (m, n_bins), full_width = band.shape, band_noise.window.shape[1]
@@ -764,7 +752,7 @@ def _noisy_peaks(band, power, j, scratch, band_noise, which, draw, rest) -> np.n
         row[:s] += rest[:s]
         row[s + width :] += rest[s:]
         np.square(row.real, out=p)
-        p += np.square(row.imag, out=scratch[r])
+        p += np.square(row.imag, out=spare[r])
         k[r] = p.argmax()
     return k
 

@@ -1,22 +1,20 @@
-"""The row split shared by the modulator, the channel and the receiver.
+"""The transmit's one row split, and each thread's scratch.
 
-Each works on an array of blocks, one block per row, and computes each row
-on its own.  ``split_rows`` cuts the rows into one contiguous range per
-usable CPU and runs the ranges on one module-level thread pool; numpy's
-generator fills, ufunc loops and ``numpy.fft`` release the GIL, while Python
-work such as seating a keyed generator (``channel.KeyedBlocks``) holds it.
-Objects with state, such as a generator, are made per range or per thread
-inside fn and never shared between threads.
+``harness._transmit`` is the only caller of ``split_rows``: it cuts a run's
+blocks into one contiguous range per usable CPU and runs the ranges on one
+module-level thread pool, and each range takes its blocks through the
+modulator, the channel and the receiver one tile of rows at a time.  Those
+layers are serial kernels: each call computes its rows on the calling
+thread and never dispatches to the pool.  numpy's generator fills, ufunc
+loops and ``numpy.fft`` release the GIL, while Python work such as seating a
+keyed generator (``channel.KeyedBlocks``) holds it.  Objects with state,
+such as a generator, are made per call or per thread and never shared
+between threads.
 
-``harness._transmit`` makes one split per run, and each of its ranges calls
-the modulator, the channel and the receiver once per tile of rows.  Four
-rules make that nesting work:
-- No nested dispatch.  A ``split_rows`` called while this thread runs a
-  range, in the pool or inline, runs its rows inline as one range: two pool
-  threads waiting on their own pool would deadlock.
-- Scratch per thread, not per call.  Each (shape, dtype) pair in scratch is
-  a slot of fn, and each thread keeps one buffer per slot, grown to the
-  largest request it has seen and reused after that.  A layer called once
+Three rules make a layer called once per tile cheap and thread-safe:
+- Scratch per thread, not per call.  A layer takes its buffers from
+  ``scratch``, one per (thread, slot), grown to the largest request the
+  thread has made for the slot and reused after that.  A layer called once
   per tile therefore allocates its scratch on its first tile only; a fresh
   array per tile would pay its page faults every time.
 - Set-up per config or range, not per call.  What a layer derives from its
@@ -25,11 +23,12 @@ rules make that nesting work:
   worker range (``channel.block_range``), and each call pays for its rows
   only: at one call per 32-block tile, a receiver's set-up and small numpy
   calls were a tenth of a noiseless run.
-- Only the layers' own functions on the pool.  A caller that cannot know
-  whether fn's callees are thread-safe (a stage replaced from outside, such
-  as a timing wrapper that keeps one call stack) passes inline: the rows
-  then run as one range on the calling thread, and so does every split
-  nested in it.
+- Only the layers' own functions on the pool.  A stage replaced from
+  outside, such as a timing wrapper that keeps one call stack for every
+  thread, may not be thread-safe, so ``_transmit`` then passes inline and
+  its rows run as one range on the calling thread.  linkbench's tracer is
+  such a wrapper; a span stack per thread is a change to linkbench, not
+  here.
 
 A worker's GIL-releasing calls should each cover a tile of rows, not a row.
 Each call releases and retakes the GIL, and short calls from two threads
@@ -61,14 +60,17 @@ def _usable_cpus() -> int:
 # first use.
 _WORKERS = _usable_cpus()
 _POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="ajscclink-rows")
-# Per thread: inside, whether the thread is running a range, and scratch,
-# its buffer per slot.
+# Per thread: buffers, its scratch array per slot.
 _THREAD = threading.local()
 
 
-def _scratch(slot, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """This thread's array of the given shape for a scratch slot."""
-    buffers = _THREAD.__dict__.setdefault("scratch", {})
+def scratch(slot, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """This thread's array of the given shape for a scratch slot.
+
+    slot is any hashable name of a buffer.  The array's contents are
+    whatever the thread's last use of the slot left there.
+    """
+    buffers = _THREAD.__dict__.setdefault("buffers", {})
     size = math.prod(shape)
     buf = buffers.get(slot)
     if buf is None or buf.dtype != dtype or buf.size < size:
@@ -76,32 +78,18 @@ def _scratch(slot, shape: tuple[int, ...], dtype) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def split_rows(
-    fn, n_rows: int, *scratch: tuple[tuple[int, ...], type], inline: bool = False
-) -> None:
-    """Call fn(lo, hi, *bufs) once per contiguous range [lo, hi) of rows.
+def split_rows(fn, n_rows: int, inline: bool = False) -> None:
+    """Call fn(lo, hi) once per contiguous range [lo, hi) of rows.
 
-    The ranges cover 0..n_rows in order.  scratch holds (shape, dtype)
-    pairs; each call gets an array of each, its thread's own.  One range
-    (always the case for fewer than two rows, inside another range, or with
-    inline) runs on the calling thread, more run on the pool, and the first
-    exception a range raises propagates.
+    The ranges cover 0..n_rows in order.  One range (always the case for
+    fewer than two rows, or with inline) runs on the calling thread, more
+    run on the pool, and the first exception a range raises propagates.
+    fn must not call split_rows: pool threads waiting on their own pool
+    would deadlock.
     """
-    nested = getattr(_THREAD, "inside", False)
-    parts = 1 if nested or inline else max(1, min(_WORKERS, n_rows))
-    bounds = [n_rows * i // parts for i in range(parts + 1)]
-    code = getattr(fn, "__code__", fn)
-
-    def run(lo: int, hi: int) -> None:
-        bufs = [_scratch((code, i), shape, dtype) for i, (shape, dtype) in enumerate(scratch)]
-        outer = getattr(_THREAD, "inside", False)
-        _THREAD.inside = True
-        try:
-            fn(lo, hi, *bufs)
-        finally:
-            _THREAD.inside = outer
-
+    parts = 1 if inline else max(1, min(_WORKERS, n_rows))
     if parts == 1:
-        run(0, n_rows)
-    else:
-        list(_POOL.map(run, bounds[:-1], bounds[1:]))
+        fn(0, n_rows)
+        return
+    bounds = [n_rows * i // parts for i in range(parts + 1)]
+    list(_POOL.map(fn, bounds[:-1], bounds[1:]))

@@ -327,14 +327,20 @@ class TestKeyedStreams:
     @staticmethod
     def chunked(spec, x, sizes):
         """One channel over a copy of x in chunks of the given sizes, each
-        written over itself and given the input samples before it."""
+        written over itself and given the input samples before it.  As the
+        transmit does, the chunks are split into ranges over the pool, and
+        each range calls process on its chunks in turn."""
         ch = make_channel(spec, 8.192e6, x.shape[1])
         got = x.copy()
         bounds = np.cumsum([0, *sizes])
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            chunk = got[lo:hi]
-            before = x[lo - 1, x.shape[1] - ch.memory :] if lo else None
-            assert ch.process(chunk, lo, before) is chunk
+
+        def chunks(first, last):
+            for lo, hi in zip(bounds[first:last], bounds[first + 1 : last + 1]):
+                chunk = got[lo:hi]
+                before = x[lo - 1, x.shape[1] - ch.memory :] if lo else None
+                assert ch.process(chunk, lo, before) is chunk
+
+        pool.split_rows(chunks, len(sizes))
         return got
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -350,21 +356,21 @@ class TestKeyedStreams:
             assert out.tobytes() == outs[0].tobytes()
 
     def test_more_ranges_than_cores_under_fast_switching(self, monkeypatch):
-        # Workers write disjoint row ranges of one output array; split into
-        # many more ranges than pool threads, with the interpreter switching
-        # threads every few microseconds, the bytes must still match.
+        # Pool ranges call one channel on disjoint chunks of one array, each
+        # on its thread's scratch line; split into many more ranges than pool
+        # threads, with the interpreter switching threads every few
+        # microseconds, the bytes must still match one call on all blocks.
         x = unit_blocks(64, 512, seed=2)
         spec = ChannelSpec("jtc_outdoor_low_a", csnr_db=3.0, seed=6)
-        monkeypatch.setattr(pool, "_WORKERS", 1)
-        want = self.chunked(spec, x, [64])
+        want = channel_out(spec, x, sample_rate=8.192e6).tobytes()
         monkeypatch.setattr(pool, "_WORKERS", 16)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            got = self.chunked(spec, x, [64])
+            got = self.chunked(spec, x, [3, 5] * 8)
         finally:
             sys.setswitchinterval(interval)
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == want
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_modulated_chunking_within_bound(self, family):
@@ -380,15 +386,14 @@ class TestKeyedStreams:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_in_place_matches_fresh_output(self, family, monkeypatch):
-        # Each chunk is written over its own input, split into more ranges
-        # than cores under fast thread switching, and must give the bytes of
-        # one call on one worker.  A row's delays reach back into the row
-        # before it, so that tail and the carry must be read before any row
-        # is overwritten.
+        # Each chunk is written over its own input, its calls spread over
+        # more ranges than cores under fast thread switching, and must give
+        # the bytes of one call on all blocks.  A row's delays reach back
+        # into the row before it, so that tail and the carry must be read
+        # before any row is overwritten.
         cfg = fast_profile()
         x = modulate(np.random.default_rng(4).uniform(0.0, 2.0, 60), 2.0, cfg)
         spec = ChannelSpec(family, csnr_db=3.0, seed=12)
-        monkeypatch.setattr(pool, "_WORKERS", 1)
         want = make_channel(spec, cfg.sample_rate, cfg.fft_size).process(x.copy()).tobytes()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -520,13 +525,13 @@ def reference_delay_line(spec, sample_rate, x):
 
 
 class TestTiledDelayLine:
-    """``process`` walks each range in tiles of rows; it must give the per-row
-    reference line's bytes for any chunking and worker count, each chunk
-    written over itself."""
+    """``process`` walks its rows in tiles; it must give the per-row
+    reference line's bytes for any chunking, each chunk written over
+    itself."""
 
     @pytest.mark.parametrize("csnr_db", [3.0, np.inf])
     @pytest.mark.parametrize("family", channel.FAMILIES)
-    def test_matches_the_per_row_line(self, family, csnr_db, monkeypatch):
+    def test_matches_the_per_row_line(self, family, csnr_db):
         cfg = fast_profile()
         n = cfg.fft_size
         x = modulate(np.random.default_rng(9).uniform(0.0, 2.0, 61), 2.0, cfg)
@@ -535,21 +540,14 @@ class TestTiledDelayLine:
         c = make_channel(spec, cfg.sample_rate, n).memory
         tile = channel._LINE_BYTES // (16 * (3 * n + c))
         assert 1 < tile < 60
-        interval = sys.getswitchinterval()
-        try:
-            for workers in (1, 2, 16):
-                monkeypatch.setattr(pool, "_WORKERS", workers)
-                sys.setswitchinterval(1e-5 if workers == 16 else interval)
-                for size in (1, tile - 1, tile, tile + 1, 61):
-                    ch = make_channel(spec, cfg.sample_rate, n)
-                    got = x.copy()
-                    for lo in range(0, 61, size):
-                        chunk = got[lo : lo + size]
-                        before = x[lo - 1, n - c :] if lo else None
-                        assert ch.process(chunk, lo, before) is chunk
-                    assert got.tobytes() == want, (workers, size)
-        finally:
-            sys.setswitchinterval(interval)
+        for size in (1, tile - 1, tile, tile + 1, 61):
+            ch = make_channel(spec, cfg.sample_rate, n)
+            got = x.copy()
+            for lo in range(0, 61, size):
+                chunk = got[lo : lo + size]
+                before = x[lo - 1, n - c :] if lo else None
+                assert ch.process(chunk, lo, before) is chunk
+            assert got.tobytes() == want, size
 
     @pytest.mark.parametrize("family", channel.FAMILIES)
     def test_block_range_builds_one_set_up(self, family, monkeypatch):
@@ -747,15 +745,15 @@ class TestKeyedBlocks:
         # Sixteen row ranges on the pool, the interpreter switching threads
         # every few microseconds: each range's generators must be its own, so
         # every block draws the bytes of its own SeedSequence, on the noise,
-        # fade and completion streams.  Each range reads the band noise's
-        # window row and draws the completion row by row, as the receiver
-        # does; the completion rows are longer than a block, so that a shared
-        # generator is caught there too.  The windows come from their own
-        # Philox per block.
+        # fade and completion streams.  Each range calls process on its
+        # blocks of an AWGN and a flat Rayleigh channel, reads the band
+        # noise's window row and draws the completion row by row, as the
+        # receiver does; the completion rows are longer than a block, so that
+        # a shared generator is caught there too.  The windows come from
+        # their own Philox per block.
         n_blocks, n, n_bins, seed = 64, 256, 4096, 13
         monkeypatch.setattr(pool, "_WORKERS", 16)
         spec = ChannelSpec("awgn", csnr_db=0.0, seed=seed)
-        zeros = np.zeros((n_blocks, n), dtype=np.complex128)
         scale = np.sqrt(0.5)
         noise_want = np.empty((n_blocks, n), dtype=np.complex128)
         fade_want = np.empty(n_blocks, dtype=np.complex128)
@@ -769,9 +767,14 @@ class TestKeyedBlocks:
         noise_want *= scale
         band_want *= np.sqrt(n) * scale
         band_got, window_got = np.empty_like(band_want), np.empty_like(window_want)
+        noise_got, fade_got = np.zeros_like(noise_want), np.ones((n_blocks, 1), dtype=np.complex128)
         noise = BandNoise(spec, n, 7, n_blocks)
+        awgn = make_channel(spec, 1.0, n)
+        flat = make_channel(ChannelSpec("flat_rayleigh", seed=seed), 1.0, 1)
 
         def band_rows(lo, hi):
+            awgn.process(noise_got[lo:hi], 7 + lo)
+            flat.process(fade_got[lo:hi], 7 + lo)
             draw = noise.cursor()
             for r in range(lo, hi):
                 window_got[r] = noise.window[r]
@@ -780,14 +783,10 @@ class TestKeyedBlocks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            noise_got = make_channel(spec, 1.0, n).process(zeros, start_block=7)
-            flat = ChannelSpec("flat_rayleigh", seed=seed)
-            ones = np.ones((n_blocks, 1), dtype=np.complex128)
-            fade_got = make_channel(flat, 1.0, 1).process(ones, 7)[:, 0]
             pool.split_rows(band_rows, n_blocks)
         finally:
             sys.setswitchinterval(interval)
         assert noise_got.tobytes() == noise_want.tobytes()
-        assert fade_got.tobytes() == (fade_want / np.sqrt(2.0)).tobytes()
+        assert fade_got[:, 0].tobytes() == (fade_want / np.sqrt(2.0)).tobytes()
         assert band_got.tobytes() == band_want.tobytes()
         assert window_got.tobytes() == window_want.tobytes()

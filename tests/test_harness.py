@@ -132,7 +132,8 @@ class TestRunLink:
 
     @pytest.mark.parametrize("family", channel.FAMILIES)
     def test_report_independent_of_channel_workers(self, family, monkeypatch):
-        # The worker count splits both the channel's and the receiver's rows.
+        # The worker count splits the transmit's blocks into ranges, each
+        # through the channel and the receiver on its own thread.
         # The raw receiver's band noise is drawn by generators of each worker
         # range, and must not depend on the split: at -10 dB the window
         # decides most blocks, at -25 dB most complete their band, and at both
@@ -656,6 +657,18 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        # A config file that is missing or a directory, and an --out that
+        # names a file, or lies under one, each name their path.
+        out = tmp_path / "out"
+        for path in (tmp_path / "absent.json", tmp_path, bad / "run.json"):
+            capsys.readouterr()
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+            assert str(path) in capsys.readouterr().err
+        for path in (bad, bad / "out"):
+            capsys.readouterr()
+            assert main(["simulate", "--out", str(path)]) == 2
+            assert str(path) in capsys.readouterr().err
+        assert not (out / "run_report.json").exists()
 
     def test_runtime_error_exit_code(self, tmp_path, monkeypatch):
         import ajscclink.cli as cli_mod
@@ -727,6 +740,11 @@ class TestCli:
             {"x1_max": True},
             {"cytometry": {"pulse_rate": True}},
             {"channel_family": "jtc_indoor_a", "doppler_hz": False},
+            # Paths that are no path: open(True) and open(5) would take file
+            # descriptors 1 and 5, and np.loadtxt(["a"]) reads data lines.
+            {"tap_profile_path": True},
+            {"tap_profile_path": 5},
+            {"gsr_path": ["a"]},
         ],
     )
     def test_bad_config_file_is_config_error(self, fields, tmp_path, monkeypatch):

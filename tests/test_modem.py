@@ -253,32 +253,28 @@ def exact_tones(encoded, cfg, start_phases):
 class TestModulateRowSplit:
     @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
     @pytest.mark.parametrize("n_rows", [1, 7, 300, 512])
-    def test_matches_whole_array_modulator(self, profile, n_rows, monkeypatch):
-        # Rows built in tiles on the pool must give the bytes of the tone
-        # rule over the whole chunk, for any worker count, with or without out=.
+    def test_matches_whole_array_modulator(self, profile, n_rows):
+        # Rows built in tiles must give the bytes of the tone rule over the
+        # whole chunk, with or without out=.
         cfg = profile()
         encoded = np.random.default_rng(n_rows).uniform(0, FULL_SCALE, n_rows)
         out = np.full((n_rows, cfg.fft_size), np.nan, dtype=np.complex128)
         for start_phase in (0.0, 2.5):
             want = whole_array_modulate(encoded, cfg, start_phase).tobytes()
-            for workers in (1, 2):
-                monkeypatch.setattr(pool, "_WORKERS", workers)
-                got = modulate(encoded, FULL_SCALE, cfg, start_phase=start_phase)
-                assert got.tobytes() == want
-                got = modulate(encoded, FULL_SCALE, cfg, start_phase=start_phase, out=out)
-                assert got is out
-                assert out.tobytes() == want
-                out[:] = np.nan
+            got = modulate(encoded, FULL_SCALE, cfg, start_phase=start_phase)
+            assert got.tobytes() == want
+            got = modulate(encoded, FULL_SCALE, cfg, start_phase=start_phase, out=out)
+            assert got is out
+            assert out.tobytes() == want
+            out[:] = np.nan
 
     @pytest.mark.parametrize("fft_size", [2, 61])
-    def test_prime_and_two_sample_blocks(self, fft_size, monkeypatch):
+    def test_prime_and_two_sample_blocks(self, fft_size):
         # A prime fft_size has m = fft_size and q = 1; fft_size = 2 has m = 2.
         cfg = ModemConfig(f_min=0.0, f_max=4e3, sample_rate=1e4, fft_size=fft_size)
         encoded = np.random.default_rng(fft_size).uniform(0, FULL_SCALE, 45)
         want = whole_array_modulate(encoded, cfg, 1.0)
-        for workers in (1, 2):
-            monkeypatch.setattr(pool, "_WORKERS", workers)
-            assert modulate(encoded, FULL_SCALE, cfg, start_phase=1.0).tobytes() == want.tobytes()
+        assert modulate(encoded, FULL_SCALE, cfg, start_phase=1.0).tobytes() == want.tobytes()
         phases = block_start_phases(voltage_to_frequency(encoded, FULL_SCALE, cfg), cfg, 1.0)
         cos, sin = exact_tones(encoded, cfg, phases)
         assert np.hypot(want.real - cos, want.imag - sin).max() <= 1e-13
@@ -599,11 +595,11 @@ def count_fallback_rows(monkeypatch):
 class TestRowSplit:
     @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
     @pytest.mark.parametrize("n_rows", [1, 7, 31, 300, 512])
-    def test_matches_whole_array_receiver(self, profile, n_rows, monkeypatch):
-        # Tiles of each worker's rows, through the direct tier or transformed
-        # into its buffer, must give the bytes of the same rule over all rows
-        # at once, for any worker count; the larger chunks take all four of
-        # the interpolating receiver's paths.
+    def test_matches_whole_array_receiver(self, profile, n_rows):
+        # Tiles of a call's rows, through the direct tier or transformed into
+        # the thread's buffer, must give the bytes of the same rule over all
+        # rows at once; the larger chunks take all four of the interpolating
+        # receiver's paths.
         cfg = profile()
         blocks = mixed_blocks(cfg, n_rows, seed=n_rows)
         for interpolate in (True, False):
@@ -612,27 +608,75 @@ class TestRowSplit:
             want = np.asarray(frequency_to_voltage(want, FULL_SCALE, cfg))
             if interpolate and n_rows >= 31:
                 assert set(detail["tier"]) == {0, 1, 2, 3}
-            for workers in (1, 2, 16):
-                monkeypatch.setattr(pool, "_WORKERS", workers)
-                got = demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=interpolate)
-                assert got.tobytes() == want.tobytes()
+            got = demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=interpolate)
+            assert got.tobytes() == want.tobytes()
 
     def test_more_ranges_than_cores_under_fast_switching(self, monkeypatch):
-        # Workers write disjoint row ranges of one result array; split into
-        # many more ranges than pool threads, with the interpreter switching
-        # threads every few microseconds, the bytes must still match.
+        # As the transmit does, each pool range calls the receiver once per
+        # tile of its rows, on its thread's scratch, and writes a disjoint
+        # part of one result array.  Split into many more ranges than pool
+        # threads, with the interpreter switching threads every few
+        # microseconds, every receiver must give the bytes of one call on all
+        # rows: at -20 dB some raw rows complete their band and some do not.
         cfg = slow_profile()
-        blocks = mixed_blocks(cfg, 300, seed=4)
-        want = whole_array_peak_frequencies(blocks, cfg, True)
-        want = np.asarray(frequency_to_voltage(want, FULL_SCALE, cfg))
+        n_rows, tile = 300, 7
+        blocks = mixed_blocks(cfg, n_rows, seed=4)
+        spec = ChannelSpec("awgn", csnr_db=-20.0, seed=9)
         monkeypatch.setattr(pool, "_WORKERS", 16)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            got = demodulate_stream(blocks, FULL_SCALE, cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        assert got.tobytes() == want.tobytes()
+        for interpolate, noisy in ((True, False), (False, False), (False, True)):
+            noise = BandNoise(spec, cfg.fft_size, 0, n_rows) if noisy else None
+            want = demodulate_stream(blocks, FULL_SCALE, cfg, interpolate, band_noise=noise)
+            got = np.full(n_rows, np.nan)
+
+            def rows(lo, hi):
+                for t in range(lo, hi, tile):
+                    u = min(t + tile, hi)
+                    part = None if noise is None else noise.rows(t, u)
+                    got[t:u] = demodulate_stream(
+                        blocks[t:u], FULL_SCALE, cfg, interpolate, band_noise=part
+                    )
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                pool.split_rows(rows, n_rows)
+            finally:
+                sys.setswitchinterval(interval)
+            assert got.tobytes() == want.tobytes(), (interpolate, noisy)
+
+    def test_layers_do_not_dispatch(self, monkeypatch):
+        # The modulator, every channel's process and both receivers are
+        # serial kernels, and only the transmit splits rows over the pool:
+        # with 16 workers and a pool that fails when used, direct calls give
+        # the bytes they give on one worker.
+        cfg = fast_profile()
+        encoded = np.random.default_rng(5).uniform(0, FULL_SCALE, 40)
+        blocks = mixed_blocks(cfg, 40, seed=5)
+        noise = ChannelSpec("awgn", csnr_db=-21.0, seed=5)
+
+        def layers():
+            x = modulate(encoded, FULL_SCALE, cfg)
+            out = [x.tobytes()]
+            for family in FAMILIES:
+                spec = ChannelSpec(family, csnr_db=3.0, seed=5)
+                ch = make_channel(spec, cfg.sample_rate, cfg.fft_size)
+                out.append(ch.process(x.copy()).tobytes())
+            out.append(demodulate_stream(blocks, FULL_SCALE, cfg).tobytes())
+            band_noise = BandNoise(noise, cfg.fft_size, 0, 40)
+            out.append(
+                demodulate_stream(blocks, FULL_SCALE, cfg, False, band_noise=band_noise).tobytes()
+            )
+            return out
+
+        class NoPool:
+            def __getattr__(self, name):
+                raise AssertionError(f"a layer used the pool's {name}")
+
+        monkeypatch.setattr(pool, "_WORKERS", 1)
+        want = layers()
+        monkeypatch.setattr(pool, "_WORKERS", 16)
+        monkeypatch.setattr(pool, "_POOL", NoPool())
+        assert layers() == want
 
     @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
     def test_fallback_for_every_row_matches(self, profile, monkeypatch):
@@ -644,24 +688,20 @@ class TestRowSplit:
         detail = {}
         want = whole_array_peak_frequencies(blocks, cfg, True, detail)
         assert set(detail["tier"]) == {2}
-        for workers in (1, 2):
-            monkeypatch.setattr(pool, "_WORKERS", workers)
-            taken = count_fallback_rows(monkeypatch)
-            got = modem._peak_frequencies(blocks, cfg, True)
-            assert got.tobytes() == want.tobytes()
-            assert sum(taken) == 40
+        taken = count_fallback_rows(monkeypatch)
+        got = modem._peak_frequencies(blocks, cfg, True)
+        assert got.tobytes() == want.tobytes()
+        assert sum(taken) == 40
 
     @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_spectra_are_scipy_fft_bytes(self, profile, workers, monkeypatch):
+    def test_spectra_are_scipy_fft_bytes(self, profile, monkeypatch):
         # Each numpy.fft call of the receiver, the tiles' N-point spectra
-        # written out of place into the worker's buffer and the fallback's
+        # written out of place into the thread's buffer and the fallback's
         # x c transformed in place, must hold scipy.fft.fft's bytes for its
         # rows.  With _ETA = 2 every row takes the fallback.
         cfg = profile()
         blocks = mixed_blocks(cfg, 40, seed=21)
         monkeypatch.setattr(modem, "_ETA", 2.0)
-        monkeypatch.setattr(pool, "_WORKERS", workers)
         calls, fft = [], np.fft.fft
 
         def recorded(a, *args, out=None, **kwargs):
@@ -789,10 +829,10 @@ class TestRowSplit:
     @pytest.mark.parametrize("profile, n_bins", [(fast_profile, 3501), (slow_profile, 2001)])
     def test_band_noise_matches_whole_array_receiver(self, profile, n_bins, monkeypatch):
         # The chunk's windows, drawn at once, and the completion, drawn row by
-        # row inside each worker's tiles, must give the bytes of the same rule
-        # over one FFT of all rows, also with more ranges than cores.  At the lower CSNR
-        # every block completes its band and the noise moves decoded values;
-        # at the higher one the window alone decides some of the blocks.
+        # row inside the receiver's tiles, must give the bytes of the same
+        # rule over one FFT of all rows.  At the lower CSNR every block
+        # completes its band and the noise moves decoded values; at the
+        # higher one the window alone decides some of the blocks.
         cfg = profile()
         n_rows = 31
         blocks = modulate(np.random.default_rng(6).uniform(0, FULL_SCALE, n_rows), FULL_SCALE, cfg)
@@ -807,14 +847,12 @@ class TestRowSplit:
                 assert np.count_nonzero(want != noiseless) > 0
             else:
                 assert 0 < np.count_nonzero(completed) < n_rows
-            for workers in (1, 2, 16):
-                monkeypatch.setattr(pool, "_WORKERS", workers)
-                sizes = []
-                noise = BandNoise(spec, cfg.fft_size, 40, n_rows)
-                monkeypatch.setattr(noise, "cursor", sized_draws(noise.cursor, sizes))
-                got = demodulate_stream(blocks, FULL_SCALE, cfg, False, band_noise=noise)
-                assert got.tobytes() == want.tobytes()
-                assert sizes == [n_bins - 9] * np.count_nonzero(completed)
+            sizes = []
+            noise = BandNoise(spec, cfg.fft_size, 40, n_rows)
+            monkeypatch.setattr(noise, "cursor", sized_draws(noise.cursor, sizes))
+            got = demodulate_stream(blocks, FULL_SCALE, cfg, False, band_noise=noise)
+            assert got.tobytes() == want.tobytes()
+            assert sizes == [n_bins - 9] * np.count_nonzero(completed)
 
     def test_band_noise_needs_the_raw_receiver(self):
         cfg = slow_profile()
@@ -832,18 +870,24 @@ class TestRowSplit:
 
     @pytest.mark.parametrize("interpolate", [True, False])
     def test_zero_block_in_second_worker_range_raises(self, interpolate, monkeypatch):
+        # A receiver call on a pool thread, as the transmit makes, raises
+        # DemodError on a zero block, and the split passes it to the caller.
         cfg = slow_profile()
         blocks = noisy_blocks(cfg, 300)
         blocks[250] = 0.0  # rows 150..299 are the second range
         monkeypatch.setattr(pool, "_WORKERS", 2)
+
+        def rows(lo, hi):
+            demodulate_stream(blocks[lo:hi], FULL_SCALE, cfg, interpolate=interpolate)
+
         with pytest.raises(DemodError):
-            demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=interpolate)
+            pool.split_rows(rows, 300)
 
 
 def record_direct(mp):
     """Patch the direct tier, through the MonkeyPatch mp, to record each
     batch it computes: its rows x, their base bins, the bins, and which rows
-    it decides with their peak bins k.  Run it on one worker."""
+    it decides with their peak bins k."""
     seen = []
     bins_of, peaks_of = modem._direct_bins, modem._direct_peaks
 
@@ -865,7 +909,6 @@ def record_direct(mp):
 def direct_share(blocks, cfg, interpolate, band_noise=None):
     """How many rows of blocks the direct tier decides."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pool, "_WORKERS", 1)
         seen = record_direct(mp)
         modem._peak_frequencies(blocks, cfg, interpolate, band_noise)
     return sum(int(batch["ok"].sum()) for batch in seen)
@@ -913,7 +956,6 @@ class TestDirectTier:
         spec = ChannelSpec(family, csnr_db=csnr_db, seed=seed)
         blocks = make_channel(spec, cfg.sample_rate, n).process(blocks, start_block=0)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pool, "_WORKERS", 1)
             seen = record_direct(mp)
             modem._peak_frequencies(blocks, cfg, interpolate)
         c = modem._half_bin_tables(n)[1]
@@ -969,7 +1011,6 @@ class TestDirectTier:
         a2 = max(odd[j - 1], even[j], odd[j])
         assert n * np.vdot(x, x).real - odd[j - 1] - odd[j] < 0.8 * a2
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pool, "_WORKERS", 1)
             seen = record_direct(mp)
             modem._peak_frequencies(x[None], cfg, True)
         (batch,) = seen
@@ -977,47 +1018,42 @@ class TestDirectTier:
         assert not batch["ok"][0]
 
     @pytest.mark.parametrize("interpolate", [True, False])
-    def test_zero_row_among_clean_rows_raises(self, interpolate, monkeypatch):
+    def test_zero_row_among_clean_rows_raises(self, interpolate):
         # The direct tier leaves a zero row to the FFT path, which raises.
         cfg = fast_profile()
         blocks = modulate(np.linspace(0.1, 0.9, 40), FULL_SCALE, cfg)
         blocks[21] = 0.0
-        for workers in (1, 2):
-            monkeypatch.setattr(pool, "_WORKERS", workers)
-            with pytest.raises(DemodError):
-                demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=interpolate)
+        with pytest.raises(DemodError):
+            demodulate_stream(blocks, FULL_SCALE, cfg, interpolate=interpolate)
 
     @settings(max_examples=12, deadline=None)
     @given(
         profile=st.sampled_from([fast_profile, slow_profile]),
         cuts=st.lists(st.integers(1, 59), max_size=6, unique=True).map(sorted),
-        workers=st.sampled_from([1, 2, 16]),
     )
-    def test_bytes_do_not_depend_on_chunking(self, profile, cuts, workers):
+    def test_bytes_do_not_depend_on_chunking(self, profile, cuts):
         # Chunks of a stream, each through its own call (and raw runs with
         # their chunk's band noise), give the bytes of one call on all rows.
         cfg = profile()
         blocks = mixed_blocks(cfg, 60, seed=17)
         spec = ChannelSpec("awgn", csnr_db=-20.0, seed=5)
         edges = [0, *cuts, 60]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pool, "_WORKERS", workers)
-            for interpolate, noisy in ((True, False), (False, False), (False, True)):
+        for interpolate, noisy in ((True, False), (False, False), (False, True)):
 
-                def run(lo, hi):
-                    noise = BandNoise(spec, cfg.fft_size, lo, hi - lo) if noisy else None
-                    return demodulate_stream(blocks[lo:hi], FULL_SCALE, cfg, interpolate, band_noise=noise)
+            def run(lo, hi):
+                noise = BandNoise(spec, cfg.fft_size, lo, hi - lo) if noisy else None
+                return demodulate_stream(blocks[lo:hi], FULL_SCALE, cfg, interpolate, band_noise=noise)
 
-                parts = [run(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-                assert np.concatenate(parts).tobytes() == run(0, 60).tobytes()
+            parts = [run(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+            assert np.concatenate(parts).tobytes() == run(0, 60).tobytes()
 
     @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
     @pytest.mark.parametrize("receiver", ["interpolating", "raw", "raw with band noise"])
     def test_bytes_do_not_depend_on_the_batch(self, profile, receiver, monkeypatch):
         # A row's bytes do not depend on the direct batch that holds it: for
         # any receiver tile (the bound of a gathered batch and of a tile of
-        # direct bins), split of the stream into calls and worker count, each
-        # row gets the bytes it gets alone.  Every row of the clean stream
+        # direct bins) and split of the stream into calls, each row gets the
+        # bytes it gets alone.  Every row of the clean stream
         # takes the direct tier, consecutive rows as one batch; in the gapped
         # one, noise keeps every fifth row out of it, so the tier gathers.
         cfg = profile()
@@ -1030,8 +1066,7 @@ class TestDirectTier:
         gapped[::5] += 3 * rng.standard_normal((13, 2 * n)).view(np.complex128)
         setup = modem._receiver
 
-        def run(blocks, rows_per_call, tile, workers):
-            monkeypatch.setattr(pool, "_WORKERS", workers)
+        def run(blocks, rows_per_call, tile):
             monkeypatch.setattr(modem, "_receiver", lambda *args: setup(*args)._replace(tile=tile))
             parts = []
             for lo in range(0, n_rows, rows_per_call):
@@ -1045,12 +1080,11 @@ class TestDirectTier:
         for blocks, tried in ((clean, n_rows), (gapped, n_rows - 13)):
             noise = None if spec is None else BandNoise(spec, n, 0, n_rows)
             assert direct_share(blocks, cfg, interpolate, noise) == tried
-            want = run(blocks, n_rows, 1, 1)
+            want = run(blocks, n_rows, 1)
             for tile in (1, 7, 16, n_rows):
                 for rows_per_call in (1, 7, 32, n_rows):
-                    for workers in (1, 2):
-                        got = run(blocks, rows_per_call, tile, workers)
-                        assert got.tobytes() == want.tobytes()
+                    got = run(blocks, rows_per_call, tile)
+                    assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
     @pytest.mark.parametrize("interpolate", [True, False])
@@ -1061,7 +1095,6 @@ class TestDirectTier:
         n_rows = harness._TILE_SAMPLES // cfg.fft_size
         blocks = modulate(np.random.default_rng(14).uniform(0, FULL_SCALE, n_rows), FULL_SCALE, cfg)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pool, "_WORKERS", 1)
             seen = record_direct(mp)
             modem._peak_frequencies(blocks, cfg, interpolate)
         assert [len(batch["x"]) for batch in seen] == [n_rows]
@@ -1069,13 +1102,12 @@ class TestDirectTier:
 
     @pytest.mark.parametrize("profile, n_rows", [(fast_profile, 32), (slow_profile, 52)])
     @pytest.mark.parametrize("interpolate", [True, False])
-    def test_warm_call_allocates_little(self, profile, n_rows, interpolate, monkeypatch):
+    def test_warm_call_allocates_little(self, profile, n_rows, interpolate):
         # A warm receiver call on a transmit tile of clean rows allocates
         # under 256 kB: the direct bins' scratch (327 kB per 16 fast rows)
         # is the thread's, not a temporary of each batch.
         cfg = profile()
         blocks = modulate(np.random.default_rng(15).uniform(0, FULL_SCALE, n_rows), FULL_SCALE, cfg)
-        monkeypatch.setattr(pool, "_WORKERS", 1)
         demodulate_stream(blocks, FULL_SCALE, cfg, interpolate)
         tracemalloc.start()
         try:
