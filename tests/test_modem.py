@@ -694,14 +694,17 @@ class TestRowSplit:
         assert sum(taken) == 40
 
     @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
-    def test_spectra_are_scipy_fft_bytes(self, profile, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_spectra_are_scipy_fft_bytes(self, profile, workers, monkeypatch):
         # Each numpy.fft call of the receiver, the tiles' N-point spectra
         # written out of place into the thread's buffer and the fallback's
         # x c transformed in place, must hold scipy.fft.fft's bytes for its
-        # rows.  With _ETA = 2 every row takes the fallback.
+        # rows, whatever the pool's worker count.  With _ETA = 2 every row
+        # takes the fallback.
         cfg = profile()
         blocks = mixed_blocks(cfg, 40, seed=21)
         monkeypatch.setattr(modem, "_ETA", 2.0)
+        monkeypatch.setattr(pool, "_WORKERS", workers)
         calls, fft = [], np.fft.fft
 
         def recorded(a, *args, out=None, **kwargs):
