@@ -89,6 +89,11 @@ _WINDOW_BINS, _WINDOW_COUNTERS = 9, 5
 # 2 MB however long the run.
 _WINDOW_BATCH = 4096
 _N_OSCILLATORS = 64  # sinusoids per fading tap
+# S, the blocks per row of a fading tap's phasor tables (``_SumOfSinusoids``):
+# a call on n blocks takes about (n / S + S) M complex exponentials per
+# quadrature, fewest near S = sqrt(n).  A worker range of a 1 s fast-profile
+# run holds 500 blocks, and 16 rather than 22 keeps short calls cheap.
+_PHASOR_SPAN = 16
 # What one delay-line tile touches: its scratch line and tmp and its output
 # rows, 16 * (3n + c) bytes a row, kept inside one core's 2 MB L2 (4 rows, or
 # 1.6 MB, at n = 8192).  On a 2-vCPU Xeon VM, process on a 512-block fast JTC
@@ -137,8 +142,14 @@ def load_profile(path) -> TapProfile:
         raise ConfigError(f"tap profile file not found: {path}") from exc
     except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         raise ConfigError(f"cannot read tap profile file {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # an embedded NUL byte
+        raise ConfigError(f"cannot read tap profile file {path!r}: {exc}") from exc
     with fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -372,24 +383,59 @@ class BandNoise:
 
 @dataclass(frozen=True)
 class _SumOfSinusoids:
-    """Frozen oscillator bank for one tap's fading process."""
+    """Frozen oscillator bank for one tap's fading process.
+
+    With M oscillators, the gain at time t is (sum_m cos(w_i[m] t + phi[m])
+    + j sum_m cos(w_q[m] t + psi[m])) / sqrt(M).  ``gains`` samples it at
+    the start t = b T of absolute blocks b.  With b = b1 S + b0 and S =
+    _PHASOR_SPAN, a quadrature's sum is the real part of
+    sum_m P[b1, m] Q[m, b0], with P[b1, m] = exp(j (phi[m] + w[m] b1 S T))
+    and Q[m, b0] = exp(j w[m] b0 T): one small complex matmul of a
+    (rows of b1, M) table with an (M, S) table.  That takes (U1 + S) M
+    complex exponentials for U1 rows of b1, in place of 2 M cosines per
+    block.  The tables' angles are uint64 phase words, 2^64 to the turn, as
+    in a numerically controlled oscillator: their wrapping products and sums
+    are exact modulo one turn, so an angle errs by about b 2^-64 turn from
+    the rounding of w T (in np.longdouble), 3e-14 rad at block 10^5 where
+    that is the 80-bit x87 type.  Each row of b1 is its own product of one
+    shape, so a block's gain depends on b alone, and a range of blocks gets
+    the byte-exact slice of a longer range's gains.
+    """
 
     w_i: np.ndarray  # rad/s, in-phase arrival angles
     w_q: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
 
-    def gains(self, times: np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=np.float64)
-        m = self.w_i.size
-        out = np.empty(times.shape, dtype=np.complex128)
-        step = 1 << 16
-        for lo in range(0, times.size, step):
-            t = times[lo : lo + step, None]
-            re = np.cos(t * self.w_i[None, :] + self.phi[None, :]).sum(axis=1)
-            im = np.cos(t * self.w_q[None, :] + self.psi[None, :]).sum(axis=1)
-            out[lo : lo + step] = (re + 1j * im) / np.sqrt(m)
-        return out
+    def gains(self, blocks, period: float) -> np.ndarray:
+        """Complex gains at the starts b * period of the blocks b (ints >= 0)."""
+        blocks = np.asarray(blocks, dtype=np.int64)
+        first, last = int(blocks.min()) // _PHASOR_SPAN, int(blocks.max()) // _PHASOR_SPAN
+        step = _phase_words(np.stack([self.w_i, self.w_q]).astype(np.longdouble) * period)
+        start = _phase_words(np.stack([self.phi, self.psi]))
+        rows = np.arange(first, last + 1, dtype=np.uint64) * np.uint64(_PHASOR_SPAN)
+        p = _phasors(start[:, None, :] + rows[:, None] * step[:, None, :])
+        q = _phasors(step[:, :, None] * np.arange(_PHASOR_SPAN, dtype=np.uint64))
+        # (2, U1, 1, M) @ (2, 1, M, S): one (M,) @ (M, S) product per row of
+        # b1, so a row's bytes do not depend on how many rows the call holds.
+        sums = np.matmul(p[:, :, None, :], q[:, None]).real
+        sums = sums.reshape(2, -1)[:, blocks - first * _PHASOR_SPAN]
+        return (sums[0] + 1j * sums[1]) / np.sqrt(self.w_i.size)
+
+
+def _phase_words(radians) -> np.ndarray:
+    """Angles as uint64 phase words, 2^64 to the turn, rounded down."""
+    turns = np.asarray(radians, dtype=np.longdouble) / (2 * np.arccos(np.longdouble(-1)))
+    return np.ldexp(turns - np.floor(turns), 64).astype(np.uint64)
+
+
+def _phasors(words: np.ndarray) -> np.ndarray:
+    """exp(j theta) of phase words."""
+    angle = words * (np.pi / 2.0**63)
+    out = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
 
 
 def make_jakes(doppler_hz: float, seed) -> _SumOfSinusoids:
@@ -604,8 +650,7 @@ class MultipathChannel(_DelayLineChannel):
 
     def tap_gain_series(self, block_indices: np.ndarray) -> np.ndarray:
         """(n_taps, n_blocks) fading gains at block-start times, unscaled."""
-        times = np.asarray(block_indices, dtype=np.float64) * self.block_period
-        return np.stack([tap.gains(times) for tap in self.taps])
+        return np.stack([tap.gains(block_indices, self.block_period) for tap in self.taps])
 
     def _gains(self, start_block: int, n_blocks: int) -> np.ndarray:
         """(delays, n_blocks) line gains: the scaled tap gains summed per delay."""

@@ -533,7 +533,7 @@ def load_config(path) -> RunConfig:
     with fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     return config_from_dict(data)
 

@@ -5,15 +5,17 @@ pulse train and a skin-conductance drift trace), linear rescaling into
 encoder input ranges, and trace CSV I/O for recorded sources.
 
 The GSR drift is white noise through a 4th-order Butterworth low-pass.  The
-filter design and the second-order-section recursion are numpy ports of
-``scipy.signal.butter(4, wn, output="sos")`` and ``scipy.signal.sosfilt``
-that follow scipy's operation order, so their output is bit-identical to
-scipy's; importing ``scipy.signal`` would cost about a second per process.
+filter design is a numpy port of ``scipy.signal.butter(4, wn, output="sos")``
+that follows scipy's operation order, so its sections are bit-identical to
+scipy's; the filter runs them in a block state-space form (``_sosfilt``)
+whose output matches ``scipy.signal.sosfilt`` to rounding.  Importing
+``scipy.signal`` would cost about a second per process.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -198,22 +200,90 @@ def _butter_lowpass_sos(order: int, wn: float) -> np.ndarray:
     return sos
 
 
-def _sosfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Filter x through the sections from zero state (transposed direct form II).
+# Samples per block of the drift filter's block state-space form (``_sosfilt``).
+_FILTER_BLOCK = 64
 
-    Each sample's arithmetic is scipy's ``sosfilt`` kernel, operation for
-    operation; running one section over the whole signal before the next
-    gives the same values.
+
+@functools.lru_cache(maxsize=8)
+def _block_filter(sos_bytes: bytes):
+    """The cascade of second-order sections (rows of b0 b1 b2 a0 a1 a2,
+    a0 = 1) over a block of _FILTER_BLOCK samples: (powers, B, C, D) with
+    next state A s + B u and output C s + D u, for the block's input u and
+    the state s at its start, and powers the A^(2^l) for l < 32.
+
+    One sample steps section i's transposed direct form II states z0, z1,
+    with input u_i and output y_i = b0 u_i + z0, as z0' = b1 u_i - a1 y_i +
+    z1 and z1' = b2 u_i - a2 y_i; y_i is section i + 1's input.  Near z = 1
+    the two states are about y_i and -y_i, so s holds z0 and z0 + z1, in
+    which rounding A does not move the poles.  The block matrices are powers
+    of the step, built in np.longdouble and rounded once to float64: D is
+    the lower triangular Toeplitz matrix of the impulse response.
     """
-    y = x.tolist()
-    for b0, b1, b2, _, a1, a2 in sos.tolist():
-        z0 = z1 = 0.0
-        for i, xi in enumerate(y):
-            yi = b0 * xi + z0
-            z0 = b1 * xi - a1 * yi + z1
-            z1 = b2 * xi - a2 * yi
-            y[i] = yi
-    return np.array(y)
+    sos = np.frombuffer(sos_bytes).reshape(-1, 6).astype(np.longdouble)
+    k, length = 2 * len(sos), _FILTER_BLOCK
+    step, drive = np.zeros((k, k), dtype=np.longdouble), np.zeros(k, dtype=np.longdouble)
+    # The signal between sections as (coefficients on the states, on the input).
+    c, d = np.zeros(k, dtype=np.longdouble), np.longdouble(1)
+    for i, (b0, b1, b2, _, a1, a2) in enumerate(sos):
+        c_out, d_out = b0 * c, b0 * d
+        c_out[2 * i] += 1
+        step[2 * i] = b1 * c - a1 * c_out
+        step[2 * i, 2 * i + 1] += 1
+        step[2 * i + 1] = b2 * c - a2 * c_out
+        drive[2 * i], drive[2 * i + 1] = b1 * d - a1 * d_out, b2 * d - a2 * d_out
+        c, d = c_out, d_out
+    # To the states (z0, z0 + z1): s = T z.
+    to_sum = np.eye(k, dtype=np.longdouble)
+    to_sum[range(1, k, 2), range(0, k, 2)] = 1
+    from_sum = 2 * np.eye(k, dtype=np.longdouble) - to_sum
+    step, drive, c = to_sum @ step @ from_sum, to_sum @ drive, c @ from_sum
+    # Row t of C is c A^t; column length - 1 - t of B is A^t drive.
+    out, into = np.empty((length, k), dtype=np.longdouble), np.empty((k, length), dtype=np.longdouble)
+    power = np.eye(k, dtype=np.longdouble)
+    for t in range(length):
+        out[t], into[:, length - 1 - t] = c @ power, power @ drive
+        power = step @ power
+    response = np.concatenate([[d], out[:-1] @ drive])
+    lag = np.subtract.outer(np.arange(length), np.arange(length))
+    toeplitz = np.where(lag >= 0, response[np.maximum(lag, 0)], 0)
+    powers = []
+    for _ in range(32):
+        powers.append(power.astype(np.float64))
+        power = power @ power
+    into, out, toeplitz = (m.astype(np.float64) for m in (into, out, toeplitz))
+    for table in (*powers, into, out, toeplitz):
+        table.flags.writeable = False  # shared by every call
+    return tuple(powers), into, out, toeplitz
+
+
+def _sosfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Filter x through the sections from zero state.
+
+    A block state-space form of the cascade (``_block_filter``): x is cut
+    into blocks of _FILTER_BLOCK samples, whose zero-state outputs and end
+    states are one matrix product each over all blocks.  The state carried
+    into block i, sum_{j < i} A^(i - 1 - j) e_j of the end states e_j, is
+    a doubling scan over the blocks: at step l each block adds A^(2^l)
+    times the sum 2^l blocks back.  The output differs from scipy's
+    ``sosfilt``, a transposed direct form II recursion sample by sample, by
+    rounding only: a few 1e-12 of its peak at the drift filter's default
+    cutoff, where this form is the closer of the two to the exact recursion.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    sos = np.ascontiguousarray(sos, dtype=np.float64)
+    powers, into, out, toeplitz = _block_filter(sos.tobytes())
+    n_blocks = -(-x.size // _FILTER_BLOCK)
+    u = np.zeros((n_blocks, _FILTER_BLOCK))
+    u.reshape(-1)[: x.size] = x
+    y = u @ toeplitz.T
+    carried = u @ into.T
+    for level, power in enumerate(powers):
+        shift = 1 << level
+        if shift >= n_blocks:
+            break
+        carried[shift:] = carried[shift:] + carried[:-shift] @ power.T
+    y[1:] += carried[:-1] @ out.T
+    return y.reshape(-1)[: x.size]
 
 
 def _drift_process(n: int, sample_period: float, bandwidth: float, rng) -> np.ndarray:

@@ -205,7 +205,7 @@ def test_c7_channel_statistics():
     for doppler in (5.0, 20.0):
         acs = []
         for seed in range(6):
-            g = make_jakes(doppler, seed).gains(np.arange(100_000) * dt)
+            g = make_jakes(doppler, seed).gains(np.arange(100_000), dt)
             ac = [np.vdot(g[: g.size - lag], g[lag:]).real / (g.size - lag) for lag in lags]
             acs.append(np.asarray(ac) / ac[0])
         dev = float(np.abs(np.mean(acs, axis=0) - special.j0(2 * np.pi * doppler * lags * dt)).max())

@@ -101,7 +101,7 @@ class TestJakes:
         lags = np.arange(51)
         acs = []
         for seed in range(6):
-            g = make_jakes(doppler, seed).gains(np.arange(100_000) * dt)
+            g = make_jakes(doppler, seed).gains(np.arange(100_000), dt)
             ac = [np.vdot(g[: g.size - lag], g[lag:]).real / (g.size - lag) for lag in lags]
             acs.append(np.asarray(ac) / ac[0])
         mean_ac = np.mean(acs, axis=0)
@@ -109,14 +109,13 @@ class TestJakes:
         assert np.abs(mean_ac - want).max() < 0.05
 
     def test_magnitude_rayleigh_at_fixed_time(self):
-        t = np.array([0.321])
-        vals = np.array([make_jakes(7.0, seed).gains(t)[0] for seed in range(20_000)])
+        vals = np.array([make_jakes(7.0, seed).gains([321], 1e-3)[0] for seed in range(20_000)])
         assert np.mean(np.abs(vals) ** 2) == pytest.approx(1.0, abs=0.02)
         result = stats.kstest(np.abs(vals), stats.rayleigh(scale=1 / np.sqrt(2)).cdf)
         assert result.pvalue > 0.01
 
     def test_zero_doppler_is_time_constant(self):
-        g = make_jakes(0.0, 3).gains(np.linspace(0, 10, 1000))
+        g = make_jakes(0.0, 3).gains(np.arange(1000), 0.01)
         assert np.abs(g - g[0]).max() < 1e-12
 
 
@@ -293,6 +292,32 @@ class TestMultipath:
             whole = ch._gains(40, 512)
             for lo, hi in ((0, 1), (0, 256), (256, 512), (100, 387), (511, 512)):
                 assert ch._gains(40 + lo, hi - lo).tobytes() == whole[:, lo:hi].tobytes()
+
+    def test_gains_of_a_late_range_match_the_whole_stream(self):
+        # Ranges far from block 0, starting on and off a phasor row, give the
+        # bytes of one call from block 0.
+        ch = MultipathChannel(ChannelSpec("jtc_outdoor_low_a", seed=5), 8.192e6, 8192)
+        whole = ch._gains(0, 100_600)
+        for lo, n in ((100_000, 500), (100_003, 500), (100_017, 1), (99_999, 2), (100_100, 37)):
+            assert ch._gains(lo, n).tobytes() == whole[:, lo : lo + n].tobytes()
+
+    @pytest.mark.parametrize("family, sample_rate, block_size", [
+        ("jtc_outdoor_low_a", 8.192e6, 8192), ("jtc_indoor_a", 500e3, 5000),
+    ])
+    def test_gains_match_extended_precision_sums(self, family, sample_rate, block_size):
+        # Each tap's cosine sums at t = b T, evaluated in np.longdouble, out
+        # to block 10^5 (100 s on the fast profile, 1000 s on the slow).
+        ch = MultipathChannel(ChannelSpec(family, seed=3), sample_rate, block_size)
+        blocks = np.concatenate([np.arange(40), np.arange(99_960, 100_001)])
+        got = ch.tap_gain_series(blocks)
+        t = blocks.astype(np.longdouble)[:, None] * np.longdouble(block_size / sample_rate)
+        for tap, gains in zip(ch.taps, got):
+            w_i, w_q, phi, psi = (np.asarray(v, dtype=np.longdouble) for v in
+                                  (tap.w_i, tap.w_q, tap.phi, tap.psi))
+            scale = np.sqrt(np.longdouble(w_i.size))
+            re = np.cos(t * w_i + phi).sum(axis=1) / scale
+            im = np.cos(t * w_q + psi).sum(axis=1) / scale
+            assert np.hypot(gains.real - re, gains.imag - im).max() <= 1e-12
 
     def test_energy_accounting_full_path(self):
         x = unit_blocks(3000, 512, seed=2)

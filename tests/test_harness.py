@@ -670,6 +670,36 @@ class TestCli:
             assert str(path) in capsys.readouterr().err
         assert not (out / "run_report.json").exists()
 
+    def test_config_file_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "run.json"
+        bad.write_bytes(b'\xff\xfe{"levels": 8}')
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not (out / "run_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "profile, message",
+        [("latin.csv", "latin.csv: 'utf-8' codec"), ("a\u0000b.csv", "embedded null byte")],
+        ids=["not-utf8", "nul"],
+    )
+    def test_unreadable_tap_profile_is_config_error(
+        self, profile, message, tmp_path, monkeypatch, capsys
+    ):
+        # A tap profile that is not UTF-8, or whose path holds a NUL byte,
+        # fails in channel set-up as a config error.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "latin.csv").write_bytes(b"\xff\xfe0,0\n")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "levels": 8, "duration": 2.0, "channel_family": "jtc_indoor_a",
+            "tap_profile_path": profile,
+        }))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "run_report.json").exists()
+
     def test_runtime_error_exit_code(self, tmp_path, monkeypatch):
         import ajscclink.cli as cli_mod
 

@@ -110,8 +110,22 @@ class TestGsr:
             gen_gsr(GsrSynthSpec(drift_bandwidth=400.0), 1.0, 1e-3, 0)
 
 
+def extended_sosfilt(sos, x):
+    """The transposed direct form II recursion, sample by sample, in np.longdouble."""
+    y = list(np.asarray(x, dtype=np.longdouble))
+    for b0, b1, b2, _, a1, a2 in np.asarray(sos, dtype=np.longdouble):
+        z0 = z1 = np.longdouble(0)
+        for i, xi in enumerate(y):
+            yi = b0 * xi + z0
+            z0 = b1 * xi - a1 * yi + z1
+            z1 = b2 * xi - a2 * yi
+            y[i] = yi
+    return np.array(y, dtype=np.longdouble)
+
+
 class TestDriftFilter:
-    # scipy.signal is the reference: the numpy ports must give its bytes.
+    # scipy.signal is the reference: the design must give its bytes, the
+    # block-form filter its output to rounding.
     @pytest.mark.parametrize(
         "wn",
         [0.3 / 500, *np.logspace(-7, -0.302, 40), *np.linspace(0.01, 0.49, 25), 0.9],
@@ -122,9 +136,16 @@ class TestDriftFilter:
 
     @pytest.mark.parametrize("wn", [0.3 / 500, 0.02, 0.3])
     def test_filter_matches_scipy_sosfilt(self, wn):
+        # Within 1e-9 of scipy's peak, and no less accurate than 4x scipy's
+        # own error against the exact recursion (0.3 / 500 is the default
+        # drift filter's cutoff, where scipy's error is largest).
         sos = sp_signal.butter(4, wn, output="sos")
-        x = np.random.default_rng(5).standard_normal(3000)
-        assert _sosfilt(sos, x).tobytes() == sp_signal.sosfilt(sos, x).tobytes()
+        for n in (4500, 45000):
+            x = np.random.default_rng(5).standard_normal(n)
+            got, want = _sosfilt(sos, x), sp_signal.sosfilt(sos, x)
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+            exact = extended_sosfilt(sos, x)
+            assert np.abs(got - exact).max() <= 4 * np.abs(want - exact).max()
 
 
 class TestRescale:
