@@ -41,20 +41,31 @@ receiver reads a 2N-point padded spectrum whose noise bins are correlated,
 so its runs keep the time-domain stream (1, b).
 
 All three channels are one tapped delay line; AWGN and flat Rayleigh have a
-single tap at delay 0.  ``process`` is a serial kernel: it walks its rows on
-the calling thread in tiles of a few rows (``_LINE_BYTES``), so that each
-ufunc call covers a tile, not a row, and ``harness._transmit`` calls it once
-per tile from each range of its one row split (``pool``).  A call's set-up,
-the line gains (flat-Rayleigh h, two normals per block, or the multipath
-cosine sums) and the noise's ``KeyedBlocks``, is built once per call, or
-once per ``block_range``, in its first call: ``_transmit`` opens one per
-worker range.  ``process`` writes its output over its input: the samples
-that each row's delays reach back into, ``before`` or the end of the row
-before it, are copied out before any row is written, and a tile's tails and
-rows are copied into the thread's scratch line before they are overwritten.
-Every sample gets the same operations in the same order whichever tile and
-call hold its row, so the output is byte-identical for any split of one
-stream into calls, whichever thread makes each call.
+single tap at delay 0.  ``process`` is a serial kernel on the calling
+thread, and ``harness._transmit`` calls it once per tile from each range of
+its one row split (``pool``), with each row's tone frequency in cycles per
+sample, c_b = f_b / f_s (``cycles``).  Inside a block the modulator's row is
+the tone x[i] = exp(j (phi_b + 2 pi c_b i)), so from sample ``memory`` on
+the line's output sum_d g_d[b] x[i - d] is x[i] H_b, with H_b = sum_d g_d[b]
+exp(-j 2 pi c_b d): process multiplies each row by H_b in place, and takes
+only its first ``memory`` samples (at most 4 on the fast profile, none on
+the slow one) by the delay sum.  On a memoryless line H_b = g_0[b], and the
+noise is added as the literal line adds it, so the bytes are the literal
+line's; past a row's first ``memory`` samples, a line with delays differs
+from it by the modulator's phase error, about 1e-12 relative.  Without
+cycles, process runs the literal line for any input, a tile of a few rows
+at a time (``_LINE_BYTES``) so that each ufunc call covers a tile, not a
+row; it is the reference the tone path is tested against.  A call's
+set-up, the line gains (flat-Rayleigh h, two normals per block, or the
+multipath cosine sums) and the noise's ``KeyedBlocks``, is built once per
+call, or once per ``block_range``, in its first call: ``_transmit`` opens
+one per worker range.  ``process`` writes its output over its input: the
+samples that each row's delays reach back into, ``before`` or the end of
+the row before it, and the row's own first ``memory`` samples are copied
+out before any row is written.  Every sample gets the same operations in
+the same order whichever tile and call hold its row, so the output is
+byte-identical for any split of one stream into calls, whichever thread
+makes each call.
 """
 
 from __future__ import annotations
@@ -63,7 +74,7 @@ import contextlib
 import copy
 import importlib.resources
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,11 +105,13 @@ _N_OSCILLATORS = 64  # sinusoids per fading tap
 # quadrature, fewest near S = sqrt(n).  A worker range of a 1 s fast-profile
 # run holds 500 blocks, and 16 rather than 22 keeps short calls cheap.
 _PHASOR_SPAN = 16
-# What one delay-line tile touches: its scratch line and tmp and its output
-# rows, 16 * (3n + c) bytes a row, kept inside one core's 2 MB L2 (4 rows, or
-# 1.6 MB, at n = 8192).  On a 2-vCPU Xeon VM, process on a 512-block fast JTC
-# chunk at csnr_db = inf took medians (7 rounds) of 48, 26, 23, 23, 25, 26
-# and 31 ms at tiles of 1, 2, 3, 4, 5, 6 and 8 rows; the per-row loop took 45.
+# What one tile of the literal line touches: its scratch line and tmp and its
+# output rows, 16 * (3n + c) bytes a row, kept inside one core's 2 MB L2 (4
+# rows, or 1.6 MB, at n = 8192).  On a 2-vCPU Xeon VM, that line on a
+# 512-block fast JTC chunk at csnr_db = inf took medians (7 rounds) of 48, 26,
+# 23, 23, 25, 26 and 31 ms at tiles of 1, 2, 3, 4, 5, 6 and 8 rows; the
+# per-row loop took 45.  The tone path's noise tiles, of 32n bytes a row
+# (noise and output), take the same budget.
 _LINE_BYTES = 7 << 18
 
 
@@ -406,16 +419,24 @@ class _SumOfSinusoids:
     w_q: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
+    # period -> (step, start, q): the phase words of w T and of the phases,
+    # and the Q table, built on the bank's first call with that period (two
+    # threads' first calls may both build them, with the same bytes).
+    _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def gains(self, blocks, period: float) -> np.ndarray:
         """Complex gains at the starts b * period of the blocks b (ints >= 0)."""
         blocks = np.asarray(blocks, dtype=np.int64)
         first, last = int(blocks.min()) // _PHASOR_SPAN, int(blocks.max()) // _PHASOR_SPAN
-        step = _phase_words(np.stack([self.w_i, self.w_q]).astype(np.longdouble) * period)
-        start = _phase_words(np.stack([self.phi, self.psi]))
+        tables = self._tables.get(period)
+        if tables is None:
+            step = _phase_words(np.stack([self.w_i, self.w_q]).astype(np.longdouble) * period)
+            start = _phase_words(np.stack([self.phi, self.psi]))
+            q = _phasors(step[:, :, None] * np.arange(_PHASOR_SPAN, dtype=np.uint64))
+            tables = self._tables[period] = step, start, q
+        step, start, q = tables
         rows = np.arange(first, last + 1, dtype=np.uint64) * np.uint64(_PHASOR_SPAN)
         p = _phasors(start[:, None, :] + rows[:, None] * step[:, None, :])
-        q = _phasors(step[:, :, None] * np.arange(_PHASOR_SPAN, dtype=np.uint64))
         # (2, U1, 1, M) @ (2, 1, M, S): one (M,) @ (M, S) product per row of
         # b1, so a row's bytes do not depend on how many rows the call holds.
         sums = np.matmul(p[:, :, None, :], q[:, None]).real
@@ -438,15 +459,20 @@ def _phasors(words: np.ndarray) -> np.ndarray:
     return out
 
 
+# 2 pi m - pi for the oscillators m = 1..M, the arrival angles before the
+# bank's random rotation theta.
+_ARRIVALS = 2 * np.pi * np.arange(1, _N_OSCILLATORS + 1) - np.pi
+_ARRIVALS.flags.writeable = False
+
+
 def make_jakes(doppler_hz: float, seed) -> _SumOfSinusoids:
     """Draw one tap's oscillator bank (unit mean power, J0 autocorrelation).
 
     seed is anything ``np.random.default_rng`` accepts, a Generator included.
     """
     rng = np.random.default_rng(seed)
-    m = np.arange(1, _N_OSCILLATORS + 1)
     theta = rng.uniform(-np.pi, np.pi)
-    alpha = (2 * np.pi * m - np.pi + theta) / (4 * _N_OSCILLATORS)
+    alpha = (_ARRIVALS + theta) / (4 * _N_OSCILLATORS)
     wd = 2 * np.pi * doppler_hz
     return _SumOfSinusoids(
         w_i=wd * np.cos(alpha),
@@ -501,7 +527,9 @@ class _DelayLineChannel:
         finally:
             self._ranges.current = outer
 
-    def process(self, blocks: np.ndarray, start_block: int = 0, before=None) -> np.ndarray:
+    def process(
+        self, blocks: np.ndarray, start_block: int = 0, before=None, cycles=None
+    ) -> np.ndarray:
         """Channel output for blocks start_block, start_block + 1, ..., written
         over blocks, which is returned.
 
@@ -509,7 +537,11 @@ class _DelayLineChannel:
         complex128 array.  before holds the last ``memory`` input samples of
         block start_block - 1, which block start_block's delays reach back
         into; a line with delays needs it past block 0, and before block 0
-        the line holds zeros.
+        the line holds zeros.  cycles, if given, holds each row's tone
+        frequency in cycles per sample: the rows are then the modulator's
+        tones, and each row's samples from ``memory`` on are multiplied by
+        the line's response at that frequency (module docstring).  Without
+        it the literal delay line runs, for any input.
         """
         if not (
             isinstance(blocks, np.ndarray)
@@ -535,6 +567,12 @@ class _DelayLineChannel:
         if before is not None and np.shape(before) != (c,):
             raise ConfigError(f"before must hold {c} samples, got shape {np.shape(before)}")
         n_blocks, n = blocks.shape
+        if cycles is not None:
+            cycles = np.asarray(cycles, dtype=np.float64)
+            if cycles.shape != (n_blocks,) or not np.isfinite(cycles).all():
+                raise ConfigError(
+                    f"cycles must hold {n_blocks} finite tone frequencies, got {cycles.shape}"
+                )
         current = getattr(self._ranges, "current", None)
         if current is not None and current[0] <= start_block <= current[1] - n_blocks:
             first, end, setup = current
@@ -543,19 +581,36 @@ class _DelayLineChannel:
         else:
             first, setup = start_block, self._setup(start_block, n_blocks)
         gains, keyed = setup
-        base = start_block - first  # row 0's row in the set-up
-        scale = self._scale
-        if scale == 0.0 and gains is None:
+        if self._scale == 0.0 and gains is None:
             return blocks
+        base = start_block - first  # row 0's row in the set-up
+        if gains is not None:
+            gains = gains[:, base : base + n_blocks, None]
+        seat = keyed.cursor() if self._scale else None
         # The c input samples before each row, which its delays reach back
-        # into: before for row 0, the end of row r - 1 for row r.  They are
-        # copied before any row is overwritten.
-        tails = np.empty((n_blocks, c), dtype=np.complex128)
-        tails[0] = 0.0 if before is None else before
-        tails[1:] = blocks[:-1, n - c :]
-        delays = self.delays
-        tile = max(1, min(_LINE_BYTES // (16 * (3 * n + c)), n_blocks))
+        # into: before for row 0, the end of row r - 1 for row r, then the
+        # row's own first c.  They are copied before any row is overwritten.
+        edges = np.empty((n_blocks, 2 * c), dtype=np.complex128)
+        edges[0, :c] = 0.0 if before is None else before
+        edges[1:, :c] = blocks[:-1, n - c :]
+        edges[:, c:] = blocks[:, :c]
+        if cycles is None:
+            self._line(blocks, edges, gains, seat, base)
+        else:
+            self._tones(blocks, edges, gains, seat, base, cycles)
+        return blocks
 
+    def _draw(self, seat, base: int, rows: range, out: np.ndarray) -> None:
+        """The scaled noise of the given rows into out, one row each."""
+        for i, r in enumerate(rows):
+            seat(base + r).standard_normal(out=out[i].view(np.float64))
+        out *= self._scale
+
+    def _line(self, blocks, edges, gains, seat, base: int) -> None:
+        """The literal delay line: the reference for any input."""
+        n_blocks, n = blocks.shape
+        c, delays = self.memory, self.delays
+        tile = max(1, min(_LINE_BYTES // (16 * (3 * n + c)), n_blocks))
         # A tile of rows at a time, so that each ufunc call covers a tile,
         # not a row (see ``pool``).  Every element of a row gets the same
         # operations in the same order whichever tile and call hold it, so
@@ -564,29 +619,63 @@ class _DelayLineChannel:
         # are read; the noise stays keyed per row.
         line = scratch("delay line", (tile, n + c), np.complex128)
         tmp = scratch("delay line product", (tile, n), np.complex128)
-        seat = keyed.cursor() if scale else None
         for t in range(0, n_blocks, tile):
             u = min(t + tile, n_blocks)
             m = u - t
-            line[:m, :c] = tails[t:u]
+            line[:m, :c] = edges[t:u, :c]
             line[:m, c:] = blocks[t:u]
             o = blocks[t:u]
-            if scale:
-                for r in range(t, u):
-                    seat(base + r).standard_normal(out=blocks[r].view(np.float64))
-                o *= scale
+            if seat:
+                self._draw(seat, base, range(t, u), o)
             for k, d in enumerate(delays):
                 src = line[:m, c - d : c - d + n]
                 if gains is None:
                     o += src
-                    continue
-                g = gains[k, base + t : base + u, None]
-                if k == 0 and not scale:
-                    np.multiply(src, g, out=o)
+                elif k == 0 and not seat:
+                    np.multiply(src, gains[k, t:u], out=o)
                 else:
-                    np.multiply(src, g, out=tmp[:m])
+                    np.multiply(src, gains[k, t:u], out=tmp[:m])
                     o += tmp[:m]
-        return blocks
+
+    def _tones(self, blocks, edges, gains, seat, base: int, cycles: np.ndarray) -> None:
+        """The line on tones: row r is x[i] = exp(j (phi_r + 2 pi cycles[r] i)),
+        so from sample c on its output is x[i] H_r, with H_r = sum_d g_d[r]
+        exp(-j 2 pi cycles[r] d); the first c samples take the literal sum.
+        The noise is drawn and scaled as in ``_line`` and added to x H_r,
+        the literal line's sum in the other order (addition commutes), so a
+        memoryless line (H_r = g_0[r]) gives the same bytes."""
+        n_blocks, n = blocks.shape
+        c, delays = self.memory, self.delays
+        h = None
+        if gains is not None:
+            h = gains[0]
+            for k in range(1, delays.size):
+                turns = cycles[:, None] * delays[k]
+                turns -= np.floor(turns)
+                h = h + gains[k] * np.exp(-2j * np.pi * turns)
+        if seat:
+            tile = max(1, min(_LINE_BYTES // (32 * n), n_blocks))
+            noise = scratch("tone noise", (tile, n), np.complex128)
+            head = np.empty((n_blocks, c), dtype=np.complex128)
+            for t in range(0, n_blocks, tile):
+                u = min(t + tile, n_blocks)
+                z, o = noise[: u - t], blocks[t:u]
+                self._draw(seat, base, range(t, u), z)
+                head[t:u] = z[:, :c]
+                if h is not None:
+                    o *= h[t:u]
+                o += z
+        else:
+            blocks *= h
+        if not c:  # a single unit tap (gains None) has no delays
+            return
+        for k, d in enumerate(delays):
+            term = edges[:, c - d : 2 * c - d] * gains[k]
+            if k == 0 and not seat:
+                head = term
+            else:
+                head += term
+        blocks[:, :c] = head
 
 
 class AwgnChannel(_DelayLineChannel):

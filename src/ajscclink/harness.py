@@ -7,10 +7,12 @@ split of all the run's blocks over the pool (``pool.split_rows``, the
 package's only dispatch to it), in which each worker takes its blocks
 through modulate, the channel's process and demodulate_stream, each a
 serial kernel on the worker's thread, one tile (``_TILE_SAMPLES``) at a
-time, so a run's memory does not grow with its length; where one of those
-stages has been replaced from outside, the split is one range on the
-calling thread.  Sweeps derive one independent seed per point from the
-master seed, the level count, and the channel family.
+time, so a run's memory does not grow with its length.  The channel gets
+each tile's tone frequencies, so that its line takes one complex multiply
+per block (``channel``).  Where one of those stages has been replaced from
+outside, the split is one range on the calling thread.  Sweeps derive one
+independent seed per point from the master seed, the level count, and the
+channel family.
 """
 
 from __future__ import annotations
@@ -294,6 +296,7 @@ def _transmit(
     encoded = np.atleast_1d(encoded)
     freqs = np.atleast_1d(voltage_to_frequency(encoded, full_scale, cfg))
     phases = block_start_phases(freqs, cfg)
+    cycles = freqs / cfg.sample_rate  # the tones, for the channel's line
     n_blocks, n, c = freqs.size, cfg.fft_size, channel.memory
     tile = max(1, min(_TILE_SAMPLES // n, n_blocks))
     noise = None if noise_spec is None else BandNoise(noise_spec, n, 0, n_blocks)
@@ -304,8 +307,9 @@ def _transmit(
     # that a tile stays in the core's cache from its first write to its last
     # read; the layers compute their rows on this worker's thread (see
     # ``pool``).  Each tile takes its slice of the stream's block phases, and
-    # the channel gets the last c input samples of the block before the
-    # tile, so no byte depends on the tile size or the worker count.
+    # the channel gets the tile's tone frequencies and the last c input
+    # samples of the block before the tile, so no byte depends on the tile
+    # size or the worker count.
     def rows(lo: int, hi: int) -> None:
         buf = scratch("transmit tile", (tile, n), np.complex128)
         tails = scratch("transmit tails", (2, c), np.complex128)
@@ -325,7 +329,7 @@ def _transmit(
                 )
                 after = tails[(i + 1) % 2]
                 after[:] = blocks[-1, n - c :]  # process writes over the tile
-                blocks = channel.process(blocks, t, before)
+                blocks = channel.process(blocks, t, before, cycles[t:u])
                 before = after if c else None
                 out[t:u] = demodulate_stream(
                     blocks, full_scale, cfg, interpolate=interpolate,

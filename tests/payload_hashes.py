@@ -3,16 +3,18 @@
     PYTHONPATH=src python tests/payload_hashes.py            # the table
     PYTHONPATH=src python tests/payload_hashes.py --write    # also rewrite payload_hashes.json
 
-The set: 32 ``run_link`` payloads (4 channel families x fast/slow profile x
+``--write`` also prints ``name old -> new`` for each row it changes.  The
+set: 32 ``run_link`` payloads (4 channel families x fast/slow profile x
 interpolating/raw receiver x CSNR 0 dB/inf, seed 1, 2 s, 30 levels, and
 ``median_order`` 100 on the slow profile), plus ``reproduce`` fig4, and
-fig6a at levels [5, 10].  A run's hash is the first 16 hex digits of the
-SHA-256 of its sorted-key ``report_to_dict`` JSON without ``wall_time_s``;
-a figure's is that of its CSV file.  ``payload_hashes.json`` holds the
-expected table and the environment it was made in, since the bytes depend
-on the numpy version and on the SIMD paths numpy dispatches on the CPU.  A
-change that names the stream it alters rewrites the file, so its diff lists
-the payloads that changed.
+fig6a (AWGN) and fig7b (JTC outdoor multipath) at levels [5, 10].  A run's
+hash is the first 16 hex digits of the SHA-256 of its sorted-key
+``report_to_dict`` JSON without ``wall_time_s``; a figure's is that of its
+CSV file.  ``payload_hashes.json`` holds the expected table and the
+environment it was made in, since the bytes depend on the numpy version and
+on the SIMD paths numpy dispatches on the CPU.  A change that names the
+stream it alters rewrites the file, so its diff lists the payloads that
+changed.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def run_configs() -> dict[str, RunConfig]:
 def figure_hashes() -> dict[str, str]:
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for experiment, levels in (("fig4", None), ("fig6a", [5, 10])):
+        for experiment, levels in (("fig4", None), ("fig6a", [5, 10]), ("fig7b", [5, 10])):
             (path,) = reproduce(experiment, tmp, seed=1, duration=2.0, levels=levels)
             hashes[experiment] = digest(pathlib.Path(path).read_bytes())
     return hashes
@@ -98,6 +100,10 @@ def main(argv: list[str]) -> int:
     for name, value in hashes.items():
         print(f"{name:40s} {value}")
     if "--write" in argv:
+        old = json.loads(EXPECTED.read_text())["hashes"] if EXPECTED.exists() else {}
+        for name, value in hashes.items():
+            if old.get(name) != value:
+                print(f"{name} {old.get(name)} -> {value}")
         doc = {"environment": environment(), "hashes": hashes}
         EXPECTED.write_text(json.dumps(doc, indent=2) + "\n")
     return 0

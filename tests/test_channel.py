@@ -21,7 +21,13 @@ from ajscclink.channel import (
     noise_deviation,
 )
 from ajscclink.errors import ConfigError
-from ajscclink.modem import demodulate_stream, fast_profile, modulate
+from ajscclink.modem import (
+    demodulate_stream,
+    fast_profile,
+    modulate,
+    slow_profile,
+    voltage_to_frequency,
+)
 
 
 def unit_blocks(n_blocks, n, seed=0):
@@ -109,7 +115,16 @@ class TestJakes:
         assert np.abs(mean_ac - want).max() < 0.05
 
     def test_magnitude_rayleigh_at_fixed_time(self):
-        vals = np.array([make_jakes(7.0, seed).gains([321], 1e-3)[0] for seed in range(20_000)])
+        # 20,000 banks at t = 321 ms, summed as the bank's definition in one
+        # pass over all of them; gains() gives those sums (the first 200
+        # banks here, and to extended precision in TestMultipath).
+        banks = [make_jakes(7.0, seed) for seed in range(20_000)]
+        fields = np.array([(b.w_i, b.w_q, b.phi, b.psi) for b in banks])
+        w_i, w_q, phi, psi = fields.transpose(1, 0, 2)
+        t = 321 * 1e-3
+        vals = (np.cos(w_i * t + phi).sum(1) + 1j * np.cos(w_q * t + psi).sum(1)) / np.sqrt(64)
+        for bank, v in zip(banks[:200], vals):
+            assert abs(bank.gains([321], 1e-3)[0] - v) < 1e-12
         assert np.mean(np.abs(vals) ** 2) == pytest.approx(1.0, abs=0.02)
         result = stats.kstest(np.abs(vals), stats.rayleigh(scale=1 / np.sqrt(2)).cdf)
         assert result.pvalue > 0.01
@@ -595,6 +610,76 @@ class TestTiledDelayLine:
             ch.process(got[:10], 0)
         assert built == [(10, 20), (0, 10)]
         assert got.tobytes() == want
+
+
+class TestToneLine:
+    """``process`` given the rows' tone frequencies (``cycles``) against the
+    literal line, the reference for any input: memoryless lines and each
+    row's first ``memory`` samples keep their bytes, the rest is x[i] H_r to
+    the modulator's phase error."""
+
+    @staticmethod
+    def tone_out(spec, cfg, encoded, rng):
+        """The tone path over a stream of modulated blocks, cut at random
+        into calls and split into worker ranges as the transmit does."""
+        n = cfg.fft_size
+        x = modulate(encoded, 2.0, cfg)
+        cycles = voltage_to_frequency(encoded, 2.0, cfg) / cfg.sample_rate
+        ch = make_channel(spec, cfg.sample_rate, n)
+        c, got = ch.memory, x.copy()
+        cuts = np.sort(rng.choice(np.arange(1, encoded.size), 5, replace=False))
+        bounds = [0, *cuts.tolist(), encoded.size]
+
+        def ranges(first, last):
+            with ch.block_range(bounds[first], bounds[last]):
+                for lo, hi in zip(bounds[first:last], bounds[first + 1 : last + 1]):
+                    before = x[lo - 1, n - c :] if lo else None
+                    chunk = got[lo:hi]
+                    assert ch.process(chunk, lo, before, cycles[lo:hi]) is chunk
+
+        pool.split_rows(ranges, len(bounds) - 1)
+        return x, got, ch
+
+    @pytest.mark.parametrize("csnr_db", [0.0, np.inf])
+    @pytest.mark.parametrize("profile", ["fast", "slow"])
+    @pytest.mark.parametrize("family", channel.FAMILIES)
+    def test_matches_the_literal_line(self, family, profile, csnr_db, monkeypatch):
+        monkeypatch.setattr(pool, "_WORKERS", 2)
+        cfg = fast_profile() if profile == "fast" else slow_profile()
+        rng = np.random.default_rng(31)
+        encoded = rng.uniform(0.0, 2.0, 24)
+        spec = ChannelSpec(family, csnr_db=csnr_db, seed=13)
+        x, got, ch = self.tone_out(spec, cfg, encoded, rng)
+        want = ch.process(x.copy())
+        c = ch.memory
+        if not c:
+            assert got.tobytes() == want.tobytes()
+        assert got[:, :c].tobytes() == want[:, :c].tobytes()
+        # A row's error is at most its phase error times sum_d |g_d|.
+        reach = 1.0 if family == "awgn" else np.abs(ch._gains(0, 24)).sum(axis=0)[:, None]
+        assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(reach, 1.0))
+        raw = [demodulate_stream(y, 2.0, cfg, interpolate=False) for y in (got, want)]
+        assert raw[0].tobytes() == raw[1].tobytes()
+
+    def test_split_invariant(self, monkeypatch):
+        cfg = fast_profile()
+        encoded = np.random.default_rng(4).uniform(0.0, 2.0, 40)
+        spec = ChannelSpec("jtc_outdoor_low_a", csnr_db=3.0, seed=8)
+        outs = []
+        for workers, seed in ((1, 1), (2, 2), (2, 3)):
+            monkeypatch.setattr(pool, "_WORKERS", workers)
+            outs.append(self.tone_out(spec, cfg, encoded, np.random.default_rng(seed))[1])
+        assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
+
+    @pytest.mark.parametrize(
+        "cycles",
+        [np.full(3, 0.1), np.full((4, 1), 0.1), [0.1, np.nan, 0.1, 0.1], [0.1, 0.1, np.inf, 0.1]],
+    )
+    @pytest.mark.parametrize("family", channel.FAMILIES)
+    def test_bad_cycles_are_config_errors(self, family, cycles):
+        ch = make_channel(ChannelSpec(family), 8.192e6, 64)
+        with pytest.raises(ConfigError):
+            ch.process(np.ones((4, 64), dtype=np.complex128), cycles=cycles)
 
 
 def reference_window(seed, block, deviation):

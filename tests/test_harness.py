@@ -164,9 +164,9 @@ class TestRunLink:
         zero = 3 * run_link(config).n_blocks // 4
         process, threads = channel._DelayLineChannel.process, set()
 
-        def process_with_zero_block(self, blocks, start_block=0, before=None):
+        def process_with_zero_block(self, blocks, start_block=0, before=None, cycles=None):
             threads.add(threading.current_thread().name)
-            blocks = process(self, blocks, start_block, before)
+            blocks = process(self, blocks, start_block, before, cycles)
             if start_block <= zero < start_block + len(blocks):
                 blocks[zero - start_block] = 0.0
             return blocks
