@@ -75,9 +75,14 @@ SOURCE_SAMPLE_PERIOD = 1e-3
 # 1, 2 and 4 MB read link_s_per_ref 0.280, 0.392 and 0.486 (noiseless fast
 # interpolating), 0.175, 0.228 and 0.267 (JTC outdoor raw) and 3.12, 4.44
 # and 4.81 (slow AWGN sweep), with peak_rss_mb 45.5, 48.0 and 52.8; 51.5,
-# 56.7 and 61.5; 43.9, 46.3 and 50.8.  4 MB stays, the fastest on all three:
-# each MB less saves about 2.4 MB of RSS but pays the layers' fixed cost per
-# call, still about 0.2 ms, on more tiles.
+# 56.7 and 61.5; 43.9, 46.3 and 50.8.  Re-timed once the modem's products
+# were real BLAS products: medians of 15 run_link calls in each of 3
+# alternating rounds at tiles of 2, 4 and 8 MB took 117-139, 91-110 and
+# 87-100 ms (2 s noiseless fast interpolating), 70-96, 60-68 and 51-58 ms
+# (1 s JTC outdoor raw) and 17-18, 12-14 and 11-15 ms (one 3 s slow point),
+# with a process's peak RSS at 47-48, 51-52 and 59-60 MB; 53, 57 and 65-66;
+# 45, 49-50 and 57-58.  4 MB stays: 8 MB tiles are faster on the fast
+# profile, but each worker holds one, so they cost 8 MB of RSS (15%).
 _TILE_SAMPLES = 1 << 18
 # modulate and demodulate_stream as the modem defines them (see _transmit).
 _LAYER_STAGES = (modulate, demodulate_stream)
@@ -176,6 +181,17 @@ class RunConfig:
         self.ajscc_params()
         min_sep = self.peak_min_separation()
         block_period = self.modem_config().block_period
+        if self.cytometry_path is None or self.gsr_path is None:
+            # A synthetic source holds round(duration / SOURCE_SAMPLE_PERIOD)
+            # samples, one block per block period of them, and the channel's
+            # keyed streams take blocks b < 2^32 (channel.KeyedBlocks).
+            # (min() keeps a quotient past the float range off round(inf).)
+            samples = round(min(self.duration / SOURCE_SAMPLE_PERIOD, 2.0**64))
+            if samples // round(block_period / SOURCE_SAMPLE_PERIOD) >= 1 << 32:
+                raise ConfigError(
+                    f"duration {self.duration!r} s holds 2^32 or more blocks of "
+                    f"{block_period!r} s; the link takes fewer"
+                )
         if min_sep < block_period:
             raise ConfigError(
                 f"the peak separation (analysis.peak_min_separation, by default "

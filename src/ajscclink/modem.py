@@ -12,11 +12,25 @@ The modulator and the receiver are serial kernels: a call computes its rows
 on the calling thread, in that thread's scratch (``pool.scratch``), and
 ``harness._transmit`` calls them once per tile from each range of its one
 row split.  The modulator multiplies a coarse and a fine tone table into
-each block, one ufunc call per tile of rows, into the output or a
-caller-owned ``out=``; a row's bytes do not depend on its tile or on which
-call holds it.  Each table is the outer product of two shorter ones, so a
-fast-profile row takes 40 cosines and sines, not 192: numpy's float64 cos
-and sin cost 20 to 40 ns an element, against about 1 ns for exp.
+each block, into the output or a caller-owned ``out=``; a row's bytes do not
+depend on its tile or on which call holds it.  Each table is the outer
+product of two shorter ones, so a fast-profile row takes 40 cosines and
+sines, not 192: numpy's float64 cos and sin cost 20 to 40 ns an element,
+against about 1 ns for exp.
+
+The modem's complex products run as real BLAS products (Goto and van de
+Geijn, ACM TOMS 34(3), 2008), one dgemm of fixed shape per row, so a row's
+bytes do not depend on where it sits:
+- the modulator writes a row, viewed as (q, 2m) floats, as
+  [Re coarse, Im coarse] (q x 2) @ [fine; j fine] (2 x 2m);
+- the direct tier's fine sums of a row are the row, viewed as (q, 2m)
+  floats, @ a (2m x 2k) matrix whose rows 2r and 2r + 1 are its k fine
+  twiddles and j times them, as floats (``_direct_bins``).
+Every shape stays below OpenBLAS's threading threshold for dgemm, m n k of
+2^18 (the largest is 64 x 256 x 10, an interpolating fast row), so the
+products run on the calling thread, never on OpenBLAS's own threads, which
+would convoy with the pool's.  The bytes do depend on the kernel OpenBLAS
+picks for the CPU (``OPENBLAS_CORETYPE``).
 
 The receiver takes a call's rows through three tiers.  The direct tier
 takes a call's consecutive rows in place as one batch (a transmit tile is
@@ -118,7 +132,7 @@ FAST_SAMPLE_RATE = 8.192e6
 FAST_FFT_SIZE = 8192
 SLOW_SAMPLE_RATE = 500e3
 SLOW_FFT_SIZE = 5000
-_TONE_TILE = 32  # rows per modulator tile: 119 kB of tone tables per thread at fft_size 8192
+_TONE_TILE = 32  # rows per modulator tile: 184 kB of tone tables per thread at fft_size 8192
 
 
 @dataclass(frozen=True)
@@ -256,14 +270,18 @@ def modulate(
     # t = c times the sample step: t - floor(t) is fmod(t, 1) for t >= 0, both exact, in
     # 1/30 of the time.  So a row takes a + b + a' + b' cosines and sines, 40 at
     # n = 8192, not m + q.  |sample| is within ~5e-16 of one, the phase ~3e-12 rad of exact.
+    # The outer products are matmuls of a column by a row, which, unlike a broadcast
+    # multiply, take no ufunc buffer.  The row itself is a real product: as floats it is
+    # [Re coarse, Im coarse] (q x 2) @ [fine; j fine] (2 x 2m), one BLAS dgemm per row.
     m, q, (a, b, a2, b2), steps = _tone_steps(n)
     cycles = freqs / cfg.sample_rate
 
-    tables = scratch("modulate", (_TONE_TILE, m + q + steps.size), np.complex128)
+    tables = scratch("modulate", (_TONE_TILE, 2 * m + q + steps.size), np.complex128)
     for t in range(0, n_rows, _TONE_TILE):
         u = min(t + _TONE_TILE, n_rows)
         rows = u - t
-        f, c, factors = tables[:rows, :m], tables[:rows, m : m + q], tables[:rows, m + q :]
+        f, c = tables[:rows, : 2 * m], tables[:rows, 2 * m : 2 * m + q]
+        factors = tables[:rows, 2 * m + q :]
         turns = np.multiply(cycles[t:u, None], steps, out=factors.imag)
         np.subtract(turns, np.floor(turns, out=factors.real), out=turns)
         np.multiply(turns, 2 * np.pi, out=turns)
@@ -273,9 +291,16 @@ def modulate(
         np.sin(turns, out=turns)
         fine_lo, fine_hi = factors[:, :a], factors[:, a : a + b]
         coarse_lo, coarse_hi = factors[:, a + b : a + b + a2], factors[:, a + b + a2 :]
-        np.multiply(fine_hi[:, :, None], fine_lo[:, None, :], out=f.reshape(rows, b, a))
-        np.multiply(coarse_hi[:, :, None], coarse_lo[:, None, :], out=c.reshape(rows, b2, a2))
-        np.multiply(c[:, :, None], f[:, None, :], out=out[t:u].reshape(rows, q, m))
+        fine, j_fine = f[:, :m], f[:, m:]
+        np.matmul(fine_hi[:, :, None], fine_lo[:, None, :], out=fine.reshape(rows, b, a))
+        np.negative(fine.imag, out=j_fine.real)
+        np.copyto(j_fine.imag, fine.real)
+        np.matmul(coarse_hi[:, :, None], coarse_lo[:, None, :], out=c.reshape(rows, b2, a2))
+        np.matmul(
+            c.view(np.float64).reshape(rows, q, 2),
+            f.view(np.float64).reshape(rows, 2, 2 * m),
+            out=out[t:u].view(np.float64).reshape(rows, q, 2 * m),
+        )
     return out
 
 
@@ -344,15 +369,34 @@ def _half_bin_tables(n: int):
     return h, c, near, magnitude[_SPAN + 1 - _TONE], magnitude.sum()
 
 
-@functools.lru_cache(maxsize=4)
-def _direct_tables(n: int, offsets: tuple[int, ...]):
+@functools.lru_cache(maxsize=8)
+def _direct_tables(n: int, offsets: tuple[int, ...], tile: int):
     """The direct tier's tables for the bins b + offsets / 2 of n-point rows
-    (``_direct_bins``): the half-bin twiddles z^i = exp(-j pi i / n) for
-    i < 2n, the offsets, and with (m, q) = _tone_split(n) the sample steps
-    r < m and -m p for p < q, as (m, 1) and (q, 1) columns."""
+    (``_direct_bins``), with (m, q) = _tone_split(n), the k offsets o_i and
+    z = exp(-j pi / n) the half-bin twiddle:
+    - steps, the sample steps r < m and -m p for p < q, as one (1, m + q) row;
+    - twiddles, two planes of length L: z^i, then j z^i, for lo <= i < hi,
+      the range of a residue mod 2n plus o_i r;
+    - fine, (tile, m, 2k): o_i r - lo + L s at [., r, s k + i];
+    - coarse, (tile, q, k): (-o_i m p) mod 2n at [., p, i];
+    - z, the twiddles' z^i for i < 2n.
+    The index tables are repeated over a tile of rows, so that a tile's
+    indices are one add of two arrays of one shape."""
     m, q = _tone_split(n)
-    z = np.exp(-1j * np.pi * np.arange(2 * n) / n)
-    tables = z, np.asarray(offsets), np.arange(m)[:, None], -m * np.arange(q)[:, None]
+    o = np.asarray(offsets)
+    r = np.arange(m)
+    lo, hi = min(o.min(), 0) * (m - 1), 2 * n + max(o.max(), 0) * (m - 1)
+    plane = np.exp(-1j * np.pi * (np.arange(lo, hi) % (2 * n)) / n)
+    twiddles = np.concatenate([plane, 1j * plane])
+    fine = r[:, None, None] * o - lo + plane.size * np.arange(2)[:, None]
+    coarse = -m * np.arange(q)[:, None] * o % (2 * n)
+    tables = (
+        np.concatenate([r, -m * np.arange(q)])[None, :],
+        twiddles,
+        np.repeat(fine.reshape(1, m, -1), tile, axis=0),
+        np.repeat(coarse[None], tile, axis=0),
+        twiddles[-lo : 2 * n - lo],
+    )
     for table in tables:
         table.flags.writeable = False  # shared by every call and thread
     return tables
@@ -370,7 +414,7 @@ class _Receiver(NamedTuple):
     tile: int  # rows per FFT tile, gathered batch and tile of direct bins
     row: int  # the direct bins' scratch per row, in complex elements
     half: tuple | None  # _half_bin_tables(n), interpolating only
-    direct: tuple  # _direct_tables(n, the receiver's offsets)
+    offsets: tuple  # the direct bins' half-bin offsets (_direct_tables)
 
 
 @functools.lru_cache(maxsize=8)
@@ -379,19 +423,19 @@ def _receiver(cfg: ModemConfig, interpolate: bool) -> _Receiver:
     per pair, not per call, since the transmit calls the receiver once per
     tile.
 
-    The direct bins' scratch per row holds the row's fine twiddles, sums
-    and int64 twiddle indices.
+    The direct bins' scratch per row holds the row's int64 twiddle indices,
+    its real twiddle matrix and its sums (``_direct_bins``).
     """
     n = cfg.fft_size
     k_lo, k_hi, lo, hi = _band_edges(cfg, n)
     k2_lo, k2_hi, _, _ = _band_edges(cfg, 2 * n)
     offsets = _PADDED if interpolate else _TRIPLE
     m, q = _tone_split(n)
-    row = (m + q) * len(offsets) + (m * len(offsets) + 1) // 2
+    row = (m + q + 1) // 2 + (3 * m + q) * len(offsets)
     tile = max(1, _TILE_BYTES // (16 * n))
     return _Receiver(
         k_lo, k_hi, lo, hi, k2_lo, k2_hi, tile, row,
-        _half_bin_tables(n) if interpolate else None, _direct_tables(n, offsets),
+        _half_bin_tables(n) if interpolate else None, offsets,
     )
 
 
@@ -492,7 +536,7 @@ def _gate(x, setup: _Receiver, interpolate, band_noise):
     # The raw receiver's three bins lie in the band, or with band noise in
     # the window.
     width = n_bins if band_noise is None else min(band_noise.window.shape[1], n_bins)
-    seg = min(_GATE, n - _SKIP - setup.direct[2].size)
+    seg = min(_GATE, n - _SKIP - _tone_split(n)[0])
     if seg <= 0 or not (interpolate or width >= 3):
         return np.zeros(m, dtype=bool)
     done = None
@@ -527,13 +571,14 @@ def _direct_peaks(x, setup: _Receiver, band_noise, which, space):
     m, n = x.shape
     k_lo, k_hi = setup.k_lo, setup.k_hi
     n_bins = k_hi - k_lo + 1
-    split = setup.direct[2].size
+    split = _tone_split(n)[0]
     seg = min(_SEGMENT, n - _SKIP - split)
+    # N |x|^2 by einsum, which releases the GIL.  Not np.vecdot: on the complex
+    # rows (BLAS's zdotc) it holds the GIL for the whole call, so the pool's
+    # other worker waits (a 1 s JTC outdoor raw run took 51-57 ms against
+    # 44-51 ms); on the float view its ddot runs on OpenBLAS's threads above
+    # 10,000 floats, which convoy with the pool's.
     floats = x.view(np.float64)
-    # N |x|^2.  Not np.vecdot on the floats, which would be BLAS's ddot: on a
-    # 2-vCPU Xeon VM a 2 s noiseless fast run took 0.24-0.30 s with it, against
-    # 0.165 s with einsum and 0.18 s with OPENBLAS_NUM_THREADS=1, as OpenBLAS's
-    # threads convoy with the pool's.
     power = n * np.einsum("ij,ij->i", floats, floats)
     # The tone's frequency: r_1's phase over the segment, unwrapped onto that
     # of r_s (s = m of the tone split), which reads it s times finer.
@@ -543,7 +588,7 @@ def _direct_peaks(x, setup: _Receiver, band_noise, which, space):
     cycles = (fine_turns + np.rint(coarse * split - fine_turns)) / split
     j = np.minimum(np.maximum(np.rint(cycles * n).astype(np.int64) % n, k_lo), k_hi)
     if setup.half is not None:
-        bins = _direct_bins(x, j, setup.direct, space, setup.tile)
+        bins = _direct_bins(x, j, setup.offsets, space, setup.tile)
         powers = np.square(bins.real) + np.square(bins.imag)  # padded bins 2j - 2 .. 2j + 2
         # Parseval over E: no bin but j - 1, j, j + 1 holds more than the rest
         # of N |x|^2, so j is the FFT's in-band peak.
@@ -563,7 +608,7 @@ def _direct_peaks(x, setup: _Receiver, band_noise, which, space):
         start = np.minimum(np.maximum(j - k_lo - full_width // 2, 0), n_bins - width)
         first = k_lo + start
     base = np.minimum(np.maximum(j - 1, first), first + width - 3)
-    bins = _direct_bins(x, base, setup.direct, space, setup.tile)
+    bins = _direct_bins(x, base, setup.offsets, space, setup.tile)
     powers = np.square(bins.real) + np.square(bins.imag)
     top = powers.argmax(axis=1)
     limit = powers.max(axis=1) * (1 - _ETA)
@@ -598,34 +643,51 @@ def _direct_peaks(x, setup: _Receiver, band_noise, which, space):
     return ok, k[ok], None
 
 
-def _direct_bins(x, base, tables, space, tile):
+def _direct_bins(x, base, offsets, space, tile):
     """Bins base + offsets / 2 of each row of x (``_direct_tables``).
 
     Viewed as (q, m), row x holds sample p m + r at [p, r], so its bin
     h / 2 is sum_p z^(h m p) sum_r x[p, r] z^(h r), with z the half-bin
-    twiddle: one batched matrix product of the rows with their fine
-    twiddles, then a q-long coarse sum.  It runs a tile of rows at a time,
-    with their fine twiddles, sums and twiddle indices in space.
+    twiddle: a matrix product of the row with its fine twiddles, then a
+    q-long coarse sum.  The product is real: the row as (q, 2m) floats @ a
+    (2m, 2k) matrix whose rows 2r and 2r + 1 are z^(h r) and j z^(h r) as
+    floats, one BLAS dgemm per row.  It runs a tile of rows at a time, with
+    their twiddle indices, twiddles and sums in space.
     """
-    z, offsets, fine_steps, coarse_steps = tables
     rows, n = x.shape
-    m, q, k = fine_steps.size, coarse_steps.size, offsets.size
+    steps, twiddles, fine_index, coarse_index, z = _direct_tables(n, offsets, tile)
+    m, q = _tone_split(n)
+    k = len(offsets)
     bins = np.empty((rows, k), dtype=np.complex128)
-    half = (2 * base[:, None] + offsets)[:, None, :]  # each row's bins, in half bins
+    double = 2 * base[:, None]
     for s in range(0, rows, tile):
         t = min(tile, rows - s)
-        fine = space[: t * m * k].reshape(t, m, k)
-        sums = space[t * m * k : t * (m + q) * k].reshape(t, q, k)
-        index = space[t * (m + q) * k :].view(np.int64)[: fine.size].reshape(fine.shape)
-        # The index products h r and -h m p: a matmul of integers, which,
-        # unlike a broadcast multiply, takes no buffer.
-        turns = np.remainder(np.matmul(fine_steps, half[s : s + t], out=index), 2 * n, out=index)
-        f = z.take(turns, out=fine, mode="wrap")
-        y = np.matmul(x[s : s + t].reshape(t, q, m), f, out=sums)
-        # f is spent: its buffer takes the coarse twiddles' conjugates.
-        c, turns = (a.reshape(-1)[: y.size].reshape(y.shape) for a in (fine, index))
-        np.remainder(np.matmul(coarse_steps, half[s : s + t], out=turns), 2 * n, out=turns)
-        np.vecdot(z.take(turns, out=c, mode="wrap"), y, axis=1, out=bins[s : s + t])
+        # With h = 2 base + o, h r = 2 base r + o r and -h m p = -2 base m p - o m p:
+        # each row's 2 base r and -2 base m p mod 2n, plus the tables' o parts,
+        # which keep the fine indices inside their plane and the coarse ones
+        # below 4n.
+        e0 = (t * (m + q) + 1) // 2
+        e1 = e0 + t * m * k
+        e2 = e1 + 2 * t * m * k
+        shift = space[:e0].view(np.int64)[: t * (m + q)].reshape(t, m + q)
+        np.remainder(np.matmul(double[s : s + t], steps, out=shift), 2 * n, out=shift)
+        index = space[e0:e1].view(np.int64).reshape(t, m, 2 * k)
+        np.copyto(index, shift[:, :m, None])
+        np.add(index, fine_index[:t], out=index)
+        f = twiddles.take(index, out=space[e1:e2].reshape(t, m, 2 * k), mode="clip")
+        y = space[e2 : e2 + t * q * k].reshape(t, q, k)
+        np.matmul(
+            x[s : s + t].view(np.float64).reshape(t, q, 2 * m),
+            f.view(np.float64).reshape(t, 2 * m, 2 * k),
+            out=y.view(np.float64).reshape(t, q, 2 * k),
+        )
+        # f and index are spent: their buffers take the coarse twiddles'
+        # conjugates and their indices.
+        turns = index.reshape(-1)[: t * q * k].reshape(t, q, k)
+        np.copyto(turns, shift[:, m:, None])
+        np.add(turns, coarse_index[:t], out=turns)
+        c = z.take(turns, out=f.reshape(-1)[: t * q * k].reshape(t, q, k), mode="wrap")
+        np.vecdot(c, y, axis=1, out=bins[s : s + t])
     return bins
 
 

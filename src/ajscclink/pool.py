@@ -6,12 +6,15 @@ module-level thread pool, and each range takes its blocks through the
 modulator, the channel and the receiver one tile of rows at a time.  Those
 layers are serial kernels: each call computes its rows on the calling
 thread and never dispatches to the pool.  numpy's generator fills, ufunc
-loops and ``numpy.fft`` release the GIL, while Python work such as seating a
-keyed generator (``channel.KeyedBlocks``) holds it.  Objects with state,
-such as a generator, are made per call or per thread and never shared
-between threads.
+loops, einsum, ``np.matmul`` and ``numpy.fft`` release the GIL, while Python
+work such as seating a keyed generator (``channel.KeyedBlocks``) holds it,
+and so does ``np.vecdot`` for the whole of a call on a tile's rows (with
+one BLAS thread, a vecdot of 8 complex rows of 4M elements stalled another
+thread's Python for 43 ms of the call's 52 ms; a 0.2 s matmul, for 9 ms).
+Objects with state, such as a generator, are made per call or per thread and
+never shared between threads.
 
-Three rules make a layer called once per tile cheap and thread-safe:
+Four rules make a layer called once per tile cheap and thread-safe:
 - Scratch per thread, not per call.  A layer takes its buffers from
   ``scratch``, one per (thread, slot), grown to the largest request the
   thread has made for the slot and reused after that.  A layer called once
@@ -23,6 +26,13 @@ Three rules make a layer called once per tile cheap and thread-safe:
   worker range (``channel.block_range``), and each call pays for its rows
   only: at one call per 32-block tile, a receiver's set-up and small numpy
   calls were a tenth of a noiseless run.
+- BLAS on the calling thread.  The layers' matrix products are real
+  dgemms of one row each (``modem``: the modulator's (q x 2) @ (2 x 2m) and
+  the direct tier's (q x 2m) @ (2m x 2k)), below OpenBLAS's threading
+  threshold (m n k of 2^18), so they never wake OpenBLAS's own threads,
+  which would convoy with the pool's.  A reduction over a row goes through
+  einsum, not a BLAS dot on the float view: OpenBLAS threads ddot above
+  10,000 elements.
 - Only the layers' own functions on the pool.  A stage replaced from
   outside, such as a timing wrapper that keeps one call stack for every
   thread, may not be thread-safe, so ``_transmit`` then passes inline and

@@ -11,14 +11,16 @@ fig6a (AWGN) and fig7b (JTC outdoor multipath) at levels [5, 10].  A run's
 hash is the first 16 hex digits of the SHA-256 of its sorted-key
 ``report_to_dict`` JSON without ``wall_time_s``; a figure's is that of its
 CSV file.  ``payload_hashes.json`` holds the expected table and the
-environment it was made in, since the bytes depend on the numpy version and
-on the SIMD paths numpy dispatches on the CPU.  A change that names the
-stream it alters rewrites the file, so its diff lists the payloads that
-changed.
+environment it was made in, since the bytes depend on the numpy version, on
+the SIMD paths numpy dispatches on the CPU and on the kernel OpenBLAS picks
+for it (its matrix products: the GSR filter, the Jakes gains, the modulator
+and the receiver's direct bins).  A change that names the stream it alters
+rewrites the file, so its diff lists the payloads that changed.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import pathlib
@@ -75,9 +77,28 @@ def figure_hashes() -> dict[str, str]:
     return hashes
 
 
+def blas_core() -> str:
+    """The CPU kernel OpenBLAS runs here (for example SkylakeX), read from
+    the copy bundled with numpy; "unknown" where none is found.  OPENBLAS_CORETYPE
+    overrides it, and the bytes of the matrix products depend on it."""
+    libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(lib, name, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
 def environment() -> dict[str, str]:
     """Where the bytes were made: numpy (the run path's only numeric
-    library) and the CPU features it can dispatch on."""
+    library), the CPU features it can dispatch on and OpenBLAS's kernel."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__ as features
     except ImportError:  # numpy < 2
@@ -86,6 +107,7 @@ def environment() -> dict[str, str]:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "cpu_features": " ".join(sorted(k for k, v in features.items() if v)),
+        "openblas_core": blas_core(),
     }
 
 

@@ -556,6 +556,19 @@ class TestConfigBoundary:
         except ConfigError:
             pass
 
+    @pytest.mark.parametrize("profile, ratio", [("fast", 1), ("slow", 10)])
+    def test_synthetic_duration_stops_below_2_to_the_32_blocks(self, profile, ratio):
+        # Keyed streams take blocks b < 2^32: the last duration whose block
+        # count fits is accepted and the next one is a ConfigError, before
+        # anything is generated.  Only the configs are built, never run.
+        RunConfig(profile=profile, duration=(2**32 - 1) * ratio * 1e-3)
+        with pytest.raises(ConfigError, match="2\\^32"):
+            RunConfig(profile=profile, duration=2**32 * ratio * 1e-3)
+        with pytest.raises(ConfigError, match="2\\^32"):
+            RunConfig(profile=profile, duration=2**32 * ratio * 1e-3, gsr_path="gsr.csv")
+        with pytest.raises(ConfigError, match="2\\^32"):
+            RunConfig(profile=profile, duration=1e306)  # past the float range in samples
+
 
 class TestReproduce:
     def test_fig4_staircase_file(self, tmp_path):
@@ -708,6 +721,13 @@ class TestCli:
 
         monkeypatch.setattr(cli_mod, "run_link", boom)
         assert main(["simulate", "--out", str(tmp_path)]) == 3
+
+    def test_duration_past_the_block_range_is_config_error(self, tmp_path, capsys):
+        # 1e12 s is 1e15 blocks: a ConfigError at the config, not an
+        # allocation error from the generate stage.
+        assert main(["simulate", "--duration", "1e12", "--out", str(tmp_path)]) == 2
+        assert "2^32" in capsys.readouterr().err
+        assert not (tmp_path / "run_report.json").exists()
 
     def test_bad_level_range_is_config_error(self, tmp_path):
         for levels in ("10:5", "a:b", "5,x", "5:x:1"):

@@ -225,13 +225,16 @@ def whole_array_modulate(encoded, cfg, start_phase):
     the outer product of two factors, fine[r' a + r] = e(c_b r) e(c_b a r')
     and coarse[p' a' + p] = exp(j phi_b) e(c_b m p) e(c_b m a' p'), where
     e(t) = exp(j 2 pi frac(t)) and phi_b joins its factor's angle before the
-    cosine.  Every factor of every row is one broadcast.
+    cosine.  Every factor of every row is one broadcast, each outer product
+    one matmul of a column by a row, and the rows one real matmul: as floats,
+    [Re coarse, Im coarse] (q x 2) @ [fine; j fine] (2 x 2m).
     """
     freqs = voltage_to_frequency(np.asarray(encoded, dtype=np.float64), FULL_SCALE, cfg)
     phases0 = block_start_phases(freqs, cfg, start_phase)
     cycles = freqs / cfg.sample_rate
     m, q = tone_split(cfg.fft_size)
     (a, b), (a2, b2) = tone_split(m), tone_split(q)
+    rows = freqs.size
 
     def tones(steps, phase=None):
         turns = cycles[:, None] * np.asarray(steps, dtype=np.float64)
@@ -243,11 +246,15 @@ def whole_array_modulate(encoded, cfg, start_phase):
         return table
 
     def outer(hi, lo):
-        return (hi[:, :, None] * lo[:, None, :]).reshape(freqs.size, -1)
+        return np.matmul(hi[:, :, None], lo[:, None, :]).reshape(rows, -1)
 
     fine = outer(tones(a * np.arange(b)), tones(np.arange(a)))
     coarse = outer(tones(m * a2 * np.arange(b2)), tones(m * np.arange(a2), phases0))
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(freqs.size, cfg.fft_size)
+    left = np.stack([coarse.real, coarse.imag], axis=2)
+    right = np.stack(
+        [np.stack([fine.real, fine.imag], axis=2), np.stack([-fine.imag, fine.real], axis=2)], axis=1
+    ).reshape(rows, 2, 2 * m)
+    return np.matmul(left, right).view(np.complex128).reshape(rows, cfg.fft_size)
 
 
 def exact_tones(encoded, cfg, start_phases):
@@ -302,6 +309,23 @@ class TestModulateRowSplit:
         assert np.hypot(got.real - cos, got.imag - sin).max() <= 1e-11
         modulus = np.hypot(got.real.astype(np.longdouble), got.imag.astype(np.longdouble))
         assert np.abs(modulus - 1).max() <= 1e-15
+
+    def test_warm_call_allocates_little(self):
+        # A warm modulate of a 32-row fast tile into out= allocates under
+        # 128 kB: its outer products are matmuls of a column by a row and its
+        # rows real matmuls, none of which takes a ufunc buffer (the broadcast
+        # multiplies they replaced took 266 kB).
+        cfg = fast_profile()
+        encoded = np.random.default_rng(16).uniform(0, FULL_SCALE, 32)
+        out = np.empty((32, cfg.fft_size), dtype=np.complex128)
+        modulate(encoded, FULL_SCALE, cfg, out=out)
+        tracemalloc.start()
+        try:
+            modulate(encoded, FULL_SCALE, cfg, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 << 10
 
     @pytest.mark.parametrize(
         "shape, dtype",
@@ -1113,11 +1137,22 @@ class TestDirectTier:
         assert [len(batch["x"]) for batch in seen] == [n_rows]
         assert seen[0]["ok"].all()
 
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    def test_products_stay_on_the_calling_thread(self, profile):
+        # OpenBLAS runs a dgemm of m n k <= 2^18 on the calling thread.  The
+        # modulator's (q x 2) @ (2 x 2m) and the direct tier's (q x 2m) @
+        # (2m x 2k) per row must stay there, or they would wake OpenBLAS's
+        # threads, which convoy with the pool's.
+        m, q = tone_split(profile().fft_size)
+        assert q * 2 * (2 * m) <= 1 << 18
+        for offsets in (modem._PADDED, modem._TRIPLE):
+            assert q * (2 * m) * (2 * len(offsets)) <= 1 << 18
+
     @pytest.mark.parametrize("profile, n_rows", [(fast_profile, 32), (slow_profile, 52)])
     @pytest.mark.parametrize("interpolate", [True, False])
     def test_warm_call_allocates_little(self, profile, n_rows, interpolate):
         # A warm receiver call on a transmit tile of clean rows allocates
-        # under 256 kB: the direct bins' scratch (327 kB per 16 fast rows)
+        # under 256 kB: the direct bins' scratch (598 kB per 16 fast rows)
         # is the thread's, not a temporary of each batch.
         cfg = profile()
         blocks = modulate(np.random.default_rng(15).uniform(0, FULL_SCALE, n_rows), FULL_SCALE, cfg)

@@ -1,8 +1,8 @@
 """The fixed runs of ``payload_hashes.py`` reproduce ``payload_hashes.json``.
 
-The bytes depend on the numpy version and on the SIMD paths numpy dispatches
-on the CPU, so elsewhere than where the file was made the test skips and
-says why.
+The bytes depend on the numpy version, on the SIMD paths numpy dispatches on
+the CPU and on OpenBLAS's kernel, so elsewhere than where the file was made
+the test skips and says why.
 """
 
 import json
