@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import importlib.resources
 import threading
 from dataclasses import dataclass, field
@@ -179,8 +180,10 @@ def load_profile(path) -> TapProfile:
     return TapProfile.from_db(delays, powers_db, name=str(path))
 
 
+@functools.lru_cache(maxsize=None)
 def builtin_profile(family: str) -> TapProfile:
-    """Load the packaged tap table for a multipath channel family."""
+    """Load the packaged tap table for a multipath channel family: read once
+    per process, with read-only arrays, since every run of the family shares it."""
     try:
         fname = _BUILTIN_PROFILE_FILES[family]
     except KeyError:
@@ -188,7 +191,9 @@ def builtin_profile(family: str) -> TapProfile:
     resource = importlib.resources.files("ajscclink.profiles").joinpath(fname)
     with importlib.resources.as_file(resource) as path:
         profile = load_profile(path)
-    return TapProfile(profile.delays, profile.powers, name=family)
+    profile = TapProfile(profile.delays, profile.powers, name=family)
+    profile.delays.flags.writeable = profile.powers.flags.writeable = False
+    return profile
 
 
 @dataclass(frozen=True)

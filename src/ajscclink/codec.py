@@ -27,7 +27,8 @@ class AjsccParams:
     level_height (the encoded-output span contributed by one level) defaults
     to 1 / levels so the encoded full scale is 1.0 regardless of L.
     design1_bias emulates the per-stage offset of the fixed-11-level
-    hardware variant; it is ignored by the ideal encoder.
+    hardware variant.  Only ``encode_design1`` reads it, for acceptance
+    criterion c9's filter check; ``encode`` and every run path ignore it.
     """
 
     levels: int
@@ -93,7 +94,9 @@ def encode_design1(x1, x2, p: AjsccParams):
 
     Identical to encode plus design1_bias added once per active stage, so a
     point on line q carries an extra q * design1_bias.  With zero bias this
-    reduces to encode exactly.
+    reduces to encode exactly.  It is off every run path: it exists for
+    acceptance criterion c9, whose threshold and median filters must remove
+    the bias floor and isolated spikes, and for its own tests.
     """
     if p.levels != 11:
         raise ConfigError(f"the fixed-stage variant requires levels=11, got {p.levels}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -620,6 +621,25 @@ def _reproduce_config(seed: int, duration: float, **overrides) -> RunConfig:
     return RunConfig(**base)
 
 
+def _write_table1_csv(rows: list[str], path) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write(
+            "case,channel,levels,csnr_db,doppler_hz,n_source_peaks,"
+            "n_receiver_peaks,ks_statistic,p_value,reject_at_5pct\n"
+        )
+        fh.writelines(rows)
+
+
+def _peak_values(peaks: list[PulseEvent], experiment_id: str, case: str, duration: float) -> list:
+    """The peaks' values for an empirical CDF, which needs at least one."""
+    if not peaks:
+        raise ConfigError(
+            f"{experiment_id}: the {case} holds no peaks at duration {duration!r} s; "
+            f"an empirical CDF needs at least one (use a longer duration)"
+        )
+    return [p.peak_value for p in peaks]
+
+
 def reproduce(
     experiment_id: str, out_dir, seed: int = 1, duration: float = 20.0, levels=None
 ) -> list:
@@ -628,34 +648,35 @@ def reproduce(
     Returns the list of written file paths.  Uses synthetic sources; sweeps
     and table rows follow the reference experiment layout.  levels narrows
     the sweep grid of the MSE figures (default 5..100 step 5); peak-CDF and
-    K-S experiments want durations of 20 s or more for stable peak counts.
+    K-S experiments want durations of 20 s or more for stable peak counts,
+    and a duration too short for a case's peak CDF or K-S test is a
+    ConfigError naming the case.  The files are written only once every run
+    of the experiment has succeeded, so a failed call leaves none of them.
     """
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    files = []  # (file name, write(path)), written once every run has succeeded
 
     if experiment_id == "fig4":
         params = AjsccParams(levels=16)
         curve = staircase(params, x1_fixed=params.x1_max / 2, n_points=4096)
-        path = out / "fig4_staircase.csv"
-        write_staircase_csv(curve, path)
-        written.append(path)
+        files.append(("fig4_staircase.csv", functools.partial(write_staircase_csv, curve)))
 
     elif experiment_id == "fig5cdf":
-        first = True
         for family, csnr, doppler in _TABLE1_CHANNELS:
             cfg = _reproduce_config(
                 seed, duration, levels=30, channel_family=family, csnr_db=csnr, doppler_hz=doppler
             )
             report = run_link(cfg)
-            if first:
-                path = out / "fig5_cdf_source.csv"
-                write_cdf_csv([p.peak_value for p in report.source_peaks], path)
-                written.append(path)
-                first = False
-            path = out / f"fig5_cdf_{family}.csv"
-            write_cdf_csv([p.peak_value for p in report.receiver_peaks], path)
-            written.append(path)
+            if not files:
+                values = _peak_values(
+                    report.source_peaks, experiment_id, f"{family} run's source trace", duration
+                )
+                files.append(("fig5_cdf_source.csv", functools.partial(write_cdf_csv, values)))
+            values = _peak_values(
+                report.receiver_peaks, experiment_id, f"{family} run's receiver trace", duration
+            )
+            files.append((f"fig5_cdf_{family}.csv", functools.partial(write_cdf_csv, values)))
 
     elif experiment_id in ("fig6a", "fig6b", "fig7a", "fig7b", "fig7c"):
         # The trade-off curves assume the raw FFT-bin readout; sub-bin
@@ -673,41 +694,44 @@ def reproduce(
         }
         cfg = _reproduce_config(seed, duration, interpolate=False, **setups[experiment_id])
         reports = sweep_levels(cfg, levels if levels is not None else range(5, 101, 5))
-        path = out / f"{experiment_id}_mse_vs_levels.csv"
-        write_sweep_csv(reports, path)
-        written.append(path)
+        files.append(
+            (f"{experiment_id}_mse_vs_levels.csv", functools.partial(write_sweep_csv, reports))
+        )
 
     elif experiment_id == "table1":
-        path = out / "table1_ks.csv"
-        with open(path, "w", newline="\n") as fh:
-            fh.write(
-                "case,channel,levels,csnr_db,doppler_hz,n_source_peaks,"
-                "n_receiver_peaks,ks_statistic,p_value,reject_at_5pct\n"
-            )
-            case = 1
-            for family, csnr, doppler in _TABLE1_CHANNELS:
-                for levels in (30, 50):
-                    cfg = _reproduce_config(
-                        seed,
-                        duration,
-                        levels=levels,
-                        channel_family=family,
-                        csnr_db=csnr,
-                        doppler_hz=doppler,
+        rows = []
+        for family, csnr, doppler in _TABLE1_CHANNELS:
+            for levels in (30, 50):
+                case = len(rows) + 1
+                cfg = _reproduce_config(
+                    seed,
+                    duration,
+                    levels=levels,
+                    channel_family=family,
+                    csnr_db=csnr,
+                    doppler_hz=doppler,
+                )
+                report = run_link(cfg)
+                ks = report.ks
+                if ks is None:
+                    raise ConfigError(
+                        f"table1 case {case} ({family}, {levels} levels): too few peaks for "
+                        f"the K-S test at duration {duration!r} s ({len(report.source_peaks)} "
+                        f"source and {len(report.receiver_peaks)} receiver peaks, 5 each "
+                        f"needed; use a longer duration)"
                     )
-                    report = run_link(cfg)
-                    ks = report.ks
-                    if ks is None:
-                        raise StageError("metrics", "too few peaks for the K-S test")
-                    fh.write(
-                        f"{case},{family},{levels},{csnr!r},{doppler if doppler is not None else 0.0!r},"
-                        f"{len(report.source_peaks)},{len(report.receiver_peaks)},"
-                        f"{ks.statistic!r},{ks.p_value!r},{int(ks.reject_at_5pct)}\n"
-                    )
-                    case += 1
-        written.append(path)
+                rows.append(
+                    f"{case},{family},{levels},{csnr!r},{doppler if doppler is not None else 0.0!r},"
+                    f"{len(report.source_peaks)},{len(report.receiver_peaks)},"
+                    f"{ks.statistic!r},{ks.p_value!r},{int(ks.reject_at_5pct)}\n"
+                )
+        files.append(("table1_ks.csv", functools.partial(_write_table1_csv, rows)))
 
     else:
         raise ConfigError(f"unknown experiment id {experiment_id!r}; expected one of {EXPERIMENT_IDS}")
 
+    written = []
+    for name, write in files:
+        write(out / name)
+        written.append(out / name)
     return written

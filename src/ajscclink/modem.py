@@ -40,10 +40,15 @@ rows, such a tile at a time:
 1. The gate.  Past a row's first 16 samples, which a multipath channel mixes
    with the previous block's tone, a clean tone's lag-1 autocorrelation r_1
    over 512 samples has the magnitude of their power p; noise lowers
-   |r_1| / p to about SNR / (1 + SNR).  A row goes on only where
-   |r_1| >= 0.7 p, and a raw row with band noise only where its window could
+   |r_1| / p to about SNR / (1 + SNR).  An interpolating row goes on only
+   where |r_1| >= 0.7 p.  Raw rows skip that lag test: a raw decision is a
+   bin, which the tier below proves equal to the FFT path's or leaves to
+   it, so the test would only spare it rows it rejects, and a raw run makes
+   none (its channel runs at csnr_db = inf, the noise being the receiver's,
+   in band).  A raw row with band noise goes on only where its window could
    clear the union bound (below).
-2. The direct tier.  The phase of r_1 over 2048 samples, unwrapped onto that
+2. The direct tier.  The phase of r_1 over 2048 samples (512 on a raw row,
+   which carries no time-domain noise to average out), unwrapped onto that
    of r_m (m of the tone split, 128 at N = 8192), gives the tone's bin j
    (cf. Kay, IEEE Trans. ASSP 37(12), 1989).  The tier computes exactly the
    bins the row's decision reads, and no others: viewed as (q, m), a row's
@@ -170,11 +175,16 @@ class ModemConfig:
         return self.sample_rate / self.fft_size
 
 
+@functools.lru_cache(maxsize=None)
 def fast_profile() -> ModemConfig:
-    """8.192 MHz sampling, 8192-point FFT: one decoded sample per 1 ms."""
+    """8.192 MHz sampling, 8192-point FFT: one decoded sample per 1 ms.
+
+    Built once per process, like slow_profile: a ModemConfig is frozen.
+    """
     return ModemConfig(f_min=500e3, f_max=4e6, sample_rate=FAST_SAMPLE_RATE, fft_size=FAST_FFT_SIZE)
 
 
+@functools.lru_cache(maxsize=None)
 def slow_profile() -> ModemConfig:
     """500 kHz sampling, 5000-point FFT: one decoded sample per 10 ms."""
     return ModemConfig(f_min=25e3, f_max=225e3, sample_rate=SLOW_SAMPLE_RATE, fft_size=SLOW_FFT_SIZE)
@@ -322,10 +332,11 @@ _SPAN_BINS = np.array([d for d in range(-_SPAN - 1, _SPAN + 1) if d not in (-1, 
 # The direct tier (module docstring): its autocorrelations skip a row's first
 # _SKIP samples, which a multipath channel fills in part with the previous
 # block's tone (the packaged tap profiles reach 4 samples on the fast
-# profile), and read the _SEGMENT samples after them; it tries a row only
-# where |r_1| >= _CLEAN |x|^2.  The interpolating receiver computes the
-# padded bins 2j + _PADDED, the raw one three bins k, k + 1, k + 2.
-_SKIP, _GATE, _SEGMENT, _CLEAN = 16, 512, 2048, 0.7
+# profile), and read the _SEGMENT samples after them, or _RAW_SEGMENT on a raw
+# row; it tries an interpolating row only where |r_1| >= _CLEAN |x|^2 over
+# _GATE samples.  The interpolating receiver computes the padded bins
+# 2j + _PADDED, the raw one three bins k, k + 1, k + 2.
+_SKIP, _GATE, _SEGMENT, _RAW_SEGMENT, _CLEAN = 16, 512, 2048, 512, 0.7
 _PADDED, _TRIPLE = (-2, -1, 0, 1, 2), (0, 2, 4)
 _STEPS = np.arange(3)  # the bins k, k + 1, k + 2 of a triple from k
 
@@ -539,8 +550,12 @@ def _gate(x, setup: _Receiver, interpolate, band_noise):
     seg = min(_GATE, n - _SKIP - _tone_split(n)[0])
     if seg <= 0 or not (interpolate or width >= 3):
         return np.zeros(m, dtype=bool)
-    done = None
-    if band_noise is not None:
+    if not interpolate:
+        # A raw decision is a bin, which the tier proves equal to the FFT
+        # path's or leaves to it, so the lag test below would only spare it
+        # rows it rejects; raw runs hold none (their channel is noiseless).
+        if band_noise is None:
+            return np.ones(m, dtype=bool)
         # The window decides a row only where the union bound holds: try rows
         # where it would with a margin of a half-bin tone's peak, 2/pi
         # sqrt(N |x|^2), plus the largest noise bin.  A clean tone's modulus
@@ -549,16 +564,13 @@ def _gate(x, setup: _Receiver, interpolate, band_noise):
         margin = 2 / np.pi * n * np.abs(x[:, _SKIP]) + np.abs(window).max(axis=1)
         with np.errstate(over="ignore"):
             bound = (n_bins - width) * np.exp(-0.5 * np.square(margin / band_noise.deviation))
-        done = bound <= _EPSILON
-        if not done.any():
-            return done
+        return bound <= _EPSILON
     # |r_1| over the first _GATE samples past the edge is their power p for a
     # clean tone, and less by the noise's share of p.
     head = x[:, _SKIP : _SKIP + seg]
     power = np.vecdot(head, head).real
     lag = np.vecdot(head, x[:, _SKIP + 1 : _SKIP + 1 + seg])
-    clean = (power > 0) & (np.abs(lag) >= _CLEAN * power)
-    return clean if done is None else done & clean
+    return (power > 0) & (np.abs(lag) >= _CLEAN * power)
 
 
 def _direct_peaks(x, setup: _Receiver, band_noise, which, space):
@@ -572,7 +584,10 @@ def _direct_peaks(x, setup: _Receiver, band_noise, which, space):
     k_lo, k_hi = setup.k_lo, setup.k_hi
     n_bins = k_hi - k_lo + 1
     split = _tone_split(n)[0]
-    seg = min(_SEGMENT, n - _SKIP - split)
+    # A raw run's rows carry no time-domain noise (its channel runs at
+    # csnr_db = inf), so their tone needs no long average; and a raw decision
+    # that a short segment misplaces fails its proof and takes the FFT path.
+    seg = min(_SEGMENT if setup.half is not None else _RAW_SEGMENT, n - _SKIP - split)
     # N |x|^2 by einsum, which releases the GIL.  Not np.vecdot: on the complex
     # rows (BLAS's zdotc) it holds the GIL for the whole call, so the pool's
     # other worker waits (a 1 s JTC outdoor raw run took 51-57 ms against

@@ -155,18 +155,24 @@ def gen_cytometry(
     if duration < 10 * spec.pulse_width:
         raise ConfigError("duration must be >= 10 * pulse_width")
     n = int(round(duration / sample_period))
-    t = np.arange(n) * sample_period
     values = np.full(n, spec.baseline)
 
     times, peaks = cytometry_schedule(spec, duration, seed)
     sigma = spec.pulse_width / 6.0
-    for t0, pk in zip(times, peaks):
-        lo = max(0, int((t0 - 5 * sigma) / sample_period))
-        hi = min(n, int((t0 + 5 * sigma) / sample_period) + 1)
-        if hi <= lo:
-            continue
-        seg = t[lo:hi]
-        values[lo:hi] += (pk - spec.baseline) * np.exp(-0.5 * ((seg - t0) / sigma) ** 2)
+    # Pulse p covers the samples lo[p] <= i < hi[p] of its footprint t0 +-
+    # 5 sigma.  All pulses are one (pulses, longest footprint) array of the
+    # per-sample arithmetic, added in pulse order: np.add.at adds its indices
+    # one by one, so where footprints overlap (sigma below the sample period)
+    # a sample gets each pulse's share in turn.
+    lo = np.maximum((times - 5 * sigma) / sample_period, 0).astype(np.int64)
+    hi = np.minimum(((times + 5 * sigma) / sample_period).astype(np.int64) + 1, n)
+    span = int((hi - lo).max(initial=0))
+    if span:
+        index = lo[:, None] + np.arange(span)
+        inside = index < hi[:, None]
+        seg = index * sample_period
+        bumps = (peaks - spec.baseline)[:, None] * np.exp(-0.5 * ((seg - times[:, None]) / sigma) ** 2)
+        np.add.at(values, index[inside], bumps[inside])
 
     if spec.noise_sd > 0:
         # Noise stream drawn after the schedule so the schedule is stable
@@ -176,6 +182,7 @@ def gen_cytometry(
     return SourceTrace(sample_period, values)
 
 
+@functools.lru_cache(maxsize=8)
 def _butter_lowpass_sos(order: int, wn: float) -> np.ndarray:
     """Second-order sections of a digital Butterworth low-pass, order even.
 
@@ -183,6 +190,7 @@ def _butter_lowpass_sos(order: int, wn: float) -> np.ndarray:
     scipy's: analog prototype poles, pre-warped lp2lp, bilinear transform
     at fs = 2, and the sections ordered from the pole pair farthest from the
     unit circle to the nearest, with the overall gain on the first section.
+    The design is built once per (order, wn) and returned read-only.
     """
     m = np.arange(-order + 1, order, 2, dtype=np.float64)
     prototype = -np.exp(1j * np.pi * m / (2 * order))
@@ -197,6 +205,7 @@ def _butter_lowpass_sos(order: int, wn: float) -> np.ndarray:
     for s, q in enumerate(upper):
         sos[s, 3:] = np.poly([q, q.conjugate()]).real
     sos[0, :3] *= gain
+    sos.flags.writeable = False  # shared by every call
     return sos
 
 

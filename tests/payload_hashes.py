@@ -3,14 +3,16 @@
     PYTHONPATH=src python tests/payload_hashes.py            # the table
     PYTHONPATH=src python tests/payload_hashes.py --write    # also rewrite payload_hashes.json
 
-``--write`` also prints ``name old -> new`` for each row it changes.  The
-set: 32 ``run_link`` payloads (4 channel families x fast/slow profile x
-interpolating/raw receiver x CSNR 0 dB/inf, seed 1, 2 s, 30 levels, and
-``median_order`` 100 on the slow profile), plus ``reproduce`` fig4, and
-fig6a (AWGN) and fig7b (JTC outdoor multipath) at levels [5, 10].  A run's
-hash is the first 16 hex digits of the SHA-256 of its sorted-key
-``report_to_dict`` JSON without ``wall_time_s``; a figure's is that of its
-CSV file.  ``payload_hashes.json`` holds the expected table and the
+``--write`` also prints ``name old -> new`` for each row it changes, and
+``name old -> (removed)`` for each row it drops.  The set: 32 ``run_link``
+payloads (4 channel families x fast/slow profile x interpolating/raw
+receiver x CSNR 0 dB/inf, seed 1, 2 s, 30 levels, and ``median_order`` 100
+on the slow profile), plus ``reproduce`` fig4, fig6a (fast AWGN) and fig7b
+(JTC outdoor multipath) at levels [5, 10] and 2 s, and fig6b (slow AWGN) at
+levels [5, 10] and 2.5 s, since its order-200 median needs more than 200
+slow blocks.  A run's hash is the first 16 hex digits of the SHA-256 of its
+sorted-key ``report_to_dict`` JSON without ``wall_time_s``; a figure's is
+that of its CSV file.  ``payload_hashes.json`` holds the expected table and the
 environment it was made in, since the bytes depend on the numpy version, on
 the SIMD paths numpy dispatches on the CPU and on the kernel OpenBLAS picks
 for it (its matrix products: the GSR filter, the Jakes gains, the modulator
@@ -34,6 +36,13 @@ from ajscclink.channel import FAMILIES
 from ajscclink.harness import AnalysisSettings, RunConfig, report_to_dict, reproduce, run_link
 
 EXPECTED = pathlib.Path(__file__).with_name("payload_hashes.json")
+# (experiment, levels, duration in s) of each figure row.
+FIGURES = (
+    ("fig4", None, 2.0),
+    ("fig6a", [5, 10], 2.0),
+    ("fig6b", [5, 10], 2.5),
+    ("fig7b", [5, 10], 2.0),
+)
 
 
 def digest(data: bytes) -> str:
@@ -71,8 +80,8 @@ def run_configs() -> dict[str, RunConfig]:
 def figure_hashes() -> dict[str, str]:
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for experiment, levels in (("fig4", None), ("fig6a", [5, 10]), ("fig7b", [5, 10])):
-            (path,) = reproduce(experiment, tmp, seed=1, duration=2.0, levels=levels)
+        for experiment, levels, duration in FIGURES:
+            (path,) = reproduce(experiment, tmp, seed=1, duration=duration, levels=levels)
             hashes[experiment] = digest(pathlib.Path(path).read_bytes())
     return hashes
 
@@ -126,6 +135,8 @@ def main(argv: list[str]) -> int:
         for name, value in hashes.items():
             if old.get(name) != value:
                 print(f"{name} {old.get(name)} -> {value}")
+        for name in old.keys() - hashes.keys():
+            print(f"{name} {old[name]} -> (removed)")
         doc = {"environment": environment(), "hashes": hashes}
         EXPECTED.write_text(json.dumps(doc, indent=2) + "\n")
     return 0

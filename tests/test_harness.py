@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ajscclink import channel, harness, modem, pool
-from ajscclink.analysis import ks_two_sample
+from ajscclink.analysis import MsePair, PulseEvent, ks_two_sample
 from ajscclink.channel import ChannelSpec, make_channel
 from ajscclink.cli import main
 from ajscclink.errors import ConfigError, DemodError, StageError
@@ -601,6 +602,28 @@ class TestReproduce:
         with pytest.raises(ConfigError):
             reproduce("fig9", tmp_path)
 
+    @pytest.mark.parametrize("experiment", ["fig5cdf", "fig6a", "table1"])
+    def test_failed_call_leaves_no_file(self, experiment, tmp_path, monkeypatch):
+        # The experiment's first run succeeds (with peaks enough for a CDF
+        # and a K-S test) and its second fails: the call writes no file.
+        peaks = [PulseEvent(0.1 * i, 1.0 + 0.01 * i) for i in range(6)]
+        calls = []
+
+        def second_fails(config):
+            calls.append(config)
+            if len(calls) == 2:
+                raise StageError("transmit", "injected")
+            return SimpleNamespace(
+                config=config, mse=MsePair(0.1, 0.2), source_peaks=peaks,
+                receiver_peaks=peaks, ks=ks_two_sample([1, 2, 3, 4, 5], [1, 2, 3, 4, 6]),
+            )
+
+        monkeypatch.setattr(harness, "run_link", second_fails)
+        with pytest.raises(StageError):
+            reproduce(experiment, tmp_path, duration=2.0, levels=[5, 10])
+        assert len(calls) == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCli:
     def test_staircase_command(self, tmp_path, capsys):
@@ -665,6 +688,23 @@ class TestCli:
         rc = main(["reproduce", "--id", "fig4", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "fig4_staircase.csv").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, duration, case",
+        [
+            ("fig5cdf", "0.3", "the awgn run's source trace holds no peaks"),
+            ("table1", "0.5", "table1 case 1 (awgn, 30 levels): too few peaks for the K-S test"),
+        ],
+    )
+    def test_too_short_reproduce_is_config_error(self, experiment, duration, case, tmp_path, capsys):
+        # At seed 1 these durations leave the first case too few peaks for
+        # its CDF or K-S test: exit 2 with a message that names the
+        # experiment, the case and the duration, and no file written.
+        out = tmp_path / "out"
+        assert main(["reproduce", "--id", experiment, "--duration", duration, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert experiment in err and case in err and f"duration {duration} s" in err
+        assert list(out.iterdir()) == []
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1166,6 +1166,97 @@ class TestDirectTier:
         assert peak < 256 << 10
 
 
+def lag_gated(mp):
+    """Patch the receiver, through the MonkeyPatch mp, to try a raw row in the
+    direct tier only where it passes the lag test, |r_1| >= 0.7 p over the
+    first _GATE samples past the edge, and to read a raw row's tone over
+    _SEGMENT samples, as the interpolating receiver does."""
+    gate = modem._gate
+
+    def gated(x, setup, interpolate, band_noise):
+        done = gate(x, setup, interpolate, band_noise)
+        if interpolate or not done.any():
+            return done
+        n, skip = x.shape[1], modem._SKIP
+        seg = min(modem._GATE, n - skip - modem._tone_split(n)[0])
+        head = x[:, skip : skip + seg]
+        power = np.vecdot(head, head).real
+        lag = np.vecdot(head, x[:, skip + 1 : skip + 1 + seg])
+        return done & (power > 0) & (np.abs(lag) >= modem._CLEAN * power)
+
+    mp.setattr(modem, "_gate", gated)
+    mp.setattr(modem, "_RAW_SEGMENT", modem._SEGMENT)
+
+
+def split_demodulate(blocks, cfg, band_noise=None):
+    """The raw receiver over blocks, one call per range of ``pool.split_rows``
+    (each with its rows of band_noise, a BandNoise over all the blocks)."""
+    out = np.empty(len(blocks))
+
+    def rows(lo, hi):
+        noise = None if band_noise is None else band_noise.rows(lo, hi)
+        out[lo:hi] = demodulate_stream(blocks[lo:hi], FULL_SCALE, cfg, False, band_noise=noise)
+
+    pool.split_rows(rows, len(blocks))
+    return out
+
+
+class TestRawDirectTier:
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("noisy_band", [False, True], ids=["plain", "band-noise"])
+    def test_decisions_do_not_depend_on_the_lag_test(self, profile, workers, noisy_band, monkeypatch):
+        # A raw row skips the lag test and reads its tone over _RAW_SEGMENT
+        # samples.  On noisy time-domain rows, which the lag test keeps out
+        # of the direct tier, and on faded multipath rows, which it lets in,
+        # every decision keeps the bytes it gets with the test and the long
+        # segment, on one worker and on two; without band noise, those of
+        # the FFT's in-band argmax.
+        cfg = profile()
+        n_rows = 64
+        rng = np.random.default_rng(21)
+        noisy = noisy_blocks(cfg, n_rows, seed=21)
+        faded = make_channel(ChannelSpec("jtc_outdoor_low_a", seed=22), cfg.sample_rate, cfg.fft_size)
+        faded = faded.process(modulate(rng.uniform(0, FULL_SCALE, n_rows), FULL_SCALE, cfg), 0)
+        spec = ChannelSpec("awgn", csnr_db=0.0, seed=23)
+        noise = BandNoise(spec, cfg.fft_size, 0, n_rows) if noisy_band else None
+        monkeypatch.setattr(pool, "_WORKERS", workers)
+        tried = {}
+        for blocks, kind in ((noisy, "noisy"), (faded, "faded")):
+            with pytest.MonkeyPatch.context() as mp:
+                seen = record_direct(mp)
+                got = split_demodulate(blocks, cfg, noise)
+            tried[kind] = sum(len(batch["x"]) for batch in seen)
+            with pytest.MonkeyPatch.context() as mp:
+                lag_gated(mp)
+                seen = record_direct(mp)
+                want = split_demodulate(blocks, cfg, noise)
+            tried[kind, "lag test"] = sum(len(batch["x"]) for batch in seen)
+            assert got.tobytes() == want.tobytes()
+            if noise is None:
+                fft = whole_array_peak_frequencies(blocks, cfg, False)
+                assert got.tobytes() == np.asarray(frequency_to_voltage(fft, FULL_SCALE, cfg)).tobytes()
+        # The lag test spares the tier every noisy row and no faded one (band
+        # noise's union-bound pre-check, which stays, may spare it some of
+        # either, such as deep fades).
+        assert tried["noisy"] > tried["noisy", "lag test"] == 0
+        assert tried["faded"] == tried["faded", "lag test"] > (n_rows - 1 if noise is None else 0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("lag_test", [False, True])
+    def test_zero_row_raises(self, workers, lag_test, monkeypatch):
+        # A zero row, which the lag test kept out of the direct tier, now
+        # enters it, fails its proof and takes the FFT path, which raises.
+        cfg = fast_profile()
+        blocks = modulate(np.linspace(0.1, 0.9, 40), FULL_SCALE, cfg)
+        blocks[30] = 0.0  # in the second range on two workers
+        monkeypatch.setattr(pool, "_WORKERS", workers)
+        if lag_test:
+            lag_gated(monkeypatch)
+        with pytest.raises(DemodError):
+            split_demodulate(blocks, cfg)
+
+
 def mfsk_error_law(es_n0: float, m: int) -> float:
     """Symbol error probability of noncoherent M-FSK with orthogonal tones in
     AWGN: 1 - E[(1 - exp(-Y))^(M - 1)].  In units of one bin's noise power,

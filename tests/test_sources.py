@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
+from ajscclink import sources
 from ajscclink.analysis import detect_peaks
 from ajscclink.errors import ConfigError
 from ajscclink.sources import (
@@ -19,6 +20,24 @@ from ajscclink.sources import (
     rescale,
     write_trace_csv,
 )
+
+
+def per_pulse_cytometry(spec, duration, sample_period, seed):
+    """Reference cytometry trace: each pulse of the schedule added in turn
+    over its own footprint, then the noise."""
+    n = int(round(duration / sample_period))
+    t = np.arange(n) * sample_period
+    values = np.full(n, spec.baseline)
+    sigma = spec.pulse_width / 6.0
+    for t0, pk in zip(*sources.cytometry_schedule(spec, duration, seed)):
+        lo = max(0, int((t0 - 5 * sigma) / sample_period))
+        hi = min(n, int((t0 + 5 * sigma) / sample_period) + 1)
+        if hi > lo:
+            values[lo:hi] += (pk - spec.baseline) * np.exp(-0.5 * ((t[lo:hi] - t0) / sigma) ** 2)
+    if spec.noise_sd > 0:
+        noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+        values = values + noise_rng.normal(0.0, spec.noise_sd, size=n)
+    return values
 
 
 class TestSourceTrace:
@@ -78,6 +97,39 @@ class TestCytometry:
         with pytest.raises(ConfigError):
             gen_cytometry(CytometrySynthSpec(pulse_width=0.5, pulse_rate=1.0), 1.0, 1e-3, 0)
 
+    @pytest.mark.parametrize(
+        "spec, duration, seed",
+        [
+            (CytometrySynthSpec(), 3.0, 7),
+            # pulse_width / 6 below the sample period: footprints overlap.
+            (CytometrySynthSpec(pulse_rate=400.0, pulse_width=0.0015), 2.0, 3),
+            (CytometrySynthSpec(pulse_rate=400.0, pulse_width=0.0015, noise_sd=0.0), 1.0, 4),
+            (CytometrySynthSpec(pulse_rate=0.0), 1.0, 5),
+            (CytometrySynthSpec(noise_sd=0.0), 2.0, 6),
+        ],
+        ids=["default", "overlapping", "overlapping-noiseless", "no-pulses", "noiseless"],
+    )
+    @pytest.mark.parametrize("sample_period", [1e-3, 7e-4])
+    def test_pulses_match_the_per_pulse_loop(self, spec, duration, seed, sample_period):
+        # The array-form pulses give the bytes of adding them one at a time,
+        # in order, each over its own footprint.
+        want = per_pulse_cytometry(spec, duration, sample_period, seed)
+        got = gen_cytometry(spec, duration, sample_period, seed).samples
+        assert got.tobytes() == want.tobytes()
+
+    def test_pulses_within_five_sigma_of_either_end(self):
+        # Pulses whose footprints the trace's ends cut: the schedule is
+        # replaced by one pulse at each end, 2 sigma inside.
+        spec = CytometrySynthSpec(noise_sd=0.0)
+        sigma, duration = spec.pulse_width / 6, 1.0
+        schedule = (np.array([2 * sigma, duration - 2 * sigma]), np.array([1.3, 1.1]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sources, "cytometry_schedule", lambda *args: schedule)
+            want = per_pulse_cytometry(spec, duration, 1e-3, 0)
+            got = gen_cytometry(spec, duration, 1e-3, 0).samples
+        assert got.tobytes() == want.tobytes()
+        assert want[0] > spec.baseline and want[-1] > spec.baseline
+
 
 class TestGsr:
     def test_constant_when_degenerate(self):
@@ -133,6 +185,18 @@ class TestDriftFilter:
     def test_sos_matches_scipy_butter(self, wn):
         expected = sp_signal.butter(4, wn, btype="low", output="sos")
         assert _butter_lowpass_sos(4, wn).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("wn", [0.3 / 500, 0.02])
+    def test_cached_sections_are_read_only_and_a_fresh_design(self, wn):
+        # The design is built once per (order, wn) and shared by every
+        # gen_gsr: the cached sections cannot be written, and they hold the
+        # bytes of a design built afresh.
+        cached = _butter_lowpass_sos(4, wn)
+        assert _butter_lowpass_sos(4, wn) is cached
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
+        assert cached.tobytes() == _butter_lowpass_sos.__wrapped__(4, wn).tobytes()
 
     @pytest.mark.parametrize("wn", [0.3 / 500, 0.02, 0.3])
     def test_filter_matches_scipy_sosfilt(self, wn):
