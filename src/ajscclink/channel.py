@@ -55,7 +55,13 @@ line's; past a row's first ``memory`` samples, a line with delays differs
 from it by the modulator's phase error, about 1e-12 relative.  Without
 cycles, process runs the literal line for any input, a tile of a few rows
 at a time (``_LINE_BYTES``) so that each ufunc call covers a tile, not a
-row; it is the reference the tone path is tested against.  A call's
+row; it is the reference the tone path is tested against.  process takes
+complex128 rows or, noiseless, complex64 ones (a raw run's, ``harness``):
+those it multiplies by H_b rounded to complex64, since an in-place multiply
+of mixed dtypes would buffer the rows, and their edge samples take the
+delay sum in complex128, rounded once.  The time-domain noise is a float64
+stream, so complex64 rows at finite CSNR are a ConfigError rather than
+another stream.  A call's
 set-up, the line gains (flat-Rayleigh h, two normals per block, or the
 multipath cosine sums) and the noise's ``KeyedBlocks``, is built once per
 call, or once per ``block_range``, in its first call: ``_transmit`` opens
@@ -539,7 +545,9 @@ class _DelayLineChannel:
         over blocks, which is returned.
 
         blocks must be a writeable, C-contiguous, non-empty (n, block_size)
-        complex128 array.  before holds the last ``memory`` input samples of
+        complex128 or complex64 array; complex64 rows take no time-domain
+        noise (its stream is drawn as float64), so at finite CSNR they are a
+        ConfigError.  before holds the last ``memory`` input samples of
         block start_block - 1, which block start_block's delays reach back
         into; a line with delays needs it past block 0, and before block 0
         the line holds zeros.  cycles, if given, holds each row's tone
@@ -550,7 +558,7 @@ class _DelayLineChannel:
         """
         if not (
             isinstance(blocks, np.ndarray)
-            and blocks.dtype == np.complex128
+            and blocks.dtype in (np.complex128, np.complex64)
             and blocks.flags.c_contiguous
             and blocks.flags.writeable
             and blocks.ndim == 2
@@ -559,7 +567,13 @@ class _DelayLineChannel:
         ):
             raise ConfigError(
                 f"blocks must be a writeable, C-contiguous, non-empty (n, {self.block_size}) "
-                f"complex128 array, got {np.shape(blocks)} {getattr(blocks, 'dtype', None)}"
+                f"complex128 or complex64 array, got {np.shape(blocks)} "
+                f"{getattr(blocks, 'dtype', None)}"
+            )
+        if self._scale and blocks.dtype != np.complex128:
+            raise ConfigError(
+                f"time-domain noise (csnr_db {self.spec.csnr_db!r}) needs complex128 blocks, "
+                f"got {blocks.dtype}"
             )
         if start_block < 0:
             raise ConfigError(f"start_block must be >= 0, got {start_block}")
@@ -671,7 +685,9 @@ class _DelayLineChannel:
                     o *= h[t:u]
                 o += z
         else:
-            blocks *= h
+            # In the rows' own dtype: a mixed-dtype in-place multiply would
+            # buffer the rows.
+            blocks *= h.astype(blocks.dtype, copy=False)
         if not c:  # a single unit tap (gains None) has no delays
             return
         for k, d in enumerate(delays):

@@ -7,7 +7,11 @@ split of all the run's blocks over the pool (``pool.split_rows``, the
 package's only dispatch to it), in which each worker takes its blocks
 through modulate, the channel's process and demodulate_stream, each a
 serial kernel on the worker's thread, one tile (``_TILE_SAMPLES``) at a
-time, so a run's memory does not grow with its length.  The channel gets
+time, so a run's memory does not grow with its length.  An interpolating
+run's tiles are complex128.  A raw run's are complex64, with half the bytes
+through all three layers: its receiver proves each bin decision on complex64
+rows as on complex128 ones, or takes the row's FFT in float64 (``modem``).
+The first range runs on the calling thread.  The channel gets
 each tile's tone frequencies, so that its line takes one complex multiply
 per block (``channel``).  Where one of those stages has been replaced from
 outside, the split is one range on the calling thread.  Sweeps derive one
@@ -84,6 +88,12 @@ SOURCE_SAMPLE_PERIOD = 1e-3
 # with a process's peak RSS at 47-48, 51-52 and 59-60 MB; 53, 57 and 65-66;
 # 45, 49-50 and 57-58.  4 MB stays: 8 MB tiles are faster on the fast
 # profile, but each worker holds one, so they cost 8 MB of RSS (15%).
+# A raw run's tile is complex64 and holds the same 4 MB, 2^19 samples: 2 MB
+# tiles of 2^18 took medians (6 alternating rounds, 2 workers) of 47-58 ms
+# per 1 s JTC outdoor raw run against 44-51 ms, and 215-255 ms per slow
+# sweep of 20 points against 188-212 ms, with a process's peak RSS at 53-54
+# against 57-58 MB and 45-46 against 49-50 MB; the complex128 tiles before
+# had peaked at 58-59 and 49-50 MB.
 _TILE_SAMPLES = 1 << 18
 # modulate and demodulate_stream as the modem defines them (see _transmit).
 _LAYER_STAGES = (modulate, demodulate_stream)
@@ -315,7 +325,8 @@ def _transmit(
     phases = block_start_phases(freqs, cfg)
     cycles = freqs / cfg.sample_rate  # the tones, for the channel's line
     n_blocks, n, c = freqs.size, cfg.fft_size, channel.memory
-    tile = max(1, min(_TILE_SAMPLES // n, n_blocks))
+    dtype = np.complex128 if interpolate else np.complex64
+    tile = max(1, min(16 * _TILE_SAMPLES // (np.dtype(dtype).itemsize * n), n_blocks))
     noise = None if noise_spec is None else BandNoise(noise_spec, n, 0, n_blocks)
     out = np.empty(n_blocks)
 
@@ -328,8 +339,8 @@ def _transmit(
     # samples of the block before the tile, so no byte depends on the tile
     # size or the worker count.
     def rows(lo: int, hi: int) -> None:
-        buf = scratch("transmit tile", (tile, n), np.complex128)
-        tails = scratch("transmit tails", (2, c), np.complex128)
+        buf = scratch("transmit tile", (tile, n), dtype)
+        tails = scratch("transmit tails", (2, c), dtype)
         before = None
         with channel.block_range(lo, hi):
             if lo and c:

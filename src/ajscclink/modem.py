@@ -26,8 +26,9 @@ bytes do not depend on where it sits:
 - the direct tier's fine sums of a row are the row, viewed as (q, 2m)
   floats, @ a (2m x 2k) matrix whose rows 2r and 2r + 1 are its k fine
   twiddles and j times them, as floats (``_direct_bins``).
-Every shape stays below OpenBLAS's threading threshold for dgemm, m n k of
-2^18 (the largest is 64 x 256 x 10, an interpolating fast row), so the
+On complex64 rows (raw runs) both are sgemms of the same shapes.  Every
+shape stays below OpenBLAS's threading threshold, m n k of 2^18 for dgemm
+and sgemm alike (the largest is 64 x 256 x 10, an interpolating fast row), so the
 products run on the calling thread, never on OpenBLAS's own threads, which
 would convoy with the pool's.  The bytes do depend on the kernel OpenBLAS
 picks for the CPU (``OPENBLAS_CORETYPE``).
@@ -68,7 +69,8 @@ rows, such a tile at a time:
      X_out <= sqrt(R).
    Each bound holds with a margin of 1e-9 over rounding.  The bins agree with
    the FFT's to about 1e-15 N, so a row's frequency moves by rounding only
-   with its tier.
+   with its tier.  On complex64 rows each bound also allows for the float32
+   sums (below).
 3. The FFT path, on the rows left: ``numpy.fft`` transforms them into the
    thread's buffer (``out=``, straight from the input where they are
    consecutive), and the call searches the band of those rows only: one
@@ -99,12 +101,52 @@ Each bound must hold with a margin of 1e-9 A^2 over rounding:
   by sqrt(2) max(|Re E|, |Im E|).  Noise spreads over all the bins, so this
   bound holds where Parseval's fails at low CSNR: on AWGN for nearly every
   block at 0 and -5 dB.
+A pre-check skips the kernel sums of a row where both bounds must fail.
+Without them, |O[j - 1]| and |O[j]| are at most their tone part (K * E_T)
+plus, by Cauchy-Schwarz, |E_R| times the root of sum |K|^2 over the other
+offsets, with |E_R|^2 = N |x|^2 - |E_T|^2 (Parseval); that bounds A^2 from
+above, and a row where Parseval's bound and the max-norm bound fail even
+there takes the fallback at once.  It fires on AWGN for every row at -20 dB
+and for some at -10 and -15 dB, and runs only on a tile whose noise is
+strong enough for it (``_NOISY``).
 A row where neither holds (deep fades, or AWGN at -10 dB) takes the
 fallback: a second N-point FFT, of x c, gives every odd bin, and the first
 peak is searched over the whole padded band, odd and even bins interleaved.
 The parabola then reads the padded bins k - 1, k, k + 1 as before.  Against
 one 2N-point FFT per row, the peak frequencies differ by rounding only, at
 most 6e-13 bins on the profiles.
+
+The raw receiver reads complex64 rows as they are (a raw run's transmit
+tiles are complex64, ``harness``); the interpolating one upcasts them.  The
+direct tier then sums in float32: N |x|^2 is a float32 einsum over the 2N
+floats of a row, and the fine sums are an sgemm against the twiddle planes
+rounded to float32, each float of them a sum of 2m products; the q-long
+coarse sums and the proof run in float64, on the sums upcast.  A float32
+inner product of length k is within gamma_k = k u / (1 - k u) (u = 2^-24)
+of exact, relative to sum |a_i b_i|, in any order of summation (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.1 and
+4.2).  So:
+- N |x|^2, a sum of squares, is within gamma_2N of itself: P <= P' / (1 -
+  gamma_2N) for the computed P';
+- a twiddle rounded to float32 adds one factor 1 + u (Higham, Lemma 3.3),
+  and each pair Re x Re f - Im x Im f, or Re x Im f + Im x Re f, is at most
+  |x_r| |f_r| = |x_r| in magnitude, so each float of a fine sum is within
+  gamma_(2m + 1) sum_r |x_r| of exact, and each bin within delta =
+  sqrt(2) gamma_(2m + 1) |x|_1 <= sqrt(2) gamma_(2m + 1) sqrt(P)
+  (Cauchy-Schwarz, |x|_1 <= sqrt(N) |x|_2).
+The tier widens every computed bin magnitude a by delta: a bin is taken to
+hold at least (a - delta)^2 and at most (a + delta)^2, and R at most
+P' / (1 - gamma_2N) - sum (a - delta)^2; each bound then keeps the 1e-9
+margin for the float64 sums (``_rounding``).  At N = 8192 (m = 128)
+gamma_2N = 9.8e-4 and delta <= 2.2e-5 sqrt(P); at N = 5000 (m = 100),
+6.0e-4 and 1.7e-5 sqrt(P).  These are worst cases: a near-tie of two bins
+within about 1e-4 of each other, or a row whose R lies within 0.1% of its
+largest bin, goes to the FFT path, which upcasts the row into its
+complex128 buffer.  So the decision on complex64 rows is the FFT's of those
+rows in float64.  It differs from the decision on the complex128 rows of the
+same run only where rounding the samples to float32 (3.4e-7, ``modulate``)
+moves a near-tie: 1 of 400,000 fig6a decisions, and none of fig6b's 40,000
+or fig7b's 400,000.
 
 The raw receiver can take the channel noise in the frequency domain
 (``band_noise``, a ``channel.BandNoise``, which holds the window noise of
@@ -253,7 +295,14 @@ def modulate(
     array of each block's start phase: a tile of a longer stream passes its
     slice of ``block_start_phases`` over the whole stream, so its blocks do
     not depend on where the tiles start.  The blocks are written into out,
-    a complex128 array of that shape and contiguous rows, if given, and out is returned.
+    a complex128 or complex64 array of that shape and contiguous rows, if
+    given, and out is returned.  Into complex64 the tables are rounded once to
+    float32 and each row is an sgemm.  Each float of a sample is then a sum
+    of two products of rounded factors, rounded (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Lemma 3.1), so it is within
+    gamma_4 = 4u / (1 - 4u) of exact, u = 2^-24; |sample| is within
+    sqrt(2) gamma_4 = 3.4e-7 of one and the phase within 3.4e-7 rad (about
+    1.3e-7 measured), against 5e-16 and 3e-12 in complex128.
     """
     encoded = np.atleast_1d(np.asarray(encoded, dtype=np.float64))
     if encoded.size == 0:
@@ -261,9 +310,14 @@ def modulate(
     n_rows, n = encoded.size, cfg.fft_size
     if out is None:
         out = np.empty((n_rows, n), dtype=np.complex128)
-    elif out.shape != (n_rows, n) or out.dtype != np.complex128 or out.strides[1] != 16:
+    elif (
+        out.shape != (n_rows, n)
+        or out.dtype not in (np.complex128, np.complex64)
+        or out.strides[1] != out.itemsize
+    ):
         raise ConfigError(
-            f"out must be ({n_rows}, {n}) complex128, rows contiguous, got {out.shape} {out.dtype}"
+            f"out must be ({n_rows}, {n}) complex128 or complex64, rows contiguous, "
+            f"got {out.shape} {out.dtype}"
         )
     freqs = np.atleast_1d(voltage_to_frequency(encoded, full_scale, cfg))
     if np.ndim(start_phase):
@@ -282,11 +336,14 @@ def modulate(
     # n = 8192, not m + q.  |sample| is within ~5e-16 of one, the phase ~3e-12 rad of exact.
     # The outer products are matmuls of a column by a row, which, unlike a broadcast
     # multiply, take no ufunc buffer.  The row itself is a real product: as floats it is
-    # [Re coarse, Im coarse] (q x 2) @ [fine; j fine] (2 x 2m), one BLAS dgemm per row.
+    # [Re coarse, Im coarse] (q x 2) @ [fine; j fine] (2 x 2m), one BLAS dgemm per row, or
+    # into complex64 rows one sgemm of the tables rounded to float32.
     m, q, (a, b, a2, b2), steps = _tone_steps(n)
     cycles = freqs / cfg.sample_rate
 
     tables = scratch("modulate", (_TONE_TILE, 2 * m + q + steps.size), np.complex128)
+    if out.dtype == np.complex64:
+        rounded = scratch("modulate float32", (_TONE_TILE, 2 * m + q), np.complex64)
     for t in range(0, n_rows, _TONE_TILE):
         u = min(t + _TONE_TILE, n_rows)
         rows = u - t
@@ -306,10 +363,15 @@ def modulate(
         np.negative(fine.imag, out=j_fine.real)
         np.copyto(j_fine.imag, fine.real)
         np.matmul(coarse_hi[:, :, None], coarse_lo[:, None, :], out=c.reshape(rows, b2, a2))
+        product = tables[:rows, : 2 * m + q]
+        if out.dtype == np.complex64:
+            product = rounded[:rows]
+            np.copyto(product, tables[:rows, : 2 * m + q], casting="same_kind")
+        real = product.real.dtype
         np.matmul(
-            c.view(np.float64).reshape(rows, q, 2),
-            f.view(np.float64).reshape(rows, 2, 2 * m),
-            out=out[t:u].view(np.float64).reshape(rows, q, 2 * m),
+            product[:, 2 * m :].view(real).reshape(rows, q, 2),
+            product[:, : 2 * m].view(real).reshape(rows, 2, 2 * m),
+            out=out[t:u].view(real).reshape(rows, q, 2 * m),
         )
     return out
 
@@ -319,14 +381,20 @@ def modulate(
 _EPSILON = 1e-12
 
 # A row's peak is taken without the FFT, or from the FFT's candidate bins,
-# where a bound holds with a margin of _ETA over the rounding of the sums
-# (module docstring).
+# where a bound holds with a margin of _ETA over the float64 rounding of the
+# sums (module docstring); on complex64 rows the direct tier also allows for
+# its float32 sums (``_rounding``).
 _ETA = 1e-9
 
 # The max-norm bound counts E bins j - _TONE .. j + _TONE as the tone's, and
 # sums them exactly into odd bins O[j + d] for d in -_SPAN - 1 .. _SPAN.
 _TONE, _SPAN = 8, 24
 _TONE_BINS = np.arange(-_TONE, _TONE + 1)
+# The pre-check of the kernel sums runs on a tile only where a row's N |x|^2
+# exceeds _NOISY |E[j]|^2.  On AWGN it first skips a row's sums at -10 dB,
+# where that ratio is 11 or more; at 0 dB (2 to 5) it skipped none, and cost
+# 3-5% of the FFT path's time.
+_NOISY = 8
 _SPAN_BINS = np.array([d for d in range(-_SPAN - 1, _SPAN + 1) if d not in (-1, 0)])
 
 # The direct tier (module docstring): its autocorrelations skip a row's first
@@ -381,16 +449,33 @@ def _half_bin_tables(n: int):
 
 
 @functools.lru_cache(maxsize=8)
-def _direct_tables(n: int, offsets: tuple[int, ...], tile: int):
+def _rounding(n: int, dtype) -> tuple[float, float]:
+    """(gamma, kappa): on n-sample rows of dtype, the direct tier's N |x|^2 is
+    within gamma N |x|^2 of exact and each bin within kappa sqrt(N |x|^2),
+    beyond the float64 rounding that _ETA covers (module docstring): 0 and 0
+    on complex128 rows, gamma_2n and sqrt(2) gamma_(2m + 1) on complex64 ones,
+    with gamma_k = k u / (1 - k u), u = 2^-24 and m of the tone split."""
+    if dtype == np.complex128:
+        return 0.0, 0.0
+    u = float(np.finfo(np.float32).eps) / 2
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    return gamma(2 * n), np.sqrt(2) * gamma(2 * _tone_split(n)[0] + 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _direct_tables(n: int, offsets: tuple[int, ...], tile: int, dtype):
     """The direct tier's tables for the bins b + offsets / 2 of n-point rows
-    (``_direct_bins``), with (m, q) = _tone_split(n), the k offsets o_i and
-    z = exp(-j pi / n) the half-bin twiddle:
+    of dtype (``_direct_bins``), with (m, q) = _tone_split(n), the k offsets
+    o_i and z = exp(-j pi / n) the half-bin twiddle:
     - steps, the sample steps r < m and -m p for p < q, as one (1, m + q) row;
     - twiddles, two planes of length L: z^i, then j z^i, for lo <= i < hi,
-      the range of a residue mod 2n plus o_i r;
+      the range of a residue mod 2n plus o_i r, rounded to the rows' dtype;
     - fine, (tile, m, 2k): o_i r - lo + L s at [., r, s k + i];
     - coarse, (tile, q, k): (-o_i m p) mod 2n at [., p, i];
-    - z, the twiddles' z^i for i < 2n.
+    - z, the twiddles' z^i for i < 2n, in complex128 (the coarse sums).
     The index tables are repeated over a tile of rows, so that a tile's
     indices are one add of two arrays of one shape."""
     m, q = _tone_split(n)
@@ -398,7 +483,7 @@ def _direct_tables(n: int, offsets: tuple[int, ...], tile: int):
     r = np.arange(m)
     lo, hi = min(o.min(), 0) * (m - 1), 2 * n + max(o.max(), 0) * (m - 1)
     plane = np.exp(-1j * np.pi * (np.arange(lo, hi) % (2 * n)) / n)
-    twiddles = np.concatenate([plane, 1j * plane])
+    twiddles = np.concatenate([plane, 1j * plane]).astype(dtype)
     fine = r[:, None, None] * o - lo + plane.size * np.arange(2)[:, None]
     coarse = -m * np.arange(q)[:, None] * o % (2 * n)
     tables = (
@@ -406,7 +491,7 @@ def _direct_tables(n: int, offsets: tuple[int, ...], tile: int):
         twiddles,
         np.repeat(fine.reshape(1, m, -1), tile, axis=0),
         np.repeat(coarse[None], tile, axis=0),
-        twiddles[-lo : 2 * n - lo],
+        plane[-lo : 2 * n - lo],
     )
     for table in tables:
         table.flags.writeable = False  # shared by every call and thread
@@ -503,7 +588,7 @@ def _peak_frequencies(
     for i in range(0, left.size, tile):
         which = left[i : i + tile]
         m = which.size
-        spectrum = np.fft.fft(_rows_of(blocks, which, buf), axis=1, out=buf[:m])
+        spectrum = _spectra(blocks, which, buf)
         power, imag2 = powers[:m], squares[:m]
         # Squared magnitude, computed only around the search band: cheaper
         # than abs over the full spectrum, and the parabola vertex on
@@ -534,10 +619,26 @@ def _peak_frequencies(
 
 def _rows_of(blocks, which, buf):
     """Rows which (ascending) of blocks: a view where they are consecutive,
-    else a copy in buf."""
+    else a copy in buf, viewed in the rows' dtype."""
     if which[-1] - which[0] == which.size - 1:
         return blocks[which[0] : which[-1] + 1]
-    return blocks.take(which, axis=0, out=buf[: which.size], mode="clip")
+    room = buf.reshape(-1).view(blocks.dtype)[: which.size * blocks.shape[1]]
+    return blocks.take(which, axis=0, out=room.reshape(which.size, -1), mode="clip")
+
+
+def _spectra(blocks, which, buf):
+    """The N-point FFTs of rows which of blocks, in buf: straight from
+    complex128 rows, and from complex64 rows upcast into buf first, so that
+    the FFT path reads every row in float64."""
+    out = buf[: which.size]
+    if blocks.dtype == np.complex128:
+        return np.fft.fft(_rows_of(blocks, which, buf), axis=1, out=out)
+    if which[-1] - which[0] == which.size - 1:
+        np.copyto(out, blocks[which[0] : which[-1] + 1])
+    else:
+        for i, r in enumerate(which):
+            out[i] = blocks[r]
+    return np.fft.fft(out, axis=1, out=out)
 
 
 def _gate(x, setup: _Receiver, interpolate, band_noise):
@@ -593,8 +694,9 @@ def _direct_peaks(x, setup: _Receiver, band_noise, which, space):
     # other worker waits (a 1 s JTC outdoor raw run took 51-57 ms against
     # 44-51 ms); on the float view its ddot runs on OpenBLAS's threads above
     # 10,000 floats, which convoy with the pool's.
-    floats = x.view(np.float64)
-    power = n * np.einsum("ij,ij->i", floats, floats)
+    # On complex64 rows it sums in float32 (``_rounding``).
+    floats = x.view(x.real.dtype)
+    power = n * np.einsum("ij,ij->i", floats, floats).astype(np.float64, copy=False)
     # The tone's frequency: r_1's phase over the segment, unwrapped onto that
     # of r_s (s = m of the tone split), which reads it s times finer.
     head = x[:, _SKIP : _SKIP + seg]
@@ -624,13 +726,17 @@ def _direct_peaks(x, setup: _Receiver, band_noise, which, space):
         first = k_lo + start
     base = np.minimum(np.maximum(j - 1, first), first + width - 3)
     bins = _direct_bins(x, base, setup.offsets, space, setup.tile)
-    powers = np.square(bins.real) + np.square(bins.imag)
-    top = powers.argmax(axis=1)
-    limit = powers.max(axis=1) * (1 - _ETA)
+    # Every bound below allows for the bins' error, at most spread, and for
+    # that of N |x|^2, at most gamma of it: both 0 on complex128 rows.
+    gamma, kappa = _rounding(n, x.dtype)
+    upper = power / (1 - gamma)  # >= N |x|^2
+    spread = kappa * np.sqrt(upper)
+    magnitude = np.abs(bins)
+    top, sure, ok = _sure_top(magnitude, spread)
     # Parseval over E: no other bin holds more than the rest R of N |x|^2, so
     # the top bin is the FFT's strict in-band peak.
-    rest = power - powers.sum(axis=1)
-    ok = ((powers >= limit[:, None]).sum(axis=1) == 1) & (rest < limit)
+    rest = upper - np.square(np.maximum(magnitude - spread[:, None], 0.0)).sum(axis=1)
+    ok &= rest < np.square(sure) * (1 - _ETA)
     k = base + top
     if band_noise is not None:
         # The window must be the one the FFT path places.  Its other bins
@@ -642,20 +748,31 @@ def _direct_peaks(x, setup: _Receiver, band_noise, which, space):
         window = band_noise.window[which, :width]
         cols = (base - first)[:, None] + _STEPS
         noisy = bins + window[rows[:, None], cols]
-        noisy_power = np.square(noisy.real) + np.square(noisy.imag)
-        top = noisy_power.argmax(axis=1)
-        a2 = noisy_power[rows, top]
-        ok &= (noisy_power >= (a2 * (1 - _ETA))[:, None]).sum(axis=1) == 1
+        top, sure, clear = _sure_top(np.abs(noisy), spread)
+        ok &= clear
         others = np.abs(window)
         others[rows[:, None], cols] = 0.0
         out_peak = np.sqrt(np.maximum(rest, 0.0))
-        ok &= np.square(out_peak + others.max(axis=1)) < a2 * (1 - _ETA)
-        margin = np.maximum(np.sqrt(a2) - out_peak, 0.0)
+        ok &= np.square(out_peak + others.max(axis=1)) < np.square(sure) * (1 - _ETA)
+        margin = np.maximum(sure - out_peak, 0.0)
         with np.errstate(over="ignore"):
             bound = (n_bins - width) * np.exp(-0.5 * np.square(margin / band_noise.deviation))
         ok &= bound <= _EPSILON
         k = base + top
     return ok, k[ok], None
+
+
+def _sure_top(magnitude, spread):
+    """(top, sure, clear) for bins each within spread of exact, given their
+    magnitudes (rows, 3): each row's largest bin, the least magnitude its
+    exact bin can hold, and whether every other exact bin holds less power
+    than sure^2 by a margin of _ETA."""
+    rows = np.arange(len(magnitude))
+    top = magnitude.argmax(axis=1)
+    sure = np.maximum(magnitude[rows, top] - spread, 0.0)
+    others = magnitude + spread[:, None]
+    others[rows, top] = 0.0
+    return top, sure, np.square(others.max(axis=1)) < np.square(sure) * (1 - _ETA)
 
 
 def _direct_bins(x, base, offsets, space, tile):
@@ -666,13 +783,16 @@ def _direct_bins(x, base, offsets, space, tile):
     twiddle: a matrix product of the row with its fine twiddles, then a
     q-long coarse sum.  The product is real: the row as (q, 2m) floats @ a
     (2m, 2k) matrix whose rows 2r and 2r + 1 are z^(h r) and j z^(h r) as
-    floats, one BLAS dgemm per row.  It runs a tile of rows at a time, with
-    their twiddle indices, twiddles and sums in space.
+    floats, one BLAS gemm per row: a dgemm on complex128 rows, an sgemm on
+    complex64 ones, whose sums are upcast for the q-long coarse sum.  It runs
+    a tile of rows at a time, with their twiddle indices, twiddles and sums
+    in space (complex128).
     """
     rows, n = x.shape
-    steps, twiddles, fine_index, coarse_index, z = _direct_tables(n, offsets, tile)
+    steps, twiddles, fine_index, coarse_index, z = _direct_tables(n, offsets, tile, x.dtype)
     m, q = _tone_split(n)
     k = len(offsets)
+    real, wide = x.real.dtype, x.dtype == np.complex128
     bins = np.empty((rows, k), dtype=np.complex128)
     double = 2 * base[:, None]
     for s in range(0, rows, tile):
@@ -680,28 +800,34 @@ def _direct_bins(x, base, offsets, space, tile):
         # With h = 2 base + o, h r = 2 base r + o r and -h m p = -2 base m p - o m p:
         # each row's 2 base r and -2 base m p mod 2n, plus the tables' o parts,
         # which keep the fine indices inside their plane and the coarse ones
-        # below 4n.
+        # below 4n.  Each buffer is counted in complex128 elements; the twiddles
+        # and sums of complex64 rows take half of theirs.
         e0 = (t * (m + q) + 1) // 2
         e1 = e0 + t * m * k
-        e2 = e1 + 2 * t * m * k
+        e2 = e1 + (2 if wide else 1) * t * m * k
         shift = space[:e0].view(np.int64)[: t * (m + q)].reshape(t, m + q)
         np.remainder(np.matmul(double[s : s + t], steps, out=shift), 2 * n, out=shift)
         index = space[e0:e1].view(np.int64).reshape(t, m, 2 * k)
         np.copyto(index, shift[:, :m, None])
         np.add(index, fine_index[:t], out=index)
-        f = twiddles.take(index, out=space[e1:e2].reshape(t, m, 2 * k), mode="clip")
-        y = space[e2 : e2 + t * q * k].reshape(t, q, k)
+        f = space[e1:e2].view(x.dtype).reshape(t, m, 2 * k)
+        twiddles.take(index, out=f, mode="clip")
+        y = space[e2:].view(x.dtype)[: t * q * k].reshape(t, q, k)
         np.matmul(
-            x[s : s + t].view(np.float64).reshape(t, q, 2 * m),
-            f.view(np.float64).reshape(t, 2 * m, 2 * k),
-            out=y.view(np.float64).reshape(t, q, 2 * k),
+            x[s : s + t].view(real).reshape(t, q, 2 * m),
+            f.view(real).reshape(t, 2 * m, 2 * k),
+            out=y.view(real).reshape(t, q, 2 * k),
         )
+        if not wide:
+            sums = space[e2 + (t * q * k + 1) // 2 :][: t * q * k].reshape(t, q, k)
+            np.copyto(sums, y)
+            y = sums
         # f and index are spent: their buffers take the coarse twiddles'
         # conjugates and their indices.
         turns = index.reshape(-1)[: t * q * k].reshape(t, q, k)
         np.copyto(turns, shift[:, m:, None])
         np.add(turns, coarse_index[:t], out=turns)
-        c = z.take(turns, out=f.reshape(-1)[: t * q * k].reshape(t, q, k), mode="wrap")
+        c = z.take(turns, out=space[e1 : e1 + t * q * k].reshape(t, q, k), mode="wrap")
         np.vecdot(c, y, axis=1, out=bins[s : s + t])
     return bins
 
@@ -742,15 +868,19 @@ def _interpolated_peaks(spectrum, power, energy, setup: _Receiver, blocks, which
     """
     h, c, near_table, far_kernel, kernel_norm = setup.half
     m, n = spectrum.shape
-    lo, hi = setup.lo, setup.hi
+    lo = setup.lo
     rows = np.arange(m)
     # Powers of padded bins 2j - 2 .. 2j + 2; the odd ones, 2j -+ 1, are O[j - 1]
     # and O[j].  (Where k_lo = 0, bin 2j - 2 may wrap to the band's last column:
     # it is then outside the band, and no parabola reads it.)
     powers = np.zeros((m, 5))
     powers[:, 0::2] = power[rows[:, None], j[:, None] + (-1 - lo, -lo, 1 - lo)]
-    odd = np.empty((m, 2), dtype=np.complex128)
-    for r in range(m):
+    both, norm = np.zeros(m, dtype=bool), None
+    if near_table is not None:
+        tone = spectrum[rows[:, None], (j[:, None] + _TONE_BINS) % n]
+        both, norm = _pre_check(spectrum, power, energy, powers[:, 2], tone, j, setup)
+    odd = np.zeros((m, 2), dtype=np.complex128)
+    for r in np.flatnonzero(~both):
         s = n - j[r]
         odd[r, 0] = np.dot(h[s : s + n], spectrum[r])
         odd[r, 1] = np.dot(h[s - 1 : s - 1 + n], spectrum[r])
@@ -760,24 +890,10 @@ def _interpolated_peaks(spectrum, power, energy, setup: _Receiver, blocks, which
     # Parseval: no other odd bin holds more than R = N |x|^2 - |O[j - 1]|^2 - |O[j]|^2.
     ok = energy - powers[:, 1] - powers[:, 3] < limit
     if not ok.all() and near_table is not None:
-        # Max norm: with E split into the tone's bins E_T and the rest E_R,
-        # |O[j + d]| <= |(K * E_T)[j + d]| + max |E_R| sum |K|, the first term
-        # exact for d in _SPAN_BINS and at most sum |E_T| far_kernel beyond.
-        cols = np.clip(j[:, None] - lo + _TONE_BINS, 0, power.shape[1] - 1)
-        saved = power[rows[:, None], cols]
-        power[rows[:, None], cols] = 0.0
-        rest = power.max(axis=1)
-        power[rows[:, None], cols] = saved
-        # Outside lo..hi, |E|^2 <= 2 max(|Re E|, |Im E|)^2.
-        for part in (spectrum[:, :lo], spectrum[:, hi + 1 :]):
-            if part.size:
-                part = part.view(np.float64)
-                rest = np.maximum(rest, 2 * np.square(np.maximum(part.max(axis=1), -part.min(axis=1))))
-        tone = spectrum[rows[:, None], (j[:, None] + _TONE_BINS) % n]
-        near = (tone[:, :, None] * near_table).sum(axis=1)
-        near = np.sqrt((np.square(near.real) + np.square(near.imag)).max(axis=1))
-        far = np.abs(tone).sum(axis=1) * far_kernel
-        ok |= np.square(np.maximum(near, far) + np.sqrt(rest) * kernel_norm) < limit
+        if norm is None:
+            norm = _max_norm(spectrum, power, tone, j, setup)
+        ok |= norm < limit
+    ok &= ~both
     # Where a bound holds, the padded peak is the first largest in-band
     # candidate, and its parabola's neighbours are all known.  A row with no
     # in-band power takes the fallback, which raises DemodError.
@@ -785,6 +901,68 @@ def _interpolated_peaks(spectrum, power, energy, setup: _Receiver, blocks, which
     if fall.size:
         k[fall], triple[fall] = _odd_band_peaks(blocks, which[fall], fall, power, setup, c, spectrum)
     return k, triple
+
+
+def _pre_check(spectrum, power, energy, peak, tone, j, setup: _Receiver):
+    """(both, norm): which rows must fail both bounds of
+    ``_interpolated_peaks`` whatever their kernel sums hold, and the max-norm
+    bound's side where it was computed, else None (module docstring).
+
+    peak holds each row's |E[j]|^2, tone its bins E_T.  A^2 is at most
+    a2_high; the max-norm side is computed only where Parseval must fail.
+    A tile where no row's N |x|^2 exceeds _NOISY |E[j]|^2 skips the check."""
+    if not (energy > _NOISY * peak).any():
+        return np.zeros(len(peak), dtype=bool), None
+    # |O[j - 1]| and |O[j]| are at most the tone's part (K * E_T) plus, by
+    # Cauchy-Schwarz, |E_R| |K| over the other offsets, with |E_R|^2 = N |x|^2
+    # - |E_T|^2 by Parseval; raised by _ETA over rounding.
+    window, tails = _candidate_kernel(spectrum.shape[1])
+    rest = np.sqrt(np.maximum(energy - np.square(np.abs(tone)).sum(axis=1), 0.0))
+    high = np.square((np.abs(tone @ window) + rest[:, None] * tails) * (1 + _ETA))
+    a2_high = np.maximum(peak, high.max(axis=1)) * (1 + _ETA)
+    both = energy - high.sum(axis=1) >= a2_high
+    if not both.any():
+        return both, None
+    norm = _max_norm(spectrum, power, tone, j, setup)
+    return both & (norm >= a2_high), norm
+
+
+def _max_norm(spectrum, power, tone, j, setup: _Receiver):
+    """The square of the max-norm bound on each row's odd bins other than
+    the candidates (module docstring), given the rows' tone bins E_T."""
+    _, _, near_table, far_kernel, kernel_norm = setup.half
+    m, n = spectrum.shape
+    lo, hi = setup.lo, setup.hi
+    rows = np.arange(m)
+    # Max norm: with E split into the tone's bins E_T and the rest E_R,
+    # |O[j + d]| <= |(K * E_T)[j + d]| + max |E_R| sum |K|, the first term
+    # exact for d in _SPAN_BINS and at most sum |E_T| far_kernel beyond.
+    cols = np.clip(j[:, None] - lo + _TONE_BINS, 0, power.shape[1] - 1)
+    saved = power[rows[:, None], cols]
+    power[rows[:, None], cols] = 0.0
+    rest = power.max(axis=1)
+    power[rows[:, None], cols] = saved
+    # Outside lo..hi, |E|^2 <= 2 max(|Re E|, |Im E|)^2.
+    for part in (spectrum[:, :lo], spectrum[:, hi + 1 :]):
+        if part.size:
+            part = part.view(np.float64)
+            rest = np.maximum(rest, 2 * np.square(np.maximum(part.max(axis=1), -part.min(axis=1))))
+    near = (tone[:, :, None] * near_table).sum(axis=1)
+    near = np.sqrt((np.square(near.real) + np.square(near.imag)).max(axis=1))
+    far = np.abs(tone).sum(axis=1) * far_kernel
+    return np.square(np.maximum(near, far) + np.sqrt(rest) * kernel_norm)
+
+
+@functools.lru_cache(maxsize=4)
+def _candidate_kernel(n: int):
+    """The kernel at the candidates O[j - 1] and O[j] from the tone's bins
+    E[j + t], t in _TONE_BINS: K[d - t] for d = -1, 0, as (tone bins, 2),
+    and for each d the root of sum |K|^2 over the other offsets."""
+    kernel = _half_bin_tables(n)[0][n - 1 :: -1]  # K[i] = h[n - 1 - i]
+    window = kernel[(np.array([-1, 0]) - _TONE_BINS[:, None]) % n]
+    tails = np.sqrt(np.square(np.abs(kernel)).sum() - np.square(np.abs(window)).sum(axis=0))
+    window.flags.writeable = tails.flags.writeable = False  # shared by every call and thread
+    return window, tails
 
 
 def _odd_band_peaks(blocks, which, fall, power, setup: _Receiver, c, x):
@@ -865,7 +1043,9 @@ def demodulate_stream(
     """
     if band_noise is not None and interpolate:
         raise ConfigError("band noise is for the raw receiver; interpolate must be false")
-    blocks = np.asarray(blocks, dtype=np.complex128)
+    blocks = np.asarray(blocks)
+    if interpolate or blocks.dtype != np.complex64:  # the raw receiver reads complex64 as is
+        blocks = np.asarray(blocks, dtype=np.complex128)
     if blocks.ndim != 2 or blocks.shape[1] != cfg.fft_size:
         raise ConfigError(f"blocks must be (n, {cfg.fft_size}), got {blocks.shape}")
     if band_noise is not None and band_noise.window.shape[0] != blocks.shape[0]:

@@ -1,8 +1,9 @@
 """The transmit's one row split, and each thread's scratch.
 
 ``harness._transmit`` is the only caller of ``split_rows``: it cuts a run's
-blocks into one contiguous range per usable CPU and runs the ranges on one
-module-level thread pool, and each range takes its blocks through the
+blocks into one contiguous range per usable CPU, runs the first on the
+calling thread and the others on one module-level thread pool of one thread
+fewer (none on a one-CPU machine), and each range takes its blocks through the
 modulator, the channel and the receiver one tile of rows at a time.  Those
 layers are serial kernels: each call computes its rows on the calling
 thread and never dispatches to the pool.  numpy's generator fills, ufunc
@@ -66,10 +67,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# split_rows makes at most _WORKERS ranges; the pool starts its threads on
-# first use.
+# split_rows makes at most _WORKERS ranges and runs the first on the calling
+# thread, so that thread and the pool's hold one scratch set per usable CPU.
+# The pool starts its threads on first use.  (Handing both ranges to the pool
+# made the caller wait: on sweep points the second range started a median
+# 169-176 us after the call.)
 _WORKERS = _usable_cpus()
-_POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="ajscclink-rows")
+_POOL = (
+    ThreadPoolExecutor(max_workers=_WORKERS - 1, thread_name_prefix="ajscclink-rows")
+    if _WORKERS > 1
+    else None
+)
 # Per thread: buffers, its scratch array per slot.
 _THREAD = threading.local()
 
@@ -91,15 +99,19 @@ def scratch(slot, shape: tuple[int, ...], dtype) -> np.ndarray:
 def split_rows(fn, n_rows: int, inline: bool = False) -> None:
     """Call fn(lo, hi) once per contiguous range [lo, hi) of rows.
 
-    The ranges cover 0..n_rows in order.  One range (always the case for
-    fewer than two rows, or with inline) runs on the calling thread, more
-    run on the pool, and the first exception a range raises propagates.
-    fn must not call split_rows: pool threads waiting on their own pool
-    would deadlock.
+    The ranges cover 0..n_rows in order.  The first runs on the calling
+    thread, the others on the pool; there is one range for fewer than two
+    rows, with inline, or without a pool.  Once every range has finished,
+    the exception of the first range that raised propagates.  fn must not
+    call split_rows: pool threads waiting on their own pool would deadlock.
     """
-    parts = 1 if inline else max(1, min(_WORKERS, n_rows))
-    if parts == 1:
-        fn(0, n_rows)
-        return
+    parts = 1 if inline or _POOL is None else max(1, min(_WORKERS, n_rows))
     bounds = [n_rows * i // parts for i in range(parts + 1)]
-    list(_POOL.map(fn, bounds[:-1], bounds[1:]))
+    others = [_POOL.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        fn(0, bounds[1])
+    finally:
+        errors = [future.exception() for future in others]  # waits for each
+    for error in errors:
+        if error is not None:
+            raise error

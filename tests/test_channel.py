@@ -444,16 +444,14 @@ class TestKeyedStreams:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize(
-        "kind", ["complex64", "float64", "fortran", "strided_rows", "read_only"]
-    )
+    @pytest.mark.parametrize("kind", ["float64", "fortran", "strided_rows", "read_only"])
     @pytest.mark.parametrize("family", ["awgn", "jtc_outdoor_low_a"])
     def test_input_it_cannot_overwrite_rejected(self, family, kind):
-        # process writes over its input, so an input of another dtype, not
-        # C-contiguous or read-only is a ConfigError, and is left as it was.
+        # process writes over its input, so an input of a dtype other than
+        # complex128 or complex64, not C-contiguous or read-only is a
+        # ConfigError, and is left as it was.
         x = unit_blocks(4, 64)
         blocks = {
-            "complex64": lambda: x.astype(np.complex64),
             "float64": lambda: x.real.copy(),
             "fortran": lambda: np.asfortranarray(x),
             "strided_rows": lambda: np.repeat(x, 2, axis=1)[:, ::2],
@@ -465,6 +463,37 @@ class TestKeyedStreams:
             with pytest.raises(ConfigError, match="writeable, C-contiguous"):
                 ch.process(blocks)
         assert blocks.tobytes() == before
+
+    @pytest.mark.parametrize("family", ["awgn", "flat_rayleigh", "jtc_outdoor_low_a"])
+    def test_complex64_rows_take_the_line(self, family):
+        # A raw run's complex64 tiles take the noiseless line in place, on
+        # the tone path and on the literal one: H_b rounded to complex64, and
+        # the edge samples' delay sum rounded once.  Each sample is then
+        # within float32 rounding of the complex128 line's.
+        cfg = fast_profile()
+        encoded = np.random.default_rng(5).uniform(0.0, 2.0, 20)
+        cycles = voltage_to_frequency(encoded, 2.0, cfg) / cfg.sample_rate
+        x = modulate(encoded, 2.0, cfg)
+        spec = ChannelSpec(family, seed=6)
+        for tones in (cycles, None):
+            line = make_channel(spec, cfg.sample_rate, cfg.fft_size)
+            want = line.process(x.copy(), 0, None, tones)
+            rows = x.astype(np.complex64)
+            got = make_channel(spec, cfg.sample_rate, cfg.fft_size).process(rows, 0, None, tones)
+            assert got is rows
+            assert np.all(np.abs(got - want).max(axis=1) <= 2.0**-21 * np.abs(want).max(axis=1))
+
+    @pytest.mark.parametrize("family", ["awgn", "jtc_outdoor_low_a"])
+    def test_complex64_rows_take_no_time_domain_noise(self, family):
+        # The time-domain noise is a float64 stream: into complex64 rows it
+        # would be another stream, so a noisy line rejects them, unchanged.
+        cfg = fast_profile()
+        rows = modulate([0.5, 1.5], 2.0, cfg).astype(np.complex64)
+        before = rows.tobytes()
+        ch = make_channel(ChannelSpec(family, csnr_db=3.0), cfg.sample_rate, cfg.fft_size)
+        with pytest.raises(ConfigError, match="time-domain noise"):
+            ch.process(rows)
+        assert rows.tobytes() == before
 
     def test_adjacent_block_noise_uncorrelated(self):
         # Adjacent blocks draw from streams keyed on neighbouring indices;

@@ -158,9 +158,10 @@ class TestRunLink:
                 assert json.loads(payloads[0])["mse_sum"] != noiseless.mse.total
 
     def test_zero_block_in_second_worker_range_is_transmit_error(self, monkeypatch):
-        # The channel class's own process, patched, still runs on the pool:
-        # block 3/4 of the way through the run, in the second worker's
-        # range, leaves the channel as zeros.
+        # The channel class's own process, patched, still runs split over
+        # the calling thread and the pool: block 3/4 of the way through the
+        # run, in the second worker's range (the pool's), leaves the channel
+        # as zeros.
         config = RunConfig(levels=10, duration=0.25, seed=42, analysis=quiet_analysis())
         zero = 3 * run_link(config).n_blocks // 4
         process, threads = channel._DelayLineChannel.process, set()
@@ -176,7 +177,9 @@ class TestRunLink:
         monkeypatch.setattr(channel._DelayLineChannel, "process", process_with_zero_block)
         with pytest.raises(StageError) as excinfo:
             run_link(config)
-        assert all(name.startswith("ajscclink-rows") for name in threads), threads
+        caller = threading.current_thread().name
+        assert caller in threads, threads
+        assert {name.startswith("ajscclink-rows") for name in threads - {caller}} == {True}, threads
         assert excinfo.value.stage == "transmit"
         assert isinstance(excinfo.value.__cause__, DemodError)
 
@@ -287,6 +290,39 @@ class TestRunLink:
             assert payload == payloads[0]
         noiseless = run_link(dataclasses.replace(config, csnr_db=math.inf))
         assert json.loads(payloads[0])["mse_sum"] != noiseless.mse.total
+
+    @pytest.mark.parametrize("profile", ["fast", "slow"])
+    def test_raw_runs_carry_complex64_tiles(self, profile, monkeypatch):
+        # A raw run's tiles are complex64 through modulate, the line and the
+        # receiver, an interpolating run's complex128; the raw payload does
+        # not depend on the tile (1, 7 or 64 rows) or the worker count.
+        config = RunConfig(levels=30, duration=0.6 if profile == "fast" else 2.5, seed=8,
+                           profile=profile, channel_family="jtc_outdoor_low_a", csnr_db=0.0,
+                           doppler_hz=20.0, interpolate=False,
+                           analysis=quiet_analysis(median_order=100))
+        fft_size = config.modem_config().fft_size
+        process, dtypes = channel._DelayLineChannel.process, set()
+
+        def recorded(self, blocks, *args):
+            dtypes.add(blocks.dtype)
+            return process(self, blocks, *args)
+
+        monkeypatch.setattr(channel._DelayLineChannel, "process", recorded)
+        short = 0.25 if profile == "fast" else 2.5
+        run_link(dataclasses.replace(config, interpolate=True, duration=short))
+        assert dtypes == {np.dtype(np.complex128)}
+        dtypes.clear()
+        payloads = set()
+        for rows in (1, 7, 64):
+            for workers in (1, 2, 3):
+                # A complex64 tile holds the bytes of _TILE_SAMPLES complex128 samples.
+                monkeypatch.setattr(harness, "_TILE_SAMPLES", rows * fft_size // 2)
+                monkeypatch.setattr(pool, "_WORKERS", workers)
+                report = report_to_dict(run_link(config))
+                report.pop("wall_time_s")
+                payloads.add(json.dumps(report, sort_keys=True))
+        assert dtypes == {np.dtype(np.complex64)}
+        assert len(payloads) == 1
 
     def test_traced_peak_memory_does_not_grow_with_the_run(self, monkeypatch):
         # Each worker takes its blocks through the link a tile at a time in
@@ -406,6 +442,52 @@ class TestRunLink:
         assert len(report.receiver_peaks) >= 5
         assert report.ks is not None
         assert report.ks.p_value > 0.05
+
+
+class TestSplitRows:
+    def test_calling_thread_runs_the_first_range(self, monkeypatch):
+        # The first range runs on the calling thread and the others on the
+        # pool, whose threads and the caller hold one transmit tile each:
+        # as many as the pool made ranges before, with the same bytes.
+        config = RunConfig(levels=10, duration=0.5, seed=9, analysis=quiet_analysis())
+        monkeypatch.setattr(pool, "_WORKERS", 1)
+        want = report_to_dict(run_link(config))
+        monkeypatch.undo()
+        scratch, holders = harness.scratch, set()
+
+        def recorded(slot, *args):
+            if slot == "transmit tile":
+                holders.add(threading.current_thread().name)
+            return scratch(slot, *args)
+
+        monkeypatch.setattr(harness, "scratch", recorded)
+        got = report_to_dict(run_link(config))
+        want.pop("wall_time_s"), got.pop("wall_time_s")
+        assert got == want
+        caller = threading.current_thread().name
+        if pool._POOL is None:
+            assert holders == {caller}
+        else:
+            assert len(holders) == pool._WORKERS and caller in holders
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_an_exception_propagates_once_every_range_finished(self, failing, monkeypatch):
+        # Whichever range raises, split_rows waits for the others, then
+        # raises the first range's exception in row order.
+        monkeypatch.setattr(pool, "_WORKERS", 3)
+        if pool._POOL is None:
+            monkeypatch.setattr(pool, "_POOL", ThreadPoolExecutor(2))
+        finished = []
+
+        def fn(lo, hi):
+            if lo == [0, 3, 6][failing]:
+                raise ValueError(f"range {failing}")
+            threading.Event().wait(0.05)
+            finished.append(lo)
+
+        with pytest.raises(ValueError, match=f"range {failing}"):
+            pool.split_rows(fn, 9)
+        assert sorted(finished) == sorted({0, 3, 6} - {[0, 3, 6][failing]})
 
 
 class TestSweep:

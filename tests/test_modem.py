@@ -181,6 +181,31 @@ class TestDemodulate:
             bin_volts = FULL_SCALE * cfg.bin_width / (cfg.f_max - cfg.f_min)
             assert np.abs(got - v).max() <= 0.1 * bin_volts
 
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    def test_bias_under_a_tenth_of_a_bin_on_both_paths(self, profile, monkeypatch):
+        # The module docstring's claim: at csnr_db = inf the parabola on the
+        # padded grid keeps its bias under a tenth of a bin, for tones over a
+        # grid of offsets across a bin, mid-band and at both band edges.  It
+        # holds where the direct tier decides every row and where the gate
+        # sends every row to the FFT path, and both agree to 1e-9 bins.
+        cfg = profile()
+        offsets = np.linspace(0.0, 0.999, 41)
+        bins = np.concatenate([
+            cfg.fft_size * 0.3 + offsets,
+            cfg.f_min / cfg.bin_width + offsets,
+            cfg.f_max / cfg.bin_width - offsets,
+        ])
+        encoded = frequency_to_voltage(bins * cfg.bin_width, FULL_SCALE, cfg)
+        blocks = modulate(encoded, FULL_SCALE, cfg)
+        assert direct_share(blocks, cfg, True) == len(bins)
+        direct = modem._peak_frequencies(blocks, cfg, True) / cfg.bin_width
+        monkeypatch.setattr(modem, "_gate", lambda x, *args: np.zeros(len(x), dtype=bool))
+        fft = modem._peak_frequencies(blocks, cfg, True) / cfg.bin_width
+        assert direct_share(blocks, cfg, True) == 0
+        for got in (direct, fft):
+            assert np.abs(got - bins).max() < 0.1
+        assert np.abs(direct - fft).max() <= 1e-9
+
     def test_raw_bin_mode_quantizes_to_grid(self):
         cfg = fast_profile()
         v = frequency_to_voltage((1500 + 0.3) * cfg.bin_width, FULL_SCALE, cfg)
@@ -327,9 +352,29 @@ class TestModulateRowSplit:
             tracemalloc.stop()
         assert peak < 128 << 10
 
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    def test_complex64_out_within_stated_bounds(self, profile):
+        # Into complex64 rows the tables are rounded to float32 and each row
+        # is an sgemm: |sample| within sqrt(2) gamma_4 = 3.4e-7 of one, and
+        # the phase within 3.4e-7 rad of exact (about 1.3e-7 measured); the
+        # default output stays complex128.
+        cfg = profile()
+        rng = np.random.default_rng(12)
+        encoded = rng.uniform(0, FULL_SCALE, 40)
+        phases = rng.uniform(0, 2 * np.pi, 40)
+        out = np.empty((40, cfg.fft_size), dtype=np.complex64)
+        got = modulate(encoded, FULL_SCALE, cfg, start_phase=phases, out=out)
+        assert got is out
+        assert modulate(encoded, FULL_SCALE, cfg).dtype == np.complex128
+        cos, sin = exact_tones(encoded, cfg, phases)
+        re, im = got.real.astype(np.longdouble), got.imag.astype(np.longdouble)
+        bound = np.sqrt(2) * 4 * 2.0**-24 / (1 - 4 * 2.0**-24)
+        assert np.abs(np.hypot(re, im) - 1).max() <= bound
+        assert np.abs(np.arctan2(im * cos - re * sin, re * cos + im * sin)).max() <= bound
+
     @pytest.mark.parametrize(
         "shape, dtype",
-        [((3, 64), np.complex128), ((4, 63), np.complex128), ((4, 64), np.complex64)],
+        [((3, 64), np.complex128), ((4, 63), np.complex128), ((4, 64), np.float64)],
     )
     def test_out_of_wrong_shape_or_dtype_rejected(self, shape, dtype):
         cfg = ModemConfig(f_min=0.0, f_max=1e3, sample_rate=1e4, fft_size=64)
@@ -1255,6 +1300,152 @@ class TestRawDirectTier:
             lag_gated(monkeypatch)
         with pytest.raises(DemodError):
             split_demodulate(blocks, cfg)
+
+
+def complex64_line(cfg, encoded, family, seed):
+    """A raw run's tile: encoded modulated into complex64 rows and faded, at
+    csnr_db = inf, by the channel's tone line."""
+    rows = np.empty((len(encoded), cfg.fft_size), dtype=np.complex64)
+    modulate(encoded, FULL_SCALE, cfg, out=rows)
+    line = make_channel(ChannelSpec(family, seed=seed), cfg.sample_rate, cfg.fft_size)
+    cycles = voltage_to_frequency(encoded, FULL_SCALE, cfg) / cfg.sample_rate
+    return line.process(rows, 0, None, cycles)
+
+
+def fft_path_only(mp):
+    """Patch the gate, through the MonkeyPatch mp, to send every row to the
+    FFT path."""
+    mp.setattr(modem, "_gate", lambda x, *args: np.zeros(len(x), dtype=bool))
+
+
+class TestComplex64Rows:
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    @pytest.mark.parametrize("family", ["awgn", "flat_rayleigh", "jtc_outdoor_low_a"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_direct_tier_decides_as_the_fft_path(self, profile, family, workers, monkeypatch):
+        # The raw receiver reads complex64 rows in float32 in the direct tier
+        # and proves each decision with the float32 error bounds, or leaves
+        # the row to the FFT path, which upcasts it.  So every decision is
+        # the FFT path's on the same rows, with and without band noise, and
+        # the tier decides nearly every row.
+        cfg = profile()
+        n_rows = 96
+        encoded = np.random.default_rng(31).uniform(0, FULL_SCALE, n_rows)
+        rows = complex64_line(cfg, encoded, family, seed=32)
+        assert rows.dtype == np.complex64
+        spec = ChannelSpec("awgn", csnr_db=0.0, seed=33)
+        monkeypatch.setattr(pool, "_WORKERS", workers)
+        peaks = modem._direct_peaks
+        for noise in (None, BandNoise(spec, cfg.fft_size, 0, n_rows)):
+            decided = []  # list.append is atomic, so the pool's threads may share it
+
+            def counted(*args):
+                ok, k, triple = peaks(*args)
+                decided.append(int(ok.sum()))
+                return ok, k, triple
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(modem, "_direct_peaks", counted)
+                got = split_demodulate(rows, cfg, noise)
+            assert sum(decided) >= n_rows - 3
+            with pytest.MonkeyPatch.context() as mp:
+                fft_path_only(mp)
+                want = split_demodulate(rows, cfg, noise)
+                upcast = split_demodulate(rows.astype(np.complex128), cfg, noise)
+            assert got.tobytes() == want.tobytes() == upcast.tobytes()
+
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    def test_near_ties_take_the_fft_path(self, profile):
+        # Tones 1e-6 of a bin short of a half bin: their two nearest bins
+        # differ by about 4e-6 of their magnitude, past the 1e-9 margin of
+        # complex128 rows but inside the float32 error of complex64 rows.
+        # The direct tier decides the complex128 rows and leaves every
+        # complex64 row to the FFT path, which decides them alike.
+        cfg = profile()
+        k = np.linspace(cfg.f_min, cfg.f_max, 12)[1:-1] // cfg.bin_width
+        encoded = frequency_to_voltage((k + 0.5 - 1e-6) * cfg.bin_width, FULL_SCALE, cfg)
+        wide = modulate(encoded, FULL_SCALE, cfg)
+        narrow = modulate(encoded, FULL_SCALE, cfg, out=np.empty(wide.shape, dtype=np.complex64))
+        assert direct_share(wide, cfg, False) == len(k)
+        assert direct_share(narrow, cfg, False) == 0
+        got = demodulate_stream(narrow, FULL_SCALE, cfg, False)
+        assert got.tobytes() == demodulate_stream(wide, FULL_SCALE, cfg, False).tobytes()
+        assert np.array_equal(frequency_to_voltage(k * cfg.bin_width, FULL_SCALE, cfg), got)
+
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    def test_margins_hold_the_measured_error(self, profile):
+        # The float32 bounds of the module docstring hold with room on rows
+        # of every channel: each direct bin within kappa sqrt(N |x|^2) of the
+        # FFT's on the upcast rows, and N |x|^2 within gamma of itself.
+        cfg = profile()
+        n = cfg.fft_size
+        gamma, kappa = modem._rounding(n, np.dtype(np.complex64))
+        assert modem._rounding(n, np.dtype(np.complex128)) == (0.0, 0.0)
+        encoded = np.random.default_rng(34).uniform(0, FULL_SCALE, 40)
+        for family in FAMILIES:
+            rows = complex64_line(cfg, encoded, family, seed=35)
+            with pytest.MonkeyPatch.context() as mp:
+                seen = record_direct(mp)
+                modem._peak_frequencies(rows, cfg, False)
+            (batch,) = seen
+            x = rows.astype(np.complex128)
+            spectrum = scipy.fft.fft(x, axis=1)
+            want = spectrum[np.arange(len(x))[:, None], batch["base"][:, None] + (0, 1, 2)]
+            power = n * np.vecdot(x, x).real
+            assert np.all(np.abs(batch["bins"] - want) <= 0.1 * kappa * np.sqrt(power)[:, None])
+            floats = rows.view(np.float32)
+            sum32 = n * np.einsum("ij,ij->i", floats, floats).astype(np.float64)
+            assert np.all(np.abs(sum32 - power) <= 0.1 * gamma * power)
+
+
+class TestPreCheck:
+    @pytest.mark.parametrize("profile", [fast_profile, slow_profile])
+    def test_skips_only_rows_that_fail_both_bounds(self, profile, monkeypatch):
+        # On AWGN at -10 to -20 dB every row takes the FFT path, and the
+        # pre-check skips the kernel sums of some rows at -10 and -15 dB and
+        # of all at -20 dB.  Each row it skips fails Parseval's bound and
+        # the max-norm bound with its exact odd bins, and the bytes are those
+        # without the pre-check.
+        cfg = profile()
+        n, n_rows = cfg.fft_size, 48
+        c = modem._half_bin_tables(n)[1]
+        encoded = np.random.default_rng(36).uniform(0, FULL_SCALE, n_rows)
+        skipped = {}
+        for csnr_db in (-10.0, -15.0, -20.0):
+            spec = ChannelSpec("awgn", csnr_db=csnr_db, seed=37)
+            x = modulate(encoded, FULL_SCALE, cfg)
+            x = make_channel(spec, cfg.sample_rate, n).process(x, 0)
+            seen = []
+            with pytest.MonkeyPatch.context() as mp:
+                check = modem._pre_check
+
+                def recorded(spectrum, power, energy, peak, tone, j, setup):
+                    both, norm = check(spectrum, power, energy, peak, tone, j, setup)
+                    seen.append((spectrum.copy(), energy.copy(), j.copy(), both.copy(), norm))
+                    return both, norm
+
+                mp.setattr(modem, "_pre_check", recorded)
+                got = modem._peak_frequencies(x, cfg, True)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(
+                    modem, "_pre_check", lambda spectrum, *args: (np.zeros(len(spectrum), bool), None)
+                )
+                assert got.tobytes() == modem._peak_frequencies(x, cfg, True).tobytes()
+            count = 0
+            for spectrum, energy, j, both, norm in seen:
+                rows = np.flatnonzero(both)
+                count += rows.size
+                if not rows.size:
+                    continue
+                odd = scipy.fft.fft(np.fft.ifft(spectrum[rows], axis=1) * c, axis=1)
+                o1 = np.abs(odd[np.arange(rows.size), j[rows] - 1]) ** 2
+                o2 = np.abs(odd[np.arange(rows.size), j[rows]]) ** 2
+                e = np.abs(spectrum[rows, j[rows]]) ** 2
+                a2 = np.maximum(np.maximum(o1, o2), e)
+                assert np.all(energy[rows] - o1 - o2 >= a2)  # Parseval's bound fails
+                assert np.all(norm[rows] >= a2)  # and the max-norm bound
+            skipped[csnr_db] = count
+        assert 0 < skipped[-10.0] <= skipped[-15.0] <= skipped[-20.0] == n_rows
 
 
 def mfsk_error_law(es_n0: float, m: int) -> float:
