@@ -626,12 +626,6 @@ _TABLE1_CHANNELS = (
 )
 
 
-def _reproduce_config(seed: int, duration: float, **overrides) -> RunConfig:
-    base = dict(seed=seed, duration=duration)
-    base.update(overrides)
-    return RunConfig(**base)
-
-
 def _write_table1_csv(rows: list[str], path) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(
@@ -675,8 +669,13 @@ def reproduce(
 
     elif experiment_id == "fig5cdf":
         for family, csnr, doppler in _TABLE1_CHANNELS:
-            cfg = _reproduce_config(
-                seed, duration, levels=30, channel_family=family, csnr_db=csnr, doppler_hz=doppler
+            cfg = RunConfig(
+                seed=seed,
+                duration=duration,
+                levels=30,
+                channel_family=family,
+                csnr_db=csnr,
+                doppler_hz=doppler,
             )
             report = run_link(cfg)
             if not files:
@@ -703,7 +702,7 @@ def reproduce(
                 profile="fast", channel_family="jtc_outdoor_low_a", csnr_db=10.0, doppler_hz=20.0
             ),
         }
-        cfg = _reproduce_config(seed, duration, interpolate=False, **setups[experiment_id])
+        cfg = RunConfig(seed=seed, duration=duration, interpolate=False, **setups[experiment_id])
         reports = sweep_levels(cfg, levels if levels is not None else range(5, 101, 5))
         files.append(
             (f"{experiment_id}_mse_vs_levels.csv", functools.partial(write_sweep_csv, reports))
@@ -714,9 +713,9 @@ def reproduce(
         for family, csnr, doppler in _TABLE1_CHANNELS:
             for levels in (30, 50):
                 case = len(rows) + 1
-                cfg = _reproduce_config(
-                    seed,
-                    duration,
+                cfg = RunConfig(
+                    seed=seed,
+                    duration=duration,
                     levels=levels,
                     channel_family=family,
                     csnr_db=csnr,

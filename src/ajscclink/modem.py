@@ -101,14 +101,6 @@ Each bound must hold with a margin of 1e-9 A^2 over rounding:
   by sqrt(2) max(|Re E|, |Im E|).  Noise spreads over all the bins, so this
   bound holds where Parseval's fails at low CSNR: on AWGN for nearly every
   block at 0 and -5 dB.
-A pre-check skips the kernel sums of a row where both bounds must fail.
-Without them, |O[j - 1]| and |O[j]| are at most their tone part (K * E_T)
-plus, by Cauchy-Schwarz, |E_R| times the root of sum |K|^2 over the other
-offsets, with |E_R|^2 = N |x|^2 - |E_T|^2 (Parseval); that bounds A^2 from
-above, and a row where Parseval's bound and the max-norm bound fail even
-there takes the fallback at once.  It fires on AWGN for every row at -20 dB
-and for some at -10 and -15 dB, and runs only on a tile whose noise is
-strong enough for it (``_NOISY``).
 A row where neither holds (deep fades, or AWGN at -10 dB) takes the
 fallback: a second N-point FFT, of x c, gives every odd bin, and the first
 peak is searched over the whole padded band, odd and even bins interleaved.
@@ -390,11 +382,6 @@ _ETA = 1e-9
 # sums them exactly into odd bins O[j + d] for d in -_SPAN - 1 .. _SPAN.
 _TONE, _SPAN = 8, 24
 _TONE_BINS = np.arange(-_TONE, _TONE + 1)
-# The pre-check of the kernel sums runs on a tile only where a row's N |x|^2
-# exceeds _NOISY |E[j]|^2.  On AWGN it first skips a row's sums at -10 dB,
-# where that ratio is 11 or more; at 0 dB (2 to 5) it skipped none, and cost
-# 3-5% of the FFT path's time.
-_NOISY = 8
 _SPAN_BINS = np.array([d for d in range(-_SPAN - 1, _SPAN + 1) if d not in (-1, 0)])
 
 # The direct tier (module docstring): its autocorrelations skip a row's first
@@ -508,7 +495,6 @@ class _Receiver(NamedTuple):
     k2_lo: int  # in-band bins of the 2N-point padded grid
     k2_hi: int
     tile: int  # rows per FFT tile, gathered batch and tile of direct bins
-    row: int  # the direct bins' scratch per row, in complex elements
     half: tuple | None  # _half_bin_tables(n), interpolating only
     offsets: tuple  # the direct bins' half-bin offsets (_direct_tables)
 
@@ -519,19 +505,15 @@ def _receiver(cfg: ModemConfig, interpolate: bool) -> _Receiver:
     per pair, not per call, since the transmit calls the receiver once per
     tile.
 
-    The direct bins' scratch per row holds the row's int64 twiddle indices,
-    its real twiddle matrix and its sums (``_direct_bins``).
+    The tile sizes a call's scratch slots (``pool.scratch``): the FFT
+    tile's, the band's powers and the direct bins' (``_direct_bins``).
     """
     n = cfg.fft_size
     k_lo, k_hi, lo, hi = _band_edges(cfg, n)
     k2_lo, k2_hi, _, _ = _band_edges(cfg, 2 * n)
-    offsets = _PADDED if interpolate else _TRIPLE
-    m, q = _tone_split(n)
-    row = (m + q + 1) // 2 + (3 * m + q) * len(offsets)
-    tile = max(1, _TILE_BYTES // (16 * n))
     return _Receiver(
-        k_lo, k_hi, lo, hi, k2_lo, k2_hi, tile, row,
-        _half_bin_tables(n) if interpolate else None, offsets,
+        k_lo, k_hi, lo, hi, k2_lo, k2_hi, max(1, _TILE_BYTES // (16 * n)),
+        _half_bin_tables(n) if interpolate else None, _PADDED if interpolate else _TRIPLE,
     )
 
 
@@ -549,17 +531,11 @@ def _peak_frequencies(
     blocks = np.ascontiguousarray(blocks)  # the direct tier views each row as (q, m)
     n_rows, n = blocks.shape
     setup = _receiver(cfg, interpolate)
-    k_lo, k_hi, lo, hi, _, _, tile, row, _, _ = setup
+    k_lo, k_hi, lo, hi, _, _, tile, _, _ = setup
     inband, width = slice(k_lo - lo, k_hi - lo + 1), hi - lo + 1
-    # The thread's scratch, in complex elements: the FFT tile's buffer, which
-    # also takes gathered rows, the direct bins' scratch, the band's powers
-    # and squares, and the completion's draws outside the window.
-    body = tile * (n + row)
-    bands = body + tile * width
-    n_rest = 0 if band_noise is None else max(k_hi - k_lo + 1 - band_noise.window.shape[1], 0)
-    space = scratch("receiver", (bands + n_rest,), np.complex128)
     draw = None if band_noise is None else band_noise.cursor()
-    buf = space[: tile * n].reshape(tile, n)
+    # The FFT tile's buffer, which also takes gathered rows.
+    buf = scratch("receiver rows", (tile, n), np.complex128)
     # k: each row's peak bin (of the padded grid where interpolating), and
     # triple the powers of bins k - 1, k, k + 1.
     k = np.zeros(n_rows, dtype=np.int64)
@@ -572,9 +548,7 @@ def _peak_frequencies(
         step = cand.size if cand[-1] - cand[0] == cand.size - 1 else tile
         for i in range(0, cand.size, step):
             which = cand[i : i + step]
-            ok, peak, near = _direct_peaks(
-                _rows_of(blocks, which, buf), setup, band_noise, which, space[tile * n : body]
-            )
+            ok, peak, near = _direct_peaks(_rows_of(blocks, which, buf), setup, band_noise, which)
             decided = which[ok]
             k[decided] = peak
             if interpolate:
@@ -582,14 +556,11 @@ def _peak_frequencies(
             done[which[~ok]] = False
     # The FFT path, on the rows the direct tier left.
     left = (~done).nonzero()[0]
-    if left.size:
-        powers, squares = space[body:bands].view(np.float64).reshape(2, tile, width)
-        rest = space[bands : bands + n_rest]
     for i in range(0, left.size, tile):
         which = left[i : i + tile]
         m = which.size
         spectrum = _spectra(blocks, which, buf)
-        power, imag2 = powers[:m], squares[:m]
+        power, imag2 = scratch("band powers", (2, m, width), np.float64)
         # Squared magnitude, computed only around the search band: cheaper
         # than abs over the full spectrum, and the parabola vertex on
         # log-power equals the vertex on log-magnitude (the logs differ by 2x).
@@ -606,8 +577,7 @@ def _peak_frequencies(
             continue
         if draw is not None:
             j = _noisy_peaks(
-                seg[:, inband], power[:, inband], j, imag2[:, inband], band_noise, which, draw,
-                rest,
+                seg[:, inband], power[:, inband], j, imag2[:, inband], band_noise, which, draw
             )
         elif not power[np.arange(m), j + k_lo - lo].all():
             raise DemodError("no spectral peak in band (all-zero block?)")
@@ -663,9 +633,7 @@ def _gate(x, setup: _Receiver, interpolate, band_noise):
         # is constant past the edge, so one sample gives |x|^2 / N.
         window = band_noise.window[:, :width]
         margin = 2 / np.pi * n * np.abs(x[:, _SKIP]) + np.abs(window).max(axis=1)
-        with np.errstate(over="ignore"):
-            bound = (n_bins - width) * np.exp(-0.5 * np.square(margin / band_noise.deviation))
-        return bound <= _EPSILON
+        return _union_bound_holds(margin, n_bins - width, band_noise.deviation)
     # |r_1| over the first _GATE samples past the edge is their power p for a
     # clean tone, and less by the noise's share of p.
     head = x[:, _SKIP : _SKIP + seg]
@@ -674,12 +642,26 @@ def _gate(x, setup: _Receiver, interpolate, band_noise):
     return (power > 0) & (np.abs(lag) >= _CLEAN * power)
 
 
-def _direct_peaks(x, setup: _Receiver, band_noise, which, space):
+def _window_start(j, full_width, n_bins):
+    """The first in-band bin of the band-noise window that the FFT path
+    places around in-band bins j, kept inside the n_bins of the band."""
+    return np.minimum(np.maximum(j - full_width // 2, 0), n_bins - min(full_width, n_bins))
+
+
+def _union_bound_holds(margin, outside, deviation):
+    """Whether the union bound outside * exp(-(margin / deviation)^2 / 2)
+    on a bin outside the window beating its peak is at most _EPSILON."""
+    # A margin past ~1e154 deviations overflows its square; the bound is 0.
+    with np.errstate(over="ignore"):
+        return outside * np.exp(-0.5 * np.square(margin / deviation)) <= _EPSILON
+
+
+def _direct_peaks(x, setup: _Receiver, band_noise, which):
     """The direct tier on rows x, rows which of the call (module docstring).
 
     Returns (ok, k, triple): which rows it decides, and for those their peak
     bin k and the interpolating receiver's triple, as in
-    ``_peak_frequencies``.  space is the scratch of its bins (``_direct_bins``).
+    ``_peak_frequencies``.
     """
     m, n = x.shape
     k_lo, k_hi = setup.k_lo, setup.k_hi
@@ -705,7 +687,7 @@ def _direct_peaks(x, setup: _Receiver, band_noise, which, space):
     cycles = (fine_turns + np.rint(coarse * split - fine_turns)) / split
     j = np.minimum(np.maximum(np.rint(cycles * n).astype(np.int64) % n, k_lo), k_hi)
     if setup.half is not None:
-        bins = _direct_bins(x, j, setup.offsets, space, setup.tile)
+        bins = _direct_bins(x, j, setup.offsets, setup.tile)
         powers = np.square(bins.real) + np.square(bins.imag)  # padded bins 2j - 2 .. 2j + 2
         # Parseval over E: no bin but j - 1, j, j + 1 holds more than the rest
         # of N |x|^2, so j is the FFT's in-band peak.
@@ -722,10 +704,10 @@ def _direct_peaks(x, setup: _Receiver, band_noise, which, space):
     if band_noise is not None:
         full_width = band_noise.window.shape[1]
         width = min(full_width, n_bins)
-        start = np.minimum(np.maximum(j - k_lo - full_width // 2, 0), n_bins - width)
+        start = _window_start(j - k_lo, full_width, n_bins)
         first = k_lo + start
     base = np.minimum(np.maximum(j - 1, first), first + width - 3)
-    bins = _direct_bins(x, base, setup.offsets, space, setup.tile)
+    bins = _direct_bins(x, base, setup.offsets, setup.tile)
     # Every bound below allows for the bins' error, at most spread, and for
     # that of N |x|^2, at most gamma of it: both 0 on complex128 rows.
     gamma, kappa = _rounding(n, x.dtype)
@@ -744,7 +726,7 @@ def _direct_peaks(x, setup: _Receiver, band_noise, which, space):
         # largest noisy bin of the three, A is the window's peak; and the
         # union bound must hold with X_out <= sqrt(R).
         rows = np.arange(m)
-        ok &= np.minimum(np.maximum(k - k_lo - full_width // 2, 0), n_bins - width) == start
+        ok &= _window_start(k - k_lo, full_width, n_bins) == start
         window = band_noise.window[which, :width]
         cols = (base - first)[:, None] + _STEPS
         noisy = bins + window[rows[:, None], cols]
@@ -755,9 +737,7 @@ def _direct_peaks(x, setup: _Receiver, band_noise, which, space):
         out_peak = np.sqrt(np.maximum(rest, 0.0))
         ok &= np.square(out_peak + others.max(axis=1)) < np.square(sure) * (1 - _ETA)
         margin = np.maximum(sure - out_peak, 0.0)
-        with np.errstate(over="ignore"):
-            bound = (n_bins - width) * np.exp(-0.5 * np.square(margin / band_noise.deviation))
-        ok &= bound <= _EPSILON
+        ok &= _union_bound_holds(margin, n_bins - width, band_noise.deviation)
         k = base + top
     return ok, k[ok], None
 
@@ -775,7 +755,7 @@ def _sure_top(magnitude, spread):
     return top, sure, np.square(others.max(axis=1)) < np.square(sure) * (1 - _ETA)
 
 
-def _direct_bins(x, base, offsets, space, tile):
+def _direct_bins(x, base, offsets, tile):
     """Bins base + offsets / 2 of each row of x (``_direct_tables``).
 
     Viewed as (q, m), row x holds sample p m + r at [p, r], so its bin
@@ -785,8 +765,7 @@ def _direct_bins(x, base, offsets, space, tile):
     (2m, 2k) matrix whose rows 2r and 2r + 1 are z^(h r) and j z^(h r) as
     floats, one BLAS gemm per row: a dgemm on complex128 rows, an sgemm on
     complex64 ones, whose sums are upcast for the q-long coarse sum.  It runs
-    a tile of rows at a time, with their twiddle indices, twiddles and sums
-    in space (complex128).
+    a tile of rows at a time, each of its buffers a scratch slot.
     """
     rows, n = x.shape
     steps, twiddles, fine_index, coarse_index, z = _direct_tables(n, offsets, tile, x.dtype)
@@ -800,35 +779,30 @@ def _direct_bins(x, base, offsets, space, tile):
         # With h = 2 base + o, h r = 2 base r + o r and -h m p = -2 base m p - o m p:
         # each row's 2 base r and -2 base m p mod 2n, plus the tables' o parts,
         # which keep the fine indices inside their plane and the coarse ones
-        # below 4n.  Each buffer is counted in complex128 elements; the twiddles
-        # and sums of complex64 rows take half of theirs.
-        e0 = (t * (m + q) + 1) // 2
-        e1 = e0 + t * m * k
-        e2 = e1 + (2 if wide else 1) * t * m * k
-        shift = space[:e0].view(np.int64)[: t * (m + q)].reshape(t, m + q)
+        # below 4n.
+        shift = scratch("direct shifts", (t, m + q), np.int64)
         np.remainder(np.matmul(double[s : s + t], steps, out=shift), 2 * n, out=shift)
-        index = space[e0:e1].view(np.int64).reshape(t, m, 2 * k)
+        index = scratch("direct indices", (t, m, 2 * k), np.int64)
         np.copyto(index, shift[:, :m, None])
         np.add(index, fine_index[:t], out=index)
-        f = space[e1:e2].view(x.dtype).reshape(t, m, 2 * k)
+        f = scratch("direct twiddles", (t, m, 2 * k), x.dtype)
         twiddles.take(index, out=f, mode="clip")
-        y = space[e2:].view(x.dtype)[: t * q * k].reshape(t, q, k)
+        sums = scratch("direct sums", (t, q, k), np.complex128)
+        y = sums if wide else scratch("direct float32 sums", (t, q, k), x.dtype)
         np.matmul(
             x[s : s + t].view(real).reshape(t, q, 2 * m),
             f.view(real).reshape(t, 2 * m, 2 * k),
             out=y.view(real).reshape(t, q, 2 * k),
         )
         if not wide:
-            sums = space[e2 + (t * q * k + 1) // 2 :][: t * q * k].reshape(t, q, k)
             np.copyto(sums, y)
-            y = sums
-        # f and index are spent: their buffers take the coarse twiddles'
-        # conjugates and their indices.
-        turns = index.reshape(-1)[: t * q * k].reshape(t, q, k)
+        # The fine indices are spent: their slot takes the coarse ones.
+        turns = scratch("direct indices", (t, q, k), np.int64)
         np.copyto(turns, shift[:, m:, None])
         np.add(turns, coarse_index[:t], out=turns)
-        c = z.take(turns, out=space[e1 : e1 + t * q * k].reshape(t, q, k), mode="wrap")
-        np.vecdot(c, y, axis=1, out=bins[s : s + t])
+        c = scratch("direct coarse twiddles", (t, q, k), np.complex128)
+        z.take(turns, out=c, mode="wrap")
+        np.vecdot(c, sums, axis=1, out=bins[s : s + t])
     return bins
 
 
@@ -866,7 +840,7 @@ def _interpolated_peaks(spectrum, power, energy, setup: _Receiver, blocks, which
     |E|^2 over the grid's bins lo..hi, energy their N |x|^2, and j each
     row's in-band peak of E.  The fallback overwrites spectrum.
     """
-    h, c, near_table, far_kernel, kernel_norm = setup.half
+    h, c, near_table, _, _ = setup.half
     m, n = spectrum.shape
     lo = setup.lo
     rows = np.arange(m)
@@ -875,12 +849,8 @@ def _interpolated_peaks(spectrum, power, energy, setup: _Receiver, blocks, which
     # it is then outside the band, and no parabola reads it.)
     powers = np.zeros((m, 5))
     powers[:, 0::2] = power[rows[:, None], j[:, None] + (-1 - lo, -lo, 1 - lo)]
-    both, norm = np.zeros(m, dtype=bool), None
-    if near_table is not None:
-        tone = spectrum[rows[:, None], (j[:, None] + _TONE_BINS) % n]
-        both, norm = _pre_check(spectrum, power, energy, powers[:, 2], tone, j, setup)
     odd = np.zeros((m, 2), dtype=np.complex128)
-    for r in np.flatnonzero(~both):
+    for r in range(m):
         s = n - j[r]
         odd[r, 0] = np.dot(h[s : s + n], spectrum[r])
         odd[r, 1] = np.dot(h[s - 1 : s - 1 + n], spectrum[r])
@@ -890,10 +860,7 @@ def _interpolated_peaks(spectrum, power, energy, setup: _Receiver, blocks, which
     # Parseval: no other odd bin holds more than R = N |x|^2 - |O[j - 1]|^2 - |O[j]|^2.
     ok = energy - powers[:, 1] - powers[:, 3] < limit
     if not ok.all() and near_table is not None:
-        if norm is None:
-            norm = _max_norm(spectrum, power, tone, j, setup)
-        ok |= norm < limit
-    ok &= ~both
+        ok |= _max_norm(spectrum, power, j, setup) < limit
     # Where a bound holds, the padded peak is the first largest in-band
     # candidate, and its parabola's neighbours are all known.  A row with no
     # in-band power takes the fallback, which raises DemodError.
@@ -903,37 +870,14 @@ def _interpolated_peaks(spectrum, power, energy, setup: _Receiver, blocks, which
     return k, triple
 
 
-def _pre_check(spectrum, power, energy, peak, tone, j, setup: _Receiver):
-    """(both, norm): which rows must fail both bounds of
-    ``_interpolated_peaks`` whatever their kernel sums hold, and the max-norm
-    bound's side where it was computed, else None (module docstring).
-
-    peak holds each row's |E[j]|^2, tone its bins E_T.  A^2 is at most
-    a2_high; the max-norm side is computed only where Parseval must fail.
-    A tile where no row's N |x|^2 exceeds _NOISY |E[j]|^2 skips the check."""
-    if not (energy > _NOISY * peak).any():
-        return np.zeros(len(peak), dtype=bool), None
-    # |O[j - 1]| and |O[j]| are at most the tone's part (K * E_T) plus, by
-    # Cauchy-Schwarz, |E_R| |K| over the other offsets, with |E_R|^2 = N |x|^2
-    # - |E_T|^2 by Parseval; raised by _ETA over rounding.
-    window, tails = _candidate_kernel(spectrum.shape[1])
-    rest = np.sqrt(np.maximum(energy - np.square(np.abs(tone)).sum(axis=1), 0.0))
-    high = np.square((np.abs(tone @ window) + rest[:, None] * tails) * (1 + _ETA))
-    a2_high = np.maximum(peak, high.max(axis=1)) * (1 + _ETA)
-    both = energy - high.sum(axis=1) >= a2_high
-    if not both.any():
-        return both, None
-    norm = _max_norm(spectrum, power, tone, j, setup)
-    return both & (norm >= a2_high), norm
-
-
-def _max_norm(spectrum, power, tone, j, setup: _Receiver):
+def _max_norm(spectrum, power, j, setup: _Receiver):
     """The square of the max-norm bound on each row's odd bins other than
-    the candidates (module docstring), given the rows' tone bins E_T."""
+    the candidates (module docstring)."""
     _, _, near_table, far_kernel, kernel_norm = setup.half
     m, n = spectrum.shape
     lo, hi = setup.lo, setup.hi
     rows = np.arange(m)
+    tone = spectrum[rows[:, None], (j[:, None] + _TONE_BINS) % n]
     # Max norm: with E split into the tone's bins E_T and the rest E_R,
     # |O[j + d]| <= |(K * E_T)[j + d]| + max |E_R| sum |K|, the first term
     # exact for d in _SPAN_BINS and at most sum |E_T| far_kernel beyond.
@@ -951,18 +895,6 @@ def _max_norm(spectrum, power, tone, j, setup: _Receiver):
     near = np.sqrt((np.square(near.real) + np.square(near.imag)).max(axis=1))
     far = np.abs(tone).sum(axis=1) * far_kernel
     return np.square(np.maximum(near, far) + np.sqrt(rest) * kernel_norm)
-
-
-@functools.lru_cache(maxsize=4)
-def _candidate_kernel(n: int):
-    """The kernel at the candidates O[j - 1] and O[j] from the tone's bins
-    E[j + t], t in _TONE_BINS: K[d - t] for d = -1, 0, as (tone bins, 2),
-    and for each d the root of sum |K|^2 over the other offsets."""
-    kernel = _half_bin_tables(n)[0][n - 1 :: -1]  # K[i] = h[n - 1 - i]
-    window = kernel[(np.array([-1, 0]) - _TONE_BINS[:, None]) % n]
-    tails = np.sqrt(np.square(np.abs(kernel)).sum() - np.square(np.abs(window)).sum(axis=0))
-    window.flags.writeable = tails.flags.writeable = False  # shared by every call and thread
-    return window, tails
 
 
 def _odd_band_peaks(blocks, which, fall, power, setup: _Receiver, c, x):
@@ -991,19 +923,18 @@ def _odd_band_peaks(blocks, which, fall, power, setup: _Receiver, c, x):
     return k, triple
 
 
-def _noisy_peaks(band, power, j, spare, band_noise, which, draw, rest) -> np.ndarray:
+def _noisy_peaks(band, power, j, spare, band_noise, which, draw) -> np.ndarray:
     """In-band index of each row's peak once band_noise is added to in-band
     bins band of rows which of the call, whose squared magnitudes are power
     and whose noiseless peaks are j (module docstring).
 
     draw is the call's cursor of band_noise.  power, and band on the rows
-    that complete, are overwritten; spare (power's shape) and rest are
-    scratch.
+    that complete, are overwritten; spare (power's shape) is scratch.
     """
     (m, n_bins), full_width = band.shape, band_noise.window.shape[1]
     width = min(full_width, n_bins)
     rows = np.arange(m)
-    start = np.clip(j - full_width // 2, 0, n_bins - width)
+    start = _window_start(j, full_width, n_bins)
     cols = start[:, None] + np.arange(width)
     power[rows[:, None], cols] = 0.0
     out_peak = np.sqrt(power.max(axis=1))
@@ -1011,11 +942,9 @@ def _noisy_peaks(band, power, j, spare, band_noise, which, draw, rest) -> np.nda
     noisy_power = np.square(noisy.real) + np.square(noisy.imag)
     peak = noisy_power.argmax(axis=1)
     margin = np.maximum(np.sqrt(noisy_power[rows, peak]) - out_peak, 0.0)
-    # A margin past ~1e154 deviations overflows its square; the bound is 0.
-    with np.errstate(over="ignore"):
-        bound = (n_bins - width) * np.exp(-0.5 * np.square(margin / band_noise.deviation))
     k = start + peak
-    for r in np.flatnonzero(bound > _EPSILON):
+    rest = scratch("band noise rest", (n_bins - width,), np.complex128)
+    for r in np.flatnonzero(~_union_bound_holds(margin, n_bins - width, band_noise.deviation)):
         s, row, p = start[r], band[r], power[r]
         draw(which[r], rest)
         row[s : s + width] = noisy[r]
