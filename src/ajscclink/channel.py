@@ -5,7 +5,8 @@ of channel-gain-weighted signal power to complex noise variance in dB.
 The CSNR is taken at the nominal signal power P_sig = 1: the modulator's
 tone has |x| = 1, and tap profiles and flat Rayleigh have unit mean gain.
 So the noise variance is 1 / 10^(csnr_db / 10), fixed once per channel and
-never measured from the blocks; csnr_db = inf disables noise.
+never measured from the blocks; csnr_db = inf disables noise.  A channel's
+fields are checked in one place, where its ``ChannelSpec`` is built.
 
 Fading taps evolve as Rayleigh processes with the classic isotropic-
 scattering Doppler spectrum, realized by a randomized sum of sinusoids
@@ -85,7 +86,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, is_int, is_real
+from .errors import ConfigError, is_int, is_real, read_text
 from .pool import scratch
 
 FAMILIES = ("awgn", "flat_rayleigh", "jtc_indoor_a", "jtc_outdoor_low_a")
@@ -156,31 +157,18 @@ class TapProfile:
 def load_profile(path) -> TapProfile:
     """Parse a tap-profile CSV: lines of delay_seconds,power_db; # comments."""
     delays, powers_db = [], []
-    try:
-        fh = open(path)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"tap profile file not found: {path}") from exc
-    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
-        raise ConfigError(f"cannot read tap profile file {path}: {exc.strerror}") from exc
-    except ValueError as exc:  # an embedded NUL byte
-        raise ConfigError(f"cannot read tap profile file {path!r}: {exc}") from exc
-    with fh:
+    for lineno, raw in enumerate(read_text(path, "tap profile file").splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ConfigError(f"{path}:{lineno}: expected 'delay_seconds,power_db'")
         try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"{path}:{lineno}: expected 'delay_seconds,power_db'")
-            try:
-                delays.append(float(parts[0]))
-                powers_db.append(float(parts[1]))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            delays.append(float(parts[0]))
+            powers_db.append(float(parts[1]))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     if not delays:
         raise ConfigError(f"{path}: no taps found")
     return TapProfile.from_db(delays, powers_db, name=str(path))
@@ -204,7 +192,8 @@ def builtin_profile(family: str) -> TapProfile:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Channel family, CSNR, Doppler, tap profile, and seed."""
+    """Channel family, CSNR, Doppler, tap profile, and seed: the one check of
+    each, which ``harness.RunConfig`` runs when it is built."""
 
     family: str
     csnr_db: float = float("inf")
@@ -221,7 +210,9 @@ class ChannelSpec:
             raise ConfigError(f"doppler_hz must be finite and >= 0, got {self.doppler_hz!r}")
         if not (is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        noise_deviation(self.csnr_db)  # a ConfigError past the float range
+        if not is_real(self.csnr_db):
+            raise ConfigError(f"csnr_db must be a number or inf, got {self.csnr_db!r}")
+        noise_deviation(self.csnr_db)  # a ConfigError for NaN, -inf and past the float range
         if self.family in ("awgn", "flat_rayleigh") and self.doppler_hz != 0:
             raise ConfigError(f"{self.family} has no Doppler; doppler_hz must be 0")
 

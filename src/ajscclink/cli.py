@@ -59,30 +59,26 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--channel", choices=sorted(_CHANNEL_NAMES))
     parser.add_argument("--csnr-db", type=float, help="CSNR in dB, or 'inf'")
     parser.add_argument("--doppler-hz", type=float)
-    parser.add_argument("--no-interp", action="store_true", help="raw FFT-bin frequency readout")
+    parser.add_argument("--no-interp", action="store_false", dest="interpolate", default=None,
+                        help="raw FFT-bin frequency readout")
     parser.add_argument("--out", default=".", help="output directory")
 
 
-def _build_config(args, levels: int | None = None) -> RunConfig:
+# (flag's argparse dest, RunConfig field) of each run override: a flag that is
+# given replaces the config's field.  Only simulate has a level-count flag.
+_OVERRIDES = (
+    ("seed", "seed"), ("duration", "duration"), ("profile", "profile"),
+    ("channel", "channel_family"), ("csnr_db", "csnr_db"), ("doppler_hz", "doppler_hz"),
+    ("interpolate", "interpolate"), ("levels", "levels"),
+)
+
+
+def _build_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.duration is not None:
-        updates["duration"] = args.duration
-    if args.profile is not None:
-        updates["profile"] = args.profile
-    if args.channel is not None:
-        updates["channel_family"] = _CHANNEL_NAMES[args.channel]
-    if args.csnr_db is not None:
-        updates["csnr_db"] = args.csnr_db
-    if args.doppler_hz is not None:
-        updates["doppler_hz"] = args.doppler_hz
-    if args.no_interp:
-        updates["interpolate"] = False
-    if levels is not None:
-        updates["levels"] = levels
-    return dataclasses.replace(config, **updates) if updates else config
+    updates = {f: getattr(args, d) for d, f in _OVERRIDES if getattr(args, d, None) is not None}
+    if "channel_family" in updates:
+        updates["channel_family"] = _CHANNEL_NAMES[updates["channel_family"]]
+    return dataclasses.replace(config, **updates)
 
 
 def main(argv=None) -> int:
@@ -95,7 +91,8 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="sweep the number of coding levels")
     _add_run_overrides(p_sweep)
-    p_sweep.add_argument("--levels", default="5:100:5", help="range start:stop:step or comma list")
+    p_sweep.add_argument("--levels", dest="level_list", metavar="LEVELS", default="5:100:5",
+                         help="range start:stop:step or comma list")
 
     p_rep = sub.add_parser("reproduce", help="regenerate a figure/table dataset")
     p_rep.add_argument("--id", required=True, choices=EXPERIMENT_IDS)
@@ -120,7 +117,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot use output directory {out}: {exc.strerror}") from exc
 
         if args.command == "simulate":
-            config = _build_config(args, levels=args.levels)
+            config = _build_config(args)
             report = run_link(config)
             write_report_json(report, out / "run_report.json")
             write_peaks_csv(report.source_peaks, out / "peaks_source.csv")
@@ -130,7 +127,7 @@ def main(argv=None) -> int:
             print(f"wrote {out / 'run_report.json'}")
 
         elif args.command == "sweep":
-            l_values = _parse_levels(args.levels)
+            l_values = _parse_levels(args.level_list)
             if not l_values:
                 print("empty level list; nothing to do")
                 return 0

@@ -17,6 +17,10 @@ per block (``channel``).  Where one of those stages has been replaced from
 outside, the split is one range on the calling thread.  Sweeps derive one
 independent seed per point from the master seed, the level count, and the
 channel family.
+
+A bad ``RunConfig`` field is a ConfigError when the config is built.  Its
+channel fields are checked where ``RunConfig.channel_spec`` builds their
+``ChannelSpec``, which ``run_link`` builds again with its seed and taps.
 """
 
 from __future__ import annotations
@@ -46,9 +50,9 @@ from .analysis import (
     threshold_filter,
     write_cdf_csv,
 )
-from .channel import FAMILIES, BandNoise, ChannelSpec, load_profile, make_channel, noise_deviation
+from .channel import BandNoise, ChannelSpec, TapProfile, load_profile, make_channel
 from .codec import AjsccParams, decode, encode, staircase
-from .errors import ConfigError, StageError, is_int, is_real
+from .errors import ConfigError, StageError, is_int, is_real, read_text
 from .modem import (
     ModemConfig,
     block_start_phases,
@@ -107,8 +111,9 @@ def _is_finite(x) -> bool:
 class AnalysisSettings:
     """Receiver-side cleanup and peak-detection knobs.
 
-    None values resolve at run time: peak_min_height to 0.3 * x1_max,
-    peak_min_separation to 2 * pulse_width, threshold to 0.1 * x1_max.
+    None values resolve in ``RunConfig.resolved_analysis``: peak_min_height
+    to 0.3 * x1_max, peak_min_separation to 2 * pulse_width, threshold to
+    0.1 * x1_max.
 
     The pulse channel is despiked (short median, width despike_width;
     1 disables) before MSE, and additionally threshold-filtered before peak
@@ -148,7 +153,6 @@ class RunConfig:
     tap_profile_path: str | None = None
     x1_max: float = 2.25
     x2_max: float = 3.0
-    level_height: float | None = None
     cytometry: CytometrySynthSpec = field(default_factory=CytometrySynthSpec)
     gsr: GsrSynthSpec = field(default_factory=GsrSynthSpec)
     cytometry_path: str | None = None
@@ -161,21 +165,13 @@ class RunConfig:
     def __post_init__(self):
         if self.profile not in ("fast", "slow"):
             raise ConfigError(f"profile must be 'fast' or 'slow', got {self.profile!r}")
-        if self.channel_family not in FAMILIES:
-            raise ConfigError(
-                f"channel_family must be one of {FAMILIES}, got {self.channel_family!r}"
-            )
-        if not (is_int(self.seed) and self.seed >= 0):
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        # The family, CSNR and Doppler, and the seed, which takes a channel
+        # seed's rule: an integer >= 0.
+        self.channel_spec(self.seed)
         if not isinstance(self.interpolate, bool):
             raise ConfigError(f"interpolate must be true or false, got {self.interpolate!r}")
         if not (_is_finite(self.duration) and self.duration > 0):
             raise ConfigError(f"duration must be finite and > 0, got {self.duration!r}")
-        if not (_is_finite(self.csnr_db) or self.csnr_db == math.inf):
-            raise ConfigError(f"csnr_db must be finite or inf, got {self.csnr_db!r}")
-        noise_deviation(self.csnr_db)  # a ConfigError past the float range
-        if self.doppler_hz is not None and not _is_finite(self.doppler_hz):
-            raise ConfigError(f"doppler_hz must be finite or None, got {self.doppler_hz!r}")
         for name in ("tap_profile_path", "cytometry_path", "gsr_path"):
             path = getattr(self, name)
             if path is not None and not isinstance(path, (str, os.PathLike)):
@@ -190,7 +186,7 @@ class RunConfig:
             ):
                 raise ConfigError(f"{name} must be a (lo, hi) pair with lo < hi, got {r!r}")
         self.ajscc_params()
-        min_sep = self.peak_min_separation()
+        min_sep = self.resolved_analysis()[1]
         block_period = self.modem_config().block_period
         if self.cytometry_path is None or self.gsr_path is None:
             # A synthetic source holds round(duration / SOURCE_SAMPLE_PERIOD)
@@ -211,20 +207,25 @@ class RunConfig:
             )
 
     def ajscc_params(self) -> AjsccParams:
-        return AjsccParams(
-            levels=self.levels,
-            x1_max=self.x1_max,
-            x2_max=self.x2_max,
-            level_height=self.level_height,
-        )
+        return AjsccParams(levels=self.levels, x1_max=self.x1_max, x2_max=self.x2_max)
 
     def modem_config(self) -> ModemConfig:
         return fast_profile() if self.profile == "fast" else slow_profile()
 
-    def peak_min_separation(self) -> float:
-        """analysis.peak_min_separation, or 2 * cytometry.pulse_width if None."""
-        sep = self.analysis.peak_min_separation
-        return sep if sep is not None else 2.0 * self.cytometry.pulse_width
+    def channel_spec(self, seed: int, tap_profile: TapProfile | None = None) -> ChannelSpec:
+        return ChannelSpec(self.channel_family, self.csnr_db, self.doppler_hz, tap_profile, seed)
+
+    def resolved_analysis(self) -> tuple[float, float, float]:
+        """(peak_min_height, peak_min_separation, threshold) of analysis, with
+        each None resolved: 0.3 * x1_max, 2 * cytometry.pulse_width and
+        0.1 * x1_max."""
+        a = self.analysis
+        return (
+            a.peak_min_height if a.peak_min_height is not None else 0.3 * self.x1_max,
+            a.peak_min_separation if a.peak_min_separation is not None
+            else 2.0 * self.cytometry.pulse_width,
+            a.threshold if a.threshold is not None else 0.1 * self.x1_max,
+        )
 
 
 @dataclass(frozen=True)
@@ -245,25 +246,14 @@ def derive_seed(master_seed: int, levels: int, family: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _read_trace(path) -> SourceTrace:
-    # The configured path names the file: np.loadtxt's FileNotFoundError
-    # carries no filename.
-    try:
-        return read_trace_csv(path)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"referenced trace file not found: {path}") from exc
-    except (IsADirectoryError, PermissionError) as exc:
-        raise ConfigError(f"cannot read trace file {path}: {exc.strerror}") from exc
-
-
 def _load_or_generate_sources(config: RunConfig, seeds) -> tuple[SourceTrace, SourceTrace]:
     cyt_seed, gsr_seed = seeds
     if config.cytometry_path is not None:
-        cyt = _read_trace(config.cytometry_path)
+        cyt = read_trace_csv(config.cytometry_path)
     else:
         cyt = gen_cytometry(config.cytometry, config.duration, SOURCE_SAMPLE_PERIOD, cyt_seed)
     if config.gsr_path is not None:
-        gsr = _read_trace(config.gsr_path)
+        gsr = read_trace_csv(config.gsr_path)
     else:
         gsr = gen_gsr(config.gsr, config.duration, SOURCE_SAMPLE_PERIOD, gsr_seed)
     n = min(cyt.samples.size, gsr.samples.size)
@@ -282,14 +272,6 @@ def _input_ranges(config: RunConfig) -> tuple[tuple[float, float], tuple[float, 
     if r2 is None:
         r2 = (0.0, config.gsr.conductance_max)
     return tuple(r1), tuple(r2)
-
-
-def _resolved_analysis(config: RunConfig) -> tuple[float, float, float, int, int]:
-    a = config.analysis
-    min_height = a.peak_min_height if a.peak_min_height is not None else 0.3 * config.x1_max
-    min_sep = config.peak_min_separation()
-    threshold = a.threshold if a.threshold is not None else 0.1 * config.x1_max
-    return min_height, min_sep, threshold, a.median_order, a.despike_width
 
 
 def _despike(trace: SourceTrace, despike_width: int) -> SourceTrace:
@@ -430,13 +412,7 @@ def run_link(config: RunConfig) -> RunReport:
 
     with _stage("channel-setup"):
         path = config.tap_profile_path
-        spec = ChannelSpec(
-            family=config.channel_family,
-            csnr_db=config.csnr_db,
-            doppler_hz=config.doppler_hz,
-            tap_profile=None if path is None else load_profile(path),
-            seed=channel_seed,
-        )
+        spec = config.channel_spec(channel_seed, None if path is None else load_profile(path))
         # The raw receiver reads only the in-band bins of each block's DFT,
         # so it draws the noise there: the channel applies only the fading.
         noise_spec = None
@@ -458,15 +434,15 @@ def run_link(config: RunConfig) -> RunReport:
     x1_est_t = SourceTrace(block_period, x1_hat)
     x2_est_t = SourceTrace(block_period, x2_hat)
 
-    min_height, min_sep, threshold, median_order, despike = _resolved_analysis(config)
+    min_height, min_sep, threshold = config.resolved_analysis()
     with _stage("filter"):
-        x1_ref_f = _despike(x1_ref_t, despike)
-        x1_est_f = _despike(x1_est_t, despike)
+        x1_ref_f = _despike(x1_ref_t, a.despike_width)
+        x1_est_f = _despike(x1_est_t, a.despike_width)
         x1_ref_p = threshold_filter(x1_ref_f, threshold)
         x1_est_p = threshold_filter(x1_est_f, threshold)
-        if median_order:
-            x2_ref_f = median_filter(x2_ref_t, median_order)
-            x2_est_f = median_filter(x2_est_t, median_order)
+        if a.median_order:
+            x2_ref_f = median_filter(x2_ref_t, a.median_order)
+            x2_est_f = median_filter(x2_est_t, a.median_order)
         else:
             x2_ref_f, x2_est_f = x2_ref_t, x2_est_t
 
@@ -557,16 +533,9 @@ def config_from_dict(d: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        fh = open(path)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
-    with fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        data = json.loads(read_text(path, "config file"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return config_from_dict(data)
 
 

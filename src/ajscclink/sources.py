@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, is_real
+from .errors import ConfigError, is_real, read_text
 
 
 @dataclass(frozen=True)
@@ -366,8 +367,9 @@ def write_trace_csv(trace: SourceTrace, path) -> None:
 
 def read_trace_csv(path) -> SourceTrace:
     """Read a trace written by write_trace_csv; infers the sample period."""
+    text = io.StringIO(read_text(path, "trace file"))
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        data = np.loadtxt(text, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"{path}: not a numeric t_seconds,value trace: {exc}") from exc
     if data.shape[0] < 2:

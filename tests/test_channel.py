@@ -198,7 +198,10 @@ class TestChannelSpec:
         with pytest.raises(ConfigError):
             ChannelSpec("rician")
 
-    @pytest.mark.parametrize("csnr_db", [4000.0, -4000.0, float("nan"), float("-inf")])
+    # Past the float range, NaN, -inf, and no number: JSON true would run as 1 dB.
+    @pytest.mark.parametrize(
+        "csnr_db", [4000.0, -4000.0, float("nan"), float("-inf"), "loud", None, True]
+    )
     def test_csnr_without_a_finite_noise_variance_rejected(self, csnr_db):
         with pytest.raises(ConfigError):
             ChannelSpec("awgn", csnr_db=csnr_db)

@@ -430,6 +430,28 @@ class TestRunLink:
             assert excinfo.value.stage == "decode"
             assert excinfo.value.__cause__ is error
 
+    @pytest.mark.parametrize(
+        "despike_width, median_order, calls",
+        [(1, 0, []), (3, 0, [2, 2]), (1, 4, [4, 4])],
+    )
+    def test_median_filters_run_only_where_enabled(
+        self, despike_width, median_order, calls, monkeypatch
+    ):
+        # despike_width 1 and median_order 0 each disable their filter: a run
+        # with both calls no median filter, and one with either calls it on
+        # the reference and the estimate.
+        orders = []
+        median_filter = harness.median_filter
+
+        def recording(trace, order):
+            orders.append(order)
+            return median_filter(trace, order)
+
+        monkeypatch.setattr(harness, "median_filter", recording)
+        analysis = AnalysisSettings(median_order=median_order, despike_width=despike_width)
+        run_link(RunConfig(levels=8, duration=0.25, analysis=analysis))
+        assert orders == calls
+
     def test_duration_below_one_block_rejected(self):
         config = RunConfig(levels=8, duration=0.005, profile="slow",
                            analysis=quiet_analysis())
@@ -540,6 +562,10 @@ class TestConfigSerialization:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_path_with_a_nul_byte_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="embedded null byte"):
+            load_config(str(tmp_path / "a\0b.json"))
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text("{not json")
@@ -589,7 +615,6 @@ _CONFIG_DICTS = st.fixed_dictionaries(
         "tap_profile_path": st.sampled_from([None, "/nonexistent/taps.csv"]),
         "x1_max": _or_junk(st.floats(0.0, 10.0)),
         "x2_max": _or_junk(st.floats(0.0, 10.0)),
-        "level_height": _or_junk(st.floats(0.0, 1.0)),
         "cytometry": _nested(
             ["pulse_rate", "pulse_width", "peak_amplitude_mean", "peak_amplitude_sd",
              "baseline", "noise_sd"],
@@ -638,6 +663,19 @@ class TestConfigBoundary:
             run_link(config)
         except ConfigError:
             pass
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(channel_family="awgn", doppler_hz=5.0),
+            dict(channel_family="jtc_indoor_a", doppler_hz=-3.0),
+        ],
+    )
+    def test_channel_fields_checked_at_construction(self, fields):
+        # The channel's own check runs when the config is built, before any
+        # run generates its sources.
+        with pytest.raises(ConfigError, match="doppler_hz"):
+            RunConfig(**fields)
 
     @pytest.mark.parametrize("profile, ratio", [("fast", 1), ("slow", 10)])
     def test_synthetic_duration_stops_below_2_to_the_32_blocks(self, profile, ratio):
@@ -759,6 +797,33 @@ class TestCli:
         assert peaks[0] == "time,peak"
         assert (tmp_path / "out" / "peaks_receiver.csv").exists()
 
+    def test_run_overrides_land_in_the_report_config(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "levels": 8, "duration": 0.5, "profile": "fast", "channel_family": "awgn",
+            "analysis": {"median_order": 0},
+        }))
+        rc = main(["simulate", "--config", str(cfg_path), "--profile", "slow",
+                   "--channel", "jtc-indoor", "--doppler-hz", "2.5", "--levels", "12",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        config = json.loads((tmp_path / "out" / "run_report.json").read_text())["config"]
+        assert config["profile"] == "slow"
+        assert config["channel_family"] == "jtc_indoor_a"
+        assert config["doppler_hz"] == 2.5
+        assert config["levels"] == 12
+        assert config["duration"] == 0.5
+
+    @pytest.mark.parametrize(
+        "levels, rows", [("4:12:4", [4, 8, 12]), ("4:6", [4, 5, 6]), ("4:11:4", [4, 8])]
+    )
+    def test_sweep_level_range_includes_its_stop(self, levels, rows, tmp_path):
+        rc = main(["sweep", "--levels", levels, "--duration", "0.3", "--csnr-db", "inf",
+                   "--no-interp", "--out", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert [int(line.split(",")[0]) for line in lines] == rows
+
     def test_sweep_command_with_list(self, tmp_path):
         rc = main(["sweep", "--levels", "4,8", "--duration", "2.0", "--csnr-db", "inf",
                    "--out", str(tmp_path)])
@@ -879,7 +944,8 @@ class TestCli:
             {"x1_max": "big"},
             # json.dumps writes Infinity, which loads as the same float as 1e400.
             {"x1_max": float("inf")},
-            {"level_height": float("inf")},
+            # A Doppler on the default AWGN channel, which has none.
+            {"doppler_hz": 5.0},
             # 200 slow blocks against the default median_order 200.
             {"duration": 2.0, "profile": "slow"},
             # The default peak separation, 2 * pulse_width, under one 10 ms block.
@@ -965,6 +1031,19 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "sample period" in capsys.readouterr().err
+        assert not (out / "run_report.json").exists()
+
+    def test_traces_shorter_than_one_slow_block_are_config_error(self, tmp_path, capsys):
+        # Five 1 ms samples against one 10 ms slow block.
+        fields = {"levels": 8, "profile": "slow", "analysis": {"median_order": 0}}
+        for key in ("cytometry_path", "gsr_path"):
+            fields[key] = str(tmp_path / f"{key}.csv")
+            write_trace_csv(SourceTrace(1e-3, np.full(5, 0.5)), fields[key])
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(fields))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "too short for one FFT block" in capsys.readouterr().err
         assert not (out / "run_report.json").exists()
 
     def test_import_leaves_scipy_signal_and_stats_out(self):

@@ -162,6 +162,29 @@ class TestDemodulate:
         got = demodulate_one(modulate([v], FULL_SCALE, cfg)[0], cfg)
         assert abs(got - v) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # One and two in-band bins: fewer than the raw direct tier's three.
+            dict(f_min=1000.0, f_max=1200.0, sample_rate=1e4, fft_size=64),
+            dict(f_min=1000.0, f_max=1300.0, sample_rate=1e4, fft_size=64),
+            # 16 samples leave the gate none past the multipath edge.
+            dict(f_min=1000.0, f_max=4000.0, sample_rate=1e4, fft_size=16),
+        ],
+        ids=["one-bin", "two-bin", "fft16"],
+    )
+    @pytest.mark.parametrize("interpolate", [True, False], ids=["interp", "raw"])
+    def test_bin_aligned_tones_exact_where_the_gate_passes_no_row(self, kwargs, interpolate):
+        cfg = ModemConfig(**kwargs)
+        k_lo, k_hi, _, _ = band_edges(cfg, cfg.fft_size)
+        v = frequency_to_voltage(np.arange(k_lo, k_hi + 1) * cfg.bin_width, FULL_SCALE, cfg)
+        blocks = modulate(v, FULL_SCALE, cfg)
+        got = demodulate_stream(blocks.copy(), FULL_SCALE, cfg, interpolate)
+        assert np.abs(got - v).max() <= 1e-12
+        # The interpolating receiver's gate takes a narrow band's rows.
+        if cfg.fft_size == 16 or not interpolate:
+            assert direct_share(blocks, cfg, interpolate) == 0
+
     def test_off_bin_error_within_tenth_of_a_bin(self):
         # Oracle: sweep known fractional offsets across a bin, mid-band and
         # within one bin of each band edge, and compare the recovered voltage
