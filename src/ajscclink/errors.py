@@ -39,8 +39,15 @@ class DemodError(RuntimeError):
 
 
 class StageError(RuntimeError):
-    """A pipeline stage failed; message carries the stage name and context."""
+    """A pipeline stage failed; message carries the stage name and context.
+
+    args holds (stage, message), so the error pickles: a run that fails in a
+    worker process raises the same StageError in the parent."""
 
     def __init__(self, stage: str, message: str):
-        super().__init__(f"stage '{stage}': {message}")
+        super().__init__(stage, message)
         self.stage = stage
+        self.message = message
+
+    def __str__(self) -> str:
+        return f"stage '{self.stage}': {self.message}"

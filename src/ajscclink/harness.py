@@ -18,6 +18,15 @@ outside, the split is one range on the calling thread.  Sweeps derive one
 independent seed per point from the master seed, the level count, and the
 channel family.
 
+A sweep's points, and the runs of ``reproduce``'s table1 and fig5cdf, are
+independent runs: ``_run_links`` hands them to worker processes forked for
+the one call, one per usable CPU (``pool.map_runs``), each of which runs its
+points with one row range, and it logs one INFO line per point as the
+reports arrive in order.  Where ``run_link`` or a layer function that it
+reaches through this module's globals has been replaced from outside
+(``_OWN``), the points run in order in this process, so the replacement
+sees every one of them.
+
 A bad ``RunConfig`` field is a ConfigError when the config is built.  Its
 channel fields are checked where ``RunConfig.channel_spec`` builds their
 ``ChannelSpec``, which ``run_link`` builds again with its seed and taps.
@@ -30,6 +39,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import logging
 import math
 import os
 import pathlib
@@ -62,7 +72,7 @@ from .modem import (
     slow_profile,
     voltage_to_frequency,
 )
-from .pool import scratch, split_rows
+from .pool import map_runs, scratch, split_rows
 from .sources import (
     CytometrySynthSpec,
     GsrSynthSpec,
@@ -99,8 +109,7 @@ SOURCE_SAMPLE_PERIOD = 1e-3
 # against 57-58 MB and 45-46 against 49-50 MB; the complex128 tiles before
 # had peaked at 58-59 and 49-50 MB.
 _TILE_SAMPLES = 1 << 18
-# modulate and demodulate_stream as the modem defines them (see _transmit).
-_LAYER_STAGES = (modulate, demodulate_stream)
+_LOG = logging.getLogger(__name__)
 
 
 def _is_finite(x) -> bool:
@@ -176,6 +185,10 @@ class RunConfig:
             path = getattr(self, name)
             if path is not None and not isinstance(path, (str, os.PathLike)):
                 raise ConfigError(f"{name} must be a path string or None, got {path!r}")
+        if self.tap_profile_path is not None and self.channel_family in ("awgn", "flat_rayleigh"):
+            raise ConfigError(
+                f"{self.channel_family} has no taps; tap_profile_path must be None"
+            )
         for name in ("x1_input_range", "x2_input_range"):
             r = getattr(self, name)
             if r is not None and not (
@@ -297,10 +310,8 @@ def _transmit(
     # The stages run on the pool threads only as their layers define them: a
     # stage replaced from outside, such as a timing wrapper, may not be
     # thread-safe, so the whole transmit then runs on this thread.
-    own = (
-        modulate is _LAYER_STAGES[0]
-        and demodulate_stream is _LAYER_STAGES[1]
-        and getattr(channel.process, "__func__", None) is type(channel).process
+    own = _own("modulate", "demodulate_stream") and (
+        getattr(channel.process, "__func__", None) is type(channel).process
     )
     encoded = np.atleast_1d(encoded)
     freqs = np.atleast_1d(voltage_to_frequency(encoded, full_scale, cfg))
@@ -467,14 +478,55 @@ def run_link(config: RunConfig) -> RunReport:
     )
 
 
+# run_link and each layer function it reaches through this module's globals,
+# as this module defines or imports them.  A name bound to anything else has
+# been replaced from outside, as linkbench's span tracer does; the
+# replacement may not be thread-safe, and what it records in a worker
+# process would never reach this one.
+_OWN = {
+    name: globals()[name]
+    for name in (
+        "run_link", "read_trace_csv", "gen_cytometry", "gen_gsr", "rescale", "encode",
+        "load_profile", "make_channel", "voltage_to_frequency", "block_start_phases",
+        "modulate", "demodulate_stream", "decode", "median_filter", "threshold_filter",
+        "mse", "detect_peaks", "ks_two_sample",
+    )
+}
+
+
+def _own(*names: str) -> bool:
+    """Whether each of names (every name in _OWN without names) is still bound
+    to what _OWN holds for it."""
+    return all(globals()[name] is _OWN[name] for name in names or _OWN)
+
+
+def _run_links(configs: list[RunConfig], names: list[str]) -> list[RunReport]:
+    """run_link's report for each of a list of independent configs, in order.
+
+    The runs go on forked worker processes (``pool.map_runs``), or run here
+    in order where a name in _OWN has been replaced.  As each report
+    arrives, in order, one INFO line on the "ajscclink.harness" logger gives
+    the run's name, its mse_sum and its wall seconds; the payloads keep
+    their bytes whichever way the runs went.
+    """
+    points = iter(names)
+
+    def log(report):
+        _LOG.info("%s: mse_sum %r, %.3f s", next(points), report.mse.total, report.wall_time_s)
+
+    return map_runs(run_link, configs, log, inline=not _own())
+
+
 def sweep_levels(config: RunConfig, l_values) -> list[RunReport]:
     """Run one link per level count, with independent derived seeds."""
-    reports = []
-    for levels in l_values:
-        run_seed = derive_seed(config.seed, int(levels), config.channel_family)
-        cfg = dataclasses.replace(config, levels=int(levels), seed=run_seed)
-        reports.append(run_link(cfg))
-    return reports
+    configs = [
+        dataclasses.replace(
+            config, levels=int(levels),
+            seed=derive_seed(config.seed, int(levels), config.channel_family),
+        )
+        for levels in l_values
+    ]
+    return _run_links(configs, [f"levels {c.levels}" for c in configs])
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +689,8 @@ def reproduce(
         files.append(("fig4_staircase.csv", functools.partial(write_staircase_csv, curve)))
 
     elif experiment_id == "fig5cdf":
-        for family, csnr, doppler in _TABLE1_CHANNELS:
-            cfg = RunConfig(
+        configs = [
+            RunConfig(
                 seed=seed,
                 duration=duration,
                 levels=30,
@@ -646,7 +698,10 @@ def reproduce(
                 csnr_db=csnr,
                 doppler_hz=doppler,
             )
-            report = run_link(cfg)
+            for family, csnr, doppler in _TABLE1_CHANNELS
+        ]
+        for report in _run_links(configs, [f"fig5cdf {c.channel_family}" for c in configs]):
+            family = report.config.channel_family
             if not files:
                 values = _peak_values(
                     report.source_peaks, experiment_id, f"{family} run's source trace", duration
@@ -678,32 +733,35 @@ def reproduce(
         )
 
     elif experiment_id == "table1":
+        configs = [
+            RunConfig(
+                seed=seed,
+                duration=duration,
+                levels=levels,
+                channel_family=family,
+                csnr_db=csnr,
+                doppler_hz=doppler,
+            )
+            for family, csnr, doppler in _TABLE1_CHANNELS
+            for levels in (30, 50)
+        ]
+        reports = _run_links(configs, [f"table1 case {i}" for i in range(1, len(configs) + 1)])
         rows = []
-        for family, csnr, doppler in _TABLE1_CHANNELS:
-            for levels in (30, 50):
-                case = len(rows) + 1
-                cfg = RunConfig(
-                    seed=seed,
-                    duration=duration,
-                    levels=levels,
-                    channel_family=family,
-                    csnr_db=csnr,
-                    doppler_hz=doppler,
+        for case, report in enumerate(reports, start=1):
+            c, ks = report.config, report.ks
+            if ks is None:
+                raise ConfigError(
+                    f"table1 case {case} ({c.channel_family}, {c.levels} levels): too few peaks "
+                    f"for the K-S test at duration {duration!r} s ({len(report.source_peaks)} "
+                    f"source and {len(report.receiver_peaks)} receiver peaks, 5 each "
+                    f"needed; use a longer duration)"
                 )
-                report = run_link(cfg)
-                ks = report.ks
-                if ks is None:
-                    raise ConfigError(
-                        f"table1 case {case} ({family}, {levels} levels): too few peaks for "
-                        f"the K-S test at duration {duration!r} s ({len(report.source_peaks)} "
-                        f"source and {len(report.receiver_peaks)} receiver peaks, 5 each "
-                        f"needed; use a longer duration)"
-                    )
-                rows.append(
-                    f"{case},{family},{levels},{csnr!r},{doppler if doppler is not None else 0.0!r},"
-                    f"{len(report.source_peaks)},{len(report.receiver_peaks)},"
-                    f"{ks.statistic!r},{ks.p_value!r},{int(ks.reject_at_5pct)}\n"
-                )
+            doppler = c.doppler_hz if c.doppler_hz is not None else 0.0
+            rows.append(
+                f"{case},{c.channel_family},{c.levels},{c.csnr_db!r},{doppler!r},"
+                f"{len(report.source_peaks)},{len(report.receiver_peaks)},"
+                f"{ks.statistic!r},{ks.p_value!r},{int(ks.reject_at_5pct)}\n"
+            )
         files.append(("table1_ks.csv", functools.partial(_write_table1_csv, rows)))
 
     else:

@@ -1,4 +1,4 @@
-"""The transmit's one row split, and each thread's scratch.
+"""The package's two dispatches: threads within a run, processes across runs.
 
 ``harness._transmit`` is the only caller of ``split_rows``: it cuts a run's
 blocks into one contiguous range per usable CPU, runs the first on the
@@ -14,6 +14,24 @@ one BLAS thread, a vecdot of 8 complex rows of 4M elements stalled another
 thread's Python for 43 ms of the call's 52 ms; a 0.2 s matmul, for 9 ms).
 Objects with state, such as a generator, are made per call or per thread and
 never shared between threads.
+
+``harness._run_links`` is the only caller of ``map_runs``: the independent
+runs of a sweep, or of ``reproduce``'s table1 and fig5cdf, go to worker
+processes forked for the one call, one process per usable CPU, and the
+reports come back pickled, in order.  A fifth of a 3 s slow raw sweep
+point's time is Python work outside the link layers, which holds the GIL,
+so a second thread gains little there (the point's transmit took 6.4-8.5 ms
+split over two threads against 7.4-8.8 ms on one), while a second process
+runs whole points of its own.  A child runs its points with one range
+(``_one_range``): the parent's pool threads do not exist in a forked child,
+and each child already has a CPU of its own.  The fork happens on the
+calling thread between runs, while the pool's threads are idle, and
+OpenBLAS has its own at-fork handlers; from Python 3.12 on, forking a
+process that has threads emits a DeprecationWarning.  The children exit
+before the call returns, so none keeps module state from before a later
+patch, and none outlives its caller; on Linux one whose parent is killed
+dies with it.  Spawned children would each pay a fresh import, about
+0.2 s, where a sweep of 20 slow points takes 0.15-0.25 s.
 
 Four rules make a layer called once per tile cheap and thread-safe:
 - Scratch per thread, not per call.  A layer takes its buffers from
@@ -39,7 +57,9 @@ Four rules make a layer called once per tile cheap and thread-safe:
   thread, may not be thread-safe, so ``_transmit`` then passes inline and
   its rows run as one range on the calling thread.  linkbench's tracer is
   such a wrapper; a span stack per thread is a change to linkbench, not
-  here.
+  here.  Likewise ``_run_links`` passes inline where ``run_link`` or a layer
+  function has been replaced: what the replacement records in a child
+  would never reach the parent.
 
 A worker's GIL-releasing calls should each cover a tile of rows, not a row.
 Each call releases and retakes the GIL, and short calls from two threads
@@ -52,8 +72,10 @@ multiplies took 2.6x as long as one thread making both shares, and with
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -94,6 +116,64 @@ def scratch(slot, shape: tuple[int, ...], dtype) -> np.ndarray:
     if buf is None or buf.dtype != dtype or buf.size < size:
         buf = buffers[slot] = np.empty(size, dtype=dtype)
     return buf[:size].reshape(shape)
+
+
+def _one_range(parent: int) -> None:
+    """A forked worker process's set-up: its split_rows calls each make one
+    range, on its own thread, and on Linux it dies with its parent."""
+    global _WORKERS
+    _WORKERS = 1
+    if sys.platform.startswith("linux"):
+        # A child whose parent was killed would wait on its empty call queue
+        # for good, holding its pages: the kernel kills it instead.
+        import ctypes
+        import signal
+
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+        if os.getppid() != parent:  # the parent died before the prctl
+            os._exit(1)
+
+
+def map_runs(fn, items: list, each, inline: bool = False) -> list:
+    """[fn(item) for item in items], on forked worker processes where it can.
+
+    With at least two usable CPUs and two items, where the platform has fork
+    and without inline, this call forks min(_WORKERS, len(items)) worker
+    processes, each of them runs its items one at a time with one row range
+    (``_one_range``), and all of them have exited by the time the call
+    returns or raises.  Otherwise the items run on this thread, in order.
+    each(result) is called on this thread as each result arrives, in list
+    order.  The exception of the first item that raised, in list order,
+    propagates, once the items not yet started are cancelled.  fn must
+    pickle by name, and the items and results must pickle.
+    """
+    if inline or _WORKERS < 2 or len(items) < 2 or not hasattr(os, "fork"):
+        return _collect((functools.partial(fn, item) for item in items), each)
+    # Imported here, not with the module: a cold import of multiprocessing
+    # takes about 33 ms, which a single run should not pay.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=min(_WORKERS, len(items)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_one_range,
+        initargs=(os.getpid(),),
+    ) as workers:
+        futures = [workers.submit(fn, item) for item in items]
+        try:
+            return _collect((future.result for future in futures), each)
+        except BaseException:
+            workers.shutdown(cancel_futures=True)
+            raise
+
+
+def _collect(calls, each) -> list:
+    results = []
+    for call in calls:
+        results.append(call())
+        each(results[-1])
+    return results
 
 
 def split_rows(fn, n_rows: int, inline: bool = False) -> None:

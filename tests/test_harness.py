@@ -2,12 +2,18 @@
 
 import dataclasses
 import json
+import logging
 import math
+import multiprocessing
 import os
 import pathlib
+import pickle
+import resource
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -540,6 +546,168 @@ class TestSweep:
         assert lines[2].startswith("8,")
 
 
+def _children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def _payloads(reports) -> list[str]:
+    payloads = [report_to_dict(r) for r in reports]
+    for payload in payloads:
+        del payload["wall_time_s"]
+    return [json.dumps(p, sort_keys=True) for p in payloads]
+
+
+_TABLE1_SHAPED = [
+    RunConfig(levels=levels, duration=0.25, seed=3, channel_family=family, csnr_db=csnr,
+              doppler_hz=doppler, analysis=quiet_analysis())
+    for family, csnr, doppler in harness._TABLE1_CHANNELS
+    for levels in (30, 50)
+]
+
+
+class TestRunDispatch:
+    @pytest.mark.parametrize(
+        "error", [StageError("transmit", "x"), ConfigError("bad"), DemodError("no peak")],
+        ids=["stage", "config", "demod"],
+    )
+    def test_errors_survive_a_pickle_round_trip(self, error):
+        # A run that fails in a worker process raises the same error in the
+        # parent, which gets it pickled.
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error)
+        assert (str(back), back.args) == (str(error), error.args)
+        assert getattr(back, "stage", None) == getattr(error, "stage", None)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: sweep_levels(
+                RunConfig(duration=2.0, seed=4, profile="slow", csnr_db=0.0, interpolate=False,
+                          analysis=quiet_analysis(median_order=100)),
+                [5, 10, 15],
+            ),
+            lambda: sweep_levels(
+                RunConfig(duration=0.25, seed=4, channel_family="jtc_outdoor_low_a",
+                          csnr_db=0.0, doppler_hz=20.0, interpolate=False,
+                          analysis=quiet_analysis()),
+                [5, 10, 15],
+            ),
+            lambda: harness._run_links(_TABLE1_SHAPED, [str(i) for i in range(8)]),
+        ],
+        ids=["slow-awgn-raw-sweep", "fast-jtc-outdoor-raw-sweep", "table1-shaped"],
+    )
+    def test_payloads_independent_of_processes(self, run, monkeypatch):
+        # The runs on forked worker processes and in this process give the
+        # same bytes, and no worker process outlives the call.
+        payloads = []
+        for workers in (2, 1):
+            monkeypatch.setattr(pool, "_WORKERS", workers)
+            children_cpu = _children_cpu_s()
+            payloads.append(_payloads(run()))
+            assert (_children_cpu_s() > children_cpu) == (workers > 1)
+            assert multiprocessing.active_children() == []
+        assert payloads[0] == payloads[1]
+
+    def test_first_failing_point_raises_its_stage_error(self, monkeypatch):
+        # Points 10 and 15 fail in worker processes: the parent raises the
+        # StageError of point 10, the first in point order, with its stage,
+        # and no worker process outlives the call.
+        parent, load = os.getpid(), harness._load_or_generate_sources
+
+        def failing(config, seeds):
+            if config.levels in (10, 15):
+                raise RuntimeError(f"levels {config.levels} in process {os.getpid()}")
+            return load(config, seeds)
+
+        monkeypatch.setattr(pool, "_WORKERS", 2)
+        monkeypatch.setattr(harness, "_load_or_generate_sources", failing)
+        config = RunConfig(duration=0.25, seed=4, analysis=quiet_analysis())
+        with pytest.raises(StageError) as excinfo:
+            sweep_levels(config, [5, 10, 15, 20])
+        assert excinfo.value.stage == "generate"
+        assert excinfo.value.message.startswith("levels 10 in process ")
+        assert int(excinfo.value.message.split()[-1]) != parent
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
+    def test_worker_processes_die_with_a_killed_parent(self):
+        # The parent blocks in the log line of the sweep's first point and
+        # is killed there: its worker processes, idle on their call queue,
+        # go with it rather than wait for good.
+        script = (
+            "import logging, multiprocessing, time\n"
+            "from ajscclink import harness, pool\n"
+            "pool._WORKERS = 2\n"
+            "class Hang(logging.Handler):\n"
+            "    def emit(self, record):\n"
+            "        print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
+            "        time.sleep(60)\n"
+            "log = logging.getLogger('ajscclink.harness')\n"
+            "log.addHandler(Hang())\n"
+            "log.setLevel(logging.INFO)\n"
+            "config = harness.RunConfig(duration=0.25, analysis=harness.AnalysisSettings(0))\n"
+            "harness.sweep_levels(config, [5, 10, 15])\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(pathlib.Path(harness.__file__).parents[1])},
+        )
+        try:
+            children = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+
+        def alive(pid):
+            try:
+                stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        assert len(children) == 2
+        deadline = time.monotonic() + 10
+        while any(map(alive, children)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in children if alive(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
+
+    @pytest.mark.parametrize("name", ["run_link", "decode"])
+    def test_replaced_names_keep_the_points_in_this_process(self, name, monkeypatch):
+        # A replaced run_link or layer function, as a span tracer installs,
+        # sees every point, in order, in this process.
+        monkeypatch.setattr(pool, "_WORKERS", 2)
+        calls, replaced = [], getattr(harness, name)
+
+        def recording(*args):
+            calls.append(os.getpid())
+            return replaced(*args)
+
+        monkeypatch.setattr(harness, name, recording)
+        config = RunConfig(duration=0.25, seed=4, analysis=quiet_analysis())
+        children_cpu = _children_cpu_s()
+        reports = sweep_levels(config, [5, 10, 15])
+        assert calls == [os.getpid()] * 3
+        assert [r.config.levels for r in reports] == [5, 10, 15]
+        assert _children_cpu_s() == children_cpu
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_logs_one_line_per_point(self, workers, caplog, monkeypatch):
+        monkeypatch.setattr(pool, "_WORKERS", workers)
+        caplog.set_level(logging.INFO, logger="ajscclink.harness")
+        config = RunConfig(duration=0.25, seed=4, analysis=quiet_analysis())
+        reports = sweep_levels(config, [4, 8])
+        lines = [r.getMessage() for r in caplog.records if r.name == "ajscclink.harness"]
+        assert len(lines) == 2
+        for line, report in zip(lines, reports):
+            assert line.startswith(f"levels {report.config.levels}: mse_sum {report.mse.total!r}, ")
+            assert line.endswith(" s")
+
+
 class TestConfigSerialization:
     def test_round_trip_including_inf(self, tmp_path):
         config = RunConfig(levels=24, duration=3.5, seed=9, channel_family="flat_rayleigh",
@@ -677,6 +845,24 @@ class TestConfigBoundary:
         with pytest.raises(ConfigError, match="doppler_hz"):
             RunConfig(**fields)
 
+    @pytest.mark.parametrize("family", ["awgn", "flat_rayleigh"])
+    def test_tap_profile_on_a_family_without_taps_rejected(self, family, tmp_path, capsys):
+        # Only the multipath families read a tap profile: on the others the
+        # path is a ConfigError naming the family when the config is built
+        # (exit 2), even where the file is a valid profile.
+        taps = tmp_path / "taps.csv"
+        taps.write_text("0,0\n1e-6,-3\n")
+        with pytest.raises(ConfigError, match=f"{family} has no taps"):
+            RunConfig(channel_family=family, tap_profile_path=str(taps))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(
+            {"duration": 0.25, "channel_family": family, "tap_profile_path": str(taps)}
+        ))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"{family} has no taps" in capsys.readouterr().err
+        assert not (out / "run_report.json").exists()
+
     @pytest.mark.parametrize("profile, ratio", [("fast", 1), ("slow", 10)])
     def test_synthetic_duration_stops_below_2_to_the_32_blocks(self, profile, ratio):
         # Keyed streams take blocks b < 2^32: the last duration whose block
@@ -736,6 +922,7 @@ class TestReproduce:
             return SimpleNamespace(
                 config=config, mse=MsePair(0.1, 0.2), source_peaks=peaks,
                 receiver_peaks=peaks, ks=ks_two_sample([1, 2, 3, 4, 5], [1, 2, 3, 4, 6]),
+                wall_time_s=0.0,
             )
 
         monkeypatch.setattr(harness, "run_link", second_fails)
@@ -953,19 +1140,19 @@ class TestCli:
             {"seed": -1},
             {"seed": "x"},
             {"duration": float("inf")},
-            {"tap_profile_path": "/nonexistent/taps.csv"},
+            {"channel_family": "jtc_indoor_a", "tap_profile_path": "/nonexistent/taps.csv"},
             {"cytometry": {"pulse_rate": float("nan")}},
             {"gsr": {"drift_scale": float("inf")}},
             {"interpolate": "false"},
             # Paths that name a directory.
-            {"tap_profile_path": "."},
+            {"channel_family": "jtc_indoor_a", "tap_profile_path": "."},
             {"gsr_path": "."},
             {"cytometry_path": "."},
             # Malformed trace files, written by the test into its directory.
             {"gsr_path": "one_column.csv"},
             {"gsr_path": "non_numeric.csv"},
             # A file as a directory component of the path.
-            {"tap_profile_path": "one_column.csv/x.csv"},
+            {"channel_family": "jtc_indoor_a", "tap_profile_path": "one_column.csv/x.csv"},
             # A NaN tap delay, which the delay-order check alone lets through.
             {"channel_family": "jtc_outdoor_low_a", "tap_profile_path": "nan_delay.csv"},
             # JSON true and false are no integers: they would run as seed 1,
